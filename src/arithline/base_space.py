@@ -325,11 +325,24 @@ def _norm_endpoints(V: BaseCompact):
 
 def norm_bounds(f, V: BaseCompact):
     """Exact Fraction enclosure (lo, hi) of ||f||_V."""
+    return _endpoint_bounds(f, _norm_endpoints(V))
+
+
+def norm_bounds_each(fs, V: BaseCompact) -> list:
+    """[norm_bounds(f, V) for f in fs], compiling V's endpoints once."""
+    ends = _norm_endpoints(V)
+    return [_endpoint_bounds(f, ends) for f in fs]
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _endpoint_bounds(f, ends):
     if not isinstance(f, Fraction):
         f = Fraction(f)
     if f == 0:
-        return Fraction(0), Fraction(0)
-    has_trivial, finite_terms, arch_terms, extreme, constrained = _norm_endpoints(V)
+        return _ZERO, _ZERO
+    has_trivial, finite_terms, arch_terms, extreme, constrained = ends
     if constrained and constrained[0] == "all_but":
         allowed = set(constrained[1:])
         if f.denominator != 1:
@@ -340,7 +353,7 @@ def norm_bounds(f, V: BaseCompact):
         for q in constrained:
             if vp(f, q) < 0:
                 raise NotInRingOfV(f"{f} has a pole at the extreme point of {q}")
-    lo = hi = Fraction(1) if has_trivial else None
+    lo = hi = _ONE if has_trivial else None
     for p, e in finite_terms:
         ev = -e * vp(f, p)
         if ev.denominator == 1:

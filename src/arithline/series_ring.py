@@ -109,9 +109,6 @@ class LaurentPoly:
         """Degree as a polynomial (max index); None for 0."""
         return self.max_index()
 
-    def is_polynomial(self) -> bool:
-        return not self.has_negative_support()
-
     def poly_coeffs(self) -> tuple:
         """Ascending dense coefficients; requires nonnegative support."""
         if self.has_negative_support():
@@ -120,20 +117,18 @@ class LaurentPoly:
         return tuple(self.coeff(k) for k in range(n))
 
     def with_mod(self, trunc_mod) -> "LaurentPoly":
-        return LaurentPoly(self.coeffs, trunc_mod)
-
-    def map_coeffs(self, fn) -> "LaurentPoly":
-        return LaurentPoly({k: fn(c) for k, c in self.coeffs.items()}, self.trunc_mod)
+        """The class of self modulo T^trunc_mod (keys >= trunc_mod dropped)."""
+        if trunc_mod is None:
+            return LaurentPoly._raw(dict(self.coeffs))
+        trunc_mod = int(trunc_mod)
+        return LaurentPoly._raw(
+            {k: c for k, c in self.coeffs.items() if k < trunc_mod}, trunc_mod
+        )
 
     def shift(self, j: int) -> "LaurentPoly":
+        """T^j * self; the modulus moves with the indices."""
         mod = None if self.trunc_mod is None else self.trunc_mod + j
-        return LaurentPoly({k + j: c for k, c in self.coeffs.items()}, mod)
-
-    def window(self, lo: int, hi: int) -> "LaurentPoly":
-        """Keep indices lo <= k < hi (internal truncation helper)."""
-        return LaurentPoly(
-            {k: c for k, c in self.coeffs.items() if lo <= k < hi}, self.trunc_mod
-        )
+        return LaurentPoly._raw({k + j: c for k, c in self.coeffs.items()}, mod)
 
 
 def _result_mod(f: LaurentPoly, g: LaurentPoly):
@@ -259,17 +254,38 @@ def _check_support(f: LaurentPoly, A: AnnulusSpec):
         raise NegativePowersOnDisk("series has negative powers but s = 0")
 
 
+def _sum_ratios(terms) -> Fraction:
+    """Exact sum of the rationals n/d (d > 0) over one running lcm of the d."""
+    num, den = 0, 1
+    for n, d in terms:
+        if d == den:
+            num += n
+        else:
+            g = gcd(den, d)
+            num = num * (d // g) + n * (den // g)
+            den = den // g * d
+    return Fraction(num, den)
+
+
 def norm_annulus(f: LaurentPoly, A: AnnulusSpec) -> NormValue:
-    """The weighted norm  sum_k ||a_k||_V max(s^k, t^k)."""
-    from .base_space import norm_bounds
+    """The weighted norm  sum_k ||a_k||_V max(s^k, t^k).
+
+    As 0 <= s <= t, the weight is t^k for k >= 0 and s^k for k < 0 (s > 0
+    there, by _check_support); it is kept as an integer pair and the terms
+    are summed over a common denominator, one Fraction per bound.
+    """
+    from .base_space import norm_bounds_each
 
     _check_support(f, A)
-    lo = hi = Fraction(0)
-    for k, c in f.coeffs.items():
-        w = A.radius_weight(k)
-        c_lo, c_hi = norm_bounds(c, A.V)
-        lo += c_lo * w
-        hi += c_hi * w
+    sn, sd = A.s.numerator, A.s.denominator
+    tn, td = A.t.numerator, A.t.denominator
+    lo_terms, hi_terms = [], []
+    bounds = norm_bounds_each(f.coeffs.values(), A.V)
+    for k, (c_lo, c_hi) in zip(f.coeffs, bounds):
+        wn, wd = (tn ** k, td ** k) if k >= 0 else (sd ** -k, sn ** -k)
+        lo_terms.append((c_lo.numerator * wn, c_lo.denominator * wd))
+        hi_terms.append((c_hi.numerator * wn, c_hi.denominator * wd))
+    lo, hi = _sum_ratios(lo_terms), _sum_ratios(hi_terms)
     if lo == hi:
         return NormValue.of(lo)
     return NormValue.interval(lo, hi)
@@ -284,7 +300,7 @@ def uniform_norm_annulus(
     lower bound for the true sup; pass ``archimedean_upper_bound=True`` to
     get the sum norm back as a certified upper bound instead of an error.
     """
-    from .base_space import norm_bounds
+    from .base_space import norm_bounds_each
 
     if is_archimedean_compact(A.V):
         if archimedean_upper_bound:
@@ -292,9 +308,9 @@ def uniform_norm_annulus(
         raise ArchimedeanBase("uniform norm needs an ultrametric base compact")
     _check_support(f, A)
     lo = hi = Fraction(0)
-    for k, c in f.coeffs.items():
+    bounds = norm_bounds_each(f.coeffs.values(), A.V)
+    for k, (c_lo, c_hi) in zip(f.coeffs, bounds):
         w = A.radius_weight(k)
-        c_lo, c_hi = norm_bounds(c, A.V)
         lo = max(lo, c_lo * w)
         hi = max(hi, c_hi * w)
     if lo == hi:

@@ -22,6 +22,7 @@ from .base_space import (
     shilov_base,
 )
 from .errors import (
+    ArithlineError,
     NoContractionRadiusFound,
     NoConvergence,
     NonIntegralAtExtremePoint,
@@ -243,9 +244,9 @@ def divide_local_series(F: LaurentPoly, G: LaurentPoly, p: int, m: int, ctx: Ann
 
 def _split_at(phi: LaurentPoly, p: int):
     """phi = alpha * T^p + beta with beta of degree < p."""
-    alpha = LaurentPoly({k - p: c for k, c in phi.coeffs.items() if k >= p},
-                        None if phi.trunc_mod is None else phi.trunc_mod - p)
-    beta = LaurentPoly({k: c for k, c in phi.coeffs.items() if k < p})
+    alpha = LaurentPoly._raw({k - p: c for k, c in phi.coeffs.items() if k >= p},
+                             None if phi.trunc_mod is None else phi.trunc_mod - p)
+    beta = LaurentPoly._raw({k: c for k, c in phi.coeffs.items() if k < p})
     return alpha, beta
 
 
@@ -261,7 +262,7 @@ def _contraction_cert(G: LaurentPoly, p: int, ctx: AnnulusSpec, residuals) -> Lo
             return norm_annulus(B, AnnulusSpec(ctx.V, Fraction(0), w)) * NormValue.of(
                 w ** (-p)
             )
-        except Exception:
+        except ArithlineError:
             return None
 
     # scan dyadic radii outward from 1: small radii win when B has high
@@ -275,21 +276,31 @@ def _contraction_cert(G: LaurentPoly, p: int, ctx: AnnulusSpec, residuals) -> Lo
 
 
 def _divide_by_iteration(F: LaurentPoly, G: LaurentPoly, p: int, m: int, ctx: AnnulusSpec):
+    """Fixed point of A(phi) = phi + alpha(phi) B = F mod T^m, B = G/u - T^p.
+
+    A is linear, so the residual r = F - A(phi) of phi + r is -alpha(r) B:
+    from phi_0 = F, r_0 = -(alpha(F) B) mod T^m, and each step phi <- phi + r
+    is followed by r <- -(alpha(r) B) mod T^m, without rebuilding A(phi).
+    The norms of r_0, r_1, ... at the certified radius are the residuals.
+    """
     u = G.coeff(p)
     Gn = series_scale(1 / u, G).with_mod(m)  # monic-at-T^p normalization
-    B = series_sub(Gn, LaurentPoly.monomial(p, trunc_mod=m)).with_mod(m)
+    minus_B = series_sub(LaurentPoly.monomial(p, trunc_mod=m), Gn).with_mod(m)
     cert_radius = _contraction_cert(G, p, ctx, residuals=())
+    at_radius = AnnulusSpec(ctx.V, Fraction(0), cert_radius.radius)
+
+    def step(f: LaurentPoly) -> LaurentPoly:
+        return series_mul(_split_at(f, p)[0], minus_B).with_mod(m)
+
     phi = F
+    res = step(F)
     residuals = []
-    A_of = lambda f: series_add(f, series_mul(_split_at(f, p)[0], B).with_mod(m))
     for _ in range(m + 2):
-        res = series_sub(F, A_of(phi)).with_mod(m)
-        residuals.append(
-            norm_annulus(res, AnnulusSpec(ctx.V, Fraction(0), cert_radius.radius))
-        )
+        residuals.append(norm_annulus(res, at_radius))
         if not res:
             break
         phi = series_add(phi, res)
+        res = step(res)
     else:
         raise NoConvergence("fixed point not reached")  # pragma: no cover
     alpha, beta = _split_at(phi, p)

@@ -1,7 +1,7 @@
 """Acceptance criteria, one test per criterion, at the stated tolerances.
 
-Each test prints one PASS line (visible with pytest -s) including its
-measured runtime against the stated budget.
+Each test prints one PASS or FAIL line (visible with pytest -s) including
+its measured runtime against the stated budget.
 """
 
 import math
@@ -58,7 +58,8 @@ CENTER = AnnulusSpec(BaseCompact.central_point(), 0, Fraction(1, 2))
 
 def report(idx, name, t0, budget):
     dt = time.time() - t0
-    print(f"ACCEPTANCE {idx:02d} {name}: PASS ({dt:.2f}s < {budget}s)")
+    verdict = f"PASS ({dt:.2f}s < {budget}s)" if dt < budget else f"FAIL ({dt:.2f}s >= {budget}s)"
+    print(f"ACCEPTANCE {idx:02d} {name}: {verdict}")
     assert dt < budget, f"runtime {dt:.2f}s exceeds the {budget}s budget"
 
 

@@ -1,0 +1,199 @@
+"""The local-division fast path against the original rebuild-A(phi) loop.
+
+``_divide_by_iteration`` updates the residual by the linear recurrence
+r <- -(alpha(r) B) mod T^m, and ``norm_annulus`` sums integer pairs over a
+common denominator.  The oracles below are the direct forms: the fixed
+point that rebuilds A(phi) = phi + alpha(phi) B and F - A(phi) every step
+through the validating ``LaurentPoly`` constructor, and the norm summed as
+one Fraction product per coefficient.  Both must agree exactly: the same
+Q, R, radius, epsilon and residual trajectory, and the same NormValues.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from arithline import (
+    AnnulusSpec,
+    BaseCompact,
+    LaurentPoly,
+    NormValue,
+    Place,
+    divide_local_series,
+    norm_annulus,
+)
+from arithline.base_space import norm_bounds
+from arithline.errors import ArithlineError, NegativePowersOnDisk, NoConvergence
+from arithline.series_ring import series_add, series_mul, series_scale, series_sub
+
+CENTRAL = BaseCompact.central_point()
+CENTER = AnnulusSpec(CENTRAL, 0, Fraction(1, 2))
+
+
+def naive_norm_annulus(f, A):
+    """sum_k ||a_k||_V max(s^k, t^k), one Fraction multiply-add per term."""
+    if f.has_negative_support() and A.s == 0:
+        raise NegativePowersOnDisk("series has negative powers but s = 0")
+    lo = hi = Fraction(0)
+    for k, c in f.coeffs.items():
+        w = max(A.s ** k, A.t ** k)
+        c_lo, c_hi = norm_bounds(c, A.V)
+        lo += c_lo * w
+        hi += c_hi * w
+    return NormValue.of(lo) if lo == hi else NormValue.interval(lo, hi)
+
+
+def nv_key(nv):
+    return (nv.lo, nv.hi, nv.exact)
+
+
+def _mod(f, m):
+    return LaurentPoly(f.coeffs, m)
+
+
+def _split(phi, p):
+    mod = None if phi.trunc_mod is None else phi.trunc_mod - p
+    alpha = LaurentPoly({k - p: c for k, c in phi.coeffs.items() if k >= p}, mod)
+    beta = LaurentPoly({k: c for k, c in phi.coeffs.items() if k < p})
+    return alpha, beta
+
+
+def oracle_contraction(G, p, ctx):
+    u = G.coeff(p)
+    B = series_sub(series_scale(1 / u, G), LaurentPoly.monomial(p))
+    if not B:
+        return Fraction(1), NormValue.of(0)
+    for j in range(600):
+        for w in {Fraction(2) ** j, Fraction(2) ** -j}:
+            try:
+                eps = naive_norm_annulus(B, AnnulusSpec(ctx.V, 0, w)) * NormValue.of(w ** (-p))
+            except ArithlineError:
+                continue
+            if eps.lt(1):
+                return w, eps
+    raise AssertionError("oracle found no contraction radius")
+
+
+def oracle_divide(F, G, p, m, ctx):
+    """F = Q G + R mod T^m by rebuilding A(phi) and F - A(phi) each step."""
+    F = _mod(F, m)
+    u = G.coeff(p)
+    B = _mod(series_sub(_mod(series_scale(1 / u, G), m), LaurentPoly.monomial(p, trunc_mod=m)), m)
+    radius, eps = oracle_contraction(G, p, ctx)
+
+    def A_of(f):
+        return series_add(f, _mod(series_mul(_split(f, p)[0], B), m))
+
+    phi, residuals = F, []
+    for _ in range(m + 2):
+        res = _mod(series_sub(F, A_of(phi)), m)
+        residuals.append(naive_norm_annulus(res, AnnulusSpec(ctx.V, 0, radius)))
+        if not res:
+            break
+        phi = series_add(phi, res)
+    else:
+        raise NoConvergence("oracle fixed point not reached")
+    alpha, beta = _split(phi, p)
+    return series_scale(1 / u, alpha), beta, radius, eps, residuals
+
+
+def acceptance_05_inputs(seed, count, m=64):
+    """Inputs shaped as in acceptance 05: G = T^p * unit of degree <= 5."""
+    rng = random.Random(seed)
+    for i in range(count):
+        p = 1 + i % 3
+        unit = {0: Fraction(rng.choice((1, -1, 2, 3)))}
+        for j in range(1, 6):
+            if rng.random() < 0.7:
+                unit[j] = Fraction(rng.randint(-5, 5))
+        G = LaurentPoly({p + k: c for k, c in unit.items()}, m)
+        F = LaurentPoly({k: Fraction(rng.randint(-9, 9)) for k in range(8)}, m)
+        yield F, G, p
+
+
+def assert_same_division(F, G, p, m, ctx):
+    Q, R, cert = divide_local_series(F, G, p, m, ctx)
+    Qo, Ro, radius, eps, residuals = oracle_divide(F, G, p, m, ctx)
+    assert Q == Qo and R == Ro
+    assert cert.radius == radius
+    assert nv_key(cert.epsilon) == nv_key(eps)
+    assert [nv_key(r) for r in cert.residuals] == [nv_key(r) for r in residuals]
+
+
+def test_local_division_matches_rebuild_oracle():
+    m = 64
+    cases = list(acceptance_05_inputs(2024, 30, m))
+    assert {p for _, _, p in cases} == {1, 2, 3}
+    for F, G, p in cases:
+        assert_same_division(F, G, p, m, CENTER)
+
+
+def test_preparation_shaped_division_matches_rebuild_oracle():
+    # prepare(G, p, 16) divides T^p by G modulo T^(16 + p)
+    for _, G, p in acceptance_05_inputs(77, 9):
+        m = 16 + p
+        assert_same_division(LaurentPoly.monomial(p, trunc_mod=m), G.with_mod(m), p, m, CENTER)
+
+
+@pytest.mark.parametrize(
+    "V",
+    [BaseCompact.segment(Place.finite(3), Fraction(1, 2), 2), BaseCompact.segment(Place.infinite(), 0, 1)],
+)
+def test_local_division_matches_oracle_off_the_central_point(V):
+    ctx = AnnulusSpec(V, 0, Fraction(1, 2))
+    for F, G, p in acceptance_05_inputs(5, 6, m=24):
+        assert_same_division(F, G, p, 24, ctx)
+
+
+# -- norm_annulus against the per-coefficient Fraction sum ---------------------
+
+WHOLE = BaseCompact.whole_space()
+ARCH_THIRD = BaseCompact.segment(Place.infinite(), Fraction(1, 3), Fraction(1, 3))
+SPECS = {
+    "central": AnnulusSpec(CENTRAL, 0, Fraction(1, 2)),
+    "whole": AnnulusSpec(WHOLE, 0, Fraction(3, 2)),
+    "arch-third": AnnulusSpec(ARCH_THIRD, 0, 2),
+    "3-adic-half": AnnulusSpec(BaseCompact.segment(Place.finite(3), Fraction(1, 2), 2), 0, Fraction(2, 3)),
+    "central-ring": AnnulusSpec(CENTRAL, Fraction(2, 3), Fraction(5, 4)),
+    "arch-ring": AnnulusSpec(ARCH_THIRD, Fraction(1, 3), 3),
+}
+
+
+@st.composite
+def series_on_spec(draw):
+    name = draw(st.sampled_from(sorted(SPECS)))
+    A = SPECS[name]
+    lowest = -6 if A.s > 0 else 0
+    # the whole space admits only integers (no poles at the extreme points)
+    if A.V == WHOLE:
+        coeff = st.integers(-10 ** 6, 10 ** 6)
+    else:
+        coeff = st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 4)
+    coeffs = draw(st.dictionaries(st.integers(lowest, 12), coeff.filter(bool), max_size=8))
+    return name, LaurentPoly(coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_on_spec())
+@example(("central", LaurentPoly({0: 3, 2: Fraction(-1, 7)})))
+@example(("whole", LaurentPoly({0: 12, 1: -5, 3: 100})))
+@example(("arch-third", LaurentPoly({0: 2, 1: Fraction(5, 3)})))
+@example(("central-ring", LaurentPoly({-3: Fraction(1, 2), 0: 1, 4: 9})))
+@example(("arch-ring", LaurentPoly({-2: 7, 5: Fraction(-2, 9)})))
+@example(("central", LaurentPoly()))
+def test_norm_annulus_equals_naive_sum(case):
+    name, f = case
+    A = SPECS[name]
+    assert nv_key(norm_annulus(f, A)) == nv_key(naive_norm_annulus(f, A))
+
+
+def test_norm_annulus_examples_cover_intervals_and_negative_indices():
+    assert not norm_annulus(LaurentPoly({0: 2, 1: Fraction(5, 3)}), SPECS["arch-third"]).is_exact
+    ring = norm_annulus(LaurentPoly({-3: Fraction(1, 2), 0: 1}), SPECS["central-ring"])
+    # the trivial absolute value at the central point: ||1/2|| = 1, s^-3 = 27/8
+    assert ring == NormValue.of(Fraction(35, 8))
+    with pytest.raises(NegativePowersOnDisk):
+        norm_annulus(LaurentPoly({-1: 1}), SPECS["central"])

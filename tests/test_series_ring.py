@@ -247,3 +247,39 @@ def test_invert_unit_rejects_negative_support_on_disk():
     disk = AnnulusSpec(BaseCompact.central_point(), 0, Fraction(1, 2))
     with pytest.raises(NegativePowersOnDisk):
         invert_unit(LaurentPoly({-1: 2, 0: 3}), disk, 4)
+
+
+def test_with_mod_and_shift_match_the_validating_constructor():
+    rng = random.Random(47)
+    for _ in range(200):
+        coeffs = {
+            rng.randint(-5, 9): Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+            for _ in range(rng.randint(0, 7))
+        }
+        f = LaurentPoly(coeffs, rng.choice((None, rng.randint(-2, 10))))
+        m = rng.choice((None, rng.randint(-3, 12)))
+        g = f.with_mod(m)
+        want = LaurentPoly(f.coeffs, m)
+        assert g == want and hash(g) == hash(want)
+        assert g.trunc_mod == m
+        assert m is None or all(k < m for k in g.coeffs)
+        j = rng.randint(-4, 4)
+        h = f.shift(j)
+        mod = None if f.trunc_mod is None else f.trunc_mod + j
+        want = LaurentPoly({k + j: c for k, c in f.coeffs.items()}, mod)
+        assert h == want and hash(h) == hash(want)
+        # the results never share their dict with the source
+        for out in (g, h):
+            assert out.coeffs is not f.coeffs
+            out.coeffs[100] = Fraction(1)
+            assert 100 not in f.coeffs
+
+
+def test_with_mod_examples():
+    f = LaurentPoly({-2: 1, 0: 3, 4: Fraction(1, 2), 7: 5})
+    assert f.with_mod(5) == LaurentPoly({-2: 1, 0: 3, 4: Fraction(1, 2)}, 5)
+    assert f.with_mod(4).coeffs == {-2: 1, 0: 3}
+    assert f.with_mod(None) == f and f.with_mod(None).trunc_mod is None
+    # the modulus is set as given, also above the source's own modulus
+    assert LaurentPoly({0: 1, 2: 3}, 3).with_mod(5) == LaurentPoly({0: 1, 2: 3}, 5)
+    assert LaurentPoly({0: 1, 2: 3}, 4).shift(-1) == LaurentPoly({-1: 1, 1: 3}, 3)
