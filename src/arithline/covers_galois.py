@@ -22,7 +22,7 @@ from .errors import (
     PrecisionInsufficient,
 )
 from .normvalue import root_bounds, default_bits
-from .numbers import is_prime, lcm_list, vp
+from .numbers import is_prime, lcm_list, prime_divisors, vp
 from .padic import PadicApprox
 from .series_ring import LaurentPoly, series_add, series_mul, series_scale, series_sub
 
@@ -53,7 +53,7 @@ def primitive_root_of_unity(n: int, p: int, N: int) -> PadicApprox:
         return PadicApprox(p, N, 1)
     if (p - 1) % n != 0:
         raise CongruenceFails(f"{p} is not 1 mod {n}")
-    divisors = [n // q for q in _prime_divisors(n)]
+    divisors = [n // q for q in prime_divisors(n)]
     seed = None
     for z in range(2, p):
         if pow(z, n, p) == 1 and all(pow(z, e, p) != 1 for e in divisors):
@@ -70,20 +70,6 @@ def primitive_root_of_unity(n: int, p: int, N: int) -> PadicApprox:
         dfx = n * pow(x, n - 1, mod) % mod
         x = (x - fx * pow(dfx, -1, mod)) % mod
     return PadicApprox(p, N, x)
-
-
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @dataclass(frozen=True)
@@ -160,7 +146,7 @@ class CoverDescriptor:
             raise BadDescriptor("zeta^n != 1 at the stored precision")
         if self.n > 1 and any(
             pow(self.zeta.residue, self.n // q, self.p) == 1
-            for q in _prime_divisors(self.n)
+            for q in prime_divisors(self.n)
         ):
             raise BadDescriptor("zeta is not primitive mod p")
         power = LaurentPoly.one(self.m)

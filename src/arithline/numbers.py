@@ -60,6 +60,11 @@ def factor(n: int) -> dict:
     return out
 
 
+def prime_divisors(n: int) -> list:
+    """The distinct primes dividing |n|, in increasing order."""
+    return list(factor(n))
+
+
 def vp_int(n: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if n == 0:

@@ -7,7 +7,7 @@ no trailing zeros; the zero polynomial is the empty tuple.
 from fractions import Fraction
 
 from .errors import NotCoprime, ProductMismatch
-from .numbers import invmod, is_prime, vp
+from .numbers import invmod, next_prime, prime_divisors
 
 # -- polynomials over Q -----------------------------------------------------
 
@@ -34,29 +34,11 @@ def padd(f, g):
     return poly(out)
 
 
-def pneg(f):
-    return tuple(-c for c in f)
-
-def psub(f, g):
-    return padd(f, pneg(g))
-
-
 def pscale(a, f):
     a = Fraction(a)
     if a == 0:
         return ()
     return tuple(a * c for c in f)
-
-
-def pmul(f, g):
-    if not f or not g:
-        return ()
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return poly(out)
 
 
 def pdivmod(f, g):
@@ -101,15 +83,6 @@ def pshift(f, alpha):
         for j in range(n - 2, i - 1, -1):
             out[j] += alpha * out[j + 1]
     return tuple(out)
-
-
-def pgcd(f, g):
-    a, b = f, g
-    while b:
-        a, b = b, pdivmod(a, b)[1]
-    if a and a[-1] != 1:
-        a = pscale(1 / a[-1], a)
-    return a
 
 
 def p_multiplicity(f, p):
@@ -269,27 +242,13 @@ def fp_irreducible(f, p) -> bool:
     xq = fp_powmod(x, p ** d, f, p)
     if xq != fp_divmod(x, f, p)[1]:
         return False
-    for q in _prime_divisors(d):
+    for q in prime_divisors(d):
         e = d // q
         xe = fp_powmod(x, p ** e, f, p)
         diff = fp_add(xe, fp_poly([-c for c in x], p), p)
         if deg(fp_gcd(diff, f, p)) != 0:
             return False
     return True
-
-
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # -- Hensel lifting of coprime factorizations -------------------------------
@@ -311,22 +270,6 @@ def _zp_mul(f, g, m):
             for j, b in enumerate(g):
                 out[i + j] = (out[i + j] + a * b) % m
     return _zp_poly(out, m)
-
-
-def _zp_divmod_monic(f, g, m):
-    q = [0] * max(0, len(f) - len(g) + 1)
-    r = list(f)
-    while len(r) >= len(g):
-        if r[-1] % m == 0:
-            r.pop()
-            continue
-        k = len(r) - len(g)
-        c = r[-1] % m
-        q[k] = c
-        for i, b in enumerate(g):
-            r[k + i] = (r[k + i] - c * b) % m
-        r.pop()
-    return _zp_poly(q, m), _zp_poly(r, m)
 
 
 def hensel_pair_lift(f, g, h, p, N):
@@ -476,17 +419,10 @@ def is_irreducible_q(f) -> bool:
             fp = ()
         if deg(fp) == d and fp_irreducible(fp, p):
             return True
-        p = _next_prime(p)
+        p = next_prime(p)
     from .errors import CannotCertify
 
     raise CannotCertify(f"cannot certify irreducibility of degree {d} input")
-
-
-def _next_prime(p):
-    p += 1
-    while not is_prime(p):
-        p += 1
-    return p
 
 
 def _quartic_splits(f) -> bool:
@@ -574,7 +510,3 @@ def peval_gauss(f, z: Gauss) -> Gauss:
     for c in reversed(f):
         acc = acc * z + Gauss(c)
     return acc
-
-
-def coeffs_p_integral(f, p) -> bool:
-    return all(vp(c, p) >= 0 for c in f if c != 0)

@@ -3,9 +3,12 @@ residual norms on finite covers, and the resultant interpolation bound.
 
 Global division follows the contraction scheme behind the explicit threshold
 condition  sum_k ||g_k|| v^(k-p) <= 1/2, which yields the quotient/remainder
-bounds ||Q|| <= 2 v^(-p) ||F|| and ||R|| <= 2 ||F||.  Local division of
-truncated series runs the fixed-point operator phi -> alpha(phi) G +
-beta(phi) and records its contraction certificate.
+bounds ||Q|| <= 2 v^(-p) ||F|| and ||R|| <= 2 ||F||.  The threshold is the
+first radius on the 2^-16 grid that meets the condition, found by a search on
+the grid index with the condition cleared of denominators into an integer
+inequality (see ``global_threshold``).  Local division of truncated series
+runs the fixed-point operator phi -> alpha(phi) G + beta(phi) and records its
+contraction certificate.
 """
 
 from dataclasses import dataclass
@@ -19,6 +22,7 @@ from .base_space import (
     classify_base_point,
     eval_base_seminorm,
     is_inf,
+    norm_bounds_each,
     shilov_base,
 )
 from .errors import (
@@ -36,7 +40,7 @@ from .errors import (
     ValuationUndefined,
 )
 from .normvalue import NormValue, nv_max, nv_sum
-from .numbers import vp
+from .numbers import lcm_list, vp
 from .padic import PadicApprox
 from .polys import (
     Gauss,
@@ -61,7 +65,8 @@ from .series_ring import (
     series_sub,
 )
 
-GRID = Fraction(1, 1 << 16)  # dyadic search grid for certified thresholds
+_GRID_BITS = 16
+GRID = Fraction(1, 1 << _GRID_BITS)  # dyadic search grid for certified thresholds
 
 
 def _as_poly(G) -> tuple:
@@ -71,40 +76,54 @@ def _as_poly(G) -> tuple:
 
 
 def global_threshold(G, V: BaseCompact) -> Fraction:
-    """Smallest grid radius v certified to satisfy sum ||g_k|| v^(k-p) <= 1/2."""
+    """Smallest grid radius v certified to satisfy sum ||g_k|| v^(k-p) <= 1/2.
+
+    With b_k = ||g_k||_V.hi, D the lcm of their denominators and v = i GRID,
+    multiplying the condition by 2 D i^p > 0 gives the integer inequality
+
+        sum_{k<p} 2 (D b_k) 2^(16(p-k)) i^k <= D i^p,
+
+    which holds at exactly the grid indices where the rational condition
+    holds, interval-valued norms included, so the result is the one a search
+    on the rational condition returns.  The left side of the condition falls
+    as v grows, so the certified indices form a ray.  The search doubles i
+    from 1 (at most 300 steps, then NoContractionRadiusFound) until i
+    certifies, then bisects keeping the invariant that lo fails (lo = 0
+    stands for "no index") and hi certifies; it returns hi GRID, the first
+    certified grid radius.
+    """
     G = _as_poly(G)
     if not is_monic(G):
         raise NotMonic("threshold needs a monic divisor")
     p = deg(G)
     if p < 1:
         raise NotMonic("divisor must have positive degree")
-    lower = [base_norm(c, V).hi for c in G[:-1]]
-    if all(b == 0 for b in lower):
-        return GRID
+    b = [hi for _, hi in norm_bounds_each(G[:-1], V)]
+    D = lcm_list(x.denominator for x in b)
+    # D i^p - sum_k 2 (D b_k) 2^(16(p-k)) i^k, highest coefficient first
+    coeffs = [D] + [-(int(D * b[k]) << (_GRID_BITS * (p - k) + 1)) for k in reversed(range(p))]
 
-    def certified(v: Fraction) -> bool:
-        return sum(b * v ** (k - p) for k, b in enumerate(lower)) <= Fraction(1, 2)
+    def certified(i: int) -> bool:
+        acc = 0
+        for c in coeffs:
+            acc = acc * i + c
+        return acc >= 0
 
-    hi = GRID
+    hi = 1
     for _ in range(300):
         if certified(hi):
             break
         hi *= 2
     else:
         raise NoContractionRadiusFound("threshold search exhausted")
-    lo = hi / 2  # last failing value (or GRID/2 when GRID certifies)
-    # binary search on the dyadic grid for the smallest certified multiple
-    lo_idx = max(1, int(lo / GRID))
-    hi_idx = int(hi / GRID)
-    while lo_idx + 1 < hi_idx:
-        mid = (lo_idx + hi_idx) // 2
-        if certified(mid * GRID):
-            hi_idx = mid
+    lo = hi // 2
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if certified(mid):
+            hi = mid
         else:
-            lo_idx = mid
-    if certified(lo_idx * GRID):
-        return lo_idx * GRID
-    return hi_idx * GRID
+            lo = mid
+    return hi * GRID
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,30 @@
+"""Byte-identical CLI output.
+
+``cli_golden.json`` holds stdout and the exit code of ``arithline`` for the
+README examples and for ``threshold``, ``divide`` and ``residual-norm`` on
+four compacts (the whole space, the star {2: 1}, the 5-adic segment
+[1, inf] and the archimedean segment [1/3, 1/2]), plus one refused call
+(exit 2), as the CLI printed them before the threshold search moved to
+integer comparisons.  A refactor of the kernel or of the CLI must reproduce
+them byte for byte.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from arithline.cli import main
+
+CASES = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", CASES, ids=[f"{i:02d}-{c['argv'][0]}" for i, c in enumerate(CASES)])
+def test_cli_output_is_unchanged(case, monkeypatch):
+    monkeypatch.delenv("ARITHLINE_BITS", raising=False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(case["argv"]))
+    assert (code, out.getvalue()) == (case["exit"], case["stdout"])
