@@ -244,9 +244,6 @@ class BaseCompact:
     def contains_central(self) -> bool:
         return self.kind == "star" or self.u == 0
 
-    def cut_map(self) -> dict:
-        return dict(self.cuts)
-
     def cut_primes(self) -> frozenset:
         if self.kind != "star":
             raise ValueError("cut_primes applies to stars")
@@ -275,13 +272,6 @@ def member_of_kv(f, V: BaseCompact) -> bool:
             return V.place.prime not in den_primes
         return True
     return den_primes <= V.cut_primes()
-
-
-def require_in_kv(f, V: BaseCompact) -> Fraction:
-    f = Fraction(f)
-    if not member_of_kv(f, V):
-        raise NotInRingOfV(f"{f} has a pole on the compact")
-    return f
 
 
 from functools import lru_cache

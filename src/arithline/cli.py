@@ -2,11 +2,19 @@
 
 All values travel as JSON; rationals are "p/q" strings.  Exit codes:
 0 success, 1 usage or malformed input, 2 domain error (with an
-{"error": code, "detail": ...} payload on stdout).  The environment
-variable ARITHLINE_BITS overrides the default interval precision.
+{"error": code, "detail": ...} payload on stdout).  `--bits`, or else the
+environment variable ARITHLINE_BITS, sets the interval precision for that
+call only: `main` restores the previous precision when it returns.
+
+COMMANDS is the one table of subcommands: name, handler and argument
+specs.  `build_parser` turns it into a new argparse parser; `main` builds
+that parser once per process, on its first call (not at import), and reuses
+it.  When the reader of stdout goes away (`arithline ... | head`), `main`
+exits 1 with nothing on stderr.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -43,8 +51,8 @@ from .covers_galois import (
     primitive_root_of_unity,
     standard_group_tables,
 )
-from .errors import ArithlineError
-from .normvalue import set_default_bits
+from .errors import ArithlineError, UnknownSuite
+from .normvalue import default_bits, set_default_bits
 from .selftest import run_suite
 from .series_ring import (
     compare_annulus_factor,
@@ -465,232 +473,149 @@ def cmd_selftest(args):
     return report
 
 
+# Argument specs shared by many subcommands (argparse copies the keywords).
+REQ = {"required": True}
+REQ_INT = {"type": int, "required": True}
+OPT = {"default": None}
+OPT_INT = {"type": int, "default": None}
+
+# Subcommand name -> (handler, argument specs), in the order `--help` lists them.
+COMMANDS = {
+    "eval-base": (cmd_eval_base, (("--f", REQ), ("--point", REQ))),
+    "product-formula": (cmd_product_formula, (("--f", REQ),)),
+    "classify": (cmd_classify, (("--point", REQ),)),
+    "base-norm": (cmd_base_norm, (("--f", REQ), ("--V", REQ))),
+    "shilov": (cmd_shilov, (("--V", REQ),)),
+    "ring-label": (cmd_ring_label, (("--V", REQ),)),
+    "eval-line": (cmd_eval_line, (("--F", REQ), ("--point", REQ))),
+    "flow": (cmd_flow, (("--point", REQ), ("--eps", REQ))),
+    "series-arith": (
+        cmd_series_arith,
+        (("--f", REQ), ("--g", REQ), ("--op", {"choices": ("add", "mul"), "required": True})),
+    ),
+    "compare-factor": (cmd_compare_factor, (("--s", REQ), ("--t", REQ), ("--u", REQ), ("--v", REQ))),
+    "find-prime": (cmd_find_prime, (("--n", REQ_INT), ("--bound", {"type": int, "default": 10000}))),
+    "norm-annulus": (cmd_norm_annulus, (("--f", REQ), ("--A", REQ))),
+    "unif-norm": (cmd_unif_norm, (("--f", REQ), ("--A", REQ), ("--upper-bound", {"action": "store_true"}))),
+    "shilov-annulus": (cmd_shilov_annulus, (("--A", REQ),)),
+    "invert-unit": (cmd_invert_unit, (("--f", REQ), ("--A", REQ), ("--m", REQ_INT))),
+    "threshold": (cmd_threshold, (("--G", REQ), ("--V", OPT))),
+    "divide": (cmd_divide, (("--F", REQ), ("--G", REQ), ("--V", OPT), ("--w", REQ))),
+    "divide-local": (
+        cmd_divide_local,
+        (("--F", REQ), ("--G", REQ), ("--p", REQ_INT), ("--m", REQ_INT), ("--A", REQ)),
+    ),
+    "prepare": (cmd_prepare, (("--G", REQ), ("--p", REQ_INT), ("--m", REQ_INT), ("--A", REQ))),
+    "hensel": (
+        cmd_hensel,
+        (
+            ("--P", REQ),
+            ("--prime", OPT_INT),
+            ("--seed", OPT_INT),
+            ("--N", OPT_INT),
+            ("--f0", OPT),
+            ("--m", OPT_INT),
+        ),
+    ),
+    "hensel-factor": (
+        cmd_hensel_factor,
+        (("--G", REQ), ("--factors", REQ), ("--prime", REQ_INT), ("--N", REQ_INT)),
+    ),
+    "resultant": (cmd_resultant, (("--P", REQ), ("--Q", REQ))),
+    "lagrange-bound": (
+        cmd_lagrange_bound,
+        (("--f", REQ), ("--g", REQ), ("--roots", REQ), ("--r", REQ), ("--place", REQ)),
+    ),
+    "residual-norm": (cmd_residual_norm, (("--G", REQ), ("--U", OPT), ("--w", REQ), ("--F", REQ))),
+    "condition-rg": (cmd_condition_rg, (("--U", OPT), ("--G", REQ))),
+    "cousin-split": (
+        cmd_cousin_split,
+        (("--a", REQ), ("--place", REQ), ("--u", REQ), ("--s", OPT), ("--t", OPT)),
+    ),
+    "split-sides": (cmd_split_sides, (("--f", REQ),)),
+    "split-series": (
+        cmd_split_series,
+        (("--f", REQ), ("--place", REQ), ("--u", REQ), ("--s", REQ), ("--t", REQ)),
+    ),
+    "runge": (
+        cmd_runge,
+        (
+            ("--s-list", REQ),
+            ("--t-list", REQ),
+            ("--place", REQ),
+            ("--u", REQ),
+            ("--s", REQ),
+            ("--t", REQ),
+            ("--delta", REQ),
+        ),
+    ),
+    "matrix-norm": (cmd_matrix_norm, (("--a", REQ), ("--A", REQ))),
+    "neumann": (cmd_neumann, (("--a", REQ), ("--A", REQ), ("--m", REQ_INT))),
+    "cartan": (
+        cmd_cartan,
+        (
+            ("--a", REQ),
+            ("--place", REQ),
+            ("--u", REQ),
+            ("--s", REQ),
+            ("--t", REQ),
+            ("--max-iter", {"type": int, "default": 64}),
+            ("--tol", {"default": "1/1099511627776"}),
+        ),
+    ),
+    "cover": (cmd_cover, (("--n", REQ_INT), ("--p", REQ_INT), ("--m", REQ_INT), ("--N", REQ_INT))),
+    "zeta": (cmd_zeta, (("--n", REQ_INT), ("--p", REQ_INT), ("--N", REQ_INT))),
+    "binomial": (cmd_binomial, (("--n", REQ_INT), ("--m", REQ_INT), ("--p", OPT_INT))),
+    "eisenstein": (
+        cmd_eisenstein,
+        (("--P", REQ), ("--f0", REQ), ("--m", REQ_INT), ("--places", REQ)),
+    ),
+    "group-data": (cmd_group_data, (("--table", REQ), ("--name", OPT), ("--i", REQ_INT))),
+    "group-mu": (cmd_group_mu, (("--table", REQ), ("--name", OPT))),
+    "selftest": (cmd_selftest, (("--suite", REQ), ("--seed", {"type": int, "default": 0}))),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for every subcommand in COMMANDS."""
     ap = argparse.ArgumentParser(
         prog="arithline",
         description="Exact kernel for seminorms, division and splittings on the arithmetic affine line",
     )
     ap.add_argument("--bits", type=int, default=None, help="interval precision in bits")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, *specs):
+    for name, (_, specs) in COMMANDS.items():
         p = sub.add_parser(name)
-        for spec in specs:
-            flags, kwargs = spec
-            p.add_argument(flags, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    A = lambda flag, **kw: (flag, kw)
-    add("eval-base", cmd_eval_base, A("--f", required=True), A("--point", required=True))
-    add("product-formula", cmd_product_formula, A("--f", required=True))
-    add("classify", cmd_classify, A("--point", required=True))
-    add("base-norm", cmd_base_norm, A("--f", required=True), A("--V", required=True))
-    add("shilov", cmd_shilov, A("--V", required=True))
-    add("ring-label", cmd_ring_label, A("--V", required=True))
-    add("eval-line", cmd_eval_line, A("--F", required=True), A("--point", required=True))
-    add("flow", cmd_flow, A("--point", required=True), A("--eps", required=True))
-    add(
-        "series-arith",
-        cmd_series_arith,
-        A("--f", required=True),
-        A("--g", required=True),
-        A("--op", choices=("add", "mul"), required=True),
-    )
-    add(
-        "compare-factor",
-        cmd_compare_factor,
-        A("--s", required=True),
-        A("--t", required=True),
-        A("--u", required=True),
-        A("--v", required=True),
-    )
-    add(
-        "find-prime",
-        cmd_find_prime,
-        A("--n", type=int, required=True),
-        A("--bound", type=int, default=10000),
-    )
-    add("norm-annulus", cmd_norm_annulus, A("--f", required=True), A("--A", required=True))
-    add(
-        "unif-norm",
-        cmd_unif_norm,
-        A("--f", required=True),
-        A("--A", required=True),
-        A("--upper-bound", action="store_true"),
-    )
-    add("shilov-annulus", cmd_shilov_annulus, A("--A", required=True))
-    add(
-        "invert-unit",
-        cmd_invert_unit,
-        A("--f", required=True),
-        A("--A", required=True),
-        A("--m", type=int, required=True),
-    )
-    add("threshold", cmd_threshold, A("--G", required=True), A("--V", default=None))
-    add(
-        "divide",
-        cmd_divide,
-        A("--F", required=True),
-        A("--G", required=True),
-        A("--V", default=None),
-        A("--w", required=True),
-    )
-    add(
-        "divide-local",
-        cmd_divide_local,
-        A("--F", required=True),
-        A("--G", required=True),
-        A("--p", type=int, required=True),
-        A("--m", type=int, required=True),
-        A("--A", required=True),
-    )
-    add(
-        "prepare",
-        cmd_prepare,
-        A("--G", required=True),
-        A("--p", type=int, required=True),
-        A("--m", type=int, required=True),
-        A("--A", required=True),
-    )
-    add(
-        "hensel",
-        cmd_hensel,
-        A("--P", required=True),
-        A("--prime", type=int, default=None),
-        A("--seed", type=int, default=None),
-        A("--N", type=int, default=None),
-        A("--f0", default=None),
-        A("--m", type=int, default=None),
-    )
-    add(
-        "hensel-factor",
-        cmd_hensel_factor,
-        A("--G", required=True),
-        A("--factors", required=True),
-        A("--prime", type=int, required=True),
-        A("--N", type=int, required=True),
-    )
-    add("resultant", cmd_resultant, A("--P", required=True), A("--Q", required=True))
-    add(
-        "lagrange-bound",
-        cmd_lagrange_bound,
-        A("--f", required=True),
-        A("--g", required=True),
-        A("--roots", required=True),
-        A("--r", required=True),
-        A("--place", required=True),
-    )
-    add(
-        "residual-norm",
-        cmd_residual_norm,
-        A("--G", required=True),
-        A("--U", default=None),
-        A("--w", required=True),
-        A("--F", required=True),
-    )
-    add("condition-rg", cmd_condition_rg, A("--U", default=None), A("--G", required=True))
-    add(
-        "cousin-split",
-        cmd_cousin_split,
-        A("--a", required=True),
-        A("--place", required=True),
-        A("--u", required=True),
-        A("--s", default=None),
-        A("--t", default=None),
-    )
-    add("split-sides", cmd_split_sides, A("--f", required=True))
-    add(
-        "split-series",
-        cmd_split_series,
-        A("--f", required=True),
-        A("--place", required=True),
-        A("--u", required=True),
-        A("--s", required=True),
-        A("--t", required=True),
-    )
-    add(
-        "runge",
-        cmd_runge,
-        A("--s-list", required=True),
-        A("--t-list", required=True),
-        A("--place", required=True),
-        A("--u", required=True),
-        A("--s", required=True),
-        A("--t", required=True),
-        A("--delta", required=True),
-    )
-    add("matrix-norm", cmd_matrix_norm, A("--a", required=True), A("--A", required=True))
-    add(
-        "neumann",
-        cmd_neumann,
-        A("--a", required=True),
-        A("--A", required=True),
-        A("--m", type=int, required=True),
-    )
-    add(
-        "cartan",
-        cmd_cartan,
-        A("--a", required=True),
-        A("--place", required=True),
-        A("--u", required=True),
-        A("--s", required=True),
-        A("--t", required=True),
-        A("--max-iter", type=int, default=64),
-        A("--tol", default="1/1099511627776"),
-    )
-    add(
-        "cover",
-        cmd_cover,
-        A("--n", type=int, required=True),
-        A("--p", type=int, required=True),
-        A("--m", type=int, required=True),
-        A("--N", type=int, required=True),
-    )
-    add(
-        "zeta",
-        cmd_zeta,
-        A("--n", type=int, required=True),
-        A("--p", type=int, required=True),
-        A("--N", type=int, required=True),
-    )
-    add(
-        "binomial",
-        cmd_binomial,
-        A("--n", type=int, required=True),
-        A("--m", type=int, required=True),
-        A("--p", type=int, default=None),
-    )
-    add(
-        "eisenstein",
-        cmd_eisenstein,
-        A("--P", required=True),
-        A("--f0", required=True),
-        A("--m", type=int, required=True),
-        A("--places", required=True),
-    )
-    add(
-        "group-data",
-        cmd_group_data,
-        A("--table", required=True),
-        A("--name", default=None),
-        A("--i", type=int, required=True),
-    )
-    add("group-mu", cmd_group_mu, A("--table", required=True), A("--name", default=None))
-    add(
-        "selftest",
-        cmd_selftest,
-        A("--suite", required=True),
-        A("--seed", type=int, default=0),
-    )
+        for flag, kwargs in specs:
+            p.add_argument(flag, **kwargs)
     return ap
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call, not at import; parsing leaves it unchanged.
+    return build_parser()
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser()
+    previous_bits = default_bits()
     try:
-        args = parser.parse_args(argv)
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at /dev/null so that the flush
+        # at interpreter exit does not fail again, and exit 1 quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    finally:
+        set_default_bits(previous_bits)
+
+
+def _run(argv) -> int:
+    try:
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     bits = args.bits
@@ -699,11 +624,10 @@ def main(argv=None) -> int:
         bits = int(env_bits)
     if bits is not None:
         set_default_bits(bits)
+    handler, _ = COMMANDS[args.command]
     try:
-        result = args.fn(args)
+        result = handler(args)
     except ArithlineError as exc:
-        from .errors import UnknownSuite
-
         print(json.dumps({"v": io.SCHEMA_VERSION, "error": exc.code, "detail": exc.detail}))
         return 1 if isinstance(exc, UnknownSuite) else 2
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

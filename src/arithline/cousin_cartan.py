@@ -293,12 +293,6 @@ class SeriesMatrix:
             )
         )
 
-    @classmethod
-    def from_scalars(cls, rows) -> "SeriesMatrix":
-        return cls(
-            tuple(tuple(LaurentPoly({0: c}) for c in row) for row in rows)
-        )
-
     def __eq__(self, other):
         return isinstance(other, SeriesMatrix) and self.entries == other.entries
 

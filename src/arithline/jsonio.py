@@ -203,10 +203,6 @@ def padic_json(x: PadicApprox) -> dict:
     return {"p": x.p, "N": x.N, "residue": x.residue}
 
 
-def parse_padic(d) -> PadicApprox:
-    return PadicApprox(int(d["p"]), int(d["N"]), int(d["residue"]))
-
-
 def group_table_json(G: GroupTable) -> dict:
     return {"n": G.n, "table": [list(row) for row in G.table], "identity": G.identity}
 
@@ -215,12 +211,6 @@ def parse_group_table(d) -> GroupTable:
     if isinstance(d, list):
         return GroupTable(d)
     return GroupTable(d["table"])
-
-
-def gauss_json(z: Gauss):
-    if z.im == 0:
-        return frac_str(z.re)
-    return [frac_str(z.re), frac_str(z.im)]
 
 
 def parse_gauss(v) -> Gauss:

@@ -51,9 +51,6 @@ class PadicApprox:
     def __pow__(self, e: int):
         return PadicApprox(self.p, self.N, pow(self.residue, e, self.modulus))
 
-    def is_unit(self) -> bool:
-        return self.residue % self.p != 0
-
     def inverse(self) -> "PadicApprox":
         return PadicApprox(self.p, self.N, invmod(self.residue, self.modulus))
 
@@ -62,11 +59,6 @@ class PadicApprox:
         if self.residue == 0:
             return self.N
         return vp_int(self.residue, self.p)
-
-    def reduce_to(self, N: int) -> "PadicApprox":
-        if N > self.N:
-            raise ValueError("cannot gain precision")
-        return PadicApprox(self.p, N, self.residue)
 
     def _match(self, other) -> "PadicApprox":
         if isinstance(other, PadicApprox):

@@ -1,12 +1,19 @@
 """Byte-identical CLI output.
 
-``cli_golden.json`` holds stdout and the exit code of ``arithline`` for the
-README examples and for ``threshold``, ``divide`` and ``residual-norm`` on
-four compacts (the whole space, the star {2: 1}, the 5-adic segment
-[1, inf] and the archimedean segment [1/3, 1/2]), plus one refused call
-(exit 2), as the CLI printed them before the threshold search moved to
-integer comparisons.  A refactor of the kernel or of the CLI must reproduce
-them byte for byte.
+``cli_golden.json`` holds stdout and the exit code of ``arithline`` for:
+
+* the README examples and ``threshold``, ``divide`` and ``residual-norm`` on
+  four compacts (the whole space, the star {2: 1}, the 5-adic segment
+  [1, inf] and the archimedean segment [1/3, 1/2]), plus one refused call
+  (exit 2), as the CLI printed them before the threshold search moved to
+  integer comparisons;
+* every call ``test_cli.py`` makes, each run from the default precision (a
+  case with an ``env`` entry runs with those environment variables set);
+* three usage errors (unknown subcommand, missing required flag, bad
+  ``--op`` choice), recorded before the parser was built from one command
+  table.
+
+A refactor of the kernel or of the CLI must reproduce them byte for byte.
 """
 
 import contextlib
@@ -24,6 +31,8 @@ CASES = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 @pytest.mark.parametrize("case", CASES, ids=[f"{i:02d}-{c['argv'][0]}" for i, c in enumerate(CASES)])
 def test_cli_output_is_unchanged(case, monkeypatch):
     monkeypatch.delenv("ARITHLINE_BITS", raising=False)
+    for name, value in case.get("env", {}).items():
+        monkeypatch.setenv(name, value)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(list(case["argv"]))

@@ -1,0 +1,122 @@
+"""The CLI as a long-lived process sees it: one shared parser, per-call
+precision, and a quiet exit when the reader of stdout goes away."""
+
+import contextlib
+import io
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import arithline
+from arithline import cli
+from arithline.normvalue import default_bits
+
+SRC = str(pathlib.Path(arithline.__file__).resolve().parents[1])
+SEG = '{"kind": "segment", "place": "inf", "u": "1/2", "v": "1/2"}'
+
+MIXED = [
+    ["eval-base", "--f", "12", "--point", '{"place": 2, "exp": "1"}'],
+    ["no-such-command"],
+    ["--help"],
+    ["divide", "--F", "[0,0,0,1]", "--G", '["2","2","1"]', "--w", "5"],
+    ["eval-base", "--f", "12"],
+    ["series-arith", "--f", '{"coeffs": {"0": "1"}, "mod": 3}', "--g", '{"coeffs": {"0": "1"}, "mod": 3}',
+     "--op", "div"],
+    ["eval-base", "--f", "1/5", "--point", '{"place": 5, "exp": "inf"}'],
+    ["divide", "--help"],
+    ["--bits", "16", "base-norm", "--f=-7", "--V", SEG],
+    ["eval-base", "--f", "12", "--point", "{bad json"],
+    ["base-norm", "--f=-7", "--V", SEG],
+    ["selftest", "--suite", "bogus"],
+    ["hensel", "--P", '["-2","0","1"]', "--prime", "7", "--seed", "3", "--N", "3"],
+    ["eval-base", "--f", "12", "--point", '{"place": 2, "exp": "1"}'],
+]
+
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_shared_parser_answers_like_a_fresh_one(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("ARITHLINE_BITS", raising=False)
+    shared = [call(argv) for argv in MIXED]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [call(argv) for argv in MIXED]
+    for argv, got, want in zip(MIXED, shared, fresh):
+        assert got == want, argv
+    assert [code for code, _, _ in shared] == [0, 1, 0, 0, 1, 1, 2, 0, 0, 1, 0, 1, 0, 0]
+
+
+def test_bits_hold_for_one_call(monkeypatch):
+    monkeypatch.delenv("ARITHLINE_BITS", raising=False)
+    before = default_bits()
+    assert call(["--bits", "16", "base-norm", "--f=-7", "--V", SEG])[0] == 0
+    assert default_bits() == before
+    monkeypatch.setenv("ARITHLINE_BITS", "32")
+    assert call(["base-norm", "--f=-7", "--V", SEG])[0] == 0
+    assert default_bits() == before
+
+
+def child_env(unbuffered=False):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("ARITHLINE_BITS", None)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def test_import_builds_no_parser_and_main_builds_one():
+    probe = (
+        "import argparse, contextlib, io\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import arithline.cli as cli\n"
+        "counts = [len(built)]\n"
+        "for _ in range(2):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.main(['product-formula', '--f', '12'])\n"
+        "    counts.append(len(built))\n"
+        "print(*counts)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    at_import, first, second = map(int, proc.stdout.split())
+    assert at_import == 0
+    assert first == second == 1 + len(cli.COMMANDS)  # the top parser and one per subcommand
+
+
+# Buffered, the failed write comes with the flush in `main`; unbuffered, it
+# comes from `print` itself.
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_quietly(unbuffered):
+    argv = ["-m", "arithline.cli", "eval-base", "--f", "12", "--point", '{"place": 2, "exp": "1"}']
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody will read what the child writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=child_env(unbuffered),
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    stderr = proc.stderr.decode()
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
+    assert stderr == ""
+    assert proc.returncode == 1
