@@ -4,7 +4,10 @@ All values travel as JSON; rationals are "p/q" strings.  Exit codes:
 0 success, 1 usage or malformed input, 2 domain error (with an
 {"error": code, "detail": ...} payload on stdout).  `--bits`, or else the
 environment variable ARITHLINE_BITS, sets the interval precision for that
-call only: `main` restores the previous precision when it returns.
+call only: `main` restores the previous precision when it returns.  A
+precision that is not an integer of at least MIN_BITS is refused with exit
+1: a usage error for `--bits`, a BadInput payload on stderr for the
+variable.
 
 COMMANDS is the one table of subcommands: name, handler and argument
 specs.  `build_parser` turns it into a new argparse parser; `main` builds
@@ -52,7 +55,7 @@ from .covers_galois import (
     standard_group_tables,
 )
 from .errors import ArithlineError, UnknownSuite
-from .normvalue import default_bits, set_default_bits
+from .normvalue import MIN_BITS, default_bits, set_default_bits
 from .selftest import run_suite
 from .series_ring import (
     compare_annulus_factor,
@@ -576,13 +579,24 @@ COMMANDS = {
 }
 
 
+def _precision_bits(text: str) -> int:
+    """An interval precision in bits: an integer of at least MIN_BITS."""
+    try:
+        bits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if bits < MIN_BITS:
+        raise argparse.ArgumentTypeError(f"precision below {MIN_BITS} bits is not supported: {bits}")
+    return bits
+
+
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for every subcommand in COMMANDS."""
     ap = argparse.ArgumentParser(
         prog="arithline",
         description="Exact kernel for seminorms, division and splittings on the arithmetic affine line",
     )
-    ap.add_argument("--bits", type=int, default=None, help="interval precision in bits")
+    ap.add_argument("--bits", type=_precision_bits, default=None, help="interval precision in bits")
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (_, specs) in COMMANDS.items():
         p = sub.add_parser(name)
@@ -621,7 +635,10 @@ def _run(argv) -> int:
     bits = args.bits
     env_bits = os.environ.get("ARITHLINE_BITS")
     if bits is None and env_bits:
-        bits = int(env_bits)
+        try:
+            bits = _precision_bits(env_bits)
+        except argparse.ArgumentTypeError as exc:
+            return _bad_input(f"ARITHLINE_BITS: {exc}")
     if bits is not None:
         set_default_bits(bits)
     handler, _ = COMMANDS[args.command]
@@ -631,14 +648,18 @@ def _run(argv) -> int:
         print(json.dumps({"v": io.SCHEMA_VERSION, "error": exc.code, "detail": exc.detail}))
         return 1 if isinstance(exc, UnknownSuite) else 2
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        print(json.dumps({"v": io.SCHEMA_VERSION, "error": "BadInput", "detail": str(exc)}), file=sys.stderr)
-        return 1
+        return _bad_input(str(exc))
     payload = io.versioned(result)
     if args.command == "selftest":
         print(json.dumps(payload, indent=2, default=str))
         return 0 if result.get("failures", 1) == 0 else 1
     print(json.dumps(payload, default=str))
     return 0
+
+
+def _bad_input(detail: str) -> int:
+    print(json.dumps({"v": io.SCHEMA_VERSION, "error": "BadInput", "detail": detail}), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from fractions import Fraction
 from .numbers import iroot, rational_root
 
 DEFAULT_BITS = 128
+MIN_BITS = 8
 
 _bits = DEFAULT_BITS
 
@@ -22,8 +23,8 @@ def default_bits() -> int:
 
 def set_default_bits(bits: int) -> None:
     global _bits
-    if bits < 8:
-        raise ValueError("precision below 8 bits is not supported")
+    if bits < MIN_BITS:
+        raise ValueError(f"precision below {MIN_BITS} bits is not supported")
     _bits = bits
 
 

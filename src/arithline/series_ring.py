@@ -21,6 +21,7 @@ from .errors import (
     OrderingViolated,
 )
 from .normvalue import NormValue
+from .numbers import lcm_list
 
 
 class LaurentPoly:
@@ -156,27 +157,46 @@ def series_sub(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return series_add(f, series_neg(g))
 
 
-def _common_denominator(f: LaurentPoly):
-    den = 1
-    for c in f.coeffs.values():
-        d = c.denominator
-        den = den * d // gcd(den, d)
-    return den
+# Integer content: a series f as ({k: n_k}, D) with f = sum_k (n_k / D) T^k,
+# the layout of FLINT's fmpq_poly.  Hot loops run on the integers and build
+# Fractions only at their ends.
+
+
+def _to_content(f: LaurentPoly):
+    """(numerators, D) with D the lcm of f's coefficient denominators."""
+    den = lcm_list(c.denominator for c in f.coeffs.values())
+    return {k: c.numerator * (den // c.denominator) for k, c in f.coeffs.items()}, den
+
+
+def _from_content(num: dict, den: int, trunc_mod=None) -> LaurentPoly:
+    """The series sum_k (num[k] / den) T^k; zero numerators are dropped."""
+    return LaurentPoly._raw({k: Fraction(c, den) for k, c in num.items() if c}, trunc_mod)
+
+
+def _convolve(f_items, g_sorted, mod) -> dict:
+    """sum a_i b_j T^(i+j) over the pairs with i + j < mod (all if mod is None).
+
+    ``g_sorted`` lists (j, b_j) by ascending j, so the inner loop stops at the
+    first product past the modulus.  The result may hold zeros.
+    """
+    out = {}
+    if not g_sorted:
+        return out
+    if mod is None:  # a bound past every product
+        mod = max((i for i, _ in f_items), default=0) + g_sorted[-1][0] + 1
+    get = out.get
+    for i, a in f_items:
+        top = mod - i
+        for j, b in g_sorted:
+            if j >= top:
+                break
+            k = i + j
+            prev = get(k)
+            out[k] = a * b if prev is None else prev + a * b
+    return out
 
 
 def series_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    # convolve over Z after clearing denominators: plain int arithmetic is
-    # several times cheaper than Fraction arithmetic in the inner loop
-    den_f = _common_denominator(f)
-    den_g = _common_denominator(g)
-    fi = [(k, (c.numerator * den_f) // c.denominator) for k, c in f.coeffs.items()]
-    gi = [(k, (c.numerator * den_g) // c.denominator) for k, c in g.coeffs.items()]
-    out = {}
-    for i, a in fi:
-        for j, b in gi:
-            k = i + j
-            prev = out.get(k)
-            out[k] = a * b if prev is None else prev + a * b
     # a factor known mod T^m contributes uncertainty only from T^(m + val) on
     mods = []
     if f.trunc_mod is not None:
@@ -184,13 +204,11 @@ def series_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     if g.trunc_mod is not None:
         mods.append(g.trunc_mod + (f.min_index() or 0))
     mod = min(mods) if mods else None
-    den = den_f * den_g
-    coeffs = {
-        k: Fraction(c, den)
-        for k, c in out.items()
-        if c and (mod is None or k < mod)
-    }
-    return LaurentPoly._raw(coeffs, mod)
+    # convolve over Z after clearing denominators: plain int arithmetic is
+    # several times cheaper than Fraction arithmetic in the inner loop
+    fi, den_f = _to_content(f)
+    gi, den_g = _to_content(g)
+    return _from_content(_convolve(fi.items(), sorted(gi.items()), mod), den_f * den_g, mod)
 
 
 def series_scale(a, f: LaurentPoly) -> LaurentPoly:
@@ -272,20 +290,26 @@ def norm_annulus(f: LaurentPoly, A: AnnulusSpec) -> NormValue:
 
     As 0 <= s <= t, the weight is t^k for k >= 0 and s^k for k < 0 (s > 0
     there, by _check_support); it is kept as an integer pair and the terms
-    are summed over a common denominator, one Fraction per bound.
+    are summed over a common denominator, one Fraction per bound.  When
+    every coefficient norm is exact the two bounds are one sum.
     """
     from .base_space import norm_bounds_each
 
     _check_support(f, A)
     sn, sd = A.s.numerator, A.s.denominator
     tn, td = A.t.numerator, A.t.denominator
-    lo_terms, hi_terms = [], []
     bounds = norm_bounds_each(f.coeffs.values(), A.V)
+    exact = all(c_lo is c_hi or c_lo == c_hi for c_lo, c_hi in bounds)
+    lo_terms, hi_terms = [], []
     for k, (c_lo, c_hi) in zip(f.coeffs, bounds):
         wn, wd = (tn ** k, td ** k) if k >= 0 else (sd ** -k, sn ** -k)
         lo_terms.append((c_lo.numerator * wn, c_lo.denominator * wd))
-        hi_terms.append((c_hi.numerator * wn, c_hi.denominator * wd))
-    lo, hi = _sum_ratios(lo_terms), _sum_ratios(hi_terms)
+        if not exact:
+            hi_terms.append((c_hi.numerator * wn, c_hi.denominator * wd))
+    lo = _sum_ratios(lo_terms)
+    if exact:
+        return NormValue.of(lo)
+    hi = _sum_ratios(hi_terms)
     if lo == hi:
         return NormValue.of(lo)
     return NormValue.interval(lo, hi)

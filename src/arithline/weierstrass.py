@@ -13,6 +13,7 @@ contraction certificate.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .base_space import (
@@ -58,6 +59,9 @@ from .polys import (
 from .series_ring import (
     AnnulusSpec,
     LaurentPoly,
+    _convolve,
+    _from_content,
+    _to_content,
     norm_annulus,
     series_add,
     series_mul,
@@ -261,14 +265,6 @@ def divide_local_series(F: LaurentPoly, G: LaurentPoly, p: int, m: int, ctx: Ann
     )
 
 
-def _split_at(phi: LaurentPoly, p: int):
-    """phi = alpha * T^p + beta with beta of degree < p."""
-    alpha = LaurentPoly._raw({k - p: c for k, c in phi.coeffs.items() if k >= p},
-                             None if phi.trunc_mod is None else phi.trunc_mod - p)
-    beta = LaurentPoly._raw({k: c for k, c in phi.coeffs.items() if k < p})
-    return alpha, beta
-
-
 def _contraction_cert(G: LaurentPoly, p: int, ctx: AnnulusSpec, residuals) -> LocalDivisionCert:
     """Search a dyadic radius where ||A - I|| <= ||G/u - T^p|| w^(-p) < 1."""
     u = G.coeff(p)
@@ -301,30 +297,55 @@ def _divide_by_iteration(F: LaurentPoly, G: LaurentPoly, p: int, m: int, ctx: An
     from phi_0 = F, r_0 = -(alpha(F) B) mod T^m, and each step phi <- phi + r
     is followed by r <- -(alpha(r) B) mod T^m, without rebuilding A(phi).
     The norms of r_0, r_1, ... at the certified radius are the residuals.
+
+    The loop runs on integer content (see ``series_ring._to_content``): the
+    invariant is phi = Phi/D and r = rho/d, with Phi and rho dicts of integer
+    numerators and d the lcm of r's denominators; -B = beta/E likewise.  A
+    step convolves alpha(rho) with beta below T^m over d E and divides out
+    the gcd of the result and d E; phi + r is Phi (L/D) + rho (L/d) over
+    L = lcm(D, d).  Fractions are built only for each residual's norm and,
+    at the end, for Q and R.
     """
     u = G.coeff(p)
     Gn = series_scale(1 / u, G).with_mod(m)  # monic-at-T^p normalization
     minus_B = series_sub(LaurentPoly.monomial(p, trunc_mod=m), Gn).with_mod(m)
     cert_radius = _contraction_cert(G, p, ctx, residuals=())
     at_radius = AnnulusSpec(ctx.V, Fraction(0), cert_radius.radius)
+    beta, E = _to_content(minus_B)
+    beta = sorted(beta.items())
 
-    def step(f: LaurentPoly) -> LaurentPoly:
-        return series_mul(_split_at(f, p)[0], minus_B).with_mod(m)
+    def step(num: dict, den: int):
+        alpha = [(k - p, c) for k, c in num.items() if k >= p]
+        out = {k: c for k, c in _convolve(alpha, beta, m).items() if c}
+        den *= E
+        g = gcd(den, *out.values())
+        if g > 1:
+            out = {k: c // g for k, c in out.items()}
+            den //= g
+        return out, den
 
-    phi = F
-    res = step(F)
+    Phi, D = _to_content(F)
+    rho, d = step(Phi, D)
     residuals = []
     for _ in range(m + 2):
-        residuals.append(norm_annulus(res, at_radius))
-        if not res:
+        residuals.append(norm_annulus(_from_content(rho, d, m), at_radius))
+        if not rho:
             break
-        phi = series_add(phi, res)
-        res = step(res)
+        L = D // gcd(D, d) * d
+        if L != D:
+            a = L // D
+            Phi = {k: c * a for k, c in Phi.items()}
+            D = L
+        b = L // d
+        for k, c in rho.items():
+            Phi[k] = Phi.get(k, 0) + c * b
+        rho, d = step(rho, d)
     else:
         raise NoConvergence("fixed point not reached")  # pragma: no cover
-    alpha, beta = _split_at(phi, p)
-    Q = series_scale(1 / u, alpha)  # naturally known mod T^(m - p)
-    R = beta
+    # Q = alpha(phi) / u, naturally known mod T^(m - p); R = phi mod T^p
+    Q = _from_content({k - p: c * u.denominator for k, c in Phi.items() if k >= p},
+                      D * u.numerator, m - p)
+    R = _from_content({k: c for k, c in Phi.items() if k < p}, D)
     cert = LocalDivisionCert(cert_radius.radius, cert_radius.epsilon, tuple(residuals))
     return Q, R, cert
 

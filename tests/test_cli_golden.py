@@ -11,7 +11,9 @@
   case with an ``env`` entry runs with those environment variables set);
 * three usage errors (unknown subcommand, missing required flag, bad
   ``--op`` choice), recorded before the parser was built from one command
-  table.
+  table;
+* seven precisions given by ``--bits`` or ARITHLINE_BITS: below 8 and
+  malformed ones (exit 1, nothing on stdout) and 8 itself.
 
 A refactor of the kernel or of the CLI must reproduce them byte for byte.
 """

@@ -3,6 +3,7 @@ precision, and a quiet exit when the reader of stdout goes away."""
 
 import contextlib
 import io
+import json
 import os
 import pathlib
 import subprocess
@@ -61,6 +62,21 @@ def test_bits_hold_for_one_call(monkeypatch):
     assert default_bits() == before
     monkeypatch.setenv("ARITHLINE_BITS", "32")
     assert call(["base-norm", "--f=-7", "--V", SEG])[0] == 0
+    assert default_bits() == before
+
+
+@pytest.mark.parametrize("bits", ["4", "7", "abc", "16.5", " "])
+def test_bad_precision_is_refused_with_exit_1(bits, monkeypatch):
+    monkeypatch.delenv("ARITHLINE_BITS", raising=False)
+    before = default_bits()
+    code, out, err = call(["--bits", bits, "product-formula", "--f", "1"])
+    assert (code, out) == (1, "")
+    assert "usage: arithline" in err and "argument --bits" in err and "Traceback" not in err
+    monkeypatch.setenv("ARITHLINE_BITS", bits)
+    code, out, err = call(["product-formula", "--f", "1"])
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "BadInput" and payload["detail"].startswith("ARITHLINE_BITS: ")
     assert default_bits() == before
 
 

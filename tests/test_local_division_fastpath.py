@@ -1,12 +1,14 @@
 """The local-division fast path against the original rebuild-A(phi) loop.
 
 ``_divide_by_iteration`` updates the residual by the linear recurrence
-r <- -(alpha(r) B) mod T^m, and ``norm_annulus`` sums integer pairs over a
-common denominator.  The oracles below are the direct forms: the fixed
-point that rebuilds A(phi) = phi + alpha(phi) B and F - A(phi) every step
-through the validating ``LaurentPoly`` constructor, and the norm summed as
-one Fraction product per coefficient.  Both must agree exactly: the same
-Q, R, radius, epsilon and residual trajectory, and the same NormValues.
+r <- -(alpha(r) B) mod T^m on integer numerators over one denominator, and
+``norm_annulus`` sums integer pairs over a common denominator.  The oracles
+below are the direct forms: the fixed point that rebuilds
+A(phi) = phi + alpha(phi) B and F - A(phi) every step in Fractions through
+the validating ``LaurentPoly`` constructor, the norm summed as one Fraction
+product per coefficient, and the product of series formed in full before
+its truncation.  Both sides must agree exactly: the same Q, R, radius,
+epsilon and residual trajectory, the same NormValues and the same products.
 """
 
 import random
@@ -28,6 +30,8 @@ from arithline import (
 from arithline.base_space import norm_bounds
 from arithline.errors import ArithlineError, NegativePowersOnDisk, NoConvergence
 from arithline.series_ring import series_add, series_mul, series_scale, series_sub
+
+from oracles import convolve
 
 CENTRAL = BaseCompact.central_point()
 CENTER = AnnulusSpec(CENTRAL, 0, Fraction(1, 2))
@@ -146,6 +150,80 @@ def test_local_division_matches_oracle_off_the_central_point(V):
     ctx = AnnulusSpec(V, 0, Fraction(1, 2))
     for F, G, p in acceptance_05_inputs(5, 6, m=24):
         assert_same_division(F, G, p, 24, ctx)
+
+
+# Off the central point the coefficient norms are powers with fractional
+# exponents (|c|^(1/3) on the archimedean segment, 3^(-e v_3(c)) on the 3-adic
+# one), so most residual norms are intervals.
+DIVISION_COMPACTS = {
+    "central": CENTRAL,
+    "3-adic": BaseCompact.segment(Place.finite(3), Fraction(1, 2), 2),
+    "arch-frac": BaseCompact.segment(Place.infinite(), Fraction(1, 3), Fraction(1, 2)),
+}
+
+
+@st.composite
+def fractional_division_inputs(draw):
+    """G = T^p (u + ...) and F with fractional coefficients, m <= 64."""
+    p = draw(st.integers(1, 3))
+    m = draw(st.integers(p + 1, 64))
+    coeff = st.fractions(-9, 9, max_denominator=9)
+    unit = {0: draw(coeff.filter(bool))}
+    for j in range(1, 6):
+        unit[j] = draw(coeff)
+    G = LaurentPoly({p + k: c for k, c in unit.items()}, m)
+    F = LaurentPoly({k: draw(coeff) for k in range(8)}, m)
+    name = draw(st.sampled_from(sorted(DIVISION_COMPACTS)))
+    return F, G, p, m, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(fractional_division_inputs())
+@example((LaurentPoly({0: Fraction(1, 2), 3: Fraction(-4, 9)}, 64),
+          LaurentPoly({1: Fraction(2, 3), 2: Fraction(5, 6), 4: 1}, 64), 1, 64, "arch-frac"))
+@example((LaurentPoly({0: 7, 1: Fraction(1, 3)}, 40),
+          LaurentPoly({3: Fraction(-5, 7), 4: Fraction(3, 2), 5: Fraction(-1, 4)}, 40), 3, 40, "3-adic"))
+@example((LaurentPoly({1: Fraction(8, 9)}, 64),
+          LaurentPoly({2: Fraction(-5, 7), 3: Fraction(2, 5)}, 64), 2, 64, "central"))
+def test_fractional_division_matches_rebuild_oracle(case):
+    F, G, p, m, name = case
+    assert_same_division(F, G, p, m, AnnulusSpec(DIVISION_COMPACTS[name], 0, Fraction(1, 2)))
+
+
+# -- series_mul against the full product, truncated afterwards ------------------
+
+
+@st.composite
+def raw_series(draw):
+    """A series built through the trusted constructor, keys in drawn order."""
+    mod = draw(st.none() | st.integers(-8, 12))
+    keys = draw(st.lists(st.integers(-6, 14), unique=True, max_size=8))
+    coeff = st.fractions(-50, 50, max_denominator=12).filter(bool)
+    return LaurentPoly._raw({k: draw(coeff) for k in keys if mod is None or k < mod}, mod)
+
+
+def full_then_truncate(f, g):
+    """The whole convolution, then the indices >= the product's modulus dropped."""
+    mods = []
+    if f.trunc_mod is not None:
+        mods.append(f.trunc_mod + min(g.coeffs, default=0))
+    if g.trunc_mod is not None:
+        mods.append(g.trunc_mod + min(f.coeffs, default=0))
+    mod = min(mods, default=None)
+    full = convolve(f.coeffs, g.coeffs)
+    return {k: c for k, c in full.items() if mod is None or k < mod}, mod
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_series(), raw_series())
+@example(LaurentPoly._raw({3: Fraction(1), 0: Fraction(2)}, None), LaurentPoly._raw({2: Fraction(-1), -1: Fraction(1, 3)}, 4))
+@example(LaurentPoly._raw({}, -3), LaurentPoly._raw({0: Fraction(5)}, None))
+@example(LaurentPoly._raw({-2: Fraction(1, 2)}, -1), LaurentPoly._raw({-5: Fraction(3), 1: Fraction(-2, 7)}, 2))
+def test_series_mul_is_the_truncated_full_product(f, g):
+    got = series_mul(f, g)
+    coeffs, mod = full_then_truncate(f, g)
+    assert (got.coeffs, got.trunc_mod) == (coeffs, mod)
+    assert all(type(c) is Fraction and c for c in got.coeffs.values())
 
 
 # -- norm_annulus against the per-coefficient Fraction sum ---------------------
