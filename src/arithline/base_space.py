@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import NonIntegralAtExtremePoint, NotInRingOfV, ZeroInput
 from .normvalue import NormValue
-from .numbers import factor, is_prime, vp
+from .numbers import factor, is_prime, small_prime_factor, strip_primes, vp
 
 INF = float("inf")
 
@@ -266,12 +266,23 @@ def member_of_kv(f, V: BaseCompact) -> bool:
     f = Fraction(f)
     if f == 0:
         return True
-    den_primes = set(factor(f.denominator))
     if V.kind == "segment":
         if V.place.is_finite and is_inf(V.v):
-            return V.place.prime not in den_primes
+            return f.denominator % V.place.prime != 0
         return True
-    return den_primes <= V.cut_primes()
+    return strip_primes(f.denominator, V.cut_primes()) == 1
+
+
+def _pole_detail(f: Fraction, r: int) -> str:
+    """Refusal text for f, whose denominator keeps the uncut cofactor r > 1.
+
+    Names the least prime factor of r when r is prime or that factor lies
+    below 2^20; otherwise names r, so a refusal never factors a large r.
+    """
+    q = r if is_prime(r) else small_prime_factor(r, 1 << 20)
+    if q is None:
+        return f"{f} has a pole at the extreme point of a prime factor of {r}"
+    return f"{f} has a pole at the extreme point of {q}"
 
 
 from functools import lru_cache
@@ -334,11 +345,10 @@ def _endpoint_bounds(f, ends):
         return _ZERO, _ZERO
     has_trivial, finite_terms, arch_terms, extreme, constrained = ends
     if constrained and constrained[0] == "all_but":
-        allowed = set(constrained[1:])
         if f.denominator != 1:
-            for q in factor(f.denominator):
-                if q not in allowed:
-                    raise NotInRingOfV(f"{f} has a pole at the extreme point of {q}")
+            r = strip_primes(f.denominator, constrained[1:])
+            if r != 1:
+                raise NotInRingOfV(_pole_detail(f, r))
     elif constrained:
         for q in constrained:
             if vp(f, q) < 0:

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .base_space import BaseCompact, Place, base_norm
+from .base_space import BaseCompact, Place, base_norm, norm_bounds_each
 from .errors import (
     DeltaNotAchievable,
     EpsilonTooLarge,
+    NegativePowersOnDisk,
     NoConvergence,
     NormTooLarge,
     ToleranceNotReached,
@@ -32,6 +33,7 @@ from .series_ring import (
     norm_annulus,
     series_add,
     series_mul,
+    series_neg,
     series_scale,
     series_sub,
 )
@@ -107,27 +109,28 @@ def split_rational(a, sys: SplitSystem):
     a_plus is the nearest integer to -a.  Returns (a_minus, a_plus, cert).
     """
     a = Fraction(a)
+    minus, plus = _split_coeff(a, sys)
+    return minus, plus, _rational_cert(a, minus, plus, sys)
+
+
+def _split_coeff(a: Fraction, sys: SplitSystem):
+    """(a_minus, a_plus) of ``split_rational``, without the certificate."""
     if a == 0:
-        return Fraction(0), Fraction(0), _rational_cert(a, a, Fraction(0), sys)
+        return Fraction(0), Fraction(0)
     if sys.place.is_finite:
         p = sys.place.prime
         if vp(a, p) >= 0:
-            minus, plus = a, Fraction(0)
-        else:
-            k = -vp(a, p)
-            d = a.denominator // p ** k
-            t = a.numerator * invmod(d, p ** k) % p ** k
-            plus = Fraction(-t, p ** k)
-            plus += -_nearest_int(plus)  # integer shift into [-1/2, 1/2]
-            minus = a + plus
-    else:
-        if abs(a) <= 1:
-            minus, plus = a, Fraction(0)
-        else:
-            b = -_nearest_int(a)
-            plus = Fraction(b)
-            minus = a + b
-    return minus, plus, _rational_cert(a, minus, plus, sys)
+            return a, Fraction(0)
+        k = -vp(a, p)
+        d = a.denominator // p ** k
+        t = a.numerator * invmod(d, p ** k) % p ** k
+        plus = Fraction(-t, p ** k)
+        plus += -_nearest_int(plus)  # integer shift into [-1/2, 1/2]
+        return a + plus, plus
+    if abs(a) <= 1:
+        return a, Fraction(0)
+    b = -_nearest_int(a)
+    return a + b, Fraction(b)
 
 
 def _rational_cert(a, minus, plus, sys: SplitSystem) -> SplitCert:
@@ -155,20 +158,11 @@ def split_laurent_sides(f: LaurentPoly):
 def split_series_arith(f: LaurentPoly, sys: SplitSystem):
     """Coefficientwise Cousin split of a Laurent polynomial.
 
-    Every coefficient splits by ``split_rational``; reconstruction is exact
-    and both sides obey the D-bound for the annulus norms.  Returns
+    Every coefficient splits as in ``split_rational``; reconstruction is
+    exact and both sides obey the D-bound for the annulus norms.  Returns
     (f_minus, f_plus, cert).
     """
-    minus = {}
-    plus = {}
-    for k, c in f.coeffs.items():
-        cm, cp, _ = split_rational(c, sys)
-        if cm:
-            minus[k] = cm
-        if cp:
-            plus[k] = cp
-    f_minus = LaurentPoly(minus, f.trunc_mod)
-    f_plus = LaurentPoly(plus, f.trunc_mod)
+    f_minus, f_plus = _split_series(f, sys)
     n_in = norm_annulus(f, sys.annulus_on(sys.overlap_compact()))
     n_minus = norm_annulus(f_minus, sys.annulus_on(sys.minus_compact()))
     n_plus = norm_annulus(f_plus, sys.annulus_on(sys.plus_compact()))
@@ -182,6 +176,19 @@ def split_series_arith(f: LaurentPoly, sys: SplitSystem):
         plus_bound_ok=n_plus.le(bound),
     )
     return f_minus, f_plus, cert
+
+
+def _split_series(f: LaurentPoly, sys: SplitSystem):
+    """(f_minus, f_plus) of ``split_series_arith``, without the certificate."""
+    minus = {}
+    plus = {}
+    for k, c in f.coeffs.items():
+        cm, cp = _split_coeff(c, sys)
+        if cm:
+            minus[k] = cm
+        if cp:
+            plus[k] = cp
+    return LaurentPoly._raw(minus, f.trunc_mod), LaurentPoly._raw(plus, f.trunc_mod)
 
 
 @dataclass(frozen=True)
@@ -336,13 +343,27 @@ class SeriesMatrix:
         return all(not e for row in self.entries for e in row)
 
     def prune(self, ctx: AnnulusSpec, tol: Fraction) -> "SeriesMatrix":
-        """Drop monomials whose certified norm contribution is below tol."""
-        from .base_space import norm_bounds
+        """Drop monomials whose certified norm contribution is below tol.
+
+        The contribution of c T^k is ||c||_V.hi w_k with the weight w_k =
+        t^k for k >= 0 and s^k for k < 0 (as in ``norm_annulus``), kept as
+        an integer pair; hi w_k > tol is decided by cross-multiplication.
+        """
+        sn, sd = ctx.s.numerator, ctx.s.denominator
+        tn, td = ctx.t.numerator, ctx.t.denominator
+        tol_n, tol_d = tol.numerator, tol.denominator
 
         def prune_entry(e: LaurentPoly) -> LaurentPoly:
             kept = {}
-            for k, c in e.coeffs.items():
-                if norm_bounds(c, ctx.V)[1] * ctx.radius_weight(k) > tol:
+            bounds = norm_bounds_each(e.coeffs.values(), ctx.V)
+            for (k, c), (_, hi) in zip(e.coeffs.items(), bounds):
+                if k >= 0:
+                    wn, wd = tn ** k, td ** k
+                elif sn == 0:
+                    raise NegativePowersOnDisk("negative index on a disk (s = 0)")
+                else:
+                    wn, wd = sd ** -k, sn ** -k
+                if hi.numerator * wn * tol_d > tol_n * hi.denominator * wd:
                     kept[k] = c
             return LaurentPoly._raw(kept, e.trunc_mod)
 
@@ -389,17 +410,13 @@ def _neumann_sum(n: SeriesMatrix, done, cap=10000) -> SeriesMatrix:
     term = SeriesMatrix.identity(n.rows)
     acc = term
     for _ in range(cap):
-        term = term.mul(n).map(series_neg_entry)
+        term = term.mul(n).map(series_neg)
         if done(term):
             break
         acc = acc.add(term)
     else:
         raise NoConvergence("Neumann series did not terminate exactly")
     return acc
-
-
-def series_neg_entry(e: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly({k: -c for k, c in e.coeffs.items()}, e.trunc_mod)
 
 
 def _window_min(mat: SeriesMatrix) -> int:
@@ -541,15 +558,17 @@ def _one_sided_result(a, b0, norm_b0, sys, ctx_minus, ctx_plus):
 
 
 def _split_matrix(mat: SeriesMatrix, sys: SplitSystem):
+    """Entrywise split b = b^- + b^+ with b^- = b_minus and b^+ = -b_plus
+    (``_split_series``; no certificate is built)."""
     minus_rows = []
     plus_rows = []
     for row in mat.entries:
         mrow = []
         prow = []
         for e in row:
-            em, ep, _ = split_series_arith(e, sys)
+            em, ep = _split_series(e, sys)
             mrow.append(em)
-            prow.append(series_neg_entry(ep))  # b = psi(b^-) + psi(b^+) shape
+            prow.append(series_neg(ep))
         minus_rows.append(tuple(mrow))
         plus_rows.append(tuple(prow))
     return SeriesMatrix(tuple(minus_rows)), SeriesMatrix(tuple(plus_rows))
@@ -568,7 +587,7 @@ def _approx_inverse(
     bound = nrm.hi
     running = bound
     for _ in range(500):
-        term = term.mul(n).map(series_neg_entry).prune(ctx, prune_tol)
+        term = term.mul(n).map(series_neg).prune(ctx, prune_tol)
         if term.is_zero():
             break
         acc = acc.add(term)

@@ -96,6 +96,18 @@ def binomial_coefficient_series(n: int, m: int) -> LaurentPoly:
     return LaurentPoly(coeffs, m)
 
 
+def _series_pow(g: LaurentPoly, n: int) -> LaurentPoly:
+    """g**n for n >= 1 by repeated squaring (two products for n = 4)."""
+    power, square = None, g
+    while True:
+        if n & 1:
+            power = square if power is None else series_mul(power, square)
+        n >>= 1
+        if not n:
+            return power
+        square = series_mul(square, square)
+
+
 def binomial_root_series(n: int, m: int, p: Optional[int] = None):
     """The truncated n-th root of 1 + Z, with its exactness certificate.
 
@@ -106,9 +118,8 @@ def binomial_root_series(n: int, m: int, p: Optional[int] = None):
     if n < 1 or m < 1:
         raise ValueError("need n >= 1, m >= 1")
     g = binomial_coefficient_series(n, m)
-    power = LaurentPoly.one(m)
-    for _ in range(n):
-        power = series_mul(power, g)
+    # g has constant term 1 and modulus m, so every product is exact mod Z^m
+    power = _series_pow(g, n)
     target = LaurentPoly({0: 1, 1: 1} if m > 1 else {0: 1}, m)
     ok = power == target
     if p is None:

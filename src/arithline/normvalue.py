@@ -181,9 +181,6 @@ class NormValue:
         other = _coerce(other)
         return self.hi < other.lo
 
-    def ge(self, other) -> bool:
-        return _coerce(other).le(self)
-
     def gt(self, other) -> bool:
         return _coerce(other).lt(self)
 

@@ -60,6 +60,33 @@ def factor(n: int) -> dict:
     return out
 
 
+def strip_primes(n: int, primes) -> int:
+    """|n| for n != 0 with every factor from ``primes`` divided out."""
+    n = abs(n)
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n
+
+
+def small_prime_factor(n: int, bound: int):
+    """The least prime factor of n > 1, or None if it is not found below bound.
+
+    Trial division by 2, 3 and 6k +- 1 up to min(bound, sqrt(n)), so the
+    cost is bounded by ``bound`` whatever the size of n.
+    """
+    for p in (2, 3):
+        if n % p == 0:
+            return p
+    d = 5
+    while d < bound and d * d <= n:
+        for p in (d, d + 2):
+            if n % p == 0:
+                return p
+        d += 6
+    return n if d * d > n else None
+
+
 def prime_divisors(n: int) -> list:
     """The distinct primes dividing |n|, in increasing order."""
     return list(factor(n))

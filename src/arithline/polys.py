@@ -24,16 +24,6 @@ def deg(f) -> int:
     return len(f) - 1
 
 
-def padd(f, g):
-    n = max(len(f), len(g))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(f):
-        out[i] += c
-    for i, c in enumerate(g):
-        out[i] += c
-    return poly(out)
-
-
 def pscale(a, f):
     a = Fraction(a)
     if a == 0:

@@ -196,6 +196,51 @@ def _convolve(f_items, g_sorted, mod) -> dict:
     return out
 
 
+def _reduce_content(num: dict, den: int):
+    """num/den with the gcd of the numerators and den divided out."""
+    g = gcd(den, *num.values())
+    if g > 1:
+        return {k: c // g for k, c in num.items()}, den // g
+    return num, den
+
+
+def _invert_series(f: LaurentPoly, m: int) -> LaurentPoly:
+    """Exact inverse mod T^m of sum_{0 <= j < m} f_j T^j, where f_0 != 0.
+
+    Only the indices 0 <= j < m of f are read; negative and higher indices,
+    and f's own modulus, are ignored.  The result carries modulus m.
+
+    Newton iteration g <- g (2 - f g) (von zur Gathen and Gerhard, Modern
+    Computer Algebra, 9.1) on integer content.  Invariant: g = gn/gd, with
+    gn a dict of integer numerators, gd > 0, gcd(gd, gn) = 1 and
+    f g = 1 mod T^prec.  Each step sets prec <- min(2 prec, m) and makes two
+    truncated convolutions: e = f g - 1 mod T^prec over fd gd (it vanishes
+    below the old precision), then g <- g - g e mod T^prec over fd gd^2.
+    The gcd of the new numerators and denominator is divided out at every
+    step, so gd stays the least common denominator of g.  Fractions are
+    built once, at the end.
+    """
+    if not f.coeffs.get(0):
+        raise ZeroDivisionError("series inverse needs a nonzero constant term")
+    if m < 1:
+        return LaurentPoly._raw({}, m)
+    fn, fd = _to_content(LaurentPoly._raw({k: c for k, c in f.coeffs.items() if 0 <= k < m}))
+    f_sorted = sorted(fn.items())
+    gn, gd = _reduce_content({0: fd if fn[0] > 0 else -fd}, abs(fn[0]))
+    prec = 1
+    while prec < m:
+        prec = min(2 * prec, m)
+        scale = fd * gd
+        e = _convolve(gn.items(), f_sorted, prec)  # f g over fd gd
+        e[0] -= scale
+        e = [(k, c) for k, c in e.items() if c]
+        out = {k: c * scale for k, c in gn.items()}  # g over fd gd^2
+        for k, c in _convolve(e, sorted(gn.items()), prec).items():
+            out[k] = out.get(k, 0) - c
+        gn, gd = _reduce_content({k: c for k, c in out.items() if c}, scale * gd)
+    return _from_content(dict(sorted(gn.items())), gd, m)
+
+
 def series_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     # a factor known mod T^m contributes uncertainty only from T^(m + val) on
     mods = []
@@ -359,9 +404,10 @@ def invert_unit(f: LaurentPoly, A: AnnulusSpec, m: int) -> LaurentPoly:
     """Inverse of f = c T^j (1 + h) with certified ||h||_{A} < 1, mod T^m.
 
     Two one-sided shapes are supported: h supported in positive degrees
-    (series shape, inverted by exact triangular division) and h supported in
-    negative degrees (co-series shape).  The certificate is the annulus norm
-    of h; if neither shape certifies, the input is rejected.
+    (series shape) and h supported in negative degrees (co-series shape,
+    the series shape in T^-1).  Both invert through ``_invert_series``.  The
+    certificate is the annulus norm of h; if neither shape certifies, the
+    input is rejected.
     """
     if not f:
         raise NotAUnit("zero is not a unit")
@@ -374,16 +420,15 @@ def invert_unit(f: LaurentPoly, A: AnnulusSpec, m: int) -> LaurentPoly:
     c0 = f.coeff(k0)
     h_lo = LaurentPoly({k - k0: c / c0 for k, c in f.coeffs.items() if k != k0})
     if _unit_in_kv(c0, A.V) and _h_certifies(h_lo, A):
-        inv = _invert_one_plus(h_lo, m, ascending=True)
-        out = series_scale(1 / c0, inv).shift(-k0)
-        return out.with_mod(m) if k0 == 0 else out
-    # co-series shape: pivot at the highest index
+        out = _invert_series(f.shift(-k0), m).shift(-k0)
+        return out if k0 == 0 else LaurentPoly._raw(out.coeffs)
+    # co-series shape: pivot at the highest index; k -> -k reflects it
     k1 = f.max_index()
     c1 = f.coeff(k1)
     h_hi = LaurentPoly({k - k1: c / c1 for k, c in f.coeffs.items() if k != k1})
     if _unit_in_kv(c1, A.V) and _h_certifies(h_hi, A):
-        inv = _invert_one_plus(h_hi, m, ascending=False)
-        return series_scale(1 / c1, inv).shift(-k1)
+        inv = _invert_series(LaurentPoly._raw({k1 - k: c for k, c in f.coeffs.items()}), m)
+        return LaurentPoly._raw({-k - k1: c for k, c in reversed(inv.coeffs.items())})
     raise NotAUnit("no factorization f = c T^k (1 + h) with ||h|| < 1 certified")
 
 
@@ -395,21 +440,6 @@ def _h_certifies(h: LaurentPoly, A: AnnulusSpec) -> bool:
     except (NegativePowersOnDisk,):
         return False
     return nrm.lt(1)
-
-
-def _invert_one_plus(h: LaurentPoly, m: int, ascending: bool) -> LaurentPoly:
-    """(1 + h)^{-1} mod T^{+-m} for one-sided h, by triangular recursion."""
-    out = {0: Fraction(1)}
-    idx = range(1, m) if ascending else range(-1, -m, -1)
-    for k in idx:
-        acc = Fraction(0)
-        for j, c in h.coeffs.items():
-            prev = out.get(k - j)
-            if prev is not None:
-                acc += c * prev
-        if acc:
-            out[k] = -acc
-    return LaurentPoly(out)
 
 
 def shilov_annulus(A: AnnulusSpec) -> list:

@@ -61,6 +61,8 @@ from .series_ring import (
     LaurentPoly,
     _convolve,
     _from_content,
+    _invert_series,
+    _reduce_content,
     _to_content,
     norm_annulus,
     series_add,
@@ -317,12 +319,7 @@ def _divide_by_iteration(F: LaurentPoly, G: LaurentPoly, p: int, m: int, ctx: An
     def step(num: dict, den: int):
         alpha = [(k - p, c) for k, c in num.items() if k >= p]
         out = {k: c for k, c in _convolve(alpha, beta, m).items() if c}
-        den *= E
-        g = gcd(den, *out.values())
-        if g > 1:
-            out = {k: c // g for k, c in out.items()}
-            den //= g
-        return out, den
+        return _reduce_content(out, den * E)
 
     Phi, D = _to_content(F)
     rho, d = step(Phi, D)
@@ -364,22 +361,6 @@ def prepare(G: LaurentPoly, p: int, m: int, ctx: AnnulusSpec):
         raise ValuationUndefined("quotient is not a unit; preparation fails")
     E = _invert_series(Q, m)
     return E, Omega, cert
-
-
-def _invert_series(f: LaurentPoly, m: int) -> LaurentPoly:
-    """Exact inverse mod T^m of a series with nonzero constant term."""
-    c0 = f.coeff(0)
-    out = {0: 1 / c0}
-    for k in range(1, m):
-        acc = Fraction(0)
-        for j, c in f.coeffs.items():
-            if 0 < j <= k:
-                prev = out.get(k - j)
-                if prev is not None:
-                    acc += c * prev
-        if acc:
-            out[k] = -acc / c0
-    return LaurentPoly(out, m)
 
 
 # -- Hensel lifting -----------------------------------------------------------
@@ -498,14 +479,23 @@ def _series_gauge(f: LaurentPoly, m: int) -> int:
 
 
 def _hensel_series(P, f0: LaurentPoly, m: int):
+    """Newton steps x <- x - P(x)/P'(x) mod T^m from a simple root mod T.
+
+    Each step works at the precision it needs.  If v is the gauge (T-adic
+    valuation) of P(x), the correction P(x)/P'(x) mod T^m has its terms at
+    indices >= v, so it reads P'(x)^-1, and hence P'(x), only below
+    T^(m - v): both are taken mod T^(m - v), which leaves the correction
+    unchanged mod T^m.  The P(x) that gives a step's gauge is the next
+    step's P(x); it is evaluated once.
+    """
     P = _series_poly(P)
     dP = _series_poly_deriv(P)
     if f0.has_negative_support():
         raise ValueError("series roots must have nonnegative support")
     x = f0.with_mod(m)
-    r0 = _series_poly_eval(P, x, m)
+    fx = _series_poly_eval(P, x, m)
     d0 = _series_poly_eval(dP, x, m)
-    v_f = _series_gauge(r0, m)
+    v_f = _series_gauge(fx, m)
     if d0.coeff(0) == 0:
         raise NotSimpleRoot("P'(f0) is not a unit at T = 0")
     if v_f < 1:
@@ -514,11 +504,12 @@ def _hensel_series(P, f0: LaurentPoly, m: int):
     for _ in range(m.bit_length() + 8):
         if gauges[-1] >= m:
             break
-        fx = _series_poly_eval(P, x, m)
-        dfx = _series_poly_eval(dP, x, m)
-        inv = _invert_series(dfx, m)
+        prec = m - gauges[-1]
+        dfx = d0 if len(gauges) == 1 else _series_poly_eval(dP, x, prec)
+        inv = _invert_series(dfx, prec)
         x = series_sub(x, series_mul(fx, inv).with_mod(m)).with_mod(m)
-        gauges.append(_series_gauge(_series_poly_eval(P, x, m), m))
+        fx = _series_poly_eval(P, x, m)
+        gauges.append(_series_gauge(fx, m))
     if gauges[-1] < m:
         raise NoConvergence("residual order did not reach the target")
     return x, HenselReport(tuple(gauges))

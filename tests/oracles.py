@@ -100,3 +100,170 @@ def resultant_from_roots(lc_f, roots_f, g_coeffs):
     for r in roots_f:
         out *= geval(Fraction(r))
     return out
+
+
+# -- reference forms of the series inverse, Hensel, prune and split ----------
+# The triangular Fraction recurrences, the full-precision Hensel loop, the
+# per-coefficient prune and the direct split below are the forms the library
+# replaced with the Newton inverse on integer content, the truncated Hensel
+# step, the per-entry integer prune and the certificate-free split.  The
+# library must agree with them exactly.
+
+
+def invert_series_recurrence(f, m):
+    """Inverse mod T^m, one coefficient at a time: h_k = -sum f_j h_(k-j) / f_0.
+
+    Reads only the indices 0 <= j < m of f.
+    """
+    from arithline.series_ring import LaurentPoly
+
+    c0 = f.coeff(0)
+    out = {0: 1 / c0}
+    for k in range(1, m):
+        acc = Fraction(0)
+        for j, c in f.coeffs.items():
+            if 0 < j <= k:
+                prev = out.get(k - j)
+                if prev is not None:
+                    acc += c * prev
+        if acc:
+            out[k] = -acc / c0
+    return LaurentPoly(out, m)
+
+
+def _invert_one_plus(h, m, ascending):
+    from arithline.series_ring import LaurentPoly
+
+    out = {0: Fraction(1)}
+    idx = range(1, m) if ascending else range(-1, -m, -1)
+    for k in idx:
+        acc = Fraction(0)
+        for j, c in h.coeffs.items():
+            prev = out.get(k - j)
+            if prev is not None:
+                acc += c * prev
+        if acc:
+            out[k] = -acc
+    return LaurentPoly(out)
+
+
+def invert_unit_triangular(f, A, m):
+    """``series_ring.invert_unit`` with (1 + h)^-1 by the triangular recursion."""
+    from arithline.errors import NegativePowersOnDisk, NotAUnit
+    from arithline.series_ring import LaurentPoly, _h_certifies, _unit_in_kv, series_scale
+
+    if not f:
+        raise NotAUnit("zero is not a unit")
+    if m < 1:
+        raise ValueError("truncation target must be positive")
+    if f.has_negative_support() and A.s == 0:
+        raise NegativePowersOnDisk("f has negative powers but the annulus is a disk")
+    k0 = f.min_index()
+    c0 = f.coeff(k0)
+    h_lo = LaurentPoly({k - k0: c / c0 for k, c in f.coeffs.items() if k != k0})
+    if _unit_in_kv(c0, A.V) and _h_certifies(h_lo, A):
+        inv = _invert_one_plus(h_lo, m, ascending=True)
+        out = series_scale(1 / c0, inv).shift(-k0)
+        return out.with_mod(m) if k0 == 0 else out
+    k1 = f.max_index()
+    c1 = f.coeff(k1)
+    h_hi = LaurentPoly({k - k1: c / c1 for k, c in f.coeffs.items() if k != k1})
+    if _unit_in_kv(c1, A.V) and _h_certifies(h_hi, A):
+        inv = _invert_one_plus(h_hi, m, ascending=False)
+        return series_scale(1 / c1, inv).shift(-k1)
+    raise NotAUnit("no factorization f = c T^k (1 + h) with ||h|| < 1 certified")
+
+
+def hensel_series_full_precision(P, f0, m):
+    """Series Hensel lift with every evaluation and inverse taken mod T^m."""
+    from arithline.errors import NoConvergence, NotSimpleRoot
+    from arithline.series_ring import series_mul, series_sub
+    from arithline.weierstrass import (
+        HenselReport,
+        _series_gauge,
+        _series_poly,
+        _series_poly_deriv,
+        _series_poly_eval,
+    )
+
+    P = _series_poly(P)
+    dP = _series_poly_deriv(P)
+    if f0.has_negative_support():
+        raise ValueError("series roots must have nonnegative support")
+    x = f0.with_mod(m)
+    r0 = _series_poly_eval(P, x, m)
+    d0 = _series_poly_eval(dP, x, m)
+    v_f = _series_gauge(r0, m)
+    if d0.coeff(0) == 0:
+        raise NotSimpleRoot("P'(f0) is not a unit at T = 0")
+    if v_f < 1:
+        raise NotSimpleRoot("P(f0) must vanish at T = 0")
+    gauges = [v_f]
+    for _ in range(m.bit_length() + 8):
+        if gauges[-1] >= m:
+            break
+        fx = _series_poly_eval(P, x, m)
+        dfx = _series_poly_eval(dP, x, m)
+        inv = invert_series_recurrence(dfx, m)
+        x = series_sub(x, series_mul(fx, inv).with_mod(m)).with_mod(m)
+        gauges.append(_series_gauge(_series_poly_eval(P, x, m), m))
+    if gauges[-1] < m:
+        raise NoConvergence("residual order did not reach the target")
+    return x, HenselReport(tuple(gauges))
+
+
+def prune_per_coefficient(mat, ctx, tol):
+    """SeriesMatrix.prune with one norm and one Fraction weight per coefficient."""
+    from arithline.base_space import norm_bounds
+    from arithline.series_ring import LaurentPoly
+
+    def prune_entry(e):
+        kept = {}
+        for k, c in e.coeffs.items():
+            if norm_bounds(c, ctx.V)[1] * ctx.radius_weight(k) > tol:
+                kept[k] = c
+        return LaurentPoly._raw(kept, e.trunc_mod)
+
+    return mat.map(prune_entry)
+
+
+def split_rational_direct(a, sys):
+    """(a_minus, a_plus) with a = a_minus - a_plus, as split_rational states it."""
+    from arithline.cousin_cartan import _nearest_int
+    from arithline.numbers import invmod, vp
+
+    a = Fraction(a)
+    if a == 0:
+        return Fraction(0), Fraction(0)
+    if sys.place.is_finite:
+        p = sys.place.prime
+        if vp(a, p) >= 0:
+            return a, Fraction(0)
+        k = -vp(a, p)
+        d = a.denominator // p ** k
+        t = a.numerator * invmod(d, p ** k) % p ** k
+        plus = Fraction(-t, p ** k)
+        plus += -_nearest_int(plus)
+        return a + plus, plus
+    if abs(a) <= 1:
+        return a, Fraction(0)
+    b = -_nearest_int(a)
+    return a + b, Fraction(b)
+
+
+def split_matrix_direct(mat, sys):
+    """The Cartan step's entrywise split through ``split_rational_direct``:
+    b^- takes the minus parts, b^+ the negated plus parts."""
+    from arithline.cousin_cartan import SeriesMatrix
+    from arithline.series_ring import LaurentPoly
+
+    minus_rows, plus_rows = [], []
+    for row in mat.entries:
+        mrow, prow = [], []
+        for e in row:
+            parts = {k: split_rational_direct(c, sys) for k, c in e.coeffs.items()}
+            mrow.append(LaurentPoly({k: cm for k, (cm, _) in parts.items()}, e.trunc_mod))
+            prow.append(LaurentPoly({k: -cp for k, (_, cp) in parts.items()}, e.trunc_mod))
+        minus_rows.append(tuple(mrow))
+        plus_rows.append(tuple(prow))
+    return SeriesMatrix(tuple(minus_rows)), SeriesMatrix(tuple(plus_rows))
