@@ -14,7 +14,7 @@ from typing import Optional
 
 from .errors import NonIntegralAtExtremePoint, NotInRingOfV, ZeroInput
 from .normvalue import NormValue
-from .numbers import factor, is_prime, small_prime_factor, strip_primes, vp
+from .numbers import TRIAL_BOUND, factor, is_prime, small_prime_factor, strip_primes, vp
 
 INF = float("inf")
 
@@ -277,9 +277,9 @@ def _pole_detail(f: Fraction, r: int) -> str:
     """Refusal text for f, whose denominator keeps the uncut cofactor r > 1.
 
     Names the least prime factor of r when r is prime or that factor lies
-    below 2^20; otherwise names r, so a refusal never factors a large r.
+    below TRIAL_BOUND; otherwise names r, so a refusal never factors a large r.
     """
-    q = r if is_prime(r) else small_prime_factor(r, 1 << 20)
+    q = r if is_prime(r) else small_prime_factor(r, TRIAL_BOUND)
     if q is None:
         return f"{f} has a pole at the extreme point of a prime factor of {r}"
     return f"{f} has a pole at the extreme point of {q}"

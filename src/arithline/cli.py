@@ -9,8 +9,17 @@ precision that is not an integer of at least MIN_BITS is refused with exit
 1: a usage error for `--bits`, a BadInput payload on stderr for the
 variable.
 
-COMMANDS is the one table of subcommands: name, handler and argument
-specs.  `build_parser` turns it into a new argparse parser; `main` builds
+COMMANDS is the one table of subcommands: name, handler and argument specs
+(flag, Kind).  A kind holds the argparse keywords of a flag and the
+converter (FRAC, POLY, LAURENT, COMPACT, ...) of the string argparse leaves;
+argparse itself converts only integers.  `_run` converts the arguments in
+spec order inside the handler's guard, so malformed JSON, a missing key or
+a bad rational is BadInput on stderr (exit 1) and a domain error met while
+reading an argument keeps its exit-2 payload.  A `cmd_*` handler calls the
+library by its module-global name and returns a dict of domain objects (or
+one object that encodes to a dict) for `jsonio.dumps`.
+
+`build_parser` turns COMMANDS into a new argparse parser; `main` builds
 that parser once per process, on its first call (not at import), and reuses
 it.  When the reader of stdout goes away (`arithline ... | head`), `main`
 exits 1 with nothing on stderr.
@@ -21,6 +30,7 @@ import functools
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import jsonio as io
 from .base_space import (
@@ -81,501 +91,329 @@ from .weierstrass import (
 from .padic import PadicApprox
 
 
-def _j(value):
-    return json.loads(value)
+class Kind(NamedTuple):
+    """The argparse keywords of a flag and the converter of its string value."""
+
+    options: dict
+    convert: Callable = lambda text: text
 
 
-def _laurent(value):
-    return io.parse_laurent(_j(value))
+def _decoded(parse):
+    return lambda text: parse(json.loads(text))
 
 
-def _compact(value):
-    if value is None:
-        return BaseCompact.whole_space()
-    return io.parse_base_compact(_j(value))
+def _decoded_list(parse):
+    return lambda text: [parse(x) for x in json.loads(text)]
 
 
-def _annulus(value):
-    return io.parse_annulus(_j(value))
+STR = Kind({"required": True})
+OPT_STR = Kind({"default": None})
+INT = Kind({"type": int, "required": True})
+OPT_INT = Kind({"type": int, "default": None})
+FLAG = Kind({"action": "store_true"})
+JSON = Kind({"required": True}, json.loads)
+FRAC = Kind({"required": True}, io.parse_frac)
+PLACE = Kind({"required": True}, io.parse_place)
+PLACES = Kind({"required": True}, _decoded_list(io.parse_place))
+POLY = Kind({"required": True}, _decoded(io.parse_poly))
+POLYS = Kind({"required": True}, _decoded_list(io.parse_poly))
+GAUSSES = Kind({"required": True}, _decoded_list(io.parse_gauss))
+LAURENT = Kind({"required": True}, _decoded(io.parse_laurent))
+LAURENTS = Kind({"required": True}, _decoded_list(io.parse_laurent))
+MATRIX = Kind({"required": True}, _decoded(io.parse_matrix))
+BASE_POINT = Kind({"required": True}, _decoded(io.parse_base_point))
+LINE_POINT = Kind({"required": True}, _decoded(io.parse_line_point))
+COMPACT = Kind({"required": True}, _decoded(io.parse_base_compact))
+OPT_COMPACT = Kind(
+    {"default": None}, lambda text: BaseCompact.whole_space() if text is None else COMPACT.convert(text)
+)
+ANNULUS = Kind({"required": True}, _decoded(io.parse_annulus))
+# the flags of a split system: place, cut u and annulus s <= |T| <= t
+SPLIT = (("--place", PLACE), ("--u", FRAC), ("--s", FRAC), ("--t", FRAC))
 
 
-def _division_cert_json(cert):
-    return {
-        "v": io.frac_str(cert.v),
-        "w": io.frac_str(cert.w),
-        "normF": io.norm_value_json(cert.normF),
-        "normQ": io.norm_value_json(cert.normQ),
-        "normR": io.norm_value_json(cert.normR),
-        "q_bound_ok": cert.q_bound_ok,
-        "r_bound_ok": cert.r_bound_ok,
-    }
+def _split_system(place, u, s, t):
+    # cousin-split passes --s and --t as given: it reads them only as a pair
+    annulus = None if s is None or t is None else (io.parse_frac(s), io.parse_frac(t))
+    return SplitSystem(place, u, annulus)
 
 
-def _split_cert_json(cert):
-    return {
-        "norm_input": io.norm_value_json(cert.norm_input),
-        "norm_minus": io.norm_value_json(cert.norm_minus),
-        "norm_plus": io.norm_value_json(cert.norm_plus),
-        "D": io.frac_str(cert.D),
-        "minus_bound_ok": cert.minus_bound_ok,
-        "plus_bound_ok": cert.plus_bound_ok,
-    }
+def cmd_eval_base(f, point):
+    return eval_base_seminorm(f, point)
 
 
-def _split_system(args, need_annulus=False):
-    place = io.parse_place(args.place)
-    annulus = None
-    if getattr(args, "s", None) is not None and getattr(args, "t", None) is not None:
-        annulus = (io.parse_frac(args.s), io.parse_frac(args.t))
-    if need_annulus and annulus is None:
-        raise ArithlineError("this operation needs --s and --t")
-    return SplitSystem(place, io.parse_frac(args.u), annulus)
+def cmd_product_formula(f):
+    return product_formula_defect(f)
 
 
-def cmd_eval_base(args):
-    x = io.parse_base_point(_j(args.point))
-    return io.norm_value_json(eval_base_seminorm(io.parse_frac(args.f), x))
+def cmd_classify(point):
+    return {"category": classify_base_point(point)}
 
 
-def cmd_product_formula(args):
-    return io.norm_value_json(product_formula_defect(io.parse_frac(args.f)))
+def cmd_base_norm(f, V):
+    return base_norm(f, V)
 
 
-def cmd_classify(args):
-    return {"category": classify_base_point(io.parse_base_point(_j(args.point)))}
+def cmd_shilov(V):
+    return {"shilov": shilov_base(V)}
 
 
-def cmd_base_norm(args):
-    V = _compact(args.V)
-    return io.norm_value_json(base_norm(io.parse_frac(args.f), V))
+def cmd_ring_label(V):
+    return ring_label(V)
 
 
-def cmd_shilov(args):
-    points = shilov_base(_compact(args.V))
-    return {"shilov": [io.base_point_json(x) for x in points]}
+def cmd_eval_line(F, point):
+    return eval_line_seminorm(F, point)
 
 
-def cmd_ring_label(args):
-    return io.ring_label_json(ring_label(_compact(args.V)))
+def cmd_flow(point, eps):
+    return {"image": flow(point, eps)}
 
 
-def cmd_eval_line(args):
-    x = io.parse_line_point(_j(args.point))
-    F = io.parse_poly(_j(args.F))
-    return io.norm_value_json(eval_line_seminorm(F, x))
+def cmd_series_arith(f, g, op):
+    return {"result": series_arith(f, g, op)}
 
 
-def cmd_flow(args):
-    x = io.parse_line_point(_j(args.point))
-    return {"image": io.line_point_json(flow(x, io.parse_frac(args.eps)))}
+def cmd_compare_factor(s, t, u, v):
+    return {"factor": compare_annulus_factor(s, t, u, v)}
 
 
-def cmd_series_arith(args):
-    out = series_arith(_laurent(args.f), _laurent(args.g), args.op)
-    return {"result": io.laurent_json(out)}
+def cmd_find_prime(n, bound):
+    return {"prime": find_prime_congruent(n, bound)}
 
 
-def cmd_compare_factor(args):
-    factor = compare_annulus_factor(
-        io.parse_frac(args.s), io.parse_frac(args.t), io.parse_frac(args.u), io.parse_frac(args.v)
-    )
-    return {"factor": io.frac_str(factor)}
+def cmd_norm_annulus(f, A):
+    return norm_annulus(f, A)
 
 
-def cmd_find_prime(args):
-    return {"prime": find_prime_congruent(args.n, args.bound)}
+def cmd_unif_norm(f, A, upper_bound):
+    nv = uniform_norm_annulus(f, A, archimedean_upper_bound=upper_bound)
+    return {**io.encode(nv), "upper_bound_only": upper_bound}
 
 
-def cmd_norm_annulus(args):
-    return io.norm_value_json(norm_annulus(_laurent(args.f), _annulus(args.A)))
+def cmd_shilov_annulus(A):
+    return {"shilov": shilov_annulus(A)}
 
 
-def cmd_unif_norm(args):
-    nv = uniform_norm_annulus(
-        _laurent(args.f), _annulus(args.A), archimedean_upper_bound=args.upper_bound
-    )
-    out = io.norm_value_json(nv)
-    out["upper_bound_only"] = args.upper_bound
-    return out
+def cmd_invert_unit(f, A, m):
+    return {"inverse": invert_unit(f, A, m)}
 
 
-def cmd_shilov_annulus(args):
-    pts = shilov_annulus(_annulus(args.A))
-    return {"shilov": [io.line_point_json(x) for x in pts]}
+def cmd_threshold(G, V):
+    return {"threshold": global_threshold(G, V)}
 
 
-def cmd_invert_unit(args):
-    g = invert_unit(_laurent(args.f), _annulus(args.A), args.m)
-    return {"inverse": io.laurent_json(g)}
+def cmd_divide(F, G, V, w):
+    Q, R, cert = divide(F, G, V, w)
+    return {"Q": Q.poly_coeffs(), "R": R.poly_coeffs(), "mod": Q.trunc_mod, "cert": cert}
 
 
-def cmd_threshold(args):
-    v = global_threshold(io.parse_poly(_j(args.G)), _compact(args.V))
-    return {"threshold": io.frac_str(v)}
+def cmd_divide_local(F, G, p, m, A):
+    Q, R, cert = divide_local_series(F, G, p, m, A)
+    return {"Q": Q, "R": R, "cert": cert}
 
 
-def cmd_divide(args):
-    Q, R, cert = divide(
-        _laurent(args.F), io.parse_poly(_j(args.G)), _compact(args.V), io.parse_frac(args.w)
-    )
-    return {
-        "Q": io.poly_json(Q.poly_coeffs()),
-        "R": io.poly_json(R.poly_coeffs()),
-        "mod": Q.trunc_mod,
-        "cert": _division_cert_json(cert),
-    }
+def cmd_prepare(G, p, m, A):
+    E, Omega, cert = prepare(G, p, m, A)
+    return {"E": E, "Omega": Omega, "cert": {"radius": cert.radius, "epsilon": cert.epsilon}}
 
 
-def cmd_divide_local(args):
-    Q, R, cert = divide_local_series(
-        _laurent(args.F), _laurent(args.G), args.p, args.m, _annulus(args.A)
-    )
-    return {
-        "Q": io.laurent_json(Q),
-        "R": io.laurent_json(R),
-        "cert": {
-            "radius": io.frac_str(cert.radius),
-            "epsilon": io.norm_value_json(cert.epsilon),
-            "residuals": [io.norm_value_json(r) for r in cert.residuals],
-        },
-    }
-
-
-def cmd_prepare(args):
-    E, Omega, cert = prepare(_laurent(args.G), args.p, args.m, _annulus(args.A))
-    return {
-        "E": io.laurent_json(E),
-        "Omega": io.laurent_json(Omega),
-        "cert": {
-            "radius": io.frac_str(cert.radius),
-            "epsilon": io.norm_value_json(cert.epsilon),
-        },
-    }
-
-
-def cmd_hensel(args):
-    if args.prime is not None and (args.seed is None or args.N is None):
-        raise ArithlineError("p-adic mode needs --seed and --N")
-    if args.prime is None and (args.f0 is None or args.m is None):
+def cmd_hensel(P, prime, seed, N, f0, m):
+    # --f0 stays a string until the mode is known: "null" is malformed, not missing
+    if prime is not None:
+        if seed is None or N is None:
+            raise ArithlineError("p-adic mode needs --seed and --N")
+        seed = PadicApprox(prime, 1, seed)
+        root, report = hensel_lift_root(io.parse_poly(P), seed, N)
+    elif f0 is None or m is None:
         raise ArithlineError("series mode needs --f0 and --m")
-    if args.prime is not None:
-        seed = PadicApprox(args.prime, 1, args.seed)
-        P = io.parse_poly(_j(args.P))
-        root, report = hensel_lift_root(P, seed, args.N)
-        return {
-            "root": io.padic_json(root),
-            "gauges": list(report.gauges),
-        }
-    P = [io.parse_laurent(c) for c in _j(args.P)]
-    f0 = _laurent(args.f0)
-    root, report = hensel_lift_root(P, f0, args.m)
-    return {"root": io.laurent_json(root), "gauges": list(report.gauges)}
+    else:
+        root, report = hensel_lift_root([io.parse_laurent(c) for c in P], LAURENT.convert(f0), m)
+    return {"root": root, "gauges": report.gauges}
 
 
-def cmd_hensel_factor(args):
-    factors = [io.parse_poly(f) for f in _j(args.factors)]
-    lifted = hensel_factor_lift(io.parse_poly(_j(args.G)), factors, args.prime, args.N)
+def cmd_hensel_factor(G, factors, prime, N):
+    lifted = hensel_factor_lift(G, factors, prime, N)
     return {"factors": [[int(c) for c in f] for f in lifted]}
 
 
-def cmd_resultant(args):
-    r = resultant(io.parse_poly(_j(args.P)), io.parse_poly(_j(args.Q)))
-    return {"resultant": io.frac_str(r)}
+def cmd_resultant(P, Q):
+    return {"resultant": resultant(P, Q)}
 
 
-def cmd_lagrange_bound(args):
-    roots = [io.parse_gauss(z) for z in _j(args.roots)]
-    rep = lagrange_bound_report(
-        io.parse_poly(_j(args.f)),
-        io.parse_poly(_j(args.g)),
-        roots,
-        io.parse_frac(args.r),
-        io.parse_place(args.place),
-    )
-    return {
-        "lhs": io.norm_value_json(rep.lhs),
-        "D": io.norm_value_json(rep.D),
-        "rhs": io.norm_value_json(rep.rhs),
-        "holds": rep.holds,
-    }
+def cmd_lagrange_bound(f, g, roots, r, place):
+    rep = lagrange_bound_report(f, g, roots, r, place)
+    return {**io.encode(rep), "holds": rep.holds}
 
 
-def cmd_residual_norm(args):
-    qr = QuotientRing(io.parse_poly(_j(args.G)), _compact(args.U), io.parse_frac(args.w))
-    rs = residual_norm_sandwich(qr, _laurent(args.F))
-    return {
-        "div_norm": io.norm_value_json(rs.div_norm),
-        "upper": io.norm_value_json(rs.upper),
-        "C0": io.frac_str(rs.C0),
-    }
+def cmd_residual_norm(G, U, w, F):
+    return residual_norm_sandwich(QuotientRing(G, U, w), F)
 
 
-def cmd_condition_rg(args):
-    rep = condition_RG_check(_compact(args.U), io.parse_poly(_j(args.G)))
-    return {
-        "holds": rep.holds,
-        "gamma": [io.base_point_json(x) for x in rep.gamma],
-        "m_U": io.norm_value_json(rep.m_U),
-    }
+def cmd_condition_rg(U, G):
+    return condition_RG_check(U, G)
 
 
-def cmd_cousin_split(args):
-    sys_ = _split_system(args)
-    minus, plus, cert = split_rational(io.parse_frac(args.a), sys_)
-    return {
-        "a_minus": io.frac_str(minus),
-        "a_plus": io.frac_str(plus),
-        "cert": _split_cert_json(cert),
-    }
+def cmd_cousin_split(a, place, u, s, t):
+    minus, plus, cert = split_rational(a, _split_system(place, u, s, t))
+    return {"a_minus": minus, "a_plus": plus, "cert": cert}
 
 
-def cmd_split_sides(args):
-    nonneg, neg = split_laurent_sides(_laurent(args.f))
-    return {"nonneg": io.laurent_json(nonneg), "neg": io.laurent_json(neg)}
+def cmd_split_sides(f):
+    nonneg, neg = split_laurent_sides(f)
+    return {"nonneg": nonneg, "neg": neg}
 
 
-def cmd_split_series(args):
-    sys_ = _split_system(args, need_annulus=True)
-    minus, plus, cert = split_series_arith(_laurent(args.f), sys_)
-    return {
-        "f_minus": io.laurent_json(minus),
-        "f_plus": io.laurent_json(plus),
-        "cert": _split_cert_json(cert),
-    }
+def cmd_split_series(f, place, u, s, t):
+    minus, plus, cert = split_series_arith(f, _split_system(place, u, s, t))
+    return {"f_minus": minus, "f_plus": plus, "cert": cert}
 
 
-def cmd_runge(args):
-    sys_ = _split_system(args, need_annulus=True)
-    s_list = [io.parse_laurent(x) for x in _j(args.s_list)]
-    t_list = [io.parse_laurent(x) for x in _j(args.t_list)]
-    f, s_primes, t_primes, cert = runge_approximate(
-        s_list, t_list, sys_, io.parse_frac(args.delta)
-    )
-    return {
-        "f": io.frac_str(f),
-        "s_primes": [io.laurent_json(x) for x in s_primes],
-        "t_primes": [io.laurent_json(x) for x in t_primes],
-        "cert": {
-            "s_defects": [io.frac_str(d) for d in cert.s_defects],
-            "t_defects": [io.frac_str(d) for d in cert.t_defects],
-            "delta": io.frac_str(cert.delta),
-            "ok": cert.ok,
-        },
-    }
+def cmd_runge(s_list, t_list, place, u, s, t, delta):
+    f, s_primes, t_primes, cert = runge_approximate(s_list, t_list, _split_system(place, u, s, t), delta)
+    return {"f": f, "s_primes": s_primes, "t_primes": t_primes, "cert": {**io.encode(cert), "ok": cert.ok}}
 
 
-def cmd_matrix_norm(args):
-    nv = matrix_norm(io.parse_matrix(_j(args.a)), _annulus(args.A))
-    return io.norm_value_json(nv)
+def cmd_matrix_norm(a, A):
+    return matrix_norm(a, A)
 
 
-def cmd_neumann(args):
-    b = neumann_inverse(io.parse_matrix(_j(args.a)), _annulus(args.A), args.m)
-    return {"inverse": io.matrix_json(b)}
+def cmd_neumann(a, A, m):
+    return {"inverse": neumann_inverse(a, A, m)}
 
 
-def cmd_cartan(args):
-    sys_ = _split_system(args, need_annulus=True)
-    res = cartan_factorize(
-        io.parse_matrix(_j(args.a)), sys_, args.max_iter, io.parse_frac(args.tol)
-    )
-    return {
-        "c_minus": io.matrix_json(res.c_minus),
-        "c_plus": io.matrix_json(res.c_plus),
-        "residual": io.norm_value_json(res.residual),
-        "iterations": res.iterations,
-        "bound_4D_ok": res.bound_4D_ok,
-        "sides_ok": res.sides_ok,
-        "decay_ok": res.decay_ok,
-        "btilde_norms": [io.frac_str(x) for x in res.btilde_norms],
-    }
+def cmd_cartan(a, place, u, s, t, max_iter, tol):
+    return cartan_factorize(a, _split_system(place, u, s, t), max_iter, tol)
 
 
-def cmd_cover(args):
-    desc = CoverDescriptor.build(args.n, args.p, args.m, args.N)
+def cmd_cover(n, p, m, N):
+    desc = CoverDescriptor.build(n, p, m, N)
     report = cyclic_cover_split(desc)
-    return {
-        "descriptor": {
-            "n": desc.n,
-            "p": desc.p,
-            "zeta": io.padic_json(desc.zeta),
-            "m": desc.m,
-            "g": io.laurent_json(desc.g),
-        },
-        "defects": [
-            {"S_power": k, "Z_power": j, "valuation": v} for k, j, v in report.defects
-        ],
-        "zero_at_precision": report.zero_at_precision,
-    }
+    defects = [{"S_power": k, "Z_power": j, "valuation": v} for k, j, v in report.defects]
+    return {"descriptor": desc, "defects": defects, "zero_at_precision": report.zero_at_precision}
 
 
-def cmd_zeta(args):
-    z = primitive_root_of_unity(args.n, args.p, args.N)
-    return {"zeta": io.padic_json(z)}
+def cmd_zeta(n, p, N):
+    return {"zeta": primitive_root_of_unity(n, p, N)}
 
 
-def cmd_binomial(args):
-    g, report = binomial_root_series(args.n, args.m, args.p)
-    out = {
-        "g": io.laurent_json(g),
-        "power_identity_ok": report.power_identity_ok,
-    }
-    if args.p is not None:
-        out["p"] = args.p
-        out["integral_at_p"] = report.integral_at_p
-        out["min_valuation"] = report.min_valuation
+def cmd_binomial(n, m, p):
+    g, report = binomial_root_series(n, m, p)
+    out = {"g": g, "power_identity_ok": report.power_identity_ok}
+    if p is not None:
+        out.update(p=p, integral_at_p=report.integral_at_p, min_valuation=report.min_valuation)
     return out
 
 
-def cmd_eisenstein(args):
-    P = [io.parse_laurent(c) for c in _j(args.P)]
-    places = [io.parse_place(v) for v in _j(args.places)]
-    w = eisenstein_witness(P, _laurent(args.f0), args.m, places)
-    return {
-        "root": io.laurent_json(w.root),
-        "N": w.N,
-        "radii": {
-            ("inf" if not pl.is_finite else str(pl.prime)): io.frac_str(r)
-            for pl, r in w.radii.items()
-        },
-    }
+def cmd_eisenstein(P, f0, m, places):
+    w = eisenstein_witness(P, f0, m, places)
+    radii = {("inf" if not pl.is_finite else str(pl.prime)): r for pl, r in w.radii.items()}
+    return {"root": w.root, "N": w.N, "radii": radii}
 
 
-def _load_table(args):
-    if args.table == "standard":
-        return standard_group_tables()[args.name]
-    if os.path.exists(args.table):
-        with open(args.table) as fh:
+def _load_table(table, name):
+    if table == "standard":
+        return standard_group_tables()[name]
+    if os.path.exists(table):
+        with open(table) as fh:
             return io.parse_group_table(json.load(fh))
-    return io.parse_group_table(_j(args.table))
+    return io.parse_group_table(json.loads(table))
 
 
-def cmd_group_data(args):
-    G = _load_table(args)
-    data = group_cover_data(G, args.i)
-    return {
-        "n_i": data.n_i,
-        "d_i": data.d_i,
-        "reps": list(data.reps),
-        "sigma": list(data.sigma),
-    }
+def cmd_group_data(table, name, i):
+    return group_cover_data(_load_table(table, name), i)
 
 
-def cmd_group_mu(args):
-    G = _load_table(args)
-    rep = mu_homomorphism(G)
-    return {
-        "injective": rep.injective,
-        "homomorphism": rep.homomorphism,
-        "map": {str(h): list(p) for h, p in rep.perms.items()},
-    }
+def cmd_group_mu(table, name):
+    rep = mu_homomorphism(_load_table(table, name))
+    return {"injective": rep.injective, "homomorphism": rep.homomorphism, "map": rep.perms}
 
 
-def cmd_selftest(args):
-    report = run_suite(args.suite, args.seed)
-    return report
+def cmd_selftest(suite, seed):
+    return run_suite(suite, seed)
 
 
-# Argument specs shared by many subcommands (argparse copies the keywords).
-REQ = {"required": True}
-REQ_INT = {"type": int, "required": True}
-OPT = {"default": None}
-OPT_INT = {"type": int, "default": None}
-
-# Subcommand name -> (handler, argument specs), in the order `--help` lists them.
+# Subcommand name -> (handler, argument specs), in the order `--help` lists
+# them.  `_run` passes the converted arguments to the handler in spec order.
 COMMANDS = {
-    "eval-base": (cmd_eval_base, (("--f", REQ), ("--point", REQ))),
-    "product-formula": (cmd_product_formula, (("--f", REQ),)),
-    "classify": (cmd_classify, (("--point", REQ),)),
-    "base-norm": (cmd_base_norm, (("--f", REQ), ("--V", REQ))),
-    "shilov": (cmd_shilov, (("--V", REQ),)),
-    "ring-label": (cmd_ring_label, (("--V", REQ),)),
-    "eval-line": (cmd_eval_line, (("--F", REQ), ("--point", REQ))),
-    "flow": (cmd_flow, (("--point", REQ), ("--eps", REQ))),
+    "eval-base": (cmd_eval_base, (("--f", FRAC), ("--point", BASE_POINT))),
+    "product-formula": (cmd_product_formula, (("--f", FRAC),)),
+    "classify": (cmd_classify, (("--point", BASE_POINT),)),
+    "base-norm": (cmd_base_norm, (("--f", FRAC), ("--V", COMPACT))),
+    "shilov": (cmd_shilov, (("--V", COMPACT),)),
+    "ring-label": (cmd_ring_label, (("--V", COMPACT),)),
+    "eval-line": (cmd_eval_line, (("--F", POLY), ("--point", LINE_POINT))),
+    "flow": (cmd_flow, (("--point", LINE_POINT), ("--eps", FRAC))),
     "series-arith": (
         cmd_series_arith,
-        (("--f", REQ), ("--g", REQ), ("--op", {"choices": ("add", "mul"), "required": True})),
+        (("--f", LAURENT), ("--g", LAURENT), ("--op", Kind({"choices": ("add", "mul"), "required": True}))),
     ),
-    "compare-factor": (cmd_compare_factor, (("--s", REQ), ("--t", REQ), ("--u", REQ), ("--v", REQ))),
-    "find-prime": (cmd_find_prime, (("--n", REQ_INT), ("--bound", {"type": int, "default": 10000}))),
-    "norm-annulus": (cmd_norm_annulus, (("--f", REQ), ("--A", REQ))),
-    "unif-norm": (cmd_unif_norm, (("--f", REQ), ("--A", REQ), ("--upper-bound", {"action": "store_true"}))),
-    "shilov-annulus": (cmd_shilov_annulus, (("--A", REQ),)),
-    "invert-unit": (cmd_invert_unit, (("--f", REQ), ("--A", REQ), ("--m", REQ_INT))),
-    "threshold": (cmd_threshold, (("--G", REQ), ("--V", OPT))),
-    "divide": (cmd_divide, (("--F", REQ), ("--G", REQ), ("--V", OPT), ("--w", REQ))),
+    "compare-factor": (cmd_compare_factor, (("--s", FRAC), ("--t", FRAC), ("--u", FRAC), ("--v", FRAC))),
+    "find-prime": (cmd_find_prime, (("--n", INT), ("--bound", Kind({"type": int, "default": 10000})))),
+    "norm-annulus": (cmd_norm_annulus, (("--f", LAURENT), ("--A", ANNULUS))),
+    "unif-norm": (cmd_unif_norm, (("--f", LAURENT), ("--A", ANNULUS), ("--upper-bound", FLAG))),
+    "shilov-annulus": (cmd_shilov_annulus, (("--A", ANNULUS),)),
+    "invert-unit": (cmd_invert_unit, (("--f", LAURENT), ("--A", ANNULUS), ("--m", INT))),
+    "threshold": (cmd_threshold, (("--G", POLY), ("--V", OPT_COMPACT))),
+    "divide": (cmd_divide, (("--F", LAURENT), ("--G", POLY), ("--V", OPT_COMPACT), ("--w", FRAC))),
     "divide-local": (
         cmd_divide_local,
-        (("--F", REQ), ("--G", REQ), ("--p", REQ_INT), ("--m", REQ_INT), ("--A", REQ)),
+        (("--F", LAURENT), ("--G", LAURENT), ("--p", INT), ("--m", INT), ("--A", ANNULUS)),
     ),
-    "prepare": (cmd_prepare, (("--G", REQ), ("--p", REQ_INT), ("--m", REQ_INT), ("--A", REQ))),
+    "prepare": (cmd_prepare, (("--G", LAURENT), ("--p", INT), ("--m", INT), ("--A", ANNULUS))),
     "hensel": (
         cmd_hensel,
         (
-            ("--P", REQ),
+            ("--P", JSON),
             ("--prime", OPT_INT),
             ("--seed", OPT_INT),
             ("--N", OPT_INT),
-            ("--f0", OPT),
+            ("--f0", OPT_STR),
             ("--m", OPT_INT),
         ),
     ),
     "hensel-factor": (
         cmd_hensel_factor,
-        (("--G", REQ), ("--factors", REQ), ("--prime", REQ_INT), ("--N", REQ_INT)),
+        (("--G", POLY), ("--factors", POLYS), ("--prime", INT), ("--N", INT)),
     ),
-    "resultant": (cmd_resultant, (("--P", REQ), ("--Q", REQ))),
+    "resultant": (cmd_resultant, (("--P", POLY), ("--Q", POLY))),
     "lagrange-bound": (
         cmd_lagrange_bound,
-        (("--f", REQ), ("--g", REQ), ("--roots", REQ), ("--r", REQ), ("--place", REQ)),
+        (("--f", POLY), ("--g", POLY), ("--roots", GAUSSES), ("--r", FRAC), ("--place", PLACE)),
     ),
-    "residual-norm": (cmd_residual_norm, (("--G", REQ), ("--U", OPT), ("--w", REQ), ("--F", REQ))),
-    "condition-rg": (cmd_condition_rg, (("--U", OPT), ("--G", REQ))),
+    "residual-norm": (
+        cmd_residual_norm,
+        (("--G", POLY), ("--U", OPT_COMPACT), ("--w", FRAC), ("--F", LAURENT)),
+    ),
+    "condition-rg": (cmd_condition_rg, (("--U", OPT_COMPACT), ("--G", POLY))),
     "cousin-split": (
         cmd_cousin_split,
-        (("--a", REQ), ("--place", REQ), ("--u", REQ), ("--s", OPT), ("--t", OPT)),
+        (("--a", FRAC), ("--place", PLACE), ("--u", FRAC), ("--s", OPT_STR), ("--t", OPT_STR)),
     ),
-    "split-sides": (cmd_split_sides, (("--f", REQ),)),
-    "split-series": (
-        cmd_split_series,
-        (("--f", REQ), ("--place", REQ), ("--u", REQ), ("--s", REQ), ("--t", REQ)),
-    ),
-    "runge": (
-        cmd_runge,
-        (
-            ("--s-list", REQ),
-            ("--t-list", REQ),
-            ("--place", REQ),
-            ("--u", REQ),
-            ("--s", REQ),
-            ("--t", REQ),
-            ("--delta", REQ),
-        ),
-    ),
-    "matrix-norm": (cmd_matrix_norm, (("--a", REQ), ("--A", REQ))),
-    "neumann": (cmd_neumann, (("--a", REQ), ("--A", REQ), ("--m", REQ_INT))),
+    "split-sides": (cmd_split_sides, (("--f", LAURENT),)),
+    "split-series": (cmd_split_series, (("--f", LAURENT), *SPLIT)),
+    "runge": (cmd_runge, (("--s-list", LAURENTS), ("--t-list", LAURENTS), *SPLIT, ("--delta", FRAC))),
+    "matrix-norm": (cmd_matrix_norm, (("--a", MATRIX), ("--A", ANNULUS))),
+    "neumann": (cmd_neumann, (("--a", MATRIX), ("--A", ANNULUS), ("--m", INT))),
     "cartan": (
         cmd_cartan,
         (
-            ("--a", REQ),
-            ("--place", REQ),
-            ("--u", REQ),
-            ("--s", REQ),
-            ("--t", REQ),
-            ("--max-iter", {"type": int, "default": 64}),
-            ("--tol", {"default": "1/1099511627776"}),
+            ("--a", MATRIX),
+            *SPLIT,
+            ("--max-iter", Kind({"type": int, "default": 64})),
+            ("--tol", Kind({"default": "1/1099511627776"}, io.parse_frac)),
         ),
     ),
-    "cover": (cmd_cover, (("--n", REQ_INT), ("--p", REQ_INT), ("--m", REQ_INT), ("--N", REQ_INT))),
-    "zeta": (cmd_zeta, (("--n", REQ_INT), ("--p", REQ_INT), ("--N", REQ_INT))),
-    "binomial": (cmd_binomial, (("--n", REQ_INT), ("--m", REQ_INT), ("--p", OPT_INT))),
+    "cover": (cmd_cover, (("--n", INT), ("--p", INT), ("--m", INT), ("--N", INT))),
+    "zeta": (cmd_zeta, (("--n", INT), ("--p", INT), ("--N", INT))),
+    "binomial": (cmd_binomial, (("--n", INT), ("--m", INT), ("--p", OPT_INT))),
     "eisenstein": (
         cmd_eisenstein,
-        (("--P", REQ), ("--f0", REQ), ("--m", REQ_INT), ("--places", REQ)),
+        (("--P", LAURENTS), ("--f0", LAURENT), ("--m", INT), ("--places", PLACES)),
     ),
-    "group-data": (cmd_group_data, (("--table", REQ), ("--name", OPT), ("--i", REQ_INT))),
-    "group-mu": (cmd_group_mu, (("--table", REQ), ("--name", OPT))),
-    "selftest": (cmd_selftest, (("--suite", REQ), ("--seed", {"type": int, "default": 0}))),
+    "group-data": (cmd_group_data, (("--table", STR), ("--name", OPT_STR), ("--i", INT))),
+    "group-mu": (cmd_group_mu, (("--table", STR), ("--name", OPT_STR))),
+    "selftest": (cmd_selftest, (("--suite", STR), ("--seed", Kind({"type": int, "default": 0})))),
 }
 
 
@@ -600,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (_, specs) in COMMANDS.items():
         p = sub.add_parser(name)
-        for flag, kwargs in specs:
-            p.add_argument(flag, **kwargs)
+        for flag, kind in specs:
+            p.add_argument(flag, **kind.options)
     return ap
 
 
@@ -641,24 +479,23 @@ def _run(argv) -> int:
             return _bad_input(f"ARITHLINE_BITS: {exc}")
     if bits is not None:
         set_default_bits(bits)
-    handler, _ = COMMANDS[args.command]
+    handler, specs = COMMANDS[args.command]
+    selftest = args.command == "selftest"
     try:
-        result = handler(args)
+        values = [kind.convert(getattr(args, flag[2:].replace("-", "_"))) for flag, kind in specs]
+        result = handler(*values)
+        text = io.dumps(result, indent=2 if selftest else None)
     except ArithlineError as exc:
-        print(json.dumps({"v": io.SCHEMA_VERSION, "error": exc.code, "detail": exc.detail}))
+        print(io.dumps({"error": exc.code, "detail": exc.detail}))
         return 1 if isinstance(exc, UnknownSuite) else 2
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         return _bad_input(str(exc))
-    payload = io.versioned(result)
-    if args.command == "selftest":
-        print(json.dumps(payload, indent=2, default=str))
-        return 0 if result.get("failures", 1) == 0 else 1
-    print(json.dumps(payload, default=str))
-    return 0
+    print(text)
+    return 1 if selftest and result["failures"] else 0
 
 
 def _bad_input(detail: str) -> int:
-    print(json.dumps({"v": io.SCHEMA_VERSION, "error": "BadInput", "detail": detail}), file=sys.stderr)
+    print(io.dumps({"error": "BadInput", "detail": detail}), file=sys.stderr)
     return 1
 
 

@@ -160,9 +160,8 @@ class CoverDescriptor:
             for q in prime_divisors(self.n)
         ):
             raise BadDescriptor("zeta is not primitive mod p")
-        power = LaurentPoly.one(self.m)
-        for _ in range(self.n):
-            power = series_mul(power, self.g)
+        # 1 * g**n, so the product carries the modulus of n successive products
+        power = series_mul(LaurentPoly.one(self.m), _series_pow(self.g, self.n))
         target = LaurentPoly({0: 1, 1: 1} if self.m > 1 else {0: 1}, self.m)
         if power != target:
             raise BadDescriptor("g**n != 1 + Z mod Z^m")

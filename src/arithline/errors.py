@@ -142,3 +142,7 @@ class BadDescriptor(ArithlineError):
 
 class CannotCertify(ArithlineError):
     code = "CannotCertify"
+
+
+class CannotFactor(ArithlineError):
+    code = "CannotFactor"

@@ -2,9 +2,17 @@
 
 Rationals travel as "p/q" strings (plain "p" for integers); interval
 endpoints are outward-rounded dyadics printed as exact decimal strings.
-Every top-level CLI payload carries a schema version field "v": 1.
+
+Each ``parse_*`` reads one type from decoded JSON.  ``encode`` is the one
+serializer: it dispatches on the type to the matching ``*_json`` function,
+writes any other dataclass as {field: value} in declaration order, and
+refuses everything else with TypeError.  ``dumps`` writes a top-level CLI
+payload through it, headed by the schema version field "v": 1.
 """
 
+import dataclasses
+import functools
+import json
 from fractions import Fraction
 
 from .affine_line import LinePoint, TrivClosed, TrivOuter, UmDisk
@@ -12,13 +20,21 @@ from .base_space import INF, BaseCompact, BasePoint, Place, RingLabel, is_inf
 from .cousin_cartan import SeriesMatrix
 from .covers_galois import GroupTable
 from .normvalue import NormValue, default_bits
-from .padic import PadicApprox
 from .polys import Gauss, poly
 from .series_ring import AnnulusSpec, LaurentPoly
 
 SCHEMA_VERSION = 1
 
 
+@functools.singledispatch
+def encode(obj):
+    """The JSON form of a domain object (the ``default`` hook of json.dumps)."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    raise TypeError(f"no JSON encoding for {type(obj).__name__}")
+
+
+@encode.register(Fraction)
 def frac_str(q) -> str:
     return str(Fraction(q))
 
@@ -55,6 +71,7 @@ def dyadic_decimal(q: Fraction) -> str:
     return sign + (digits[:-k] or "0") + "." + digits[-k:]
 
 
+@encode.register(NormValue)
 def norm_value_json(nv: NormValue) -> dict:
     if nv.is_exact:
         return {"exact": frac_str(nv.exact)}
@@ -76,6 +93,7 @@ def parse_place(v):
     return Place.finite(int(v))
 
 
+@encode.register(BasePoint)
 def base_point_json(x: BasePoint) -> dict:
     return {"place": place_json(x.place), "exp": exp_str(x.exponent)}
 
@@ -88,6 +106,7 @@ def parse_base_point(d) -> BasePoint:
     return BasePoint.branch(place, exp)
 
 
+@encode.register(BaseCompact)
 def base_compact_json(V: BaseCompact) -> dict:
     if V.kind == "segment":
         return {
@@ -115,6 +134,7 @@ def parse_base_compact(d) -> BaseCompact:
     raise ValueError(f"unknown compact kind {d['kind']!r}")
 
 
+@encode.register(RingLabel)
 def ring_label_json(r: RingLabel) -> dict:
     return {
         "label": r.label,
@@ -131,6 +151,7 @@ def parse_poly(lst) -> tuple:
     return poly([parse_frac(c) for c in lst])
 
 
+@encode.register(LinePoint)
 def line_point_json(x: LinePoint) -> dict:
     fib = x.fiber
     if isinstance(fib, UmDisk):
@@ -159,6 +180,7 @@ def parse_line_point(d) -> LinePoint:
     raise ValueError(f"unknown fiber kind {kind!r}")
 
 
+@encode.register(LaurentPoly)
 def laurent_json(f: LaurentPoly) -> dict:
     return {
         "coeffs": {str(k): frac_str(f.coeffs[k]) for k in sorted(f.coeffs)},
@@ -173,6 +195,7 @@ def parse_laurent(d) -> LaurentPoly:
     return LaurentPoly(coeffs, d.get("mod"))
 
 
+@encode.register(AnnulusSpec)
 def annulus_json(A: AnnulusSpec) -> dict:
     return {"V": base_compact_json(A.V), "s": frac_str(A.s), "t": frac_str(A.t)}
 
@@ -183,6 +206,7 @@ def parse_annulus(d) -> AnnulusSpec:
     )
 
 
+@encode.register(SeriesMatrix)
 def matrix_json(a: SeriesMatrix) -> dict:
     return {
         "rows": a.rows,
@@ -192,25 +216,17 @@ def matrix_json(a: SeriesMatrix) -> dict:
 
 
 def parse_matrix(d) -> SeriesMatrix:
-    if isinstance(d, list):
-        return SeriesMatrix([[parse_laurent(e) for e in row] for row in d])
-    return SeriesMatrix(
-        [[parse_laurent(e) for e in row] for row in d["entries"]]
-    )
+    rows = d if isinstance(d, list) else d["entries"]
+    return SeriesMatrix([[parse_laurent(e) for e in row] for row in rows])
 
 
-def padic_json(x: PadicApprox) -> dict:
-    return {"p": x.p, "N": x.N, "residue": x.residue}
-
-
+@encode.register(GroupTable)
 def group_table_json(G: GroupTable) -> dict:
     return {"n": G.n, "table": [list(row) for row in G.table], "identity": G.identity}
 
 
 def parse_group_table(d) -> GroupTable:
-    if isinstance(d, list):
-        return GroupTable(d)
-    return GroupTable(d["table"])
+    return GroupTable(d if isinstance(d, list) else d["table"])
 
 
 def parse_gauss(v) -> Gauss:
@@ -219,7 +235,8 @@ def parse_gauss(v) -> Gauss:
     return Gauss(parse_frac(v))
 
 
-def versioned(payload: dict) -> dict:
-    out = {"v": SCHEMA_VERSION}
-    out.update(payload)
-    return out
+def dumps(result, indent=None) -> str:
+    """A CLI payload: "v" first, then result (a dict, or an object encoding to one)."""
+    if not isinstance(result, dict):
+        result = encode(result)
+    return json.dumps({"v": SCHEMA_VERSION, **result}, indent=indent, default=encode)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 from math import gcd, isqrt
 
+from .errors import CannotFactor
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -38,26 +40,67 @@ def next_prime(n: int) -> int:
     return n
 
 
+TRIAL_BOUND = 1 << 20  # factor finds primes below this by trial division
+RHO_BUDGET = 1 << 18  # Pollard-Brent steps factor spends on one composite
+
+
 def factor(n: int) -> dict:
-    """Prime factorization of |n| by trial division (desk-scale inputs)."""
-    n = abs(n)
-    if n <= 1:
-        return {}
-    out = {}
-    for p in (2, 3):
+    """Prime factorization of |n|, in increasing order of the primes.
+
+    Trial division below TRIAL_BOUND, then Miller-Rabin and Pollard-Brent
+    rho on what is left.  A composite that rho does not split within
+    RHO_BUDGET steps raises CannotFactor, so the cost is bounded for every n.
+    """
+    n, out, pending = abs(n), {}, []
+    while n > 1:
+        p = small_prime_factor(n, TRIAL_BOUND)
+        if p is None:
+            pending.append(n)
+            break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    d = 5
-    while d * d <= n:
-        for p in (d, d + 2):
-            while n % p == 0:
-                out[p] = out.get(p, 0) + 1
-                n //= p
-        d += 6
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        d = _rho_divisor(m, RHO_BUDGET)
+        if d is None:
+            raise CannotFactor(f"no factor of {m} found in {RHO_BUDGET} Pollard-Brent steps")
+        pending += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def _rho_divisor(n: int, budget: int):
+    """A proper divisor of the odd composite n by Brent's rho (BIT 20, 1980),
+    or None once about budget steps of y -> y^2 + c mod n are spent."""
+    steps, c = 0, 0
+    while steps < budget:
+        c += 1  # a walk that ends in gcd n is retried with the next c
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1 and steps < budget:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):  # one gcd per batch of 128 products
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                if g != 1:
+                    break
+            steps += 2 * r
+            r *= 2
+        if g == n:  # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if 1 < g < n:
+            return g
+    return None
 
 
 def strip_primes(n: int, primes) -> int:

@@ -267,3 +267,14 @@ def split_matrix_direct(mat, sys):
         minus_rows.append(tuple(mrow))
         plus_rows.append(tuple(prow))
     return SeriesMatrix(tuple(minus_rows)), SeriesMatrix(tuple(plus_rows))
+
+
+def cover_power_by_loop(g, n, m):
+    """1 * g * ... * g (n factors) from LaurentPoly.one(m), one product at a
+    time: the check CoverDescriptor made before it formed powers by squaring."""
+    from arithline.series_ring import LaurentPoly, series_mul
+
+    power = LaurentPoly.one(m)
+    for _ in range(n):
+        power = series_mul(power, g)
+    return power

@@ -16,7 +16,8 @@ from arithline import (
     ring_label,
     shilov_base,
 )
-from arithline.errors import NonIntegralAtExtremePoint, NotInRingOfV, ZeroInput
+from arithline.errors import CannotFactor, NonIntegralAtExtremePoint, NotInRingOfV, ZeroInput
+from arithline.numbers import factor, prime_divisors
 
 from oracles import naive_factor, padic_abs
 
@@ -80,6 +81,34 @@ def test_product_formula_random():
     rng = random.Random(2024)
     for _ in range(1000):
         assert product_formula_defect(rand_rational(rng)) == NormValue.of(1)
+
+
+M31, M61, M89 = 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 89 - 1  # Mersenne primes
+
+
+def test_factor_matches_trial_division():
+    rng = random.Random(7)
+    values = [rng.randint(-10 ** 5, 10 ** 5) for _ in range(300)]
+    values += [0, 1, -1, 2 ** 40, 3 ** 25, 1000003 * 1000033, -7 * 1000003 ** 2]
+    for n in values:
+        got = factor(n)
+        assert got == naive_factor(n)
+        assert list(got) == sorted(got) and prime_divisors(n) == sorted(got)
+
+
+def test_factor_finds_large_primes_by_rho():
+    assert factor(M31 * M61) == {M31: 1, M61: 1}
+    assert factor(12 * M31 ** 2 * 1048583) == {2: 2, 3: 1, 1048583: 1, M31: 2}
+    assert prime_divisors(-5 * M61 * 1048573) == [5, 1048573, M61]
+    assert factor(M89) == {M89: 1}
+    assert product_formula_defect(Fraction(1, M31 * M61)) == NormValue.of(1)
+
+
+def test_factor_refuses_two_large_primes():
+    with pytest.raises(CannotFactor):
+        factor(M61 * M89)
+    with pytest.raises(CannotFactor):
+        product_formula_defect(Fraction(7, M61 * M89))
 
 
 def test_multiplicativity_and_ultrametric():

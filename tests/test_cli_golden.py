@@ -1,6 +1,7 @@
 """Byte-identical CLI output.
 
-``cli_golden.json`` holds stdout and the exit code of ``arithline`` for:
+``cli_golden.json`` holds stdout and the exit code of ``arithline`` (and,
+where a case carries it, stderr) for:
 
 * the README examples and ``threshold``, ``divide`` and ``residual-norm`` on
   four compacts (the whole space, the star {2: 1}, the 5-adic segment
@@ -13,7 +14,13 @@
   ``--op`` choice), recorded before the parser was built from one command
   table;
 * seven precisions given by ``--bits`` or ARITHLINE_BITS: below 8 and
-  malformed ones (exit 1, nothing on stdout) and 8 itself.
+  malformed ones (exit 1, nothing on stdout) and 8 itself;
+* malformed input, with its stderr: at least one malformed value per
+  argument kind of ``cli.COMMANDS`` (bad JSON, a missing key, ``1/0``, an
+  unknown ``kind``, a bad place or integer), a domain error raised while an
+  argument is read (exit 2), ``hensel --f0 null`` and ``split-series``
+  without ``--s``, recorded before the handlers took converted arguments.
+  Usage text is wrapped at COLUMNS=80.
 
 A refactor of the kernel or of the CLI must reproduce them byte for byte.
 """
@@ -33,9 +40,12 @@ CASES = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
 @pytest.mark.parametrize("case", CASES, ids=[f"{i:02d}-{c['argv'][0]}" for i, c in enumerate(CASES)])
 def test_cli_output_is_unchanged(case, monkeypatch):
     monkeypatch.delenv("ARITHLINE_BITS", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
     for name, value in case.get("env", {}).items():
         monkeypatch.setenv(name, value)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(case["argv"]))
     assert (code, out.getvalue()) == (case["exit"], case["stdout"])
+    if "stderr" in case:
+        assert err.getvalue() == case["stderr"]

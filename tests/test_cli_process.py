@@ -136,3 +136,24 @@ def test_closed_stdout_exits_quietly(unbuffered):
     assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
     assert stderr == ""
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "f, code, payload",
+    [
+        ("1/4951760154835678088235319297", 0, {"v": 1, "exact": "1"}),  # 1/((2^31 - 1)(2^61 - 1))
+        (str((2 ** 61 - 1) * (2 ** 89 - 1)), 2, None),
+    ],
+    ids=["two-mersenne-primes", "refused"],
+)
+def test_product_formula_answers_or_refuses_in_bounded_time(f, code, payload):
+    proc = subprocess.run(
+        [sys.executable, "-m", "arithline.cli", "product-formula", "--f", f],
+        capture_output=True, text=True, env=child_env(), timeout=5,
+    )
+    assert (proc.returncode, proc.stderr) == (code, "")
+    out = json.loads(proc.stdout)
+    if payload is None:
+        assert out["error"] == "CannotFactor"
+    else:
+        assert out == payload

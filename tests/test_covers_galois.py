@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithline import (
     CoverDescriptor,
@@ -17,10 +19,19 @@ from arithline import (
     primitive_root_of_unity,
     standard_group_tables,
 )
-from arithline.covers_galois import cyclic_table, dihedral_table, quaternion_table, symmetric_table
+from arithline.covers_galois import (
+    _series_pow,
+    binomial_coefficient_series,
+    cyclic_table,
+    dihedral_table,
+    quaternion_table,
+    symmetric_table,
+)
 from arithline.series_ring import series_mul
 from arithline.errors import BadDescriptor, CongruenceFails, NoneFound, NotLiftable, PDividesN
 from arithline.numbers import vp
+
+from oracles import cover_power_by_loop
 
 
 def test_find_prime_examples():
@@ -179,3 +190,44 @@ def test_quaternion_and_dihedral_shapes():
     D4 = dihedral_table(4)
     assert D4.n == 8
     assert sorted(D4.order_of(i) for i in range(1, 9)).count(2) == 5
+
+
+# -- the descriptor's power check ---------------------------------------------
+
+P13 = 13  # 1 mod each n below
+
+
+@st.composite
+def descriptor_inputs(draw):
+    """(n, m, g): g the binomial root series or a random one, with modulus
+    None, below m or above m, and sometimes negative indices; m <= 0 too."""
+    n = draw(st.sampled_from((1, 2, 3, 4, 6)))
+    m = draw(st.integers(-2, 12))
+    if draw(st.booleans()):
+        g = binomial_coefficient_series(n, draw(st.integers(1, 16)))
+        coeffs = dict(g.coeffs)
+    else:
+        coeffs = {k: Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9)))
+                  for k in draw(st.lists(st.integers(0, 12), max_size=6, unique=True))}
+    for k in draw(st.lists(st.integers(-3, -1), max_size=2, unique=True)):
+        coeffs[k] = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 5)))
+    mod = draw(st.sampled_from(("none", "below", "above")))
+    trunc_mod = {"none": None, "below": draw(st.integers(-2, m)), "above": m + draw(st.integers(1, 8))}[mod]
+    return n, m, LaurentPoly(coeffs, trunc_mod)
+
+
+@settings(max_examples=300, deadline=None)
+@given(descriptor_inputs())
+def test_descriptor_accepts_what_the_product_loop_accepted(inputs):
+    n, m, g = inputs
+    target = LaurentPoly({0: 1, 1: 1} if m > 1 else {0: 1}, m)
+    zeta = primitive_root_of_unity(n, P13, 3)
+    try:
+        CoverDescriptor(n=n, p=P13, zeta=zeta, m=m, g=g)
+        accepted = True
+    except BadDescriptor:
+        accepted = False
+    old = cover_power_by_loop(g, n, m)
+    assert accepted == (old == target)
+    if m >= 1:  # the same power, modulus included (for m <= 0 both are 0)
+        assert series_mul(LaurentPoly.one(m), _series_pow(g, n)) == old

@@ -1,7 +1,10 @@
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arithline import jsonio as io
 from arithline import (
@@ -15,6 +18,7 @@ from arithline import (
     SeriesMatrix,
 )
 from arithline.covers_galois import cyclic_table
+from arithline.weierstrass import ResidualSandwich
 
 INF = math.inf
 
@@ -89,3 +93,95 @@ def test_matrix_and_table_roundtrip():
     assert io.parse_matrix(io.matrix_json(m)) == m
     G = cyclic_table(5)
     assert io.parse_group_table(io.group_table_json(G)) == G
+
+
+# -- round trips through the one encoder --------------------------------------
+
+fracs = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
+positive = st.builds(Fraction, st.integers(1, 10 ** 4), st.integers(1, 10 ** 3))
+unit_interval = st.integers(1, 64).flatmap(lambda d: st.builds(Fraction, st.integers(1, d), st.just(d)))
+primes = st.sampled_from((2, 3, 5, 7, 11, 2 ** 61 - 1))
+finite_places = primes.map(Place.finite)
+places = st.one_of(finite_places, st.just(Place.infinite()))
+
+
+def encoded(x):
+    return json.loads(json.dumps(x, default=io.encode))
+
+
+base_points = st.one_of(
+    st.just(BasePoint.central()),
+    st.builds(BasePoint.finite, primes, positive),
+    primes.map(BasePoint.extreme),
+    unit_interval.map(BasePoint.arch),
+)
+
+
+@st.composite
+def segments(draw):
+    place = draw(places)
+    if place.is_finite:
+        u, v = sorted((draw(positive), draw(positive)))
+        if draw(st.booleans()):
+            v = INF
+    else:
+        u, v = sorted((draw(unit_interval), draw(unit_interval)))
+    if draw(st.booleans()):
+        u = 0
+    return BaseCompact.segment(place, u, v)
+
+
+@st.composite
+def stars(draw):
+    cuts = {}
+    for place in draw(st.lists(places, max_size=4, unique=True)):
+        cuts[place] = draw(unit_interval if not place.is_finite else st.one_of(positive, st.just(INF)))
+    return BaseCompact.star(cuts)
+
+
+compacts = st.one_of(segments(), stars())
+laurents = st.builds(
+    LaurentPoly,
+    st.dictionaries(st.integers(-5, 20), fracs, max_size=8),
+    st.one_of(st.none(), st.integers(-3, 25)),
+)
+annuli = st.tuples(compacts, st.builds(Fraction, st.integers(0, 50), st.integers(1, 9)), positive).map(
+    lambda a: AnnulusSpec(a[0], min(a[1], a[2]), max(a[1], a[2]))
+)
+line_points = st.one_of(
+    st.builds(LinePoint.disk, st.builds(BasePoint.finite, primes, positive), fracs,
+              st.one_of(st.just(0), positive)),
+    st.builds(LinePoint.triv_closed, st.one_of(st.just(BasePoint.central()), primes.map(BasePoint.extreme)),
+              st.integers(-50, 50).map(lambda c: (c, 1)), unit_interval),
+    st.builds(LinePoint.triv_outer, st.one_of(st.just(BasePoint.central()), primes.map(BasePoint.extreme)),
+              positive.map(lambda r: 1 + r)),
+    st.builds(LinePoint.arch, unit_interval.map(BasePoint.arch), fracs, fracs),
+)
+matrices = st.integers(1, 3).flatmap(
+    lambda cols: st.lists(st.lists(laurents, min_size=cols, max_size=cols), min_size=1, max_size=3)
+).map(SeriesMatrix)
+
+
+@settings(max_examples=150, deadline=None)
+@given(laurents, compacts, annuli, line_points, matrices, base_points)
+def test_encoder_round_trips(f, V, A, x, a, b):
+    assert io.parse_laurent(encoded(f)) == f
+    assert io.parse_base_compact(encoded(V)) == V
+    assert io.parse_annulus(encoded(A)) == A
+    assert io.parse_line_point(encoded(x)) == x
+    assert io.parse_matrix(encoded(a)) == a
+    assert io.parse_base_point(encoded(b)) == b
+
+
+def test_encoder_refuses_unregistered_types():
+    for value in (object(), {1, 2}, 1j, b"bytes", Place):
+        with pytest.raises(TypeError):
+            io.encode(value)
+        with pytest.raises(TypeError):
+            io.dumps({"x": [value]})
+
+
+def test_payloads_lead_with_the_schema_version():
+    sandwich = ResidualSandwich(NormValue.of(3), NormValue.of(Fraction(7, 2)), Fraction(2))
+    assert io.dumps(sandwich) == '{"v": 1, "div_norm": {"exact": "3"}, "upper": {"exact": "7/2"}, "C0": "2"}'
+    assert io.dumps({"n": 1, "q": [Fraction(1, 3)]}) == '{"v": 1, "n": 1, "q": ["1/3"]}'
