@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import NonIntegralAtExtremePoint, NotInRingOfV, ZeroInput
-from .normvalue import NormValue
+from .normvalue import NormValue, pow_bounds
 from .numbers import TRIAL_BOUND, factor, is_prime, small_prime_factor, strip_primes, vp
 
 INF = float("inf")
@@ -199,6 +199,8 @@ class BaseCompact:
             cleaned = []
             seen = set()
             for place, cut in self.cuts:
+                if place is None:
+                    raise ValueError("cut needs a place")
                 if place in seen:
                     raise ValueError("duplicate cut")
                 seen.add(place)
@@ -355,18 +357,10 @@ def _endpoint_bounds(f, ends):
                 raise NotInRingOfV(f"{f} has a pole at the extreme point of {q}")
     lo = hi = _ONE if has_trivial else None
     for p, e in finite_terms:
-        ev = -e * vp(f, p)
-        if ev.denominator == 1:
-            t_lo = t_hi = Fraction(p) ** ev
-        else:
-            t_lo, t_hi = _pow_bounds(Fraction(p), ev)
+        t_lo, t_hi = pow_bounds(Fraction(p), -e * vp(f, p))
         lo, hi = (t_lo, t_hi) if lo is None else (max(lo, t_lo), max(hi, t_hi))
     for e in arch_terms:
-        base = abs(f)
-        if e.denominator == 1:
-            t_lo = t_hi = base ** e
-        else:
-            t_lo, t_hi = _pow_bounds(base, e)
+        t_lo, t_hi = pow_bounds(abs(f), e)
         lo, hi = (t_lo, t_hi) if lo is None else (max(lo, t_lo), max(hi, t_hi))
     for q in extreme:
         t = Fraction(0) if vp(f, q) > 0 else Fraction(1)
@@ -374,13 +368,6 @@ def _endpoint_bounds(f, ends):
     if lo is None:
         raise ValueError("compact has no endpoint terms")
     return lo, hi
-
-
-def _pow_bounds(base: Fraction, e: Fraction):
-    from .normvalue import default_bits, root_bounds
-
-    z = base ** e.numerator
-    return root_bounds(z, e.denominator, default_bits())
 
 
 def base_norm(f, V: BaseCompact) -> NormValue:

@@ -4,7 +4,8 @@ All values travel as JSON; rationals are "p/q" strings.  Exit codes:
 0 success, 1 usage or malformed input, 2 domain error (with an
 {"error": code, "detail": ...} payload on stdout).  `--bits`, or else the
 environment variable ARITHLINE_BITS, sets the interval precision for that
-call only: `main` restores the previous precision when it returns.  A
+call only: `main` runs the call in a copy of the current `contextvars`
+context, so the precision is scoped to the call.  A
 precision that is not an integer of at least MIN_BITS is refused with exit
 1: a usage error for `--bits`, a BadInput payload on stderr for the
 variable.
@@ -26,6 +27,7 @@ exits 1 with nothing on stderr.
 """
 
 import argparse
+import contextvars
 import functools
 import json
 import os
@@ -65,7 +67,7 @@ from .covers_galois import (
     standard_group_tables,
 )
 from .errors import ArithlineError, UnknownSuite
-from .normvalue import MIN_BITS, default_bits, set_default_bits
+from .normvalue import MIN_BITS, set_default_bits
 from .selftest import run_suite
 from .series_ring import (
     compare_annulus_factor,
@@ -114,7 +116,7 @@ FLAG = Kind({"action": "store_true"})
 JSON = Kind({"required": True}, json.loads)
 FRAC = Kind({"required": True}, io.parse_frac)
 PLACE = Kind({"required": True}, io.parse_place)
-PLACES = Kind({"required": True}, _decoded_list(io.parse_place))
+PLACES = Kind({"required": True}, _decoded(io.parse_places))
 POLY = Kind({"required": True}, _decoded(io.parse_poly))
 POLYS = Kind({"required": True}, _decoded_list(io.parse_poly))
 GAUSSES = Kind({"required": True}, _decoded_list(io.parse_gauss))
@@ -451,9 +453,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    previous_bits = default_bits()
     try:
-        code = _run(argv)
+        code = contextvars.copy_context().run(_run, argv)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -461,8 +462,6 @@ def main(argv=None) -> int:
         # at interpreter exit does not fail again, and exit 1 quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    finally:
-        set_default_bits(previous_bits)
 
 
 def _run(argv) -> int:

@@ -10,17 +10,22 @@ The Cartan factorization writes a matrix a close to the identity as
 c^- c^+ with sides living on K0^- and K0^+, by iterating entrywise Cousin
 splits; the products are truncated and certified a posteriori through an
 exactly computed residual.
+
+A side is a compact, and living on it means that every coefficient lies in
+K(V) (``base_space.member_of_kv``): p-integral on K0^- = [a_p^u, a~_p],
+with a power of p as denominator on K0^+, and integral on the archimedean
+K0^+ (its K0^- takes every rational).  Rational and series splits share one
+D-bound certificate, ``_split_cert``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .base_space import BaseCompact, Place, base_norm, norm_bounds_each
+from .base_space import BaseCompact, Place, base_norm, member_of_kv, norm_bounds_each
 from .errors import (
     DeltaNotAchievable,
     EpsilonTooLarge,
-    NegativePowersOnDisk,
     NoConvergence,
     NormTooLarge,
     ToleranceNotReached,
@@ -110,7 +115,13 @@ def split_rational(a, sys: SplitSystem):
     """
     a = Fraction(a)
     minus, plus = _split_coeff(a, sys)
-    return minus, plus, _rational_cert(a, minus, plus, sys)
+    cert = _split_cert(
+        base_norm(a, sys.overlap_compact()),
+        base_norm(minus, sys.minus_compact()),
+        base_norm(plus, sys.plus_compact()),
+        sys.D,
+    )
+    return minus, plus, cert
 
 
 def _split_coeff(a: Fraction, sys: SplitSystem):
@@ -133,19 +144,10 @@ def _split_coeff(a: Fraction, sys: SplitSystem):
     return a + b, Fraction(b)
 
 
-def _rational_cert(a, minus, plus, sys: SplitSystem) -> SplitCert:
-    n_in = base_norm(a, sys.overlap_compact())
-    n_minus = base_norm(minus, sys.minus_compact())
-    n_plus = base_norm(plus, sys.plus_compact())
-    bound = NormValue.of(sys.D) * n_in
-    return SplitCert(
-        norm_input=n_in,
-        norm_minus=n_minus,
-        norm_plus=n_plus,
-        D=sys.D,
-        minus_bound_ok=n_minus.le(bound),
-        plus_bound_ok=n_plus.le(bound),
-    )
+def _split_cert(n_in: NormValue, n_minus: NormValue, n_plus: NormValue, D: Fraction) -> SplitCert:
+    """The verdicts ||a^-||, ||a^+|| <= D ||a|| on the three norms of a split."""
+    bound = NormValue.of(D) * n_in
+    return SplitCert(n_in, n_minus, n_plus, D, n_minus.le(bound), n_plus.le(bound))
 
 
 def split_laurent_sides(f: LaurentPoly):
@@ -163,17 +165,11 @@ def split_series_arith(f: LaurentPoly, sys: SplitSystem):
     (f_minus, f_plus, cert).
     """
     f_minus, f_plus = _split_series(f, sys)
-    n_in = norm_annulus(f, sys.annulus_on(sys.overlap_compact()))
-    n_minus = norm_annulus(f_minus, sys.annulus_on(sys.minus_compact()))
-    n_plus = norm_annulus(f_plus, sys.annulus_on(sys.plus_compact()))
-    bound = NormValue.of(sys.D) * n_in
-    cert = SplitCert(
-        norm_input=n_in,
-        norm_minus=n_minus,
-        norm_plus=n_plus,
-        D=sys.D,
-        minus_bound_ok=n_minus.le(bound),
-        plus_bound_ok=n_plus.le(bound),
+    cert = _split_cert(
+        norm_annulus(f, sys.annulus_on(sys.overlap_compact())),
+        norm_annulus(f_minus, sys.annulus_on(sys.minus_compact())),
+        norm_annulus(f_plus, sys.annulus_on(sys.plus_compact())),
+        sys.D,
     )
     return f_minus, f_plus, cert
 
@@ -309,21 +305,19 @@ class SeriesMatrix:
     def map(self, fn) -> "SeriesMatrix":
         return SeriesMatrix(tuple(tuple(fn(e) for e in row) for row in self.entries))
 
-    def add(self, other) -> "SeriesMatrix":
+    def _entrywise(self, other, op) -> "SeriesMatrix":
         return SeriesMatrix(
             tuple(
-                tuple(series_add(a, b) for a, b in zip(r1, r2))
+                tuple(op(a, b) for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.entries, other.entries)
             )
         )
 
+    def add(self, other) -> "SeriesMatrix":
+        return self._entrywise(other, series_add)
+
     def sub(self, other) -> "SeriesMatrix":
-        return SeriesMatrix(
-            tuple(
-                tuple(series_sub(a, b) for a, b in zip(r1, r2))
-                for r1, r2 in zip(self.entries, other.entries)
-            )
-        )
+        return self._entrywise(other, series_sub)
 
     def mul(self, other) -> "SeriesMatrix":
         if self.cols != other.rows:
@@ -345,26 +339,19 @@ class SeriesMatrix:
     def prune(self, ctx: AnnulusSpec, tol: Fraction) -> "SeriesMatrix":
         """Drop monomials whose certified norm contribution is below tol.
 
-        The contribution of c T^k is ||c||_V.hi w_k with the weight w_k =
-        t^k for k >= 0 and s^k for k < 0 (as in ``norm_annulus``), kept as
-        an integer pair; hi w_k > tol is decided by cross-multiplication.
+        The contribution of c T^k is ||c||_V.hi w_k with the integer-pair
+        weight w_k of ``AnnulusSpec.weights``; hi w_k > tol is decided by
+        cross-multiplication.
         """
-        sn, sd = ctx.s.numerator, ctx.s.denominator
-        tn, td = ctx.t.numerator, ctx.t.denominator
         tol_n, tol_d = tol.numerator, tol.denominator
 
         def prune_entry(e: LaurentPoly) -> LaurentPoly:
-            kept = {}
             bounds = norm_bounds_each(e.coeffs.values(), ctx.V)
-            for (k, c), (_, hi) in zip(e.coeffs.items(), bounds):
-                if k >= 0:
-                    wn, wd = tn ** k, td ** k
-                elif sn == 0:
-                    raise NegativePowersOnDisk("negative index on a disk (s = 0)")
-                else:
-                    wn, wd = sd ** -k, sn ** -k
-                if hi.numerator * wn * tol_d > tol_n * hi.denominator * wd:
-                    kept[k] = c
+            kept = {
+                k: c
+                for (k, c), (_, hi), (wn, wd) in zip(e.coeffs.items(), bounds, ctx.weights(e.coeffs))
+                if hi.numerator * wn * tol_d > tol_n * hi.denominator * wd
+            }
             return LaurentPoly._raw(kept, e.trunc_mod)
 
         return self.map(prune_entry)
@@ -390,11 +377,11 @@ def neumann_inverse(a: SeriesMatrix, ctx: AnnulusSpec, m: int) -> SeriesMatrix:
         raise NormTooLarge(f"||a - I|| = {gap} not certified <= 1/2")
     if n.is_zero():
         return SeriesMatrix.identity(a.rows)
-    indices = [k for row in n.entries for e in row for k in e.coeffs]
+    indices = _indices(n)
     if all(k > 0 for k in indices):
-        b = _neumann_sum(n, lambda mat: _window_min(mat) >= m)
+        b = _neumann_sum(n, lambda mat: all(k >= m for k in _indices(mat)))
     elif all(k < 0 for k in indices):
-        b = _neumann_sum(n, lambda mat: _window_max(mat) <= -m)
+        b = _neumann_sum(n, lambda mat: all(k <= -m for k in _indices(mat)))
     else:
         b = _neumann_sum(n, SeriesMatrix.is_zero, cap=4 * m + 8 * a.rows)
     nb = matrix_norm(b, ctx)
@@ -419,22 +406,14 @@ def _neumann_sum(n: SeriesMatrix, done, cap=10000) -> SeriesMatrix:
     return acc
 
 
-def _window_min(mat: SeriesMatrix) -> int:
-    vals = [e.min_index() for row in mat.entries for e in row if e]
-    return min(vals) if vals else 10 ** 9
-
-
-def _window_max(mat: SeriesMatrix) -> int:
-    vals = [e.max_index() for row in mat.entries for e in row if e]
-    return max(vals) if vals else -(10 ** 9)
+def _indices(mat: SeriesMatrix) -> list:
+    """The indices of all stored monomials of mat's entries."""
+    return [k for row in mat.entries for e in row for k in e.coeffs]
 
 
 def _is_identity_in_window(prod: SeriesMatrix, m: int) -> bool:
-    ident = SeriesMatrix.identity(prod.rows)
-    diff = prod.sub(ident)
-    return all(
-        k >= m or k <= -m for row in diff.entries for e in row for k in e.coeffs
-    )
+    diff = prod.sub(SeriesMatrix.identity(prod.rows))
+    return all(k >= m or k <= -m for k in _indices(diff))
 
 
 @dataclass(frozen=True)
@@ -514,7 +493,7 @@ def cartan_factorize(a: SeriesMatrix, sys: SplitSystem, max_iter: int, tol):
     gap_minus = matrix_norm(c_minus.sub(ident), ctx_minus)
     gap_plus = matrix_norm(c_plus.sub(ident), ctx_plus)
     bound_ok = gap_minus.le(bound) and gap_plus.le(bound)
-    sides_ok = _minus_side_ok(c_minus, sys) and _plus_side_ok(c_plus, sys)
+    sides_ok = _on_side(c_minus, ctx_minus.V) and _on_side(c_plus, ctx_plus.V)
     M = norms[0]
     decay_ok = all(nk <= M * beta ** k for k, nk in enumerate(norms))
     return CartanResult(
@@ -536,10 +515,9 @@ def _one_sided_result(a, b0, norm_b0, sys, ctx_minus, ctx_plus):
     if b0.is_zero():
         return CartanResult(ident, ident, NormValue.of(0), 0, True, True, True, (Fraction(0),))
     for minus in (True, False):
-        side_ok = _minus_side_ok(b0, sys) if minus else _plus_side_ok(b0, sys)
-        if not side_ok:
-            continue
         ctx_side = ctx_minus if minus else ctx_plus
+        if not _on_side(b0, ctx_side.V):
+            continue
         gap = matrix_norm(b0, ctx_side)
         if not gap.le(Fraction(1, 2)):
             continue  # Neumann invertibility not certified on that side
@@ -597,35 +575,6 @@ def _approx_inverse(
     return acc
 
 
-def _minus_side_ok(mat: SeriesMatrix, sys: SplitSystem) -> bool:
-    """Minus-side membership: every coefficient is integral at the place."""
-    if not sys.place.is_finite:
-        return True
-    p = sys.place.prime
-    return all(
-        vp(c, p) >= 0
-        for row in mat.entries
-        for e in row
-        for c in e.coeffs.values()
-    )
-
-
-def _plus_side_ok(mat: SeriesMatrix, sys: SplitSystem) -> bool:
-    """Plus-side membership: denominators are powers of the place's prime."""
-    if not sys.place.is_finite:
-        return all(
-            c.denominator == 1
-            for row in mat.entries
-            for e in row
-            for c in e.coeffs.values()
-        )
-    p = sys.place.prime
-    for row in mat.entries:
-        for e in row:
-            for c in e.coeffs.values():
-                d = c.denominator
-                while d % p == 0:
-                    d //= p
-                if d != 1:
-                    return False
-    return True
+def _on_side(mat: SeriesMatrix, V: BaseCompact) -> bool:
+    """Side membership: every coefficient of mat lies in K(V)."""
+    return all(member_of_kv(c, V) for row in mat.entries for e in row for c in e.coeffs.values())

@@ -21,7 +21,7 @@ from .errors import (
     PDividesN,
     PrecisionInsufficient,
 )
-from .normvalue import root_bounds, default_bits
+from .normvalue import default_bits, pow_bounds
 from .numbers import is_prime, lcm_list, prime_divisors, vp
 from .padic import PadicApprox
 from .series_ring import LaurentPoly, series_add, series_mul, series_scale, series_sub
@@ -108,6 +108,13 @@ def _series_pow(g: LaurentPoly, n: int) -> LaurentPoly:
         square = series_mul(square, square)
 
 
+def _is_root_of_one_plus_z(g: LaurentPoly, n: int, m: int) -> bool:
+    """g**n == 1 + Z mod Z^m, formed as 1 * g**n with 1 known mod Z^m, so the
+    power carries modulus m unless g is known to a lower one."""
+    power = series_mul(LaurentPoly.one(m), _series_pow(g, n))
+    return power == LaurentPoly({0: 1, 1: 1} if m > 1 else {0: 1}, m)
+
+
 def binomial_root_series(n: int, m: int, p: Optional[int] = None):
     """The truncated n-th root of 1 + Z, with its exactness certificate.
 
@@ -118,10 +125,7 @@ def binomial_root_series(n: int, m: int, p: Optional[int] = None):
     if n < 1 or m < 1:
         raise ValueError("need n >= 1, m >= 1")
     g = binomial_coefficient_series(n, m)
-    # g has constant term 1 and modulus m, so every product is exact mod Z^m
-    power = _series_pow(g, n)
-    target = LaurentPoly({0: 1, 1: 1} if m > 1 else {0: 1}, m)
-    ok = power == target
+    ok = _is_root_of_one_plus_z(g, n, m)
     if p is None:
         return g, BinomialReport(n=n, order=m, power_identity_ok=ok)
     if n % p == 0:
@@ -160,19 +164,17 @@ class CoverDescriptor:
             for q in prime_divisors(self.n)
         ):
             raise BadDescriptor("zeta is not primitive mod p")
-        # 1 * g**n, so the product carries the modulus of n successive products
-        power = series_mul(LaurentPoly.one(self.m), _series_pow(self.g, self.n))
-        target = LaurentPoly({0: 1, 1: 1} if self.m > 1 else {0: 1}, self.m)
-        if power != target:
+        if not _is_root_of_one_plus_z(self.g, self.n, self.m):
             raise BadDescriptor("g**n != 1 + Z mod Z^m")
 
     @classmethod
     def build(cls, n: int, p: int, m: int, N: int) -> "CoverDescriptor":
+        """The descriptor with the binomial root series g; g**n is certified
+        once, by the constructor."""
         zeta = primitive_root_of_unity(n, p, N)
-        g, report = binomial_root_series(n, m, None if n % p == 0 else p)
-        if not report.power_identity_ok:
-            raise BadDescriptor("binomial certificate failed")
-        return cls(n=n, p=p, zeta=zeta, m=m, g=g)
+        if m < 1:
+            raise ValueError("need n >= 1, m >= 1")
+        return cls(n=n, p=p, zeta=zeta, m=m, g=binomial_coefficient_series(n, m))
 
 
 @dataclass(frozen=True)
@@ -275,10 +277,7 @@ def _radius_witness(root: LaurentPoly, place) -> Fraction:
             inv_abs = Fraction(place.prime) ** v  # |a_i|^-1 exactly
         else:
             inv_abs = 1 / abs(c)
-        if i == 1:
-            bound = inv_abs
-        else:
-            bound = root_bounds(inv_abs, i, default_bits())[0]
+        bound = pow_bounds(inv_abs, Fraction(1, i))[0]
         if bound == 0:
             # keep the witness positive: round down to a tiny dyadic instead
             bound = Fraction(1, 2 ** default_bits())
@@ -367,6 +366,8 @@ def group_cover_data(G: GroupTable, i: int) -> CoverGlueData:
     permutation with sigma(u*n_i + v) = index of g_{reps[u]} * g_i^(v-1).
     """
     n = G.n
+    if not 1 <= i <= n:
+        raise ValueError(f"element index {i} outside [1, {n}]")
     n_i = G.order_of(i)
     if n % n_i != 0:
         raise ValueError("order does not divide group order")  # impossible

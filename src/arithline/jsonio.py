@@ -19,7 +19,7 @@ from .affine_line import LinePoint, TrivClosed, TrivOuter, UmDisk
 from .base_space import INF, BaseCompact, BasePoint, Place, RingLabel, is_inf
 from .cousin_cartan import SeriesMatrix
 from .covers_galois import GroupTable
-from .normvalue import NormValue, default_bits
+from .normvalue import NormValue
 from .polys import Gauss, poly
 from .series_ring import AnnulusSpec, LaurentPoly
 
@@ -75,7 +75,7 @@ def dyadic_decimal(q: Fraction) -> str:
 def norm_value_json(nv: NormValue) -> dict:
     if nv.is_exact:
         return {"exact": frac_str(nv.exact)}
-    nv = nv.rounded(default_bits())
+    nv = nv.rounded()
     return {"lo": dyadic_decimal(nv.lo), "hi": dyadic_decimal(nv.hi)}
 
 
@@ -91,6 +91,14 @@ def parse_place(v):
     if v == "inf":
         return Place.infinite()
     return Place.finite(int(v))
+
+
+def parse_places(lst) -> list:
+    """A list of places; unlike the place of a base point, none is null."""
+    places = [parse_place(v) for v in lst]
+    if None in places:
+        raise ValueError("a place is \"inf\" or a prime, not null")
+    return places
 
 
 @encode.register(BasePoint)
@@ -191,6 +199,8 @@ def laurent_json(f: LaurentPoly) -> dict:
 def parse_laurent(d) -> LaurentPoly:
     if isinstance(d, list):
         return LaurentPoly.from_poly(parse_poly(d))
+    if not isinstance(d["coeffs"], dict):
+        raise ValueError("coeffs must be an object {index: rational}")
     coeffs = {int(k): parse_frac(c) for k, c in d["coeffs"].items()}
     return LaurentPoly(coeffs, d.get("mod"))
 
@@ -231,6 +241,8 @@ def parse_group_table(d) -> GroupTable:
 
 def parse_gauss(v) -> Gauss:
     if isinstance(v, (list, tuple)):
+        if len(v) != 2:
+            raise ValueError("a Gaussian rational is a rational or a pair [re, im]")
         return Gauss(parse_frac(v[0]), parse_frac(v[1]))
     return Gauss(parse_frac(v))
 

@@ -5,8 +5,14 @@ A ``NormValue`` is either an exact nonnegative rational or a closed interval
 endpoints come from outward rounding at a configurable binary precision
 (default 128 bits); sums, products, maxima and rational powers all preserve
 the enclosure, so any comparison certified through ``le``/``lt`` is sound.
+
+The precision is a context variable: ``set_default_bits`` changes it for the
+current thread (or the ``contextvars`` context a caller runs in) only.
+``pow_bounds`` is the one rule for x ** e at a rational exponent: exact for
+integer e, outward at that precision otherwise.
 """
 
+import contextvars
 from fractions import Fraction
 
 from .numbers import iroot, rational_root
@@ -14,18 +20,17 @@ from .numbers import iroot, rational_root
 DEFAULT_BITS = 128
 MIN_BITS = 8
 
-_bits = DEFAULT_BITS
+_bits = contextvars.ContextVar("arithline_bits", default=DEFAULT_BITS)
 
 
 def default_bits() -> int:
-    return _bits
+    return _bits.get()
 
 
 def set_default_bits(bits: int) -> None:
-    global _bits
     if bits < MIN_BITS:
         raise ValueError(f"precision below {MIN_BITS} bits is not supported")
-    _bits = bits
+    _bits.set(bits)
 
 
 def round_down(x: Fraction, bits: int) -> Fraction:
@@ -132,10 +137,9 @@ class NormValue:
             return NormValue.of(min(self.exact, other.exact))
         return NormValue(min(self.lo, other.lo), min(self.hi, other.hi))
 
-    def pow_rational(self, e, bits=None) -> "NormValue":
+    def pow_rational(self, e) -> "NormValue":
         """self ** e for rational e, exact whenever representable."""
         e = Fraction(e)
-        bits = bits or _bits
         if e == 0:
             return NormValue.of(1)
         if self.is_exact:
@@ -149,25 +153,21 @@ class NormValue:
             root = rational_root(q, e.denominator)
             if root is not None:
                 return NormValue.of(root ** e.numerator)
-            z = q ** e.numerator
-            lo, hi = root_bounds(z, e.denominator, bits)
-            return NormValue(lo, hi)
+            return NormValue(*pow_bounds(q, e))
         if e > 0:
-            return NormValue(
-                _pow_lo(self.lo, e, bits), _pow_hi(self.hi, e, bits)
-            )
+            return NormValue(pow_bounds(self.lo, e)[0], pow_bounds(self.hi, e)[1])
         if self.lo == 0:
             raise ZeroDivisionError("negative power of interval touching 0")
-        return NormValue(_pow_lo(self.hi, e, bits), _pow_hi(self.lo, e, bits))
+        return NormValue(pow_bounds(self.hi, e)[0], pow_bounds(self.lo, e)[1])
 
-    def reciprocal(self, bits=None) -> "NormValue":
-        return self.pow_rational(-1, bits)
+    def reciprocal(self) -> "NormValue":
+        return self.pow_rational(-1)
 
-    def rounded(self, bits=None) -> "NormValue":
-        """Outward-round endpoints to dyadics at the given precision."""
-        bits = bits or _bits
+    def rounded(self) -> "NormValue":
+        """Outward-round endpoints to dyadics at the current precision."""
         if self.is_exact:
             return self
+        bits = _bits.get()
         return NormValue(round_down(self.lo, bits), round_up(self.hi, bits))
 
     # -- certified comparisons ---------------------------------------------
@@ -189,22 +189,18 @@ class NormValue:
         return self.lo <= other.hi and other.lo <= self.hi
 
 
-def _pow_lo(x: Fraction, e: Fraction, bits: int) -> Fraction:
+def pow_bounds(x: Fraction, e: Fraction):
+    """(lo, hi) with lo <= x ** e <= hi for rational x >= 0 and e.
+
+    Both are x ** e when e is an integer; otherwise they are dyadics, outward
+    at the current precision.  0 ** e is taken as 0 for every e.
+    """
     if x == 0:
-        return Fraction(0)
+        return Fraction(0), Fraction(0)
     z = x ** e.numerator
     if e.denominator == 1:
-        return z
-    return root_bounds(z, e.denominator, bits)[0]
-
-
-def _pow_hi(x: Fraction, e: Fraction, bits: int) -> Fraction:
-    if x == 0:
-        return Fraction(0)
-    z = x ** e.numerator
-    if e.denominator == 1:
-        return z
-    return root_bounds(z, e.denominator, bits)[1]
+        return z, z
+    return root_bounds(z, e.denominator, _bits.get())
 
 
 def _coerce(v) -> NormValue:

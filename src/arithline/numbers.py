@@ -157,24 +157,12 @@ def vp(q, p: int) -> int:
     return vp_int(q.numerator, p) - vp_int(q.denominator, p)
 
 
-def egcd(a: int, b: int):
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
-
-
 def invmod(a: int, m: int) -> int:
-    g, x, _ = egcd(a % m, m)
-    if g != 1:
-        raise ValueError(f"{a} not invertible mod {m}")
-    return x % m
+    """The inverse of a modulo m >= 1, in [0, m)."""
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise ValueError(f"{a} not invertible mod {m}") from None
 
 
 def iroot(n: int, k: int) -> int:

@@ -1,7 +1,8 @@
 """Dense univariate polynomials over Q and over F_p, plus Gaussian rationals.
 
 Polynomials are tuples of Fractions (or ints mod p) in ascending degree with
-no trailing zeros; the zero polynomial is the empty tuple.
+no trailing zeros; the zero polynomial is the empty tuple.  ``fp_poly``,
+``fp_add`` and ``fp_mul`` never invert, so the Hensel lifts use them mod p^N.
 """
 
 from fractions import Fraction
@@ -244,24 +245,6 @@ def fp_irreducible(f, p) -> bool:
 # -- Hensel lifting of coprime factorizations -------------------------------
 
 
-def _zp_poly(coeffs, m):
-    out = [c % m for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _zp_mul(f, g, m):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % m
-    return _zp_poly(out, m)
-
-
 def hensel_pair_lift(f, g, h, p, N):
     """Lift f = g*h (mod p), g,h monic coprime mod p, to the same shape mod p^N.
 
@@ -280,7 +263,7 @@ def hensel_pair_lift(f, g, h, p, N):
     h_cur = [int(c) for c in h]
     for k in range(1, N):
         mod = p ** (k + 1)
-        prod = _zp_mul(tuple(g_cur), tuple(h_cur), mod)
+        prod = fp_mul(tuple(g_cur), tuple(h_cur), mod)
         diff = [(a - b) % mod for a, b in _zip_pad(f, prod)]
         if all(c % p ** (k + 1) == 0 for c in diff):
             continue
@@ -294,7 +277,7 @@ def hensel_pair_lift(f, g, h, p, N):
         g_cur = [(a + p ** k * b) % mod for a, b in _zip_pad(g_cur, dg)]
         h_cur = [(a + p ** k * b) % mod for a, b in _zip_pad(h_cur, dh)]
     modN = p ** N
-    return _zp_poly(g_cur, modN), _zp_poly(h_cur, modN)
+    return fp_poly(g_cur, modN), fp_poly(h_cur, modN)
 
 
 def _zip_pad(f, g):
@@ -326,7 +309,7 @@ def hensel_multi_lift(f, factors, p, N):
     if prod != fp_reduce(poly(fint), p):
         raise ProductMismatch("seed factors do not multiply to G mod p")
     if len(factors) == 1:
-        return [_zp_poly(fint, p ** N)]
+        return [fp_poly(fint, p ** N)]
     rest = (1,)
     for fac in factors[1:]:
         rest = fp_mul(rest, fp_poly(fac, p), p)

@@ -3,16 +3,17 @@
 The weighted norm of sum a_k T^k on the annulus s <= |T| <= t over a compact
 V is sum ||a_k||_V * max(s^k, t^k); over an ultrametric V the uniform
 (spectral) norm replaces the sum by a max and is attained on the finite
-Shilov boundary.
+Shilov boundary.  The radius weights max(s^k, t^k) come from one place,
+``AnnulusSpec.weights``, as integer pairs: every norm and the pruning of
+``cousin_cartan.SeriesMatrix`` read them there.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Optional
 
-from .base_space import BaseCompact, member_of_kv
+from .base_space import BaseCompact, member_of_kv, norm_bounds_each, shilov_base
 from .affine_line import LinePoint
 from .errors import (
     ArchimedeanBase,
@@ -292,16 +293,23 @@ class AnnulusSpec:
         if not (0 <= self.s <= self.t):
             raise ValueError("need 0 <= s <= t")
 
-    def radius_weight(self, k: int) -> Fraction:
-        """max(s^k, t^k); requires s > 0 when k < 0."""
-        if k < 0 and self.s == 0:
-            raise NegativePowersOnDisk("negative index on a disk (s = 0)")
-        return _weight(self.s, self.t, k)
+    def weights(self, ks) -> list:
+        """The weights max(s^k, t^k) of the indices ks as integer pairs (n, d).
 
-
-@lru_cache(maxsize=65536)
-def _weight(s: Fraction, t: Fraction, k: int) -> Fraction:
-    return max(s ** k, t ** k)
+        As 0 <= s <= t the weight is t^k for k >= 0 and s^k for k < 0, which
+        needs s > 0.  Each pair is in lowest terms, with d > 0.
+        """
+        sn, sd = self.s.numerator, self.s.denominator
+        tn, td = self.t.numerator, self.t.denominator
+        out = []
+        for k in ks:
+            if k >= 0:
+                out.append((tn ** k, td ** k))
+            elif sn == 0:
+                raise NegativePowersOnDisk("negative index on a disk (s = 0)")
+            else:
+                out.append((sd ** -k, sn ** -k))
+        return out
 
 
 def is_archimedean_compact(V: BaseCompact) -> bool:
@@ -333,21 +341,15 @@ def _sum_ratios(terms) -> Fraction:
 def norm_annulus(f: LaurentPoly, A: AnnulusSpec) -> NormValue:
     """The weighted norm  sum_k ||a_k||_V max(s^k, t^k).
 
-    As 0 <= s <= t, the weight is t^k for k >= 0 and s^k for k < 0 (s > 0
-    there, by _check_support); it is kept as an integer pair and the terms
+    The weights are integer pairs (``AnnulusSpec.weights``) and the terms
     are summed over a common denominator, one Fraction per bound.  When
     every coefficient norm is exact the two bounds are one sum.
     """
-    from .base_space import norm_bounds_each
-
     _check_support(f, A)
-    sn, sd = A.s.numerator, A.s.denominator
-    tn, td = A.t.numerator, A.t.denominator
     bounds = norm_bounds_each(f.coeffs.values(), A.V)
     exact = all(c_lo is c_hi or c_lo == c_hi for c_lo, c_hi in bounds)
     lo_terms, hi_terms = [], []
-    for k, (c_lo, c_hi) in zip(f.coeffs, bounds):
-        wn, wd = (tn ** k, td ** k) if k >= 0 else (sd ** -k, sn ** -k)
+    for (wn, wd), (c_lo, c_hi) in zip(A.weights(f.coeffs), bounds):
         lo_terms.append((c_lo.numerator * wn, c_lo.denominator * wd))
         if not exact:
             hi_terms.append((c_hi.numerator * wn, c_hi.denominator * wd))
@@ -369,8 +371,6 @@ def uniform_norm_annulus(
     lower bound for the true sup; pass ``archimedean_upper_bound=True`` to
     get the sum norm back as a certified upper bound instead of an error.
     """
-    from .base_space import norm_bounds_each
-
     if is_archimedean_compact(A.V):
         if archimedean_upper_bound:
             return norm_annulus(f, A)
@@ -378,8 +378,8 @@ def uniform_norm_annulus(
     _check_support(f, A)
     lo = hi = Fraction(0)
     bounds = norm_bounds_each(f.coeffs.values(), A.V)
-    for k, (c_lo, c_hi) in zip(f.coeffs, bounds):
-        w = A.radius_weight(k)
+    for (wn, wd), (c_lo, c_hi) in zip(A.weights(f.coeffs), bounds):
+        w = Fraction(wn, wd)
         lo = max(lo, c_lo * w)
         hi = max(hi, c_hi * w)
     if lo == hi:
@@ -446,8 +446,6 @@ def shilov_annulus(A: AnnulusSpec) -> list:
     """Shilov boundary of the relative annulus over an ultrametric compact."""
     if is_archimedean_compact(A.V):
         raise ArchimedeanBase("Shilov description needs an ultrametric base")
-    from .base_space import shilov_base
-
     radii = sorted({r for r in (A.s, A.t) if r > 0})
     if not radii:
         radii = [Fraction(0)]

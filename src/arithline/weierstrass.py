@@ -41,11 +41,13 @@ from .errors import (
     ValuationUndefined,
 )
 from .normvalue import NormValue, nv_max, nv_sum
-from .numbers import lcm_list, vp
+from .numbers import invmod, lcm_list, vp, vp_int
 from .padic import PadicApprox
 from .polys import (
     Gauss,
     deg,
+    fp_gcd,
+    fp_mul,
     fp_poly,
     hensel_multi_lift,
     is_monic,
@@ -389,10 +391,8 @@ def hensel_lift_root(P, f0, target: int, ctx: Optional[AnnulusSpec] = None):
     raise TypeError("f0 must be a PadicApprox or a LaurentPoly")
 
 
-def _eval_int_mod(P, x: int, p: int, mod: int) -> int:
-    """P(x) mod ``mod`` for a poly with p-integral rational coefficients."""
-    from .numbers import invmod
-
+def _eval_int_mod(P, x: int, mod: int) -> int:
+    """P(x) mod ``mod`` (a power of p) for a poly with p-integral rational coefficients."""
     acc = 0
     for c in reversed(P):
         c = Fraction(c)
@@ -404,14 +404,10 @@ def _eval_int_mod(P, x: int, p: int, mod: int) -> int:
 def _val_mod(n: int, p: int, cap: int) -> int:
     if n == 0:
         return cap
-    from .numbers import vp_int
-
     return min(vp_int(n, p), cap)
 
 
 def _hensel_padic(P, f0: PadicApprox, N: int):
-    from .numbers import invmod
-
     p = f0.p
     Pq = poly(P)
     for c in Pq:
@@ -419,14 +415,14 @@ def _hensel_padic(P, f0: PadicApprox, N: int):
             raise ValueError(f"coefficient {c} is not {p}-integral")
     dP = pderiv(Pq)
     df_cap = f0.N + 4
-    v_df = _val_mod(_eval_int_mod(dP, f0.residue, p, p ** df_cap), p, df_cap)
+    v_df = _val_mod(_eval_int_mod(dP, f0.residue, p ** df_cap), p, df_cap)
     if v_df >= df_cap:
         raise NotSimpleRoot("P'(f0) vanishes at the seed precision")
     steps_cap = N.bit_length() + 8
     internal = N + v_df * (steps_cap + 2) + 4
     mod = p ** internal
     x = f0.residue
-    v_f = _val_mod(_eval_int_mod(Pq, x, p, mod), p, internal)
+    v_f = _val_mod(_eval_int_mod(Pq, x, mod), p, internal)
     if not v_f > 2 * v_df:
         raise NotSimpleRoot(
             f"need v(P(f0)) > 2 v(P'(f0)); got {v_f} vs 2*{v_df}"
@@ -435,14 +431,14 @@ def _hensel_padic(P, f0: PadicApprox, N: int):
     for _ in range(steps_cap):
         if gauges[-1] >= N:
             break
-        fx = _eval_int_mod(Pq, x, p, mod)
-        dfx = _eval_int_mod(dP, x, p, mod)
+        fx = _eval_int_mod(Pq, x, mod)
+        dfx = _eval_int_mod(dP, x, mod)
         if _val_mod(dfx, p, internal) != v_df:
             raise NotSimpleRoot("derivative valuation drifted during lifting")
         unit = dfx // p ** v_df
         delta = fx // p ** v_df * invmod(unit, mod) % mod
         x = (x - delta) % mod
-        gauges.append(_val_mod(_eval_int_mod(Pq, x, p, mod), p, internal))
+        gauges.append(_val_mod(_eval_int_mod(Pq, x, mod), p, internal))
     if gauges[-1] < N:
         raise NoConvergence("residual valuation did not reach the target")
     return PadicApprox(p, N, x), HenselReport(tuple(gauges))
@@ -535,21 +531,14 @@ def hensel_factor_lift(G, factors, p: int, N: int):
             raise NotMonic("seed factors must be monic mod p")
     for i in range(len(seeds)):
         for j in range(i + 1, len(seeds)):
-            from .polys import fp_gcd
-
             if deg(fp_gcd(seeds[i], seeds[j], p)) > 0:
                 raise NotCoprime(f"factors {i} and {j} share a root mod p")
     lifted = hensel_multi_lift(Gint, seeds, p, N)
     modN = p ** N
     prod = (1,)
-    from .polys import _zp_mul
-
     for f in lifted:
-        prod = _zp_mul(prod, f, modN)
-    target = tuple(c % modN for c in Gint)
-    while target and target[-1] == 0:
-        target = target[:-1]
-    if prod != target:
+        prod = fp_mul(prod, f, modN)
+    if prod != fp_poly(Gint, modN):
         raise ProductMismatch("lifted product does not match G mod p^N")
     return lifted
 

@@ -220,7 +220,7 @@ def prune_per_coefficient(mat, ctx, tol):
     def prune_entry(e):
         kept = {}
         for k, c in e.coeffs.items():
-            if norm_bounds(c, ctx.V)[1] * ctx.radius_weight(k) > tol:
+            if norm_bounds(c, ctx.V)[1] * radius_weight(ctx, k) > tol:
                 kept[k] = c
         return LaurentPoly._raw(kept, e.trunc_mod)
 
@@ -278,3 +278,98 @@ def cover_power_by_loop(g, n, m):
     for _ in range(n):
         power = series_mul(power, g)
     return power
+
+
+# -- second copies of rules the library now writes once ----------------------
+# Each function below is the code the library deleted when it folded the rule
+# into its one remaining form: AnnulusSpec.weights, cousin_cartan._on_side,
+# normvalue.pow_bounds, numbers.invmod and CoverDescriptor.build.
+
+
+def radius_weight(A, k):
+    """max(s^k, t^k) for the annulus A; requires s > 0 when k < 0."""
+    from arithline.errors import NegativePowersOnDisk
+
+    if k < 0 and A.s == 0:
+        raise NegativePowersOnDisk("negative index on a disk (s = 0)")
+    return max(A.s ** k, A.t ** k)
+
+
+def minus_side_ok(mat, sys):
+    """Minus-side membership: every coefficient is integral at the place."""
+    from arithline.numbers import vp
+
+    if not sys.place.is_finite:
+        return True
+    p = sys.place.prime
+    return all(vp(c, p) >= 0 for row in mat.entries for e in row for c in e.coeffs.values())
+
+
+def plus_side_ok(mat, sys):
+    """Plus-side membership: denominators are powers of the place's prime."""
+    coeffs = [c for row in mat.entries for e in row for c in e.coeffs.values()]
+    if not sys.place.is_finite:
+        return all(c.denominator == 1 for c in coeffs)
+    p = sys.place.prime
+    for c in coeffs:
+        d = c.denominator
+        while d % p == 0:
+            d //= p
+        if d != 1:
+            return False
+    return True
+
+
+def pow_lo(x, e, bits):
+    from arithline.normvalue import root_bounds
+
+    if x == 0:
+        return Fraction(0)
+    z = x ** e.numerator
+    if e.denominator == 1:
+        return z
+    return root_bounds(z, e.denominator, bits)[0]
+
+
+def pow_hi(x, e, bits):
+    from arithline.normvalue import root_bounds
+
+    if x == 0:
+        return Fraction(0)
+    z = x ** e.numerator
+    if e.denominator == 1:
+        return z
+    return root_bounds(z, e.denominator, bits)[1]
+
+
+def egcd(a, b):
+    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    return old_r, old_x, old_y
+
+
+def invmod_egcd(a, m):
+    g, x, _ = egcd(a % m, m)
+    if g != 1:
+        raise ValueError(f"{a} not invertible mod {m}")
+    return x % m
+
+
+def cover_build_certified_twice(n, p, m, N):
+    """CoverDescriptor.build as it was: g from binomial_root_series, with its
+    g**n certificate, then the constructor's own check of g**n."""
+    from arithline.covers_galois import CoverDescriptor, binomial_root_series, primitive_root_of_unity
+    from arithline.errors import BadDescriptor
+
+    zeta = primitive_root_of_unity(n, p, N)
+    g, report = binomial_root_series(n, m, None if n % p == 0 else p)
+    if not report.power_identity_ok:
+        raise BadDescriptor("binomial certificate failed")
+    return CoverDescriptor(n=n, p=p, zeta=zeta, m=m, g=g)

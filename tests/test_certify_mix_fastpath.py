@@ -34,6 +34,7 @@ from oracles import (
     invert_unit_triangular,
     naive_factor,
     prune_per_coefficient,
+    radius_weight,
     split_matrix_direct,
     split_rational_direct,
 )
@@ -224,7 +225,7 @@ def prune_inputs(draw):
     if coeffs and draw(st.booleans()):  # tol at a coefficient's exact contribution
         k, c = draw(st.sampled_from(coeffs))
         try:
-            tol = norm_bounds(c, ctx.V)[1] * ctx.radius_weight(k)
+            tol = norm_bounds(c, ctx.V)[1] * radius_weight(ctx, k)
         except ArithlineError:
             tol = F(1)
     else:

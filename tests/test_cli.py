@@ -125,6 +125,35 @@ def test_malformed_input_exit_code(capsys):
     assert code == 1
 
 
+A21 = '{"V": {"kind": "segment", "place": 2, "u": "1", "v": "1"}, "s": "1/2", "t": "2"}'
+SQRT_P = '[{"coeffs": {"0": "-1", "1": "-1"}, "mod": null}, {"coeffs": {}, "mod": null}, {"coeffs": {"0": "1"}, "mod": null}]'
+ONE = '{"coeffs": {"0": "1"}, "mod": null}'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["split-sides", "--f", '{"coeffs": []}'],
+        ["norm-annulus", "--f", '{"coeffs": []}', "--A", A21],
+        ["matrix-norm", "--a", '[[{"coeffs": []}]]', "--A", A21],
+        ["eisenstein", "--P", SQRT_P, "--f0", '{"coeffs": []}', "--m", "5", "--places", '["inf"]'],
+        ["lagrange-bound", "--f", '["0","1"]', "--g", '["-1","0","1"]', "--roots", "[[]]", "--r", "1", "--place", "inf"],
+        ["lagrange-bound", "--f", '["0","1"]', "--g", '["-1","0","1"]', "--roots", '[["1"]]', "--r", "1", "--place", "inf"],
+        ["eisenstein", "--P", SQRT_P, "--f0", ONE, "--m", "5", "--places", "[null]"],
+        ["group-data", "--table", '[["1"]]', "--i", "2"],
+        ["group-data", "--table", "standard", "--name", "S3", "--i", "0"],
+        ["base-norm", "--f", "1", "--V", '{"kind": "star", "cuts": [{"place": null, "v": "1"}]}'],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_malformed_shape_is_bad_input(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.err)["error"] == "BadInput"
+
+
 def test_bits_override(capsys, monkeypatch):
     from arithline.normvalue import set_default_bits
 

@@ -231,3 +231,32 @@ def test_descriptor_accepts_what_the_product_loop_accepted(inputs):
     assert accepted == (old == target)
     if m >= 1:  # the same power, modulus included (for m <= 0 both are 0)
         assert series_mul(LaurentPoly.one(m), _series_pow(g, n)) == old
+
+
+@pytest.mark.parametrize("n, p, m, N", [(4, 5, 178, 8), (2, 3, 10, 4), (3, 7, 20, 6), (1, 2, 5, 3)])
+def test_build_certifies_g_power_once(n, p, m, N, monkeypatch):
+    import arithline.covers_galois as cg
+    from arithline import jsonio
+
+    from oracles import cover_build_certified_twice
+
+    calls = []
+
+    def counting(g, k):
+        calls.append(k)
+        return _series_pow(g, k)
+
+    monkeypatch.setattr(cg, "_series_pow", counting)
+    desc = CoverDescriptor.build(n, p, m, N)
+    assert calls == [n]
+    monkeypatch.undo()
+    assert jsonio.dumps(desc) == jsonio.dumps(cover_build_certified_twice(n, p, m, N))
+
+
+def test_build_refusals_keep_their_order():
+    with pytest.raises(ValueError, match="need n >= 1, N >= 1"):
+        CoverDescriptor.build(0, 5, 0, 3)
+    with pytest.raises(CongruenceFails):
+        CoverDescriptor.build(3, 5, 0, 3)
+    with pytest.raises(ValueError, match="need n >= 1, m >= 1"):
+        CoverDescriptor.build(2, 5, 0, 3)

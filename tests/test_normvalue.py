@@ -112,3 +112,29 @@ def test_long_interval_chains_stay_sound():
         true_hi += w * nv.hi
     assert total.lo == true_lo and total.hi == true_hi
     assert total.hi - total.lo < Fraction(1, 2 ** 90)
+
+
+def test_precision_is_per_thread():
+    import threading
+
+    from arithline import BaseCompact, Place, base_norm, jsonio
+    from arithline.normvalue import DEFAULT_BITS, default_bits, set_default_bits
+
+    V = BaseCompact.segment(Place.infinite(), Fraction(1, 2), Fraction(1, 2))
+    both_set = threading.Barrier(2, timeout=30)
+    widths = {}
+
+    def norm_at(bits):
+        set_default_bits(bits)
+        both_set.wait()  # each thread computes after the other set its precision
+        out = jsonio.encode(base_norm(-7, V))  # sqrt(7), outward at `bits` bits
+        widths[bits] = Fraction(out["hi"]) - Fraction(out["lo"])
+
+    threads = [threading.Thread(target=norm_at, args=(bits,)) for bits in (16, 64)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert widths == {16: Fraction(1, 2 ** 16), 64: Fraction(1, 2 ** 64)}
+    assert default_bits() == DEFAULT_BITS

@@ -27,7 +27,7 @@ from arithline.errors import (
     OrderingViolated,
 )
 
-from oracles import convolve
+from oracles import convolve, radius_weight
 
 INF = math.inf
 
@@ -123,7 +123,7 @@ def test_coefficient_bound():
         for k, c in f.coeffs.items():
             from arithline.base_space import base_norm
 
-            term = base_norm(c, A.V) * NormValue.of(A.radius_weight(k))
+            term = base_norm(c, A.V) * NormValue.of(radius_weight(A, k))
             assert term.lo <= unif.hi  # C_+ = 1
 
 

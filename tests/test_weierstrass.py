@@ -343,11 +343,11 @@ def test_hensel_factor_lift_three_factors():
     lifted = hensel_factor_lift(G, [[-1, 1], [-2, 1], [-3, 1]], 7, 4)
     assert len(lifted) == 3
     mod = 7 ** 4
-    from arithline.polys import _zp_mul
+    from arithline.polys import fp_mul
 
     prod = (1,)
     for f in lifted:
-        prod = _zp_mul(prod, f, mod)
+        prod = fp_mul(prod, f, mod)
     assert list(prod) == [c % mod for c in G]
     # each factor stays congruent to its seed mod 7
     for f, seed in zip(lifted, ([-1, 1], [-2, 1], [-3, 1])):
@@ -357,7 +357,7 @@ def test_hensel_factor_lift_three_factors():
     lifted2 = hensel_factor_lift(G2, [[2, 1], [4, 3, 1]], 5, 5)
     prod2 = (1,)
     for f in lifted2:
-        prod2 = _zp_mul(prod2, f, 5 ** 5)
+        prod2 = fp_mul(prod2, f, 5 ** 5)
     assert list(prod2) == [c % 5 ** 5 for c in G2]
 
 
