@@ -6,10 +6,14 @@ Branch coordinates are exponents: the point at exponent eps on the branch of
 the place sigma evaluates f to |f|_sigma**eps.  Finite branches end in an
 extreme point (exponent +inf) carrying the trivial seminorm of the residue
 field; the archimedean branch stops at exponent 1.
+
+The norms, the pole test of K(V) and ``is_archimedean_compact`` all read a
+compact as ``_norm_endpoints`` compiles it.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .errors import NonIntegralAtExtremePoint, NotInRingOfV, ZeroInput
@@ -235,14 +239,6 @@ class BaseCompact:
         """The singleton {a_0} as a degenerate segment."""
         return cls.segment(Place.infinite(), 0, 0)
 
-    @classmethod
-    def point(cls, x: BasePoint) -> "BaseCompact":
-        """The singleton {x} for a branch point (the central point is not a
-        segment of any single branch)."""
-        if x.place is None:
-            raise ValueError("the singleton {a_0} is not a segment; use a star")
-        return cls.segment(x.place, x.exponent, x.exponent)
-
     def contains_central(self) -> bool:
         return self.kind == "star" or self.u == 0
 
@@ -265,14 +261,13 @@ def _place_sort_key(item):
 
 def member_of_kv(f, V: BaseCompact) -> bool:
     """f in K(V): no pole at any extreme point contained in V."""
-    f = Fraction(f)
-    if f == 0:
-        return True
-    if V.kind == "segment":
-        if V.place.is_finite and is_inf(V.v):
-            return f.denominator % V.place.prime != 0
-        return True
-    return strip_primes(f.denominator, V.cut_primes()) == 1
+    pole = _norm_endpoints(V)[4]
+    return pole is None or pole(Fraction(f).denominator) == 1
+
+
+def is_archimedean_compact(V: BaseCompact) -> bool:
+    """Does V contain a point of the archimedean branch other than a_0?"""
+    return bool(_norm_endpoints(V)[2])
 
 
 def _pole_detail(f: Fraction, r: int) -> str:
@@ -287,16 +282,16 @@ def _pole_detail(f: Fraction, r: int) -> str:
     return f"{f} has a pole at the extreme point of {q}"
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=512)
 def _norm_endpoints(V: BaseCompact):
     """Compile the endpoint list realizing ||.||_V, plus the pole constraint.
 
-    Returns (has_trivial, finite_terms, arch_terms, extreme_primes,
-    constrained_primes) where finite_terms is a tuple of (p, exponent) and
-    arch_terms a tuple of archimedean exponents.
+    Returns (has_trivial, finite_terms, arch_terms, extreme_primes, pole)
+    where finite_terms is a tuple of (p, exponent) and arch_terms a tuple of
+    archimedean exponents.  pole, the one pole test of K(V), maps a
+    denominator to 1 when it has no pole at an extreme point of V, else to
+    the prime of the segment's extreme point or the star's uncut cofactor;
+    it is None when V holds no extreme point.
     """
     if V.kind == "segment":
         place = V.place
@@ -308,9 +303,11 @@ def _norm_endpoints(V: BaseCompact):
             exps.append(V.v)
         if place.is_finite:
             finite_terms = tuple((place.prime, e) for e in exps)
-            extreme = (place.prime,) if is_inf(V.v) else ()
-            return has_trivial, finite_terms, (), extreme, extreme
-        return has_trivial, (), tuple(exps), (), ()
+            if not is_inf(V.v):
+                return has_trivial, finite_terms, (), (), None
+            p = place.prime
+            return has_trivial, finite_terms, (), (p,), lambda d: p if d % p == 0 else 1
+        return has_trivial, (), tuple(exps), (), None
     arch_cut = next((c for pl, c in V.cuts if not pl.is_finite), None)
     if arch_cut is None:
         arch_terms = (Fraction(1),)
@@ -323,7 +320,8 @@ def _norm_endpoints(V: BaseCompact):
     )
     # uncut finite branches contain their extreme point: f must be integral
     # there, and those branches contribute at most the trivial value 1
-    return True, finite_terms, arch_terms, (), ("all_but",) + tuple(sorted(V.cut_primes()))
+    cut = tuple(sorted(V.cut_primes()))
+    return True, finite_terms, arch_terms, (), lambda d: strip_primes(d, cut)
 
 
 def norm_bounds(f, V: BaseCompact):
@@ -345,16 +343,11 @@ def _endpoint_bounds(f, ends):
         f = Fraction(f)
     if f == 0:
         return _ZERO, _ZERO
-    has_trivial, finite_terms, arch_terms, extreme, constrained = ends
-    if constrained and constrained[0] == "all_but":
-        if f.denominator != 1:
-            r = strip_primes(f.denominator, constrained[1:])
-            if r != 1:
-                raise NotInRingOfV(_pole_detail(f, r))
-    elif constrained:
-        for q in constrained:
-            if vp(f, q) < 0:
-                raise NotInRingOfV(f"{f} has a pole at the extreme point of {q}")
+    has_trivial, finite_terms, arch_terms, extreme, pole = ends
+    if pole is not None and f.denominator != 1:
+        r = pole(f.denominator)
+        if r != 1:
+            raise NotInRingOfV(_pole_detail(f, r))
     lo = hi = _ONE if has_trivial else None
     for p, e in finite_terms:
         t_lo, t_hi = pow_bounds(Fraction(p), -e * vp(f, p))

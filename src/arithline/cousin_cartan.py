@@ -469,7 +469,7 @@ def cartan_factorize(a: SeriesMatrix, sys: SplitSystem, max_iter: int, tol):
     c_minus = ident
     c_plus = ident
     norms = [norm_b0.hi]
-    residual = matrix_norm(a.sub(ident), ctx)  # residual of the empty product
+    residual = norm_b0  # residual of the empty product
     iterations = 0
     for k in range(1, max_iter + 1):
         if residual.hi <= tol:

@@ -3,13 +3,16 @@
 The analytic core is the binomial n-th-root series g = sum C(1/n, i) Z^i,
 whose coefficients are p-integral whenever p does not divide n, and the
 factorization S^n - p^n - T = prod_j (S - p zeta^j g) over a primitive n-th
-root of unity zeta in Z_p (p = 1 mod n).  The combinatorial core is the
+root of unity zeta in Z_p (p = 1 mod n), lifted by the one p-adic Newton
+lift, ``weierstrass.hensel_lift_root``.  The combinatorial core is the
 coset bookkeeping sigma_i and the left-translation embedding mu of a finite
 group into the permutations of its own elements.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from math import gcd
 from typing import Optional
 
 from .errors import (
@@ -25,51 +28,51 @@ from .normvalue import default_bits, pow_bounds
 from .numbers import is_prime, lcm_list, prime_divisors, vp
 from .padic import PadicApprox
 from .series_ring import LaurentPoly, series_add, series_mul, series_scale, series_sub
+from .weierstrass import hensel_lift_root
 
 
 def find_prime_congruent(n: int, bound: int = 10000) -> int:
-    """Least prime p <= bound with p = 1 (mod n)."""
+    """Least prime p <= bound with p = 1 (mod n), walking p = n+1, 2n+1, ..."""
     if n < 1:
         raise ValueError("n must be positive")
     if n == 1:
         return 2
-    q = 2
+    q = n + 1
     while q <= bound:
-        if q % n == 1 and is_prime(q):
+        if is_prime(q):
             return q
-        q += 1
+        q += n
     raise NoneFound(f"no prime = 1 mod {n} up to {bound}")
 
 
 def primitive_root_of_unity(n: int, p: int, N: int) -> PadicApprox:
     """A primitive n-th root of unity in Z_p at precision p^N.
 
-    Found by exhaustive search mod p and lifted by the Newton step for
-    X^n - 1 (the derivative n X^(n-1) is a unit since p does not divide n).
+    The seed is the least primitive n-th root of unity mod p: z0 = a^((p-1)/n)
+    for the first a = 2, 3, ... with z0^(n/q) != 1 for each prime q | n, then
+    the least z0^k with gcd(k, n) = 1 (O(n) products mod p).  It is lifted by
+    ``hensel_lift_root`` on X^n - 1, a simple root as p does not divide n.
     """
     if n < 1 or N < 1:
         raise ValueError("need n >= 1, N >= 1")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if n == 1:
         return PadicApprox(p, N, 1)
     if (p - 1) % n != 0:
         raise CongruenceFails(f"{p} is not 1 mod {n}")
-    divisors = [n // q for q in prime_divisors(n)]
-    seed = None
-    for z in range(2, p):
-        if pow(z, n, p) == 1 and all(pow(z, e, p) != 1 for e in divisors):
-            seed = z
+    cofactors = [n // q for q in prime_divisors(n)]
+    for a in count(2):
+        z0 = pow(a, (p - 1) // n, p)
+        if all(pow(z0, e, p) != 1 for e in cofactors):
             break
-    if seed is None:
-        raise CongruenceFails(f"no primitive {n}-th root mod {p}")
-    x = seed
-    prec = 1
-    while prec < N:
-        prec = min(2 * prec, N)
-        mod = p ** prec
-        fx = (pow(x, n, mod) - 1) % mod
-        dfx = n * pow(x, n - 1, mod) % mod
-        x = (x - fx * pow(dfx, -1, mod)) % mod
-    return PadicApprox(p, N, x)
+    seed = z = z0
+    for k in range(2, n):
+        z = z * z0 % p
+        if z < seed and gcd(k, n) == 1:
+            seed = z
+    root, _report = hensel_lift_root([-1] + [0] * (n - 1) + [1], PadicApprox(p, 1, seed), N)
+    return root
 
 
 @dataclass(frozen=True)
@@ -196,12 +199,10 @@ class CoverSplitReport:
     zero_at_precision: bool
 
 
-def cyclic_cover_split(desc: CoverDescriptor, N: Optional[int] = None) -> CoverSplitReport:
-    """Verify the factorization of S^n - p^n - T through the root series."""
-    N = desc.zeta.N if N is None else N
-    if N < 1:
-        raise PrecisionInsufficient("need N >= 1")
-    n, p, m = desc.n, desc.p, desc.m
+def cyclic_cover_split(desc: CoverDescriptor) -> CoverSplitReport:
+    """Verify the factorization of S^n - p^n - T through the root series, at
+    the precision N of the descriptor's zeta."""
+    n, p, m, N = desc.n, desc.p, desc.m, desc.zeta.N
     z = desc.zeta.residue
     # roots rho_j = p * z^j * g(Z); expand prod (S - rho_j) over Q[Z]/Z^m
     coeffs = [LaurentPoly.one(m)]  # coefficients of S^k, ascending in k
@@ -252,8 +253,6 @@ def eisenstein_witness(P, f0: LaurentPoly, m: int, places) -> EisensteinWitness:
     of convergence of the truncated data, namely min over i >= 1 of
     |a_i|^(-1/i), rounded downward.
     """
-    from .weierstrass import hensel_lift_root
-
     try:
         root, _report = hensel_lift_root(P, f0, m)
     except NotSimpleRoot as exc:

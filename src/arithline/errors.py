@@ -1,11 +1,15 @@
 """Domain-error hierarchy.
 
-Every error carries a stable ``code`` string used by the CLI JSON output.
+Every error's stable ``code`` for the CLI JSON output is its class name.
 """
 
 
 class ArithlineError(Exception):
     code = "DomainError"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__
 
     def __init__(self, detail=""):
         super().__init__(detail or self.code)
@@ -13,136 +17,136 @@ class ArithlineError(Exception):
 
 
 class ZeroInput(ArithlineError):
-    code = "ZeroInput"
+    pass
 
 
 class NonIntegralAtExtremePoint(ArithlineError):
-    code = "NonIntegralAtExtremePoint"
+    pass
 
 
 class NotInRingOfV(ArithlineError):
-    code = "NotInRingOfV"
+    pass
 
 
 class IncompatiblePoint(ArithlineError):
-    code = "IncompatiblePoint"
+    pass
 
 
 class NonIntegralCoefficients(ArithlineError):
-    code = "NonIntegralCoefficients"
+    pass
 
 
 class FlowOutOfDomain(ArithlineError):
-    code = "FlowOutOfDomain"
+    pass
 
 
 class IrrationalRadius(ArithlineError):
-    code = "IrrationalRadius"
+    pass
 
 
 class NegativePowersOnDisk(ArithlineError):
-    code = "NegativePowersOnDisk"
+    pass
 
 
 class ArchimedeanBase(ArithlineError):
-    code = "ArchimedeanBase"
+    pass
 
 
 class NotAUnit(ArithlineError):
-    code = "NotAUnit"
+    pass
 
 
 class OrderingViolated(ArithlineError):
-    code = "OrderingViolated"
+    pass
 
 
 class NotMonic(ArithlineError):
-    code = "NotMonic"
+    pass
 
 
 class RadiusBelowThreshold(ArithlineError):
-    code = "RadiusBelowThreshold"
+    pass
 
 
 class NoContractionRadiusFound(ArithlineError):
-    code = "NoContractionRadiusFound"
+    pass
 
 
 class ValuationUndefined(ArithlineError):
-    code = "ValuationUndefined"
+    pass
 
 
 class NotSimpleRoot(ArithlineError):
-    code = "NotSimpleRoot"
+    pass
 
 
 class NoConvergence(ArithlineError):
-    code = "NoConvergence"
+    pass
 
 
 class NotCoprime(ArithlineError):
-    code = "NotCoprime"
+    pass
 
 
 class ProductMismatch(ArithlineError):
-    code = "ProductMismatch"
+    pass
 
 
 class NotSeparable(ArithlineError):
-    code = "NotSeparable"
+    pass
 
 
 class RadiusTooSmall(ArithlineError):
-    code = "RadiusTooSmall"
+    pass
 
 
 class DeltaNotAchievable(ArithlineError):
-    code = "DeltaNotAchievable"
+    pass
 
 
 class NormTooLarge(ArithlineError):
-    code = "NormTooLarge"
+    pass
 
 
 class EpsilonTooLarge(ArithlineError):
-    code = "EpsilonTooLarge"
+    pass
 
 
 class ToleranceNotReached(ArithlineError):
-    code = "ToleranceNotReached"
+    pass
 
 
 class NoneFound(ArithlineError):
-    code = "NoneFound"
+    pass
 
 
 class CongruenceFails(ArithlineError):
-    code = "CongruenceFails"
+    pass
 
 
 class PDividesN(ArithlineError):
-    code = "PDividesN"
+    pass
 
 
 class PrecisionInsufficient(ArithlineError):
-    code = "PrecisionInsufficient"
+    pass
 
 
 class NotLiftable(ArithlineError):
-    code = "NotLiftable"
+    pass
 
 
 class UnknownSuite(ArithlineError):
-    code = "UnknownSuite"
+    pass
 
 
 class BadDescriptor(ArithlineError):
-    code = "BadDescriptor"
+    pass
 
 
 class CannotCertify(ArithlineError):
-    code = "CannotCertify"
+    pass
 
 
 class CannotFactor(ArithlineError):
-    code = "CannotFactor"
+    pass

@@ -6,9 +6,10 @@ no trailing zeros; the zero polynomial is the empty tuple.  ``fp_poly``,
 """
 
 from fractions import Fraction
+from math import gcd, prod
 
-from .errors import NotCoprime, ProductMismatch
-from .numbers import invmod, next_prime, prime_divisors
+from .errors import CannotCertify, NotCoprime, ProductMismatch
+from .numbers import factor, invmod, lcm_list, next_prime, prime_divisors, rational_root
 
 # -- polynomials over Q -----------------------------------------------------
 
@@ -321,8 +322,16 @@ def hensel_multi_lift(f, factors, p, N):
 # -- irreducibility over Q --------------------------------------------------
 
 
+ROOT_CANDIDATES = 1 << 14  # most divisor pairs a rational root search tries
+
+
 def rational_roots(f):
-    """All rational roots of a nonzero f in Q[T]."""
+    """All rational roots of a nonzero f in Q[T].
+
+    The candidates are +-r/s with r | a_0 and s | a_n, the end coefficients
+    of f cleared of denominators and content; more than ROOT_CANDIDATES
+    pairs, d(a_0) d(a_n), are refused with CannotCertify.
+    """
     if not f:
         raise ValueError("zero polynomial")
     k = 0
@@ -330,19 +339,13 @@ def rational_roots(f):
         k += 1
     f = f[k:]
     roots = set([Fraction(0)] if k else [])
-    den = 1
-    for c in f:
-        den = den * Fraction(c).denominator
+    den = prod(Fraction(c).denominator for c in f)
     g = [int(c * den) for c in f]
-    from math import gcd as _g
-
-    content = 0
-    for c in g:
-        content = _g(content, abs(c))
+    content = gcd(*g)
     g = [c // content for c in g]
-    a0, an = g[0], g[-1]
-    for r in _divisors(abs(a0)) or [1]:
-        for s in _divisors(abs(an)):
+    r_divs, s_divs = _divisors(g[0], g[-1])
+    for r in r_divs:
+        for s in s_divs:
             for sign in (1, -1):
                 cand = Fraction(sign * r, s)
                 if peval(f, cand) == 0:
@@ -350,18 +353,20 @@ def rational_roots(f):
     return sorted(roots)
 
 
-def _divisors(n):
-    if n == 0:
-        return []
+def _divisors(*ns) -> list:
+    """The sorted positive divisors of each nonzero n, from ``numbers.factor``;
+    CannotCertify if the product of their counts exceeds ROOT_CANDIDATES."""
+    factored = [factor(n) for n in ns]
+    count = prod(e + 1 for fac in factored for e in fac.values())
+    if count > ROOT_CANDIDATES:
+        raise CannotCertify(f"{count} divisor candidates exceed {ROOT_CANDIDATES}")
     out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+    for fac in factored:
+        divs = [1]
+        for q, e in fac.items():
+            divs = [d * q ** k for d in divs for k in range(e + 1)]
+        out.append(sorted(divs))
+    return out
 
 
 def is_irreducible_q(f) -> bool:
@@ -393,8 +398,6 @@ def is_irreducible_q(f) -> bool:
         if deg(fp) == d and fp_irreducible(fp, p):
             return True
         p = next_prime(p)
-    from .errors import CannotCertify
-
     raise CannotCertify(f"cannot certify irreducibility of degree {d} input")
 
 
@@ -404,15 +407,14 @@ def _quartic_splits(f) -> bool:
     # by Gauss's lemma a rational factorization then forces monic integer
     # quadratics (U^2+aU+b)(U^2+cU+d), so b runs over the divisors of the
     # constant term and the remaining coefficients solve linear relations.
-    from .numbers import lcm_list, rational_root as _rr
-
     lam = lcm_list(c.denominator for c in f)
     c3 = f[3] * lam
     c2 = f[2] * lam ** 2
     c1 = f[1] * lam ** 3
     c0 = f[0] * lam ** 4
     assert c0 != 0, "rational root 0 should have been excluded"
-    for b in _divisors(abs(c0.numerator)):
+    (b_divs,) = _divisors(c0.numerator)
+    for b in b_divs:
         for b_signed in (b, -b):
             d_ = c0 / b_signed
             # a + c = c3, a*c = c2 - b - d, a*d + b*c = c1
@@ -420,7 +422,7 @@ def _quartic_splits(f) -> bool:
                 if c1 != b_signed * c3:
                     continue
                 disc = c3 * c3 - 4 * (c2 - 2 * b_signed)
-                if disc >= 0 and _rr(Fraction(disc), 2) is not None:
+                if disc >= 0 and rational_root(Fraction(disc), 2) is not None:
                     return True
                 continue
             a = (c1 - b_signed * c3) / (d_ - b_signed)

@@ -31,12 +31,29 @@ from .covers_galois import (
 )
 from .errors import UnknownSuite
 from .normvalue import NormValue
+from .numbers import vp
 from .padic import PadicApprox
 from .polys import pdivmod, poly
-from .series_ring import LaurentPoly, norm_annulus
+from .series_ring import LaurentPoly, norm_annulus, series_sub
 from .weierstrass import divide, global_threshold, hensel_lift_root
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+class _Tally:
+    """The checks, failures and first counterexample of one suite."""
+
+    def __init__(self):
+        self.checks = self.failures = 0
+        self.first = None
+
+    def count(self, failed: bool, why) -> None:
+        """Count one check; the first failure keeps the message why()."""
+        self.checks += 1
+        if failed:
+            self.failures += 1
+            if self.first is None:
+                self.first = why()
 
 
 def _rand_rational(rng, bound=10 ** 6):
@@ -57,8 +74,6 @@ def _rand_point(rng) -> BasePoint:
 
 
 def _integralize(f: Fraction, x: BasePoint) -> Fraction:
-    from .numbers import vp
-
     if x.place is not None and x.place.is_finite and x.exponent == float("inf"):
         p = x.place.prime
         v = vp(f, p) if f else 0
@@ -69,52 +84,39 @@ def _integralize(f: Fraction, x: BasePoint) -> Fraction:
 
 def suite_norms(seed: int):
     rng = random.Random(seed)
-    checks = failures = 0
-    first = None
+    tally = _Tally()
     for _ in range(300):
         f = _rand_rational(rng)
-        checks += 1
-        if product_formula_defect(f) != NormValue.of(1):
-            failures += 1
-            first = first or f"product formula fails for {f}"
+        tally.count(product_formula_defect(f) != NormValue.of(1), lambda: f"product formula fails for {f}")
     for _ in range(300):
         x = _rand_point(rng)
         f = _integralize(_rand_rational(rng, 10 ** 3), x)
         g = _integralize(_rand_rational(rng, 10 ** 3), x)
         lhs = eval_base_seminorm(f * g, x)
         rhs = eval_base_seminorm(f, x) * eval_base_seminorm(g, x)
-        checks += 1
         if lhs.is_exact and rhs.is_exact:
-            if lhs.exact != rhs.exact:
-                failures += 1
-                first = first or f"multiplicativity fails at {x} for {f}, {g}"
-        elif not lhs.overlaps(rhs):
-            failures += 1
-            first = first or f"multiplicativity enclosure empty at {x}"
+            tally.count(lhs.exact != rhs.exact, lambda: f"multiplicativity fails at {x} for {f}, {g}")
+        else:
+            tally.count(not lhs.overlaps(rhs), lambda: f"multiplicativity enclosure empty at {x}")
     for _ in range(200):
         p = rng.choice(SMALL_PRIMES)
         V = BaseCompact.segment(Place.finite(p), Fraction(rng.randint(1, 4)), Fraction(rng.randint(4, 8)))
         f = _rand_rational(rng, 10 ** 3)
-        checks += 1
         nrm = base_norm(f, V)
         best = None
         for gamma in shilov_base(V):
             val = eval_base_seminorm(f, gamma)
             best = val if best is None else best.max_with(val)
         if nrm.is_exact and best.is_exact:
-            if nrm.exact != best.exact:
-                failures += 1
-                first = first or f"Shilov max mismatch on {V} for {f}"
-        elif not nrm.overlaps(best):
-            failures += 1
-            first = first or f"Shilov enclosure mismatch on {V}"
-    return checks, failures, first
+            tally.count(nrm.exact != best.exact, lambda: f"Shilov max mismatch on {V} for {f}")
+        else:
+            tally.count(not nrm.overlaps(best), lambda: f"Shilov enclosure mismatch on {V}")
+    return tally.checks, tally.failures, tally.first
 
 
 def suite_division(seed: int):
     rng = random.Random(seed)
-    checks = failures = 0
-    first = None
+    tally = _Tally()
     V = BaseCompact.whole_space()
     for _ in range(60):
         p = rng.randint(1, 4)
@@ -126,59 +128,54 @@ def suite_division(seed: int):
         w = v + rng.randint(0, 3)
         Q, R, cert = divide(F, G, V, w)
         q0, r0 = pdivmod(F.poly_coeffs(), G)
-        checks += 1
-        if Q.poly_coeffs() != q0 or R.poly_coeffs() != r0:
-            failures += 1
-            first = first or f"division disagrees with long division for {G}"
-        checks += 1
-        if not (cert.q_bound_ok and cert.r_bound_ok):
-            failures += 1
-            first = first or f"division certificate fails for {G} at w={w}"
-    return checks, failures, first
+        tally.count(
+            Q.poly_coeffs() != q0 or R.poly_coeffs() != r0,
+            lambda: f"division disagrees with long division for {G}",
+        )
+        tally.count(
+            not (cert.q_bound_ok and cert.r_bound_ok),
+            lambda: f"division certificate fails for {G} at w={w}",
+        )
+    return tally.checks, tally.failures, tally.first
 
 
 def suite_hensel(seed: int):
     rng = random.Random(seed)
-    checks = failures = 0
-    first = None
+    tally = _Tally()
     for _ in range(40):
         p = rng.choice((5, 7, 11, 13))
         a = rng.randint(2, p - 1)
         target = (a * a) % p
         N = rng.randint(2, 8)
         root, report = hensel_lift_root(poly([-target, 0, 1]), PadicApprox(p, 1, a), N)
-        checks += 1
-        if (root.residue ** 2 - target) % p ** N != 0:
-            failures += 1
-            first = first or f"p-adic root fails for sqrt({target}) mod {p}^{N}"
-        checks += 1
-        if any(report.gauges[i + 1] < min(2 * report.gauges[i], N) for i in range(len(report.gauges) - 1)):
-            failures += 1
-            first = first or f"gauge decay below quadratic for p={p}"
-    return checks, failures, first
+        tally.count(
+            (root.residue ** 2 - target) % p ** N != 0,
+            lambda: f"p-adic root fails for sqrt({target}) mod {p}^{N}",
+        )
+        gauges = report.gauges
+        tally.count(
+            any(gauges[i + 1] < min(2 * gauges[i], N) for i in range(len(gauges) - 1)),
+            lambda: f"gauge decay below quadratic for p={p}",
+        )
+    return tally.checks, tally.failures, tally.first
 
 
 def suite_cousin(seed: int):
     rng = random.Random(seed)
-    checks = failures = 0
-    first = None
+    tally = _Tally()
     for _ in range(200):
         p = rng.choice((2, 3, 5))
         sys = SplitSystem(Place.finite(p), Fraction(rng.randint(1, 3)))
         a = _rand_rational(rng, 10 ** 4)
         minus, plus, cert = split_rational(a, sys)
-        checks += 1
-        if minus - plus != a or not cert.bounds_ok:
-            failures += 1
-            first = first or f"finite split fails for {a} at p={p}"
+        tally.count(
+            minus - plus != a or not cert.bounds_ok, lambda: f"finite split fails for {a} at p={p}"
+        )
     for _ in range(100):
         sys = SplitSystem(Place.infinite(), Fraction(rng.randint(1, 3), 4))
         a = _rand_rational(rng, 10 ** 4)
         minus, plus, cert = split_rational(a, sys)
-        checks += 1
-        if minus - plus != a or not cert.bounds_ok:
-            failures += 1
-            first = first or f"archimedean split fails for {a}"
+        tally.count(minus - plus != a or not cert.bounds_ok, lambda: f"archimedean split fails for {a}")
     for _ in range(60):
         p = rng.choice((2, 3, 5))
         sys = SplitSystem(Place.finite(p), 1, (Fraction(1, 2), 2))
@@ -186,19 +183,13 @@ def suite_cousin(seed: int):
             {k: _rand_rational(rng, 100) for k in range(-3, 4) if rng.random() < 0.6}
         )
         fm, fp, cert = split_series_arith(f, sys)
-        checks += 1
-        from .series_ring import series_sub
-
-        if series_sub(fm, fp) != f or not cert.bounds_ok:
-            failures += 1
-            first = first or f"series split fails at p={p}"
-    return checks, failures, first
+        tally.count(series_sub(fm, fp) != f or not cert.bounds_ok, lambda: f"series split fails at p={p}")
+    return tally.checks, tally.failures, tally.first
 
 
 def suite_cartan(seed: int):
     rng = random.Random(seed)
-    checks = failures = 0
-    first = None
+    tally = _Tally()
     for _ in range(6):
         sys2 = SplitSystem(Place.finite(2), 1, (Fraction(1, 32), Fraction(1, 16)))
         n = rng.choice((1, 2))
@@ -220,34 +211,20 @@ def suite_cartan(seed: int):
         if not gap.hi <= Fraction(1, 18):
             continue
         res = cartan_factorize(a, sys2, 60, Fraction(1, 2 ** 40))
-        checks += 1
-        if not (
-            res.residual.hi <= Fraction(1, 2 ** 40)
-            and res.sides_ok
-            and res.bound_4D_ok
-            and res.decay_ok
-        ):
-            failures += 1
-            first = first or "cartan certificates fail"
-    return checks, failures, first
+        ok = res.residual.hi <= Fraction(1, 2 ** 40) and res.sides_ok and res.bound_4D_ok and res.decay_ok
+        tally.count(not ok, lambda: "cartan certificates fail")
+    return tally.checks, tally.failures, tally.first
 
 
 def suite_covers(seed: int):
-    checks = failures = 0
-    first = None
+    tally = _Tally()
     for n in range(1, 9):
         g, report = binomial_root_series(n, 32)
-        checks += 1
-        if not report.power_identity_ok:
-            failures += 1
-            first = first or f"binomial identity fails for n={n}"
+        tally.count(not report.power_identity_ok, lambda: f"binomial identity fails for n={n}")
     for name, G in standard_group_tables().items():
         rep = mu_homomorphism(G)
-        checks += 1
-        if not (rep.homomorphism and rep.injective):
-            failures += 1
-            first = first or f"mu fails for {name}"
-    return checks, failures, first
+        tally.count(not (rep.homomorphism and rep.injective), lambda: f"mu fails for {name}")
+    return tally.checks, tally.failures, tally.first
 
 
 SUITES = {

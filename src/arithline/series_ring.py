@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .base_space import BaseCompact, member_of_kv, norm_bounds_each, shilov_base
+from .base_space import BaseCompact, is_archimedean_compact, member_of_kv, norm_bounds_each, shilov_base
 from .affine_line import LinePoint
 from .errors import (
     ArchimedeanBase,
@@ -62,8 +62,8 @@ class LaurentPoly:
         return cls(dict(enumerate(coeffs)), trunc_mod)
 
     @classmethod
-    def monomial(cls, k: int, c=1, trunc_mod=None) -> "LaurentPoly":
-        return cls({k: c}, trunc_mod)
+    def monomial(cls, k: int, trunc_mod=None) -> "LaurentPoly":
+        return cls({k: 1}, trunc_mod)
 
     @classmethod
     def zero(cls, trunc_mod=None) -> "LaurentPoly":
@@ -310,14 +310,6 @@ class AnnulusSpec:
             else:
                 out.append((sd ** -k, sn ** -k))
         return out
-
-
-def is_archimedean_compact(V: BaseCompact) -> bool:
-    """Does V contain a point of the archimedean branch other than a_0?"""
-    if V.kind == "segment":
-        return not V.place.is_finite and V.v > 0
-    arch_cut = next((c for pl, c in V.cuts if not pl.is_finite), None)
-    return arch_cut is None or arch_cut > 0
 
 
 def _check_support(f: LaurentPoly, A: AnnulusSpec):

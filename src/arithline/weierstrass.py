@@ -8,7 +8,8 @@ first radius on the 2^-16 grid that meets the condition, found by a search on
 the grid index with the condition cleared of denominators into an integer
 inequality (see ``global_threshold``).  Local division of truncated series
 runs the fixed-point operator phi -> alpha(phi) G + beta(phi) and records its
-contraction certificate.
+contraction certificate.  ``hensel_lift_root`` is the one Hensel lift, for
+series and p-adic roots (the roots of unity of ``covers_galois`` among them).
 """
 
 from dataclasses import dataclass
@@ -49,6 +50,7 @@ from .polys import (
     fp_gcd,
     fp_mul,
     fp_poly,
+    fp_reduce,
     hensel_multi_lift,
     is_monic,
     pderiv,
@@ -261,7 +263,7 @@ def divide_local_series(F: LaurentPoly, G: LaurentPoly, p: int, m: int, ctx: Ann
     if G.degree() == p:
         q, r = pdivmod(F.poly_coeffs(), G.poly_coeffs())
         Q, R = LaurentPoly.from_poly(q, m), LaurentPoly.from_poly(r, m)
-        cert = _contraction_cert(G, p, ctx, residuals=())
+        cert = _contraction_cert(G, p, ctx)
         return Q, R, cert
     raise ValuationUndefined(
         "G has nonvanishing low coefficients and degree > p; the quotient "
@@ -269,12 +271,12 @@ def divide_local_series(F: LaurentPoly, G: LaurentPoly, p: int, m: int, ctx: Ann
     )
 
 
-def _contraction_cert(G: LaurentPoly, p: int, ctx: AnnulusSpec, residuals) -> LocalDivisionCert:
+def _contraction_cert(G: LaurentPoly, p: int, ctx: AnnulusSpec) -> LocalDivisionCert:
     """Search a dyadic radius where ||A - I|| <= ||G/u - T^p|| w^(-p) < 1."""
     u = G.coeff(p)
     B = series_sub(series_scale(1 / u, G), LaurentPoly.monomial(p))
     if not B:
-        return LocalDivisionCert(Fraction(1), NormValue.of(0), tuple(residuals))
+        return LocalDivisionCert(Fraction(1), NormValue.of(0), ())
 
     def eps_at(w: Fraction):
         try:
@@ -290,7 +292,7 @@ def _contraction_cert(G: LaurentPoly, p: int, ctx: AnnulusSpec, residuals) -> Lo
         for w in {Fraction(2) ** j, Fraction(2) ** -j}:
             eps = eps_at(w)
             if eps is not None and eps.lt(1):
-                return LocalDivisionCert(w, eps, tuple(residuals))
+                return LocalDivisionCert(w, eps, ())
     raise NoContractionRadiusFound("no dyadic radius certifies the contraction")
 
 
@@ -313,7 +315,7 @@ def _divide_by_iteration(F: LaurentPoly, G: LaurentPoly, p: int, m: int, ctx: An
     u = G.coeff(p)
     Gn = series_scale(1 / u, G).with_mod(m)  # monic-at-T^p normalization
     minus_B = series_sub(LaurentPoly.monomial(p, trunc_mod=m), Gn).with_mod(m)
-    cert_radius = _contraction_cert(G, p, ctx, residuals=())
+    cert_radius = _contraction_cert(G, p, ctx)
     at_radius = AnnulusSpec(ctx.V, Fraction(0), cert_radius.radius)
     beta, E = _to_content(minus_B)
     beta = sorted(beta.items())
@@ -375,7 +377,7 @@ class HenselReport:
     gauges: tuple
 
 
-def hensel_lift_root(P, f0, target: int, ctx: Optional[AnnulusSpec] = None):
+def hensel_lift_root(P, f0, target: int):
     """Refine a simple approximate root of P to the target precision.
 
     Two coefficient rings are supported.  If f0 is a PadicApprox, P is a
@@ -391,13 +393,11 @@ def hensel_lift_root(P, f0, target: int, ctx: Optional[AnnulusSpec] = None):
     raise TypeError("f0 must be a PadicApprox or a LaurentPoly")
 
 
-def _eval_int_mod(P, x: int, mod: int) -> int:
-    """P(x) mod ``mod`` (a power of p) for a poly with p-integral rational coefficients."""
+def _horner_mod(f, x: int, mod: int) -> int:
+    """f(x) mod ``mod`` for a polynomial f with integer coefficients."""
     acc = 0
-    for c in reversed(P):
-        c = Fraction(c)
-        cres = c.numerator * invmod(c.denominator, mod) % mod
-        acc = (acc * x + cres) % mod
+    for c in reversed(f):
+        acc = (acc * x + c) % mod
     return acc
 
 
@@ -408,6 +408,8 @@ def _val_mod(n: int, p: int, cap: int) -> int:
 
 
 def _hensel_padic(P, f0: PadicApprox, N: int):
+    """Newton steps x <- x - P(x)/P'(x) mod p^internal, with P and P' reduced
+    to integers once per modulus (``polys.fp_reduce``) and evaluated by Horner."""
     p = f0.p
     Pq = poly(P)
     for c in Pq:
@@ -415,14 +417,15 @@ def _hensel_padic(P, f0: PadicApprox, N: int):
             raise ValueError(f"coefficient {c} is not {p}-integral")
     dP = pderiv(Pq)
     df_cap = f0.N + 4
-    v_df = _val_mod(_eval_int_mod(dP, f0.residue, p ** df_cap), p, df_cap)
+    v_df = _val_mod(_horner_mod(fp_reduce(dP, p ** df_cap), f0.residue, p ** df_cap), p, df_cap)
     if v_df >= df_cap:
         raise NotSimpleRoot("P'(f0) vanishes at the seed precision")
     steps_cap = N.bit_length() + 8
     internal = N + v_df * (steps_cap + 2) + 4
     mod = p ** internal
+    Pm, dPm = fp_reduce(Pq, mod), fp_reduce(dP, mod)
     x = f0.residue
-    v_f = _val_mod(_eval_int_mod(Pq, x, mod), p, internal)
+    v_f = _val_mod(_horner_mod(Pm, x, mod), p, internal)
     if not v_f > 2 * v_df:
         raise NotSimpleRoot(
             f"need v(P(f0)) > 2 v(P'(f0)); got {v_f} vs 2*{v_df}"
@@ -431,14 +434,14 @@ def _hensel_padic(P, f0: PadicApprox, N: int):
     for _ in range(steps_cap):
         if gauges[-1] >= N:
             break
-        fx = _eval_int_mod(Pq, x, mod)
-        dfx = _eval_int_mod(dP, x, mod)
+        fx = _horner_mod(Pm, x, mod)
+        dfx = _horner_mod(dPm, x, mod)
         if _val_mod(dfx, p, internal) != v_df:
             raise NotSimpleRoot("derivative valuation drifted during lifting")
         unit = dfx // p ** v_df
         delta = fx // p ** v_df * invmod(unit, mod) % mod
         x = (x - delta) % mod
-        gauges.append(_val_mod(_eval_int_mod(Pq, x, mod), p, internal))
+        gauges.append(_val_mod(_horner_mod(Pm, x, mod), p, internal))
     if gauges[-1] < N:
         raise NoConvergence("residual valuation did not reach the target")
     return PadicApprox(p, N, x), HenselReport(tuple(gauges))
@@ -661,14 +664,14 @@ def residual_norm_sandwich(qr: QuotientRing, F) -> ResidualSandwich:
     div_norm is the coefficient-max norm of the canonical representative of
     degree < p (computed by division); upper = ||F_0||_{U,w} bounds the
     residual norm from above, and upper / C0 bounds it from below with
-    C0 = 2, the division constant.
+    C0 = 2, the division constant.  upper is the division certificate's
+    normR, the same norm of the same remainder.
     """
     if not isinstance(F, LaurentPoly):
         F = LaurentPoly.from_poly(poly(F))
-    _, F0, _ = divide(F, qr.G, qr.U, qr.w)
+    _, F0, cert = divide(F, qr.G, qr.U, qr.w)
     div_norm = nv_max(base_norm(c, qr.U) for c in F0.coeffs.values()) if F0 else NormValue.of(0)
-    upper = norm_annulus(F0, AnnulusSpec(qr.U, Fraction(0), qr.w))
-    return ResidualSandwich(div_norm=div_norm, upper=upper, C0=Fraction(2))
+    return ResidualSandwich(div_norm=div_norm, upper=cert.normR, C0=Fraction(2))
 
 
 @dataclass(frozen=True)

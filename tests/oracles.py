@@ -373,3 +373,221 @@ def cover_build_certified_twice(n, p, m, N):
     if not report.power_identity_ok:
         raise BadDescriptor("binomial certificate failed")
     return CoverDescriptor(n=n, p=p, zeta=zeta, m=m, g=g)
+
+
+# -- second implementations folded into one ----------------------------------
+# The covers' own Newton loop and seed search, the per-coefficient Fraction
+# evaluation of the p-adic Hensel lift, the two case-by-case pole checks of
+# K(V), the archimedean test by compact shape, trial-division divisors and
+# the unit-step prime search, as the library had them.  The one remaining
+# form of each must agree with them exactly, refusals included.
+
+
+def find_prime_congruent_unit_step(n, bound=10000):
+    """Least prime p <= bound with p = 1 (mod n), trying every q from 2."""
+    from arithline.errors import NoneFound
+    from arithline.numbers import is_prime
+
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n == 1:
+        return 2
+    q = 2
+    while q <= bound:
+        if q % n == 1 and is_prime(q):
+            return q
+        q += 1
+    raise NoneFound(f"no prime = 1 mod {n} up to {bound}")
+
+
+def primitive_root_by_search(n, p, N):
+    """Seed by trying z = 2 .. p-1, then Newton on X^n - 1 with doubling precision."""
+    from arithline.errors import CongruenceFails
+    from arithline.numbers import prime_divisors
+    from arithline.padic import PadicApprox
+
+    if n < 1 or N < 1:
+        raise ValueError("need n >= 1, N >= 1")
+    if n == 1:
+        return PadicApprox(p, N, 1)
+    if (p - 1) % n != 0:
+        raise CongruenceFails(f"{p} is not 1 mod {n}")
+    divisors = [n // q for q in prime_divisors(n)]
+    seed = None
+    for z in range(2, p):
+        if pow(z, n, p) == 1 and all(pow(z, e, p) != 1 for e in divisors):
+            seed = z
+            break
+    if seed is None:
+        raise CongruenceFails(f"no primitive {n}-th root mod {p}")
+    x = seed
+    prec = 1
+    while prec < N:
+        prec = min(2 * prec, N)
+        mod = p ** prec
+        fx = (pow(x, n, mod) - 1) % mod
+        dfx = n * pow(x, n - 1, mod) % mod
+        x = (x - fx * pow(dfx, -1, mod)) % mod
+    return PadicApprox(p, N, x)
+
+
+def eval_int_mod(P, x, mod):
+    """P(x) mod ``mod`` (a power of p), each p-integral coefficient reduced per call."""
+    acc = 0
+    for c in reversed(P):
+        c = Fraction(c)
+        cres = c.numerator * pow(c.denominator, -1, mod) % mod
+        acc = (acc * x + cres) % mod
+    return acc
+
+
+def hensel_padic_fraction_eval(P, f0, N):
+    """The p-adic Hensel lift evaluating P and P' through ``eval_int_mod``."""
+    from arithline.errors import NoConvergence, NotSimpleRoot
+    from arithline.numbers import vp, vp_int
+    from arithline.padic import PadicApprox
+    from arithline.polys import pderiv, poly
+
+    def val(n, cap):
+        return cap if n == 0 else min(vp_int(n, p), cap)
+
+    p = f0.p
+    Pq = poly(P)
+    for c in Pq:
+        if c != 0 and vp(c, p) < 0:
+            raise ValueError(f"coefficient {c} is not {p}-integral")
+    dP = pderiv(Pq)
+    df_cap = f0.N + 4
+    v_df = val(eval_int_mod(dP, f0.residue, p ** df_cap), df_cap)
+    if v_df >= df_cap:
+        raise NotSimpleRoot("P'(f0) vanishes at the seed precision")
+    steps_cap = N.bit_length() + 8
+    internal = N + v_df * (steps_cap + 2) + 4
+    mod = p ** internal
+    x = f0.residue
+    v_f = val(eval_int_mod(Pq, x, mod), internal)
+    if not v_f > 2 * v_df:
+        raise NotSimpleRoot(f"need v(P(f0)) > 2 v(P'(f0)); got {v_f} vs 2*{v_df}")
+    gauges = [v_f]
+    for _ in range(steps_cap):
+        if gauges[-1] >= N:
+            break
+        fx = eval_int_mod(Pq, x, mod)
+        dfx = eval_int_mod(dP, x, mod)
+        if val(dfx, internal) != v_df:
+            raise NotSimpleRoot("derivative valuation drifted during lifting")
+        unit = dfx // p ** v_df
+        x = (x - fx // p ** v_df * pow(unit, -1, mod)) % mod
+        gauges.append(val(eval_int_mod(Pq, x, mod), internal))
+    if gauges[-1] < N:
+        raise NoConvergence("residual valuation did not reach the target")
+    return PadicApprox(p, N, x), tuple(gauges)
+
+
+def member_of_kv_by_case(f, V):
+    """f in K(V), case by case: a segment reaching the extreme point of p needs
+    f p-integral; a star needs a denominator made of cut primes only."""
+    from arithline.base_space import is_inf
+    from arithline.numbers import strip_primes
+
+    f = Fraction(f)
+    if f == 0:
+        return True
+    if V.kind == "segment":
+        if V.place.is_finite and is_inf(V.v):
+            return f.denominator % V.place.prime != 0
+        return True
+    return strip_primes(f.denominator, V.cut_primes()) == 1
+
+
+def kv_pole_refusal(f, V):
+    """The NotInRingOfV text norm_bounds gave for f on V, or None: a segment
+    names the prime of its extreme point, a star hands the uncut cofactor of
+    the denominator to ``_pole_detail``."""
+    from arithline.base_space import _pole_detail, is_inf
+    from arithline.numbers import strip_primes, vp
+
+    f = Fraction(f)
+    if f == 0:
+        return None
+    if V.kind == "segment":
+        q = V.place.prime
+        if V.place.is_finite and is_inf(V.v) and vp(f, q) < 0:
+            return f"{f} has a pole at the extreme point of {q}"
+        return None
+    r = strip_primes(f.denominator, sorted(V.cut_primes()))
+    return None if r == 1 else _pole_detail(f, r)
+
+
+def is_archimedean_by_shape(V):
+    """Does V contain a point of the archimedean branch other than a_0?"""
+    if V.kind == "segment":
+        return not V.place.is_finite and V.v > 0
+    arch_cut = next((c for pl, c in V.cuts if not pl.is_finite), None)
+    return arch_cut is None or arch_cut > 0
+
+
+def trial_divisors(n):
+    """The positive divisors of n > 0 by trial division up to sqrt(n)."""
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            if d != n // d:
+                out.append(n // d)
+        d += 1
+    return sorted(out)
+
+
+def rational_roots_trial(f):
+    """Rational roots of a nonzero f in Q[T] over trial-division divisors."""
+    from math import gcd
+
+    from arithline.polys import peval
+
+    if not f:
+        raise ValueError("zero polynomial")
+    k = 0
+    while f[k] == 0:
+        k += 1
+    f = f[k:]
+    roots = set([Fraction(0)] if k else [])
+    den = 1
+    for c in f:
+        den = den * Fraction(c).denominator
+    g = [int(c * den) for c in f]
+    content = 0
+    for c in g:
+        content = gcd(content, abs(c))
+    g = [c // content for c in g]
+    for r in trial_divisors(abs(g[0])):
+        for s in trial_divisors(abs(g[-1])):
+            for sign in (1, -1):
+                cand = Fraction(sign * r, s)
+                if peval(f, cand) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def quartic_splits_trial(f):
+    """Quadratic factorization of a monic quartic with no rational root, with
+    b running over trial-division divisors of the scaled constant term."""
+    from arithline.numbers import lcm_list, rational_root
+
+    lam = lcm_list(c.denominator for c in f)
+    c3, c2, c1, c0 = f[3] * lam, f[2] * lam ** 2, f[1] * lam ** 3, f[0] * lam ** 4
+    for b in trial_divisors(abs(c0.numerator)):
+        for b_signed in (b, -b):
+            d_ = c0 / b_signed
+            if d_ == b_signed:
+                if c1 != b_signed * c3:
+                    continue
+                disc = c3 * c3 - 4 * (c2 - 2 * b_signed)
+                if disc >= 0 and rational_root(Fraction(disc), 2) is not None:
+                    return True
+                continue
+            a = (c1 - b_signed * c3) / (d_ - b_signed)
+            if a * (c3 - a) == c2 - b_signed - d_:
+                return True
+    return False

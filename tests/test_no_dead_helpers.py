@@ -1,26 +1,41 @@
-"""Every private helper in src/arithline is used by the library itself.
+"""Every function and method in src/arithline has a user.
 
 A private module-level function or method (one leading underscore, not a
 dunder) must be referenced somewhere in src/ outside its own ``def``: by
 name, as an attribute, or in an import.  A decorated one counts as used,
 since its decorator registers it.  A helper that only tests call belongs
 in tests/oracles.py.
+
+A public one (no leading underscore) must be referenced outside its own
+``def`` somewhere in src/, tests/, demos/ or perfbench/.  Dunders are
+exempt, and so are functions decorated with ``<dispatcher>.register``,
+which the dispatcher calls.
 """
 
 import ast
+import collections
 import pathlib
 
 import arithline
 
 SRC = pathlib.Path(arithline.__file__).resolve().parent
+ROOT = SRC.parents[1]
+USERS = tuple(ROOT / name for name in ("src", "tests", "demos", "perfbench"))
 
 
 def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
+def _registered(helper: ast.AST) -> bool:
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr == "register"
+        for d in helper.decorator_list
+    )
+
+
 def _helpers(tree: ast.Module):
-    """The private module-level functions and methods of one module."""
+    """The module-level functions and methods of one module."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, defs):
@@ -29,37 +44,49 @@ def _helpers(tree: ast.Module):
             yield from (item for item in node.body if isinstance(item, defs))
 
 
-def _references(node: ast.AST, skip: ast.AST, out: list) -> None:
-    """Append the names referenced under node, not descending into skip."""
-    if node is skip:
-        return
-    if isinstance(node, ast.Name):
-        out.append(node.id)
-    elif isinstance(node, ast.Attribute):
-        out.append(node.attr)
-    elif isinstance(node, ast.alias):
-        out.append(node.name)
-    for child in ast.iter_child_nodes(node):
-        _references(child, skip, out)
+def _references(node: ast.AST) -> collections.Counter:
+    """The names referenced under node: names, attributes and imports."""
+    out = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            out[sub.name] += 1
+    return out
+
+
+def _unreferenced(src: pathlib.Path, users, keep) -> list:
+    """The functions and methods of src/*.py that ``keep`` selects and that no
+    file of ``users`` references outside their own def."""
+    paths = sorted(src.glob("*.py"))
+    refs = collections.Counter()
+    for path in {path.resolve() for path in paths + list(users)}:
+        refs += _references(ast.parse(path.read_text(), str(path)))
+    out = []
+    for path in paths:
+        for helper in _helpers(ast.parse(path.read_text(), str(path))):
+            if keep(helper) and refs[helper.name] <= _references(helper)[helper.name]:
+                out.append(f"{path.name}:{helper.lineno} {helper.name}")
+    return out
 
 
 def dead_helpers(src: pathlib.Path) -> list:
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in sorted(src.glob("*.py"))}
-    dead = []
-    for path, tree in trees.items():
-        for helper in _helpers(tree):
-            if not _private(helper.name) or helper.decorator_list:
-                continue
-            names = []
-            for other in trees.values():
-                _references(other, helper, names)
-            if helper.name not in names:
-                dead.append(f"{path.name}:{helper.lineno} {helper.name}")
-    return dead
+    return _unreferenced(src, [], lambda h: _private(h.name) and not h.decorator_list)
+
+
+def unused_public(src: pathlib.Path, roots) -> list:
+    users = [path for root in roots for path in root.rglob("*.py")]
+    return _unreferenced(src, users, lambda h: not h.name.startswith("_") and not _registered(h))
 
 
 def test_every_private_helper_is_used_in_src():
     assert dead_helpers(SRC) == []
+
+
+def test_every_public_function_has_a_user():
+    assert unused_public(SRC, USERS) == []
 
 
 def test_gate_sees_a_helper_used_only_by_itself(tmp_path):
@@ -71,3 +98,21 @@ def test_gate_sees_a_helper_used_only_by_itself(tmp_path):
         "def public():\n    return K()._method()\n"
     )
     assert dead_helpers(tmp_path) == ["mod.py:4 _dead"]
+
+
+def test_public_gate_looks_outside_src(tmp_path):
+    src, user = tmp_path / "src", tmp_path / "tests"
+    src.mkdir()
+    user.mkdir()
+    (src / "mod.py").write_text(
+        "import functools\n\n"
+        "@functools.singledispatch\ndef encode(x):\n    return x\n\n"
+        "@encode.register(int)\ndef _(x):\n    return x\n\n"
+        "@encode.register(str)\ndef encode_str(x):\n    return x\n\n"
+        "def tested():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "class K:\n    def __repr__(self):\n        return 'K'\n\n"
+        "    def method(self):\n        return encode(1)\n"
+    )
+    (user / "test_mod.py").write_text("from mod import tested\n\nK = tested()\n")
+    assert unused_public(src, [user]) == ["mod.py:18 recursive", "mod.py:25 method"]
