@@ -3,8 +3,8 @@
 The analytic core is the binomial n-th-root series g = sum C(1/n, i) Z^i,
 whose coefficients are p-integral whenever p does not divide n, and the
 factorization S^n - p^n - T = prod_j (S - p zeta^j g) over a primitive n-th
-root of unity zeta in Z_p (p = 1 mod n), lifted by the one p-adic Newton
-lift, ``weierstrass.hensel_lift_root``.  The combinatorial core is the
+root of unity zeta in Z_p (p = 1 mod n): the least one mod p, lifted on the
+sparse X^n - 1 by the one p-adic Newton lift, ``weierstrass.hensel_lift_root``.  The combinatorial core is the
 coset bookkeeping sigma_i and the left-translation embedding mu of a finite
 group into the permutations of its own elements.
 """
@@ -17,6 +17,7 @@ from typing import Optional
 
 from .errors import (
     BadDescriptor,
+    CannotCertify,
     CongruenceFails,
     NoneFound,
     NotLiftable,
@@ -45,13 +46,21 @@ def find_prime_congruent(n: int, bound: int = 10000) -> int:
     raise NoneFound(f"no prime = 1 mod {n} up to {bound}")
 
 
+ROOT_SEARCH_STEPS = 1 << 18  # most steps the search for a root of unity mod p takes
+
+
 def primitive_root_of_unity(n: int, p: int, N: int) -> PadicApprox:
     """A primitive n-th root of unity in Z_p at precision p^N.
 
-    The seed is the least primitive n-th root of unity mod p: z0 = a^((p-1)/n)
-    for the first a = 2, 3, ... with z0^(n/q) != 1 for each prime q | n, then
-    the least z0^k with gcd(k, n) = 1 (O(n) products mod p).  It is lifted by
-    ``hensel_lift_root`` on X^n - 1, a simple root as p does not divide n.
+    The seed is the least primitive n-th root of unity mod p, found by two
+    searches run in step: an upward scan z = 2, 3, ..., which settles at the
+    first primitive z, and the powers z0^k of z0 = a^((p-1)/n) (the first
+    a = 2, 3, ... with z0^(n/q) != 1 for each prime q | n), which settle at
+    the least z0^k with gcd(k, n) = 1 once k reaches n.  The scan is short
+    when (p-1)/n is small and the powers when n is; past ROOT_SEARCH_STEPS
+    steps of both the seed is refused with CannotCertify.  The seed is
+    lifted by ``hensel_lift_root`` on the sparse X^n - 1, a simple root as
+    p does not divide n.
     """
     if n < 1 or N < 1:
         raise ValueError("need n >= 1, N >= 1")
@@ -62,16 +71,26 @@ def primitive_root_of_unity(n: int, p: int, N: int) -> PadicApprox:
     if (p - 1) % n != 0:
         raise CongruenceFails(f"{p} is not 1 mod {n}")
     cofactors = [n // q for q in prime_divisors(n)]
-    for a in count(2):
-        z0 = pow(a, (p - 1) // n, p)
-        if all(pow(z0, e, p) != 1 for e in cofactors):
-            break
+
+    def primitive(z: int) -> bool:
+        return pow(z, n, p) == 1 and all(pow(z, e, p) != 1 for e in cofactors)
+
+    z0 = next(z for z in (pow(a, (p - 1) // n, p) for a in count(2)) if primitive(z))
     seed = z = z0
-    for k in range(2, n):
+    for k in range(2, ROOT_SEARCH_STEPS):
+        if primitive(k):  # the scan settles: no z < k is primitive
+            seed = k
+            break
+        if k == n:  # the powers settle: seed is the least of z0^1 .. z0^(n-1)
+            break
         z = z * z0 % p
         if z < seed and gcd(k, n) == 1:
             seed = z
-    root, _report = hensel_lift_root([-1] + [0] * (n - 1) + [1], PadicApprox(p, 1, seed), N)
+    else:
+        raise CannotCertify(
+            f"no primitive {n}-th root of unity mod {p} within {ROOT_SEARCH_STEPS} steps"
+        )
+    root, _report = hensel_lift_root({0: -1, n: 1}, PadicApprox(p, 1, seed), N)
     return root
 
 
@@ -371,19 +390,13 @@ def group_cover_data(G: GroupTable, i: int) -> CoverGlueData:
     if n % n_i != 0:
         raise ValueError("order does not divide group order")  # impossible
     d_i = n // n_i
-    covered = set()
-    reps = []
+    powers = [G.power(i, v) for v in range(n_i)]
+    reps, sigma = [], []
     for j in range(1, n + 1):
-        if j in covered:
-            continue
-        reps.append(j)
-        for v in range(n_i):
-            covered.add(G.mul(j, G.power(i, v)))
+        if j not in sigma:  # j is the least element of its coset j <g_i>
+            reps.append(j)
+            sigma.extend(G.mul(j, h) for h in powers)
     assert len(reps) == d_i
-    sigma = [0] * n
-    for u, rep in enumerate(reps):
-        for v in range(1, n_i + 1):
-            sigma[u * n_i + v - 1] = G.mul(rep, G.power(i, v - 1))
     if sorted(sigma) != list(range(1, n + 1)):
         raise ValueError("sigma is not a bijection")  # pragma: no cover
     return CoverGlueData(n_i=n_i, d_i=d_i, reps=tuple(reps), sigma=tuple(sigma))

@@ -382,9 +382,9 @@ def hensel_lift_root(P, f0, target: int):
 
     Two coefficient rings are supported.  If f0 is a PadicApprox, P is a
     polynomial over Q with p-integral coefficients and target is the p-adic
-    precision N.  If f0 is a LaurentPoly, P is a polynomial in S whose
-    coefficients are (Laurent) series and target is the T-adic truncation
-    order m.  Returns (root, report) with the per-step residual gauges.
+    precision N; a sparse P may be given as a {degree: coefficient} map.  If
+    f0 is a LaurentPoly, P is a polynomial in S whose coefficients are
+    (Laurent) series and target is the T-adic truncation order m.  Returns (root, report) with the per-step residual gauges.
     """
     if isinstance(f0, PadicApprox):
         return _hensel_padic(P, f0, target)
@@ -393,12 +393,16 @@ def hensel_lift_root(P, f0, target: int):
     raise TypeError("f0 must be a PadicApprox or a LaurentPoly")
 
 
-def _horner_mod(f, x: int, mod: int) -> int:
-    """f(x) mod ``mod`` for a polynomial f with integer coefficients."""
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % mod
-    return acc
+def _terms_mod(terms: dict, mod: int) -> list:
+    """The nonzero (degree, coefficient mod ``mod``) pairs of a map of
+    p-integral coefficients; ``fp_reduce`` trims only trailing zeros, which
+    ``zip`` then leaves out."""
+    return [(i, r) for i, r in zip(terms, fp_reduce(terms.values(), mod)) if r]
+
+
+def _eval_mod(terms, x: int, mod: int) -> int:
+    """The polynomial with these (degree, integer coefficient) terms at x, mod ``mod``."""
+    return sum(c * pow(x, i, mod) for i, c in terms) % mod
 
 
 def _val_mod(n: int, p: int, cap: int) -> int:
@@ -408,24 +412,27 @@ def _val_mod(n: int, p: int, cap: int) -> int:
 
 
 def _hensel_padic(P, f0: PadicApprox, N: int):
-    """Newton steps x <- x - P(x)/P'(x) mod p^internal, with P and P' reduced
-    to integers once per modulus (``polys.fp_reduce``) and evaluated by Horner."""
+    """Newton steps x <- x - P(x)/P'(x) mod p^internal.  P is a coefficient
+    list or a {degree: coefficient} map; the nonzero terms of P and P' are
+    reduced to integers once per modulus and evaluated term by term with
+    ``pow``, so a sparse P such as X^n - 1 costs O(log n) per evaluation."""
     p = f0.p
-    Pq = poly(P)
-    for c in Pq:
-        if c != 0 and vp(c, p) < 0:
+    terms = {i: Fraction(c) for i, c in (P.items() if isinstance(P, dict) else enumerate(P))}
+    terms = {i: c for i, c in sorted(terms.items()) if c}  # a refusal names the lowest term
+    for c in terms.values():
+        if vp(c, p) < 0:
             raise ValueError(f"coefficient {c} is not {p}-integral")
-    dP = pderiv(Pq)
+    dterms = {i - 1: i * c for i, c in terms.items() if i}
     df_cap = f0.N + 4
-    v_df = _val_mod(_horner_mod(fp_reduce(dP, p ** df_cap), f0.residue, p ** df_cap), p, df_cap)
+    v_df = _val_mod(_eval_mod(_terms_mod(dterms, p ** df_cap), f0.residue, p ** df_cap), p, df_cap)
     if v_df >= df_cap:
         raise NotSimpleRoot("P'(f0) vanishes at the seed precision")
     steps_cap = N.bit_length() + 8
     internal = N + v_df * (steps_cap + 2) + 4
     mod = p ** internal
-    Pm, dPm = fp_reduce(Pq, mod), fp_reduce(dP, mod)
+    Pm, dPm = _terms_mod(terms, mod), _terms_mod(dterms, mod)
     x = f0.residue
-    v_f = _val_mod(_horner_mod(Pm, x, mod), p, internal)
+    v_f = _val_mod(_eval_mod(Pm, x, mod), p, internal)
     if not v_f > 2 * v_df:
         raise NotSimpleRoot(
             f"need v(P(f0)) > 2 v(P'(f0)); got {v_f} vs 2*{v_df}"
@@ -434,14 +441,14 @@ def _hensel_padic(P, f0: PadicApprox, N: int):
     for _ in range(steps_cap):
         if gauges[-1] >= N:
             break
-        fx = _horner_mod(Pm, x, mod)
-        dfx = _horner_mod(dPm, x, mod)
+        fx = _eval_mod(Pm, x, mod)
+        dfx = _eval_mod(dPm, x, mod)
         if _val_mod(dfx, p, internal) != v_df:
             raise NotSimpleRoot("derivative valuation drifted during lifting")
         unit = dfx // p ** v_df
         delta = fx // p ** v_df * invmod(unit, mod) % mod
         x = (x - delta) % mod
-        gauges.append(_val_mod(_horner_mod(Pm, x, mod), p, internal))
+        gauges.append(_val_mod(_eval_mod(Pm, x, mod), p, internal))
     if gauges[-1] < N:
         raise NoConvergence("residual valuation did not reach the target")
     return PadicApprox(p, N, x), HenselReport(tuple(gauges))

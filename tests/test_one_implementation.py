@@ -1,8 +1,9 @@
 """One implementation per job, against the second copies it replaced.
 
 ``weierstrass.hensel_lift_root`` is the one p-adic Newton lift: the covers
-lift their root of unity with it, and it reduces P and P' to integers once
-per modulus.  The ``pole`` compiled by ``base_space._norm_endpoints`` is the
+lift their root of unity with it on the sparse X^n - 1, and it reduces P and
+P' to integers once per modulus.  The seed of the root of unity is the least
+one, found by an upward scan and the powers of z0 run in step.  The ``pole`` compiled by ``base_space._norm_endpoints`` is the
 one pole test of K(V), and ``base_space.is_archimedean_compact`` reads the
 compiled archimedean terms.
 ``polys.rational_roots`` lists divisors from ``numbers.factor``, and
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 import arithline
 from arithline import BaseCompact, PadicApprox, Place, errors, hensel_lift_root
 from arithline.base_space import is_archimedean_compact, member_of_kv, norm_bounds
+from arithline import covers_galois
 from arithline.covers_galois import find_prime_congruent, primitive_root_of_unity
 from arithline.errors import CannotCertify, CannotFactor, CongruenceFails, NotInRingOfV
 from arithline.numbers import is_prime
@@ -82,6 +84,22 @@ def test_hensel_padic_matches_fraction_evaluation(P, p, n0, seed, N):
         assert got == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(st.integers(0, 60), coeffs, max_size=4),
+    st.sampled_from((2, 3, 5, 7, 11, 13)),
+    st.integers(1, 3),
+    st.integers(0, 10 ** 6),
+    st.integers(1, 40),
+)
+@example({0: -1, 12: 1}, 13, 1, 2, 9)
+@example({0: -2, 2: 1, 40: 0}, 7, 1, 3, 5)
+def test_hensel_padic_sparse_matches_dense(P, p, n0, seed, N):
+    f0 = PadicApprox(p, n0, seed)
+    dense = [P.get(i, 0) for i in range(max(P, default=-1) + 1)]
+    assert outcome(hensel_lift_root, P, f0, N) == outcome(hensel_lift_root, dense, f0, N)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(PRIMES), st.integers(1, 40), st.integers(1, 12))
 @example(7, 3, 2)
@@ -98,6 +116,25 @@ def test_primitive_root_for_every_divisor_of_p_minus_1(p, N):
     for n in range(1, p):
         if (p - 1) % n == 0:
             assert primitive_root_of_unity(n, p, N) == primitive_root_by_search(n, p, N)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([q for q in PRIMES if q > 2]), st.integers(3, 40), st.data())
+@example(191, 19, None)  # 19 is the least primitive root mod 191: refused
+@example(191, 20, None)
+def test_root_search_refuses_past_its_steps(p, steps, data):
+    n = p - 1 if data is None else data.draw(st.sampled_from([d for d in range(2, p) if (p - 1) % d == 0]))
+    least = primitive_root_by_search(n, p, 1).residue
+    saved = covers_galois.ROOT_SEARCH_STEPS
+    covers_galois.ROOT_SEARCH_STEPS = steps
+    try:
+        got = outcome(primitive_root_of_unity, n, p, 2)
+    finally:
+        covers_galois.ROOT_SEARCH_STEPS = saved
+    if min(least, n) < steps:  # the scan reaches `least` or the powers reach z0^(n-1)
+        assert got == primitive_root_by_search(n, p, 2)
+    else:
+        assert got == (CannotCertify, f"no primitive {n}-th root of unity mod {p} within {steps} steps")
 
 
 @settings(max_examples=200, deadline=None)
@@ -300,20 +337,27 @@ def test_error_codes_are_the_parent_literals():
     assert {name: cls().detail for name, cls in classes.items()} == PARENT_CODES
 
 
-# -- the three calls that used to hang -------------------------------------------
+# -- calls that hung, or would without a bounded seed search and a sparse lift --
 
 HANGS = [
     (["find-prime", "--n", "100000000000", "--bound", "1000000000000"], 2,
      {"v": 1, "error": "NoneFound", "detail": "no prime = 1 mod 100000000000 up to 1000000000000"}),
     (["zeta", "--n", "2", "--p", "1000000000039", "--N", "2"], 0,
      {"v": 1, "zeta": {"p": 1000000000039, "N": 2, "residue": 1000000000078000000001520}}),
+    (["zeta", "--n", "1000000006", "--p", "1000000007", "--N", "1"], 0,
+     {"v": 1, "zeta": {"p": 1000000007, "N": 1, "residue": 5}}),
+    (["zeta", "--n", "1048583", "--p", "10485834194333", "--N", "2"], 2,
+     {"v": 1, "error": "CannotCertify",
+      "detail": "no primitive 1048583-th root of unity mod 10485834194333 within 262144 steps"}),
     (["eval-line", "--F", "[1,1]", "--point",
       '{"base":{"place":null,"exp":"0"},"fiber":{"kind":"trivc",'
       '"P":["1000000000000000000000000000057","0","1"],"r":"1/2"}}'], None, None),
 ]
 
 
-@pytest.mark.parametrize("argv,code,want", HANGS, ids=[h[0][0] for h in HANGS])
+@pytest.mark.parametrize(
+    "argv,code,want", HANGS, ids=["find-prime", "zeta", "zeta-large-n", "zeta-refused", "eval-line"]
+)
 def test_former_hangs_answer_within_five_seconds(argv, code, want):
     proc = subprocess.run(
         [sys.executable, "-m", "arithline.cli", *argv],
