@@ -10,15 +10,18 @@ precision that is not an integer of at least MIN_BITS is refused with exit
 1: a usage error for `--bits`, a BadInput payload on stderr for the
 variable.
 
-COMMANDS is the one table of subcommands: name, handler and argument specs
-(flag, Kind).  A kind holds the argparse keywords of a flag and the
-converter (FRAC, POLY, LAURENT, COMPACT, ...) of the string argparse leaves;
-argparse itself converts only integers.  `_run` converts the arguments in
-spec order inside the handler's guard, so malformed JSON, a missing key or
-a bad rational is BadInput on stderr (exit 1) and a domain error met while
-reading an argument keeps its exit-2 payload.  A `cmd_*` handler calls the
-library by its module-global name and returns a dict of domain objects (or
-one object that encodes to a dict) for `jsonio.dumps`.
+COMMANDS is the one table of subcommands: name -> (callable, argument specs
+(flag, Kind), key).  The callable is the library function itself, or a
+`cmd_*` handler where the result is reshaped or an intermediate value is
+built.  A kind holds the argparse keywords of a flag and the converter
+(FRAC, POLY, LAURENT, COMPACT, ...) of the string argparse leaves; argparse
+itself converts only integers.  `_run` converts the arguments in spec order
+and calls the callable inside one guard, so malformed JSON, a missing key
+or a bad rational is BadInput on stderr (exit 1) and a domain error met
+while reading an argument keeps its exit-2 payload.  The key names the
+payload for `jsonio.dumps`: None takes the result as it is (a dict, or one
+object that encodes to a dict), a string K gives {K: result}, and a tuple
+of names gives dict(zip(key, result)) for a tuple result.
 
 `build_parser` turns COMMANDS into a new argparse parser; `main` builds
 that parser once per process, on its first call (not at import), and reuses
@@ -134,85 +137,14 @@ ANNULUS = Kind({"required": True}, _decoded(io.parse_annulus))
 SPLIT = (("--place", PLACE), ("--u", FRAC), ("--s", FRAC), ("--t", FRAC))
 
 
-def _split_system(place, u, s, t):
-    # cousin-split passes --s and --t as given: it reads them only as a pair
-    annulus = None if s is None or t is None else (io.parse_frac(s), io.parse_frac(t))
-    return SplitSystem(place, u, annulus)
-
-
-def cmd_eval_base(f, point):
-    return eval_base_seminorm(f, point)
-
-
-def cmd_product_formula(f):
-    return product_formula_defect(f)
-
-
-def cmd_classify(point):
-    return {"category": classify_base_point(point)}
-
-
-def cmd_base_norm(f, V):
-    return base_norm(f, V)
-
-
-def cmd_shilov(V):
-    return {"shilov": shilov_base(V)}
-
-
-def cmd_ring_label(V):
-    return ring_label(V)
-
-
-def cmd_eval_line(F, point):
-    return eval_line_seminorm(F, point)
-
-
-def cmd_flow(point, eps):
-    return {"image": flow(point, eps)}
-
-
-def cmd_series_arith(f, g, op):
-    return {"result": series_arith(f, g, op)}
-
-
-def cmd_compare_factor(s, t, u, v):
-    return {"factor": compare_annulus_factor(s, t, u, v)}
-
-
-def cmd_find_prime(n, bound):
-    return {"prime": find_prime_congruent(n, bound)}
-
-
-def cmd_norm_annulus(f, A):
-    return norm_annulus(f, A)
-
-
 def cmd_unif_norm(f, A, upper_bound):
     nv = uniform_norm_annulus(f, A, archimedean_upper_bound=upper_bound)
     return {**io.encode(nv), "upper_bound_only": upper_bound}
 
 
-def cmd_shilov_annulus(A):
-    return {"shilov": shilov_annulus(A)}
-
-
-def cmd_invert_unit(f, A, m):
-    return {"inverse": invert_unit(f, A, m)}
-
-
-def cmd_threshold(G, V):
-    return {"threshold": global_threshold(G, V)}
-
-
 def cmd_divide(F, G, V, w):
     Q, R, cert = divide(F, G, V, w)
     return {"Q": Q.poly_coeffs(), "R": R.poly_coeffs(), "mod": Q.trunc_mod, "cert": cert}
-
-
-def cmd_divide_local(F, G, p, m, A):
-    Q, R, cert = divide_local_series(F, G, p, m, A)
-    return {"Q": Q, "R": R, "cert": cert}
 
 
 def cmd_prepare(G, p, m, A):
@@ -234,15 +166,6 @@ def cmd_hensel(P, prime, seed, N, f0, m):
     return {"root": root, "gauges": report.gauges}
 
 
-def cmd_hensel_factor(G, factors, prime, N):
-    lifted = hensel_factor_lift(G, factors, prime, N)
-    return {"factors": [[int(c) for c in f] for f in lifted]}
-
-
-def cmd_resultant(P, Q):
-    return {"resultant": resultant(P, Q)}
-
-
 def cmd_lagrange_bound(f, g, roots, r, place):
     rep = lagrange_bound_report(f, g, roots, r, place)
     return {**io.encode(rep), "holds": rep.holds}
@@ -252,40 +175,23 @@ def cmd_residual_norm(G, U, w, F):
     return residual_norm_sandwich(QuotientRing(G, U, w), F)
 
 
-def cmd_condition_rg(U, G):
-    return condition_RG_check(U, G)
-
-
-def cmd_cousin_split(a, place, u, s, t):
-    minus, plus, cert = split_rational(a, _split_system(place, u, s, t))
+def cmd_cousin_split(a, place, u):
+    minus, plus, cert = split_rational(a, SplitSystem(place, u))
     return {"a_minus": minus, "a_plus": plus, "cert": cert}
 
 
-def cmd_split_sides(f):
-    nonneg, neg = split_laurent_sides(f)
-    return {"nonneg": nonneg, "neg": neg}
-
-
 def cmd_split_series(f, place, u, s, t):
-    minus, plus, cert = split_series_arith(f, _split_system(place, u, s, t))
+    minus, plus, cert = split_series_arith(f, SplitSystem(place, u, (s, t)))
     return {"f_minus": minus, "f_plus": plus, "cert": cert}
 
 
 def cmd_runge(s_list, t_list, place, u, s, t, delta):
-    f, s_primes, t_primes, cert = runge_approximate(s_list, t_list, _split_system(place, u, s, t), delta)
+    f, s_primes, t_primes, cert = runge_approximate(s_list, t_list, SplitSystem(place, u, (s, t)), delta)
     return {"f": f, "s_primes": s_primes, "t_primes": t_primes, "cert": {**io.encode(cert), "ok": cert.ok}}
 
 
-def cmd_matrix_norm(a, A):
-    return matrix_norm(a, A)
-
-
-def cmd_neumann(a, A, m):
-    return {"inverse": neumann_inverse(a, A, m)}
-
-
 def cmd_cartan(a, place, u, s, t, max_iter, tol):
-    return cartan_factorize(a, _split_system(place, u, s, t), max_iter, tol)
+    return cartan_factorize(a, SplitSystem(place, u, (s, t)), max_iter, tol)
 
 
 def cmd_cover(n, p, m, N):
@@ -293,10 +199,6 @@ def cmd_cover(n, p, m, N):
     report = cyclic_cover_split(desc)
     defects = [{"S_power": k, "Z_power": j, "valuation": v} for k, j, v in report.defects]
     return {"descriptor": desc, "defects": defects, "zero_at_precision": report.zero_at_precision}
-
-
-def cmd_zeta(n, p, N):
-    return {"zeta": primitive_root_of_unity(n, p, N)}
 
 
 def cmd_binomial(n, m, p):
@@ -331,38 +233,41 @@ def cmd_group_mu(table, name):
     return {"injective": rep.injective, "homomorphism": rep.homomorphism, "map": rep.perms}
 
 
-def cmd_selftest(suite, seed):
-    return run_suite(suite, seed)
-
-
-# Subcommand name -> (handler, argument specs), in the order `--help` lists
-# them.  `_run` passes the converted arguments to the handler in spec order.
+# Subcommand name -> (callable, argument specs, key), in the order `--help`
+# lists them.  `_run` passes the converted arguments to the callable in spec
+# order and names the result by its key (see the module docstring).
 COMMANDS = {
-    "eval-base": (cmd_eval_base, (("--f", FRAC), ("--point", BASE_POINT))),
-    "product-formula": (cmd_product_formula, (("--f", FRAC),)),
-    "classify": (cmd_classify, (("--point", BASE_POINT),)),
-    "base-norm": (cmd_base_norm, (("--f", FRAC), ("--V", COMPACT))),
-    "shilov": (cmd_shilov, (("--V", COMPACT),)),
-    "ring-label": (cmd_ring_label, (("--V", COMPACT),)),
-    "eval-line": (cmd_eval_line, (("--F", POLY), ("--point", LINE_POINT))),
-    "flow": (cmd_flow, (("--point", LINE_POINT), ("--eps", FRAC))),
+    "eval-base": (eval_base_seminorm, (("--f", FRAC), ("--point", BASE_POINT)), None),
+    "product-formula": (product_formula_defect, (("--f", FRAC),), None),
+    "classify": (classify_base_point, (("--point", BASE_POINT),), "category"),
+    "base-norm": (base_norm, (("--f", FRAC), ("--V", COMPACT)), None),
+    "shilov": (shilov_base, (("--V", COMPACT),), "shilov"),
+    "ring-label": (ring_label, (("--V", COMPACT),), None),
+    "eval-line": (eval_line_seminorm, (("--F", POLY), ("--point", LINE_POINT)), None),
+    "flow": (flow, (("--point", LINE_POINT), ("--eps", FRAC)), "image"),
     "series-arith": (
-        cmd_series_arith,
+        series_arith,
         (("--f", LAURENT), ("--g", LAURENT), ("--op", Kind({"choices": ("add", "mul"), "required": True}))),
+        "result",
     ),
-    "compare-factor": (cmd_compare_factor, (("--s", FRAC), ("--t", FRAC), ("--u", FRAC), ("--v", FRAC))),
-    "find-prime": (cmd_find_prime, (("--n", INT), ("--bound", Kind({"type": int, "default": 10000})))),
-    "norm-annulus": (cmd_norm_annulus, (("--f", LAURENT), ("--A", ANNULUS))),
-    "unif-norm": (cmd_unif_norm, (("--f", LAURENT), ("--A", ANNULUS), ("--upper-bound", FLAG))),
-    "shilov-annulus": (cmd_shilov_annulus, (("--A", ANNULUS),)),
-    "invert-unit": (cmd_invert_unit, (("--f", LAURENT), ("--A", ANNULUS), ("--m", INT))),
-    "threshold": (cmd_threshold, (("--G", POLY), ("--V", OPT_COMPACT))),
-    "divide": (cmd_divide, (("--F", LAURENT), ("--G", POLY), ("--V", OPT_COMPACT), ("--w", FRAC))),
+    "compare-factor": (
+        compare_annulus_factor, (("--s", FRAC), ("--t", FRAC), ("--u", FRAC), ("--v", FRAC)), "factor"
+    ),
+    "find-prime": (
+        find_prime_congruent, (("--n", INT), ("--bound", Kind({"type": int, "default": 10000}))), "prime"
+    ),
+    "norm-annulus": (norm_annulus, (("--f", LAURENT), ("--A", ANNULUS)), None),
+    "unif-norm": (cmd_unif_norm, (("--f", LAURENT), ("--A", ANNULUS), ("--upper-bound", FLAG)), None),
+    "shilov-annulus": (shilov_annulus, (("--A", ANNULUS),), "shilov"),
+    "invert-unit": (invert_unit, (("--f", LAURENT), ("--A", ANNULUS), ("--m", INT)), "inverse"),
+    "threshold": (global_threshold, (("--G", POLY), ("--V", OPT_COMPACT)), "threshold"),
+    "divide": (cmd_divide, (("--F", LAURENT), ("--G", POLY), ("--V", OPT_COMPACT), ("--w", FRAC)), None),
     "divide-local": (
-        cmd_divide_local,
+        divide_local_series,
         (("--F", LAURENT), ("--G", LAURENT), ("--p", INT), ("--m", INT), ("--A", ANNULUS)),
+        ("Q", "R", "cert"),
     ),
-    "prepare": (cmd_prepare, (("--G", LAURENT), ("--p", INT), ("--m", INT), ("--A", ANNULUS))),
+    "prepare": (cmd_prepare, (("--G", LAURENT), ("--p", INT), ("--m", INT), ("--A", ANNULUS)), None),
     "hensel": (
         cmd_hensel,
         (
@@ -373,30 +278,31 @@ COMMANDS = {
             ("--f0", OPT_STR),
             ("--m", OPT_INT),
         ),
+        None,
     ),
     "hensel-factor": (
-        cmd_hensel_factor,
+        hensel_factor_lift,
         (("--G", POLY), ("--factors", POLYS), ("--prime", INT), ("--N", INT)),
+        "factors",
     ),
-    "resultant": (cmd_resultant, (("--P", POLY), ("--Q", POLY))),
+    "resultant": (resultant, (("--P", POLY), ("--Q", POLY)), "resultant"),
     "lagrange-bound": (
         cmd_lagrange_bound,
         (("--f", POLY), ("--g", POLY), ("--roots", GAUSSES), ("--r", FRAC), ("--place", PLACE)),
+        None,
     ),
     "residual-norm": (
         cmd_residual_norm,
         (("--G", POLY), ("--U", OPT_COMPACT), ("--w", FRAC), ("--F", LAURENT)),
+        None,
     ),
-    "condition-rg": (cmd_condition_rg, (("--U", OPT_COMPACT), ("--G", POLY))),
-    "cousin-split": (
-        cmd_cousin_split,
-        (("--a", FRAC), ("--place", PLACE), ("--u", FRAC), ("--s", OPT_STR), ("--t", OPT_STR)),
-    ),
-    "split-sides": (cmd_split_sides, (("--f", LAURENT),)),
-    "split-series": (cmd_split_series, (("--f", LAURENT), *SPLIT)),
-    "runge": (cmd_runge, (("--s-list", LAURENTS), ("--t-list", LAURENTS), *SPLIT, ("--delta", FRAC))),
-    "matrix-norm": (cmd_matrix_norm, (("--a", MATRIX), ("--A", ANNULUS))),
-    "neumann": (cmd_neumann, (("--a", MATRIX), ("--A", ANNULUS), ("--m", INT))),
+    "condition-rg": (condition_RG_check, (("--U", OPT_COMPACT), ("--G", POLY)), None),
+    "cousin-split": (cmd_cousin_split, (("--a", FRAC), ("--place", PLACE), ("--u", FRAC)), None),
+    "split-sides": (split_laurent_sides, (("--f", LAURENT),), ("nonneg", "neg")),
+    "split-series": (cmd_split_series, (("--f", LAURENT), *SPLIT), None),
+    "runge": (cmd_runge, (("--s-list", LAURENTS), ("--t-list", LAURENTS), *SPLIT, ("--delta", FRAC)), None),
+    "matrix-norm": (matrix_norm, (("--a", MATRIX), ("--A", ANNULUS)), None),
+    "neumann": (neumann_inverse, (("--a", MATRIX), ("--A", ANNULUS), ("--m", INT)), "inverse"),
     "cartan": (
         cmd_cartan,
         (
@@ -405,17 +311,19 @@ COMMANDS = {
             ("--max-iter", Kind({"type": int, "default": 64})),
             ("--tol", Kind({"default": "1/1099511627776"}, io.parse_frac)),
         ),
+        None,
     ),
-    "cover": (cmd_cover, (("--n", INT), ("--p", INT), ("--m", INT), ("--N", INT))),
-    "zeta": (cmd_zeta, (("--n", INT), ("--p", INT), ("--N", INT))),
-    "binomial": (cmd_binomial, (("--n", INT), ("--m", INT), ("--p", OPT_INT))),
+    "cover": (cmd_cover, (("--n", INT), ("--p", INT), ("--m", INT), ("--N", INT)), None),
+    "zeta": (primitive_root_of_unity, (("--n", INT), ("--p", INT), ("--N", INT)), "zeta"),
+    "binomial": (cmd_binomial, (("--n", INT), ("--m", INT), ("--p", OPT_INT)), None),
     "eisenstein": (
         cmd_eisenstein,
         (("--P", LAURENTS), ("--f0", LAURENT), ("--m", INT), ("--places", PLACES)),
+        None,
     ),
-    "group-data": (cmd_group_data, (("--table", STR), ("--name", OPT_STR), ("--i", INT))),
-    "group-mu": (cmd_group_mu, (("--table", STR), ("--name", OPT_STR))),
-    "selftest": (cmd_selftest, (("--suite", STR), ("--seed", Kind({"type": int, "default": 0})))),
+    "group-data": (cmd_group_data, (("--table", STR), ("--name", OPT_STR), ("--i", INT)), None),
+    "group-mu": (cmd_group_mu, (("--table", STR), ("--name", OPT_STR)), None),
+    "selftest": (run_suite, (("--suite", STR), ("--seed", Kind({"type": int, "default": 0}))), None),
 }
 
 
@@ -438,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--bits", type=_precision_bits, default=None, help="interval precision in bits")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (_, specs) in COMMANDS.items():
+    for name, (_, specs, _) in COMMANDS.items():
         p = sub.add_parser(name)
         for flag, kind in specs:
             p.add_argument(flag, **kind.options)
@@ -478,11 +386,15 @@ def _run(argv) -> int:
             return _bad_input(f"ARITHLINE_BITS: {exc}")
     if bits is not None:
         set_default_bits(bits)
-    handler, specs = COMMANDS[args.command]
+    call, specs, key = COMMANDS[args.command]
     selftest = args.command == "selftest"
     try:
         values = [kind.convert(getattr(args, flag[2:].replace("-", "_"))) for flag, kind in specs]
-        result = handler(*values)
+        result = call(*values)
+        if isinstance(key, tuple):
+            result = dict(zip(key, result))
+        elif key is not None:
+            result = {key: result}
         text = io.dumps(result, indent=2 if selftest else None)
     except ArithlineError as exc:
         print(io.dumps({"error": exc.code, "detail": exc.detail}))

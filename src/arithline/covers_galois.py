@@ -47,6 +47,7 @@ def find_prime_congruent(n: int, bound: int = 10000) -> int:
 
 
 ROOT_SEARCH_STEPS = 1 << 18  # most steps the search for a root of unity mod p takes
+COVER_TERMS = 1 << 10  # most n*m a cover is built for: its split check costs ~ (n*m)^2
 
 
 def primitive_root_of_unity(n: int, p: int, N: int) -> PadicApprox:
@@ -192,10 +193,13 @@ class CoverDescriptor:
     @classmethod
     def build(cls, n: int, p: int, m: int, N: int) -> "CoverDescriptor":
         """The descriptor with the binomial root series g; g**n is certified
-        once, by the constructor."""
+        once, by the constructor.  n*m above COVER_TERMS is refused with
+        CannotCertify."""
         zeta = primitive_root_of_unity(n, p, N)
         if m < 1:
             raise ValueError("need n >= 1, m >= 1")
+        if n * m > COVER_TERMS:
+            raise CannotCertify(f"a cover with n*m = {n * m} terms exceeds {COVER_TERMS}")
         return cls(n=n, p=p, zeta=zeta, m=m, g=binomial_coefficient_series(n, m))
 
 
@@ -348,12 +352,6 @@ class GroupTable:
     def mul(self, i: int, j: int) -> int:
         return self.table[i - 1][j - 1]
 
-    def power(self, i: int, e: int) -> int:
-        acc = self.identity
-        for _ in range(e):
-            acc = self.mul(acc, i)
-        return acc
-
     def order_of(self, i: int) -> int:
         acc = i
         order = 1
@@ -386,11 +384,15 @@ def group_cover_data(G: GroupTable, i: int) -> CoverGlueData:
     n = G.n
     if not 1 <= i <= n:
         raise ValueError(f"element index {i} outside [1, {n}]")
-    n_i = G.order_of(i)
+    powers = [G.identity]  # g_i^0, g_i^1, ... until the walk is back at the identity
+    h = i
+    while h != G.identity:
+        powers.append(h)
+        h = G.mul(h, i)
+    n_i = len(powers)
     if n % n_i != 0:
         raise ValueError("order does not divide group order")  # impossible
     d_i = n // n_i
-    powers = [G.power(i, v) for v in range(n_i)]
     reps, sigma = [], []
     for j in range(1, n + 1):
         if j not in sigma:  # j is the least element of its coset j <g_i>

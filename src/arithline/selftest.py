@@ -239,32 +239,25 @@ SUITES = {
 
 def run_suite(name: str, seed: int = 0):
     """Run one suite (or 'all'); returns a report dict."""
-    if name == "all":
-        report = {}
-        total_checks = total_failures = 0
-        first = None
-        for key in SUITES:
-            checks, failures, counterexample = SUITES[key](seed)
-            report[key] = {"checks": checks, "failures": failures}
-            total_checks += checks
-            total_failures += failures
-            if failures and first is None:
-                first = counterexample
-        return {
-            "suite": "all",
-            "seed": seed,
-            "checks": total_checks,
-            "failures": total_failures,
-            "first_counterexample": first,
-            "by_suite": report,
-        }
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise UnknownSuite(f"unknown suite {name!r}")
-    checks, failures, first = SUITES[name](seed)
-    return {
+    by_suite = {}
+    checks = failures = 0
+    first = None
+    for key in SUITES if name == "all" else (name,):
+        n_checks, n_failures, counterexample = SUITES[key](seed)
+        by_suite[key] = {"checks": n_checks, "failures": n_failures}
+        checks += n_checks
+        failures += n_failures
+        if n_failures and first is None:
+            first = counterexample
+    report = {
         "suite": name,
         "seed": seed,
         "checks": checks,
         "failures": failures,
         "first_counterexample": first,
     }
+    if name == "all":
+        report["by_suite"] = by_suite
+    return report

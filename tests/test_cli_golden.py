@@ -19,8 +19,12 @@ where a case carries it, stderr) for:
   argument kind of ``cli.COMMANDS`` (bad JSON, a missing key, ``1/0``, an
   unknown ``kind``, a bad place or integer), a domain error raised while an
   argument is read (exit 2), ``hensel --f0 null`` and ``split-series``
-  without ``--s``, recorded before the handlers took converted arguments.
-  Usage text is wrapped at COLUMNS=80.
+  without ``--s``, recorded before the handlers took converted arguments;
+* ``cousin-split`` with ``--s`` and ``--t``, which it never read and no
+  longer takes (exit 1, usage error), recorded when they were removed.
+
+Usage text is wrapped at COLUMNS=80.  ``replay_golden.py`` replays the same
+cases as subprocesses of an installed command.
 
 A refactor of the kernel or of the CLI must reproduce them byte for byte.
 """

@@ -28,7 +28,7 @@ from arithline.covers_galois import (
     symmetric_table,
 )
 from arithline.series_ring import series_mul
-from arithline.errors import BadDescriptor, CongruenceFails, NoneFound, NotLiftable, PDividesN
+from arithline.errors import BadDescriptor, CannotCertify, CongruenceFails, NoneFound, NotLiftable, PDividesN
 from arithline.numbers import vp
 
 from oracles import cover_power_by_loop
@@ -260,3 +260,5 @@ def test_build_refusals_keep_their_order():
         CoverDescriptor.build(3, 5, 0, 3)
     with pytest.raises(ValueError, match="need n >= 1, m >= 1"):
         CoverDescriptor.build(2, 5, 0, 3)
+    with pytest.raises(CannotCertify, match=r"n\*m = 1026 terms exceeds 1024"):
+        CoverDescriptor.build(3, 7, 342, 4)

@@ -337,7 +337,7 @@ def test_error_codes_are_the_parent_literals():
     assert {name: cls().detail for name, cls in classes.items()} == PARENT_CODES
 
 
-# -- calls that hung, or would without a bounded seed search and a sparse lift --
+# -- calls that hung, or would without a bounded seed search, a sparse lift and COVER_TERMS --
 
 HANGS = [
     (["find-prime", "--n", "100000000000", "--bound", "1000000000000"], 2,
@@ -352,11 +352,17 @@ HANGS = [
     (["eval-line", "--F", "[1,1]", "--point",
       '{"base":{"place":null,"exp":"0"},"fiber":{"kind":"trivc",'
       '"P":["1000000000000000000000000000057","0","1"],"r":"1/2"}}'], None, None),
+    (["cover", "--n", "1000000006", "--p", "1000000007", "--m", "2", "--N", "1"], 2,
+     {"v": 1, "error": "CannotCertify", "detail": "a cover with n*m = 2000000012 terms exceeds 1024"}),
+    (["cover", "--n", "3", "--p", "7", "--m", "100000", "--N", "4"], 2,
+     {"v": 1, "error": "CannotCertify", "detail": "a cover with n*m = 300000 terms exceeds 1024"}),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,code,want", HANGS, ids=["find-prime", "zeta", "zeta-large-n", "zeta-refused", "eval-line"]
+    "argv,code,want",
+    HANGS,
+    ids=["find-prime", "zeta", "zeta-large-n", "zeta-refused", "eval-line", "cover-large-n", "cover-large-m"],
 )
 def test_former_hangs_answer_within_five_seconds(argv, code, want):
     proc = subprocess.run(
