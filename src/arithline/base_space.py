@@ -14,11 +14,12 @@ compact as ``_norm_endpoints`` compiles it.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Optional
 
 from .errors import NonIntegralAtExtremePoint, NotInRingOfV, ZeroInput
 from .normvalue import NormValue, pow_bounds
-from .numbers import TRIAL_BOUND, factor, is_prime, small_prime_factor, strip_primes, vp
+from .numbers import TRIAL_BOUND, factor, is_prime, small_prime_factor, strip_primes, vp, vp_int
 
 INF = float("inf")
 
@@ -326,37 +327,41 @@ def _norm_endpoints(V: BaseCompact):
 
 def norm_bounds(f, V: BaseCompact):
     """Exact Fraction enclosure (lo, hi) of ||f||_V."""
-    return _endpoint_bounds(f, _norm_endpoints(V))
+    f = Fraction(f)
+    return norm_bounds_each((f.numerator,), f.denominator, V)[0]
 
 
-def norm_bounds_each(fs, V: BaseCompact) -> list:
-    """[norm_bounds(f, V) for f in fs], compiling V's endpoints once."""
+def norm_bounds_each(nums, den: int, V: BaseCompact) -> list:
+    """[norm_bounds(n / den, V) for n in nums], den > 0, compiling V's endpoints
+    once.  No pole at den means none at any n / den; else each is tested."""
     ends = _norm_endpoints(V)
-    return [_endpoint_bounds(f, ends) for f in fs]
+    pole = ends[4]
+    if pole is not None and den != 1 and pole(den) != 1:
+        for n in nums:
+            r = pole(den // gcd(n, den))
+            if r != 1:
+                raise NotInRingOfV(_pole_detail(Fraction(n, den), r))
+    return [_endpoint_bounds(n, den, ends) for n in nums]
 
 
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-def _endpoint_bounds(f, ends):
-    if not isinstance(f, Fraction):
-        f = Fraction(f)
-    if f == 0:
+def _endpoint_bounds(n: int, d: int, ends):
+    """(lo, hi) of ||n / d||_V over the compiled endpoints; the caller has
+    made the pole test."""
+    if n == 0:
         return _ZERO, _ZERO
-    has_trivial, finite_terms, arch_terms, extreme, pole = ends
-    if pole is not None and f.denominator != 1:
-        r = pole(f.denominator)
-        if r != 1:
-            raise NotInRingOfV(_pole_detail(f, r))
+    has_trivial, finite_terms, arch_terms, extreme, _ = ends
     lo = hi = _ONE if has_trivial else None
     for p, e in finite_terms:
-        t_lo, t_hi = pow_bounds(Fraction(p), -e * vp(f, p))
+        t_lo, t_hi = pow_bounds(Fraction(p), -e * (vp_int(n, p) - vp_int(d, p)))
         lo, hi = (t_lo, t_hi) if lo is None else (max(lo, t_lo), max(hi, t_hi))
     for e in arch_terms:
-        t_lo, t_hi = pow_bounds(abs(f), e)
+        t_lo, t_hi = pow_bounds(Fraction(abs(n), d), e)
         lo, hi = (t_lo, t_hi) if lo is None else (max(lo, t_lo), max(hi, t_hi))
     for q in extreme:
-        t = Fraction(0) if vp(f, q) > 0 else Fraction(1)
+        t = _ZERO if vp_int(n, q) > vp_int(d, q) else _ONE
         lo, hi = (t, t) if lo is None else (max(lo, t), max(hi, t))
     if lo is None:
         raise ValueError("compact has no endpoint terms")
@@ -365,10 +370,7 @@ def _endpoint_bounds(f, ends):
 
 def base_norm(f, V: BaseCompact) -> NormValue:
     """The uniform norm ||f||_V, as a maximum over the case endpoint set."""
-    lo, hi = norm_bounds(f, V)
-    if lo == hi:
-        return NormValue.of(lo)
-    return NormValue.interval(lo, hi)
+    return NormValue.between(*norm_bounds(f, V))
 
 
 def shilov_base(V: BaseCompact) -> list:

@@ -346,13 +346,13 @@ class SeriesMatrix:
         tol_n, tol_d = tol.numerator, tol.denominator
 
         def prune_entry(e: LaurentPoly) -> LaurentPoly:
-            bounds = norm_bounds_each(e.coeffs.values(), ctx.V)
+            bounds = norm_bounds_each(e.num.values(), e.den, ctx.V)
             kept = {
                 k: c
-                for (k, c), (_, hi), (wn, wd) in zip(e.coeffs.items(), bounds, ctx.weights(e.coeffs))
+                for (k, c), (_, hi), (wn, wd) in zip(e.num.items(), bounds, ctx.weights(e.num))
                 if hi.numerator * wn * tol_d > tol_n * hi.denominator * wd
             }
-            return LaurentPoly._raw(kept, e.trunc_mod)
+            return LaurentPoly._content(kept, e.den, e.trunc_mod)
 
         return self.map(prune_entry)
 
@@ -408,7 +408,7 @@ def _neumann_sum(n: SeriesMatrix, done, cap=10000) -> SeriesMatrix:
 
 def _indices(mat: SeriesMatrix) -> list:
     """The indices of all stored monomials of mat's entries."""
-    return [k for row in mat.entries for e in row for k in e.coeffs]
+    return [k for row in mat.entries for e in row for k in e.num]
 
 
 def _is_identity_in_window(prod: SeriesMatrix, m: int) -> bool:
@@ -576,5 +576,6 @@ def _approx_inverse(
 
 
 def _on_side(mat: SeriesMatrix, V: BaseCompact) -> bool:
-    """Side membership: every coefficient of mat lies in K(V)."""
-    return all(member_of_kv(c, V) for row in mat.entries for e in row for c in e.coeffs.values())
+    """Side membership: every coefficient of mat lies in K(V), that is, each
+    entry's least common denominator has no pole on V."""
+    return all(member_of_kv(Fraction(1, e.den), V) for row in mat.entries for e in row)

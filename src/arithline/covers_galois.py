@@ -26,7 +26,7 @@ from .errors import (
     PrecisionInsufficient,
 )
 from .normvalue import default_bits, pow_bounds
-from .numbers import is_prime, lcm_list, prime_divisors, vp
+from .numbers import is_prime, prime_divisors, vp, vp_int
 from .padic import PadicApprox
 from .series_ring import LaurentPoly, series_add, series_mul, series_scale, series_sub
 from .weierstrass import hensel_lift_root
@@ -48,6 +48,7 @@ def find_prime_congruent(n: int, bound: int = 10000) -> int:
 
 ROOT_SEARCH_STEPS = 1 << 18  # most steps the search for a root of unity mod p takes
 COVER_TERMS = 1 << 10  # most n*m a cover is built for: its split check costs ~ (n*m)^2
+BINOMIAL_BITS = 1 << 10  # most m*bits(n) a binomial root series is built for
 
 
 def primitive_root_of_unity(n: int, p: int, N: int) -> PadicApprox:
@@ -143,18 +144,21 @@ def binomial_root_series(n: int, m: int, p: Optional[int] = None):
 
     Returns (g, report); the report confirms g**n = 1 + Z mod Z^m exactly
     and, when a prime p with p not dividing n is supplied, that every
-    coefficient is p-integral.
+    coefficient is p-integral.  m*bits(n) above BINOMIAL_BITS is refused
+    with CannotCertify.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1, m >= 1")
+    bits = m * n.bit_length()
+    if bits > BINOMIAL_BITS:
+        raise CannotCertify(f"a binomial series with m*bits(n) = {bits} exceeds {BINOMIAL_BITS}")
     g = binomial_coefficient_series(n, m)
     ok = _is_root_of_one_plus_z(g, n, m)
     if p is None:
         return g, BinomialReport(n=n, order=m, power_identity_ok=ok)
     if n % p == 0:
         raise PDividesN(f"{p} divides {n}; coefficients are not p-integral")
-    vals = [vp(c, p) for c in g.coeffs.values() if c]
-    min_v = min(vals) if vals else 0
+    min_v = min(vp_int(c, p) for c in g.num.values()) - vp_int(g.den, p) if g else 0
     return g, BinomialReport(
         n=n,
         order=m,
@@ -280,8 +284,7 @@ def eisenstein_witness(P, f0: LaurentPoly, m: int, places) -> EisensteinWitness:
         root, _report = hensel_lift_root(P, f0, m)
     except NotSimpleRoot as exc:
         raise NotLiftable(str(exc)) from exc
-    dens = [c.denominator for c in root.coeffs.values()] or [1]
-    N = lcm_list(dens)
+    N = root.den  # the canonical denominator is the lcm of the coefficients
     radii = {}
     for place in places:
         radii[place] = _radius_witness(root, place)

@@ -190,8 +190,9 @@ def parse_line_point(d) -> LinePoint:
 
 @encode.register(LaurentPoly)
 def laurent_json(f: LaurentPoly) -> dict:
+    coeffs = f.coeffs
     return {
-        "coeffs": {str(k): frac_str(f.coeffs[k]) for k in sorted(f.coeffs)},
+        "coeffs": {str(k): frac_str(coeffs[k]) for k in sorted(coeffs)},
         "mod": f.trunc_mod,
     }
 

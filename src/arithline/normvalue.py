@@ -9,16 +9,19 @@ the enclosure, so any comparison certified through ``le``/``lt`` is sound.
 The precision is a context variable: ``set_default_bits`` changes it for the
 current thread (or the ``contextvars`` context a caller runs in) only.
 ``pow_bounds`` is the one rule for x ** e at a rational exponent: exact for
-integer e, outward at that precision otherwise.
+integer e, outward at that precision otherwise; it and ``pow_rational``
+refuse a power above ``POW_BITS`` of work before taking it.
 """
 
 import contextvars
 from fractions import Fraction
 
+from .errors import CannotCertify
 from .numbers import iroot, rational_root
 
 DEFAULT_BITS = 128
 MIN_BITS = 8
+POW_BITS = 1 << 16  # most bits of work a power x ** e is allowed
 
 _bits = contextvars.ContextVar("arithline_bits", default=DEFAULT_BITS)
 
@@ -82,6 +85,11 @@ class NormValue:
     @classmethod
     def interval(cls, lo, hi) -> "NormValue":
         return cls(Fraction(lo), Fraction(hi))
+
+    @classmethod
+    def between(cls, lo, hi) -> "NormValue":
+        """The exact value lo when lo == hi, else the interval [lo, hi]."""
+        return cls.of(lo) if lo == hi else cls.interval(lo, hi)
 
     @property
     def is_exact(self) -> bool:
@@ -148,6 +156,7 @@ class NormValue:
                 if e < 0:
                     raise ZeroDivisionError("0 ** negative")
                 return NormValue.of(0)
+            _check_pow_budget(q, e)
             if e.denominator == 1:
                 return NormValue.of(q ** e.numerator)
             root = rational_root(q, e.denominator)
@@ -197,10 +206,23 @@ def pow_bounds(x: Fraction, e: Fraction):
     """
     if x == 0:
         return Fraction(0), Fraction(0)
+    if e == 1:  # x itself: no power is taken, so no budget applies
+        return x, x
+    _check_pow_budget(x, e)
     z = x ** e.numerator
     if e.denominator == 1:
         return z, z
     return root_bounds(z, e.denominator, _bits.get())
+
+
+def _check_pow_budget(x: Fraction, e: Fraction) -> None:
+    """CannotCertify when |a| h(x) + (k bits if k > 1) exceeds POW_BITS, for
+    e = a/k and h(x) the larger bit length of x's numerator and denominator."""
+    work = abs(e.numerator) * max(x.numerator.bit_length(), x.denominator.bit_length())
+    if e.denominator > 1:
+        work += e.denominator * _bits.get()
+    if work > POW_BITS:
+        raise CannotCertify(f"x ** e exceeds the budget of {POW_BITS} bits of work")
 
 
 def _coerce(v) -> NormValue:

@@ -1,5 +1,9 @@
 """Laurent polynomials as the finite stand-in for series on relative annuli.
 
+A series is held as integer content over one denominator, the layout of
+FLINT's ``fmpq_poly``, in canonical form; every series op works on the
+integers, and ``LaurentPoly.coeffs`` is a Fraction view for printing.
+
 The weighted norm of sum a_k T^k on the annulus s <= |T| <= t over a compact
 V is sum ||a_k||_V * max(s^k, t^k); over an ultrametric V the uniform
 (spectral) norm replaces the sum by a max and is attained on the finite
@@ -26,35 +30,43 @@ from .numbers import lcm_list
 
 
 class LaurentPoly:
-    """Finitely supported Laurent polynomial over Q.
+    """Finitely supported Laurent polynomial over Q, as integer content.
 
-    ``trunc_mod = m`` marks the object as a representative of its class
-    modulo T^m; all stored indices are then < m.
+    The series is sum_k (num[k] / den) T^k with nonzero ints num[k], den > 0
+    and gcd(den, all num[k]) = 1 (den = 1 for zero).  The form is canonical,
+    so ``__eq__`` and ``__hash__`` compare the fields.  ``trunc_mod = m``
+    marks the object as a representative of its class modulo T^m; all stored
+    indices are then < m.  ``coeffs`` and ``coeff(k)`` are read-only
+    Fraction views.
     """
 
-    __slots__ = ("coeffs", "trunc_mod")
+    __slots__ = ("num", "den", "trunc_mod")
 
     def __init__(self, coeffs=None, trunc_mod: Optional[int] = None):
         data = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for k, c in items:
-                c = Fraction(c)
-                if c != 0:
-                    data[int(k)] = data.get(int(k), Fraction(0)) + c
-            data = {k: c for k, c in data.items() if c != 0}
-        if trunc_mod is not None:
-            trunc_mod = int(trunc_mod)
-            data = {k: c for k, c in data.items() if k < trunc_mod}
-        self.coeffs = dict(sorted(data.items()))
-        self.trunc_mod = trunc_mod
+        for k, c in coeffs.items() if isinstance(coeffs, dict) else coeffs or ():
+            data[int(k)] = data.get(int(k), 0) + Fraction(c)
+        mod = None if trunc_mod is None else int(trunc_mod)
+        f = LaurentPoly._raw({k: c for k, c in sorted(data.items()) if c and (mod is None or k < mod)})
+        self.num, self.den, self.trunc_mod = f.num, f.den, mod
 
     @classmethod
     def _raw(cls, data: dict, trunc_mod=None) -> "LaurentPoly":
-        """Trusted constructor: values are nonzero Fractions, keys < mod."""
+        """Trusted constructor from nonzero Fraction values, keys < mod."""
+        den = lcm_list(c.denominator for c in data.values())
+        return cls._content({k: c.numerator * (den // c.denominator) for k, c in data.items()}, den, trunc_mod)
+
+    @classmethod
+    def _content(cls, num: dict, den: int, trunc_mod=None) -> "LaurentPoly":
+        """The trusted constructor: sum_k (num[k] / den) T^k for int num[k], keys
+        < mod and den > 0, with zeros dropped and the gcd divided out."""
+        g = gcd(den, *num.values())
+        if g > 1:
+            num, den = {k: c // g for k, c in num.items() if c}, den // g
+        elif 0 in num.values():
+            num = {k: c for k, c in num.items() if c}
         obj = object.__new__(cls)
-        obj.coeffs = data
-        obj.trunc_mod = trunc_mod
+        obj.num, obj.den, obj.trunc_mod = num, den, trunc_mod
         return obj
 
     @classmethod
@@ -73,39 +85,39 @@ class LaurentPoly:
     def one(cls, trunc_mod=None) -> "LaurentPoly":
         return cls({0: 1}, trunc_mod)
 
+    @property
+    def coeffs(self) -> dict:
+        """Index -> Fraction coefficient, a new dict on each read."""
+        return {k: Fraction(c, self.den) for k, c in self.num.items()}
+
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs and self.trunc_mod == other.trunc_mod
+        return (self.num, self.den, self.trunc_mod) == (other.num, other.den, other.trunc_mod)
 
     def __hash__(self):
-        return hash((tuple(sorted(self.coeffs.items())), self.trunc_mod))
+        return hash((tuple(sorted(self.num.items())), self.den, self.trunc_mod))
 
     def __repr__(self):
-        if not self.coeffs:
-            body = "0"
-        else:
-            body = " + ".join(f"({self.coeffs[k]})T^{k}" for k in sorted(self.coeffs))
+        coeffs = self.coeffs
+        body = " + ".join(f"({coeffs[k]})T^{k}" for k in sorted(coeffs)) or "0"
         tail = f" mod T^{self.trunc_mod}" if self.trunc_mod is not None else ""
         return f"LaurentPoly({body}{tail})"
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs.get(k, Fraction(0))
-
-    def support(self):
-        return sorted(self.coeffs)
+        return Fraction(self.num.get(k, 0), self.den)
 
     def min_index(self):
-        return min(self.coeffs) if self.coeffs else None
+        return min(self.num) if self.num else None
 
     def max_index(self):
-        return max(self.coeffs) if self.coeffs else None
+        return max(self.num) if self.num else None
 
     def has_negative_support(self) -> bool:
-        return bool(self.coeffs) and min(self.coeffs) < 0
+        return bool(self.num) and min(self.num) < 0
 
     def degree(self):
         """Degree as a polynomial (max index); None for 0."""
@@ -115,22 +127,17 @@ class LaurentPoly:
         """Ascending dense coefficients; requires nonnegative support."""
         if self.has_negative_support():
             raise ValueError("negative support")
-        n = (self.max_index() or 0) + 1 if self.coeffs else 0
-        return tuple(self.coeff(k) for k in range(n))
+        return tuple(self.coeff(k) for k in range(max(self.num, default=-1) + 1))
 
     def with_mod(self, trunc_mod) -> "LaurentPoly":
         """The class of self modulo T^trunc_mod (keys >= trunc_mod dropped)."""
-        if trunc_mod is None:
-            return LaurentPoly._raw(dict(self.coeffs))
-        trunc_mod = int(trunc_mod)
-        return LaurentPoly._raw(
-            {k: c for k, c in self.coeffs.items() if k < trunc_mod}, trunc_mod
-        )
+        m = None if trunc_mod is None else int(trunc_mod)
+        return LaurentPoly._content({k: c for k, c in self.num.items() if m is None or k < m}, self.den, m)
 
     def shift(self, j: int) -> "LaurentPoly":
         """T^j * self; the modulus moves with the indices."""
         mod = None if self.trunc_mod is None else self.trunc_mod + j
-        return LaurentPoly._raw({k + j: c for k, c in self.coeffs.items()}, mod)
+        return LaurentPoly._content({k + j: c for k, c in self.num.items()}, self.den, mod)
 
 
 def _result_mod(f: LaurentPoly, g: LaurentPoly):
@@ -139,39 +146,23 @@ def _result_mod(f: LaurentPoly, g: LaurentPoly):
 
 
 def series_add(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    out = dict(f.coeffs)
-    for k, c in g.coeffs.items():
-        s = out.get(k)
-        s = c if s is None else s + c
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return LaurentPoly._raw(out, _result_mod(f, g))
+    """f + g over the lcm of the denominators; cancelled indices drop out."""
+    den = f.den // gcd(f.den, g.den) * g.den
+    a, b = den // f.den, den // g.den
+    out = {k: c * a for k, c in f.num.items()}
+    get = out.get
+    for k, c in g.num.items():
+        s = get(k)
+        out[k] = c * b if s is None else s + c * b
+    return LaurentPoly._content(out, den, _result_mod(f, g))
 
 
 def series_neg(f: LaurentPoly) -> LaurentPoly:
-    return LaurentPoly._raw({k: -c for k, c in f.coeffs.items()}, f.trunc_mod)
+    return LaurentPoly._content({k: -c for k, c in f.num.items()}, f.den, f.trunc_mod)
 
 
 def series_sub(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return series_add(f, series_neg(g))
-
-
-# Integer content: a series f as ({k: n_k}, D) with f = sum_k (n_k / D) T^k,
-# the layout of FLINT's fmpq_poly.  Hot loops run on the integers and build
-# Fractions only at their ends.
-
-
-def _to_content(f: LaurentPoly):
-    """(numerators, D) with D the lcm of f's coefficient denominators."""
-    den = lcm_list(c.denominator for c in f.coeffs.values())
-    return {k: c.numerator * (den // c.denominator) for k, c in f.coeffs.items()}, den
-
-
-def _from_content(num: dict, den: int, trunc_mod=None) -> LaurentPoly:
-    """The series sum_k (num[k] / den) T^k; zero numerators are dropped."""
-    return LaurentPoly._raw({k: Fraction(c, den) for k, c in num.items() if c}, trunc_mod)
 
 
 def _convolve(f_items, g_sorted, mod) -> dict:
@@ -197,14 +188,6 @@ def _convolve(f_items, g_sorted, mod) -> dict:
     return out
 
 
-def _reduce_content(num: dict, den: int):
-    """num/den with the gcd of the numerators and den divided out."""
-    g = gcd(den, *num.values())
-    if g > 1:
-        return {k: c // g for k, c in num.items()}, den // g
-    return num, den
-
-
 def _invert_series(f: LaurentPoly, m: int) -> LaurentPoly:
     """Exact inverse mod T^m of sum_{0 <= j < m} f_j T^j, where f_0 != 0.
 
@@ -212,37 +195,36 @@ def _invert_series(f: LaurentPoly, m: int) -> LaurentPoly:
     and f's own modulus, are ignored.  The result carries modulus m.
 
     Newton iteration g <- g (2 - f g) (von zur Gathen and Gerhard, Modern
-    Computer Algebra, 9.1) on integer content.  Invariant: g = gn/gd, with
-    gn a dict of integer numerators, gd > 0, gcd(gd, gn) = 1 and
+    Computer Algebra, 9.1) on integer content.  Invariant: g is a canonical
+    ``LaurentPoly`` (so g.den is its least common denominator) with
     f g = 1 mod T^prec.  Each step sets prec <- min(2 prec, m) and makes two
-    truncated convolutions: e = f g - 1 mod T^prec over fd gd (it vanishes
-    below the old precision), then g <- g - g e mod T^prec over fd gd^2.
-    The gcd of the new numerators and denominator is divided out at every
-    step, so gd stays the least common denominator of g.  Fractions are
-    built once, at the end.
+    truncated convolutions: e = f g - 1 mod T^prec over fd g.den (it
+    vanishes below the old precision), then g <- g - g e mod T^prec over
+    fd g.den^2, normalised by ``LaurentPoly._content``.
     """
-    if not f.coeffs.get(0):
+    if not f.num.get(0):
         raise ZeroDivisionError("series inverse needs a nonzero constant term")
     if m < 1:
-        return LaurentPoly._raw({}, m)
-    fn, fd = _to_content(LaurentPoly._raw({k: c for k, c in f.coeffs.items() if 0 <= k < m}))
-    f_sorted = sorted(fn.items())
-    gn, gd = _reduce_content({0: fd if fn[0] > 0 else -fd}, abs(fn[0]))
+        return LaurentPoly.zero(m)
+    low = LaurentPoly._content({k: c for k, c in f.num.items() if 0 <= k < m}, f.den)
+    fd, f_sorted = low.den, sorted(low.num.items())
+    g = LaurentPoly._content({0: fd if low.num[0] > 0 else -fd}, abs(low.num[0]))
     prec = 1
     while prec < m:
         prec = min(2 * prec, m)
-        scale = fd * gd
-        e = _convolve(gn.items(), f_sorted, prec)  # f g over fd gd
+        scale = fd * g.den
+        e = _convolve(g.num.items(), f_sorted, prec)  # f g over fd g.den
         e[0] -= scale
         e = [(k, c) for k, c in e.items() if c]
-        out = {k: c * scale for k, c in gn.items()}  # g over fd gd^2
-        for k, c in _convolve(e, sorted(gn.items()), prec).items():
+        out = {k: c * scale for k, c in g.num.items()}  # g over fd g.den^2
+        for k, c in _convolve(e, sorted(g.num.items()), prec).items():
             out[k] = out.get(k, 0) - c
-        gn, gd = _reduce_content({k: c for k, c in out.items() if c}, scale * gd)
-    return _from_content(dict(sorted(gn.items())), gd, m)
+        g = LaurentPoly._content(out, scale * g.den)
+    return LaurentPoly._content(dict(sorted(g.num.items())), g.den, m)
 
 
 def series_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """f g, convolved on the numerators over den_f den_g."""
     # a factor known mod T^m contributes uncertainty only from T^(m + val) on
     mods = []
     if f.trunc_mod is not None:
@@ -250,18 +232,15 @@ def series_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     if g.trunc_mod is not None:
         mods.append(g.trunc_mod + (f.min_index() or 0))
     mod = min(mods) if mods else None
-    # convolve over Z after clearing denominators: plain int arithmetic is
-    # several times cheaper than Fraction arithmetic in the inner loop
-    fi, den_f = _to_content(f)
-    gi, den_g = _to_content(g)
-    return _from_content(_convolve(fi.items(), sorted(gi.items()), mod), den_f * den_g, mod)
+    out = _convolve(f.num.items(), sorted(g.num.items()), mod)
+    return LaurentPoly._content(out, f.den * g.den, mod)
 
 
 def series_scale(a, f: LaurentPoly) -> LaurentPoly:
     a = Fraction(a)
-    if a == 0:
-        return LaurentPoly._raw({}, f.trunc_mod)
-    return LaurentPoly._raw({k: a * c for k, c in f.coeffs.items()}, f.trunc_mod)
+    n = a.numerator
+    return LaurentPoly._content({k: c * n for k, c in f.num.items()}, f.den * a.denominator,
+                                f.trunc_mod)
 
 
 def series_arith(f: LaurentPoly, g: LaurentPoly, op: str) -> LaurentPoly:
@@ -277,6 +256,10 @@ def series_arith(f: LaurentPoly, g: LaurentPoly, op: str) -> LaurentPoly:
         mods = [m for m in (f.trunc_mod, g.trunc_mod) if m is not None]
         return out.with_mod(min(mods)) if mods else out
     raise ValueError(f"unknown op {op!r}")
+
+
+def _refuse_negative_powers():
+    raise NegativePowersOnDisk("negative powers of T on a disk (s = 0)")
 
 
 @dataclass(frozen=True)
@@ -306,15 +289,27 @@ class AnnulusSpec:
             if k >= 0:
                 out.append((tn ** k, td ** k))
             elif sn == 0:
-                raise NegativePowersOnDisk("negative index on a disk (s = 0)")
+                _refuse_negative_powers()
             else:
                 out.append((sd ** -k, sn ** -k))
         return out
 
 
 def _check_support(f: LaurentPoly, A: AnnulusSpec):
-    if f.has_negative_support() and A.s == 0:
-        raise NegativePowersOnDisk("series has negative powers but s = 0")
+    if A.s == 0 and f.has_negative_support():
+        _refuse_negative_powers()
+
+
+def _weighted_bounds(f: LaurentPoly, A: AnnulusSpec):
+    """The terms ||a_k||_V.lo w_k and ||a_k||_V.hi w_k, w_k = max(s^k, t^k),
+    as two lists of integer pairs (n, d) with d > 0."""
+    _check_support(f, A)
+    bounds = norm_bounds_each(f.num.values(), f.den, A.V)
+    lo, hi = [], []
+    for (wn, wd), (c_lo, c_hi) in zip(A.weights(f.num), bounds):
+        lo.append((c_lo.numerator * wn, c_lo.denominator * wd))
+        hi.append((c_hi.numerator * wn, c_hi.denominator * wd))
+    return lo, hi
 
 
 def _sum_ratios(terms) -> Fraction:
@@ -330,28 +325,24 @@ def _sum_ratios(terms) -> Fraction:
     return Fraction(num, den)
 
 
+def _max_ratio(terms) -> Fraction:
+    """The largest of the rationals n/d (n >= 0, d > 0), or 0 for none."""
+    num, den = 0, 1
+    for n, d in terms:
+        if n * den > num * d:
+            num, den = n, d
+    return Fraction(num, den)
+
+
 def norm_annulus(f: LaurentPoly, A: AnnulusSpec) -> NormValue:
     """The weighted norm  sum_k ||a_k||_V max(s^k, t^k).
 
-    The weights are integer pairs (``AnnulusSpec.weights``) and the terms
-    are summed over a common denominator, one Fraction per bound.  When
-    every coefficient norm is exact the two bounds are one sum.
+    The terms are integer pairs (``_weighted_bounds``), summed over a common
+    denominator, one Fraction per bound; equal term lists are summed once.
     """
-    _check_support(f, A)
-    bounds = norm_bounds_each(f.coeffs.values(), A.V)
-    exact = all(c_lo is c_hi or c_lo == c_hi for c_lo, c_hi in bounds)
-    lo_terms, hi_terms = [], []
-    for (wn, wd), (c_lo, c_hi) in zip(A.weights(f.coeffs), bounds):
-        lo_terms.append((c_lo.numerator * wn, c_lo.denominator * wd))
-        if not exact:
-            hi_terms.append((c_hi.numerator * wn, c_hi.denominator * wd))
+    lo_terms, hi_terms = _weighted_bounds(f, A)
     lo = _sum_ratios(lo_terms)
-    if exact:
-        return NormValue.of(lo)
-    hi = _sum_ratios(hi_terms)
-    if lo == hi:
-        return NormValue.of(lo)
-    return NormValue.interval(lo, hi)
+    return NormValue.between(lo, lo if hi_terms == lo_terms else _sum_ratios(hi_terms))
 
 
 def uniform_norm_annulus(
@@ -367,16 +358,8 @@ def uniform_norm_annulus(
         if archimedean_upper_bound:
             return norm_annulus(f, A)
         raise ArchimedeanBase("uniform norm needs an ultrametric base compact")
-    _check_support(f, A)
-    lo = hi = Fraction(0)
-    bounds = norm_bounds_each(f.coeffs.values(), A.V)
-    for (wn, wd), (c_lo, c_hi) in zip(A.weights(f.coeffs), bounds):
-        w = Fraction(wn, wd)
-        lo = max(lo, c_lo * w)
-        hi = max(hi, c_hi * w)
-    if lo == hi:
-        return NormValue.of(lo)
-    return NormValue.interval(lo, hi)
+    lo_terms, hi_terms = _weighted_bounds(f, A)
+    return NormValue.between(_max_ratio(lo_terms), _max_ratio(hi_terms))
 
 
 def compare_annulus_factor(s, t, u, v) -> Fraction:
@@ -392,6 +375,16 @@ def _unit_in_kv(c: Fraction, V: BaseCompact) -> bool:
     return c != 0 and member_of_kv(c, V) and member_of_kv(1 / c, V)
 
 
+def _h_part(f: LaurentPoly, k0: int) -> LaurentPoly:
+    """h with f = c T^k0 (1 + h), c the coefficient at k0: the terms
+    (a_k / c) T^(k - k0) for k != k0, indices ascending."""
+    n0 = f.num[k0]
+    sign = 1 if n0 > 0 else -1
+    return LaurentPoly._content(
+        {k - k0: sign * c for k, c in sorted(f.num.items()) if k != k0}, abs(n0)
+    )
+
+
 def invert_unit(f: LaurentPoly, A: AnnulusSpec, m: int) -> LaurentPoly:
     """Inverse of f = c T^j (1 + h) with certified ||h||_{A} < 1, mod T^m.
 
@@ -405,22 +398,17 @@ def invert_unit(f: LaurentPoly, A: AnnulusSpec, m: int) -> LaurentPoly:
         raise NotAUnit("zero is not a unit")
     if m < 1:
         raise ValueError("truncation target must be positive")
-    if f.has_negative_support() and A.s == 0:
-        raise NegativePowersOnDisk("f has negative powers but the annulus is a disk")
+    _check_support(f, A)
     # series shape: pivot at the lowest index
     k0 = f.min_index()
-    c0 = f.coeff(k0)
-    h_lo = LaurentPoly({k - k0: c / c0 for k, c in f.coeffs.items() if k != k0})
-    if _unit_in_kv(c0, A.V) and _h_certifies(h_lo, A):
+    if _unit_in_kv(f.coeff(k0), A.V) and _h_certifies(_h_part(f, k0), A):
         out = _invert_series(f.shift(-k0), m).shift(-k0)
-        return out if k0 == 0 else LaurentPoly._raw(out.coeffs)
+        return out if k0 == 0 else out.with_mod(None)
     # co-series shape: pivot at the highest index; k -> -k reflects it
     k1 = f.max_index()
-    c1 = f.coeff(k1)
-    h_hi = LaurentPoly({k - k1: c / c1 for k, c in f.coeffs.items() if k != k1})
-    if _unit_in_kv(c1, A.V) and _h_certifies(h_hi, A):
-        inv = _invert_series(LaurentPoly._raw({k1 - k: c for k, c in f.coeffs.items()}), m)
-        return LaurentPoly._raw({-k - k1: c for k, c in reversed(inv.coeffs.items())})
+    if _unit_in_kv(f.coeff(k1), A.V) and _h_certifies(_h_part(f, k1), A):
+        inv = _invert_series(LaurentPoly._content({k1 - k: c for k, c in f.num.items()}, f.den), m)
+        return LaurentPoly._content({-k - k1: c for k, c in reversed(inv.num.items())}, inv.den)
     raise NotAUnit("no factorization f = c T^k (1 + h) with ||h|| < 1 certified")
 
 

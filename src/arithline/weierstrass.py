@@ -14,7 +14,6 @@ series and p-adic roots (the roots of unity of ``covers_galois`` among them).
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Optional
 
 from .base_space import (
@@ -24,7 +23,7 @@ from .base_space import (
     classify_base_point,
     eval_base_seminorm,
     is_inf,
-    norm_bounds_each,
+    norm_bounds,
     shilov_base,
 )
 from .errors import (
@@ -64,10 +63,7 @@ from .series_ring import (
     AnnulusSpec,
     LaurentPoly,
     _convolve,
-    _from_content,
     _invert_series,
-    _reduce_content,
-    _to_content,
     norm_annulus,
     series_add,
     series_mul,
@@ -108,7 +104,7 @@ def global_threshold(G, V: BaseCompact) -> Fraction:
     p = deg(G)
     if p < 1:
         raise NotMonic("divisor must have positive degree")
-    b = [hi for _, hi in norm_bounds_each(G[:-1], V)]
+    b = [norm_bounds(c, V)[1] for c in G[:-1]]
     D = lcm_list(x.denominator for x in b)
     # D i^p - sum_k 2 (D b_k) 2^(16(p-k)) i^k, highest coefficient first
     coeffs = [D] + [-(int(D * b[k]) << (_GRID_BITS * (p - k) + 1)) for k in reversed(range(p))]
@@ -222,17 +218,14 @@ def _anchor_point(V: BaseCompact) -> BasePoint:
 
 def _reduction_valuation(G: LaurentPoly, b: BasePoint) -> Optional[int]:
     """T-adic valuation of the reduction of G at the base point b."""
-    cat = classify_base_point(b)
-    for k in G.support():
-        c = G.coeff(k)
-        if cat == "extreme":
-            if vp(c, b.place.prime) < 0:
-                raise NonIntegralAtExtremePoint(f"coefficient {c} at T^{k}")
-            if vp(c, b.place.prime) == 0:
-                return k
-        else:
-            if c != 0:
-                return k
+    if classify_base_point(b) != "extreme":
+        return G.min_index()
+    for k in sorted(G.num):
+        v = vp(G.coeff(k), b.place.prime)
+        if v < 0:
+            raise NonIntegralAtExtremePoint(f"coefficient {G.coeff(k)} at T^{k}")
+        if v == 0:
+            return k
     return None
 
 
@@ -304,49 +297,35 @@ def _divide_by_iteration(F: LaurentPoly, G: LaurentPoly, p: int, m: int, ctx: An
     is followed by r <- -(alpha(r) B) mod T^m, without rebuilding A(phi).
     The norms of r_0, r_1, ... at the certified radius are the residuals.
 
-    The loop runs on integer content (see ``series_ring._to_content``): the
-    invariant is phi = Phi/D and r = rho/d, with Phi and rho dicts of integer
-    numerators and d the lcm of r's denominators; -B = beta/E likewise.  A
-    step convolves alpha(rho) with beta below T^m over d E and divides out
-    the gcd of the result and d E; phi + r is Phi (L/D) + rho (L/d) over
-    L = lcm(D, d).  Fractions are built only for each residual's norm and,
-    at the end, for Q and R.
+    phi and r are ``LaurentPoly``s, so integer content: a step convolves the
+    numerators of alpha(r) with those of -B below T^m over the product of
+    their denominators, and phi + r is one ``series_add``.
     """
     u = G.coeff(p)
     Gn = series_scale(1 / u, G).with_mod(m)  # monic-at-T^p normalization
     minus_B = series_sub(LaurentPoly.monomial(p, trunc_mod=m), Gn).with_mod(m)
     cert_radius = _contraction_cert(G, p, ctx)
     at_radius = AnnulusSpec(ctx.V, Fraction(0), cert_radius.radius)
-    beta, E = _to_content(minus_B)
-    beta = sorted(beta.items())
+    beta = sorted(minus_B.num.items())
 
-    def step(num: dict, den: int):
-        alpha = [(k - p, c) for k, c in num.items() if k >= p]
-        out = {k: c for k, c in _convolve(alpha, beta, m).items() if c}
-        return _reduce_content(out, den * E)
+    def step(r: LaurentPoly) -> LaurentPoly:  # -(alpha(r) B) mod T^m
+        alpha = [(k - p, c) for k, c in r.num.items() if k >= p]
+        return LaurentPoly._content(_convolve(alpha, beta, m), r.den * minus_B.den, m)
 
-    Phi, D = _to_content(F)
-    rho, d = step(Phi, D)
+    phi, r = F, step(F)
     residuals = []
     for _ in range(m + 2):
-        residuals.append(norm_annulus(_from_content(rho, d, m), at_radius))
-        if not rho:
+        residuals.append(norm_annulus(r, at_radius))
+        if not r:
             break
-        L = D // gcd(D, d) * d
-        if L != D:
-            a = L // D
-            Phi = {k: c * a for k, c in Phi.items()}
-            D = L
-        b = L // d
-        for k, c in rho.items():
-            Phi[k] = Phi.get(k, 0) + c * b
-        rho, d = step(rho, d)
+        phi = series_add(phi, r)
+        r = step(r)
     else:
         raise NoConvergence("fixed point not reached")  # pragma: no cover
     # Q = alpha(phi) / u, naturally known mod T^(m - p); R = phi mod T^p
-    Q = _from_content({k - p: c * u.denominator for k, c in Phi.items() if k >= p},
-                      D * u.numerator, m - p)
-    R = _from_content({k: c for k, c in Phi.items() if k < p}, D)
+    Q = series_scale(1 / u, LaurentPoly._content(
+        {k - p: c for k, c in phi.num.items() if k >= p}, phi.den, m - p))
+    R = LaurentPoly._content({k: c for k, c in phi.num.items() if k < p}, phi.den)
     cert = LocalDivisionCert(cert_radius.radius, cert_radius.epsilon, tuple(residuals))
     return Q, R, cert
 

@@ -157,7 +157,7 @@ def invert_unit_triangular(f, A, m):
     if m < 1:
         raise ValueError("truncation target must be positive")
     if f.has_negative_support() and A.s == 0:
-        raise NegativePowersOnDisk("f has negative powers but the annulus is a disk")
+        raise NegativePowersOnDisk("negative powers of T on a disk (s = 0)")
     k0 = f.min_index()
     c0 = f.coeff(k0)
     h_lo = LaurentPoly({k - k0: c / c0 for k, c in f.coeffs.items() if k != k0})
@@ -291,7 +291,7 @@ def radius_weight(A, k):
     from arithline.errors import NegativePowersOnDisk
 
     if k < 0 and A.s == 0:
-        raise NegativePowersOnDisk("negative index on a disk (s = 0)")
+        raise NegativePowersOnDisk("negative powers of T on a disk (s = 0)")
     return max(A.s ** k, A.t ** k)
 
 
@@ -591,3 +591,144 @@ def quartic_splits_trial(f):
             if a * (c3 - a) == c2 - b_signed - d_:
                 return True
     return False
+
+
+# -- the Fraction model of series_ring ------------------------------------------
+# LaurentPoly held a dict of nonzero Fractions before it held integer content
+# over one denominator.  ``FracLaurent`` and the functions below are that
+# form: each op works coefficient by coefficient in Fractions and each norm
+# reads one Fraction coefficient at a time.  The library must agree with them
+# exactly: coefficients in stored order, moduli, NormValues and refusals.
+
+NEG_ON_DISK = "negative powers of T on a disk (s = 0)"
+
+
+class FracLaurent:
+    """sum_k coeffs[k] T^k with nonzero Fraction values, known mod T^trunc_mod."""
+
+    def __init__(self, coeffs, trunc_mod=None):
+        self.coeffs = {k: Fraction(c) for k, c in coeffs.items() if c}
+        self.trunc_mod = trunc_mod
+
+    @classmethod
+    def of(cls, f):
+        return cls(f.coeffs, f.trunc_mod)
+
+    def layout(self):
+        return list(self.coeffs.items()), self.trunc_mod
+
+    def min_index(self):
+        return min(self.coeffs, default=None)
+
+
+def frac_add(f, g):
+    out = dict(f.coeffs)
+    for k, c in g.coeffs.items():
+        s = out.get(k, Fraction(0)) + c
+        if s:
+            out[k] = s
+        else:
+            out.pop(k, None)
+    mods = [m for m in (f.trunc_mod, g.trunc_mod) if m is not None]
+    return FracLaurent(out, min(mods, default=None))
+
+
+def frac_neg(f):
+    return FracLaurent({k: -c for k, c in f.coeffs.items()}, f.trunc_mod)
+
+
+def frac_scale(a, f):
+    return FracLaurent({k: Fraction(a) * c for k, c in f.coeffs.items()}, f.trunc_mod)
+
+
+def frac_mul(f, g):
+    """The whole product, then the indices at or past its modulus dropped."""
+    mods = []
+    if f.trunc_mod is not None:
+        mods.append(f.trunc_mod + (g.min_index() or 0))
+    if g.trunc_mod is not None:
+        mods.append(g.trunc_mod + (f.min_index() or 0))
+    mod = min(mods, default=None)
+    full = {}
+    for i, a in f.coeffs.items():
+        for j, b in sorted(g.coeffs.items()):
+            full[i + j] = full.get(i + j, Fraction(0)) + a * b
+    return FracLaurent({k: c for k, c in full.items() if mod is None or k < mod}, mod)
+
+
+def frac_with_mod(f, m):
+    return FracLaurent({k: c for k, c in f.coeffs.items() if m is None or k < m}, m)
+
+
+def frac_shift(f, j):
+    mod = None if f.trunc_mod is None else f.trunc_mod + j
+    return FracLaurent({k + j: c for k, c in f.coeffs.items()}, mod)
+
+
+def frac_norm_bounds(c, V):
+    """(lo, hi) of ||c||_V for one Fraction: the pole test, then the largest
+    endpoint term of the compiled compact."""
+    from arithline.base_space import _norm_endpoints
+    from arithline.errors import NotInRingOfV
+    from arithline.normvalue import pow_bounds
+    from arithline.numbers import vp
+
+    detail = kv_pole_refusal(c, V)
+    if detail is not None:
+        raise NotInRingOfV(detail)
+    if c == 0:
+        return Fraction(0), Fraction(0)
+    has_trivial, finite_terms, arch_terms, extreme, _ = _norm_endpoints(V)
+    terms = [(Fraction(1), Fraction(1))] if has_trivial else []
+    terms += [pow_bounds(Fraction(p), -e * vp(c, p)) for p, e in finite_terms]
+    terms += [pow_bounds(abs(c), e) for e in arch_terms]
+    terms += [(Fraction(0),) * 2 if vp(c, q) > 0 else (Fraction(1),) * 2 for q in extreme]
+    return max(lo for lo, _ in terms), max(hi for _, hi in terms)
+
+
+def _frac_terms(f, A):
+    from arithline.errors import NegativePowersOnDisk
+
+    if A.s == 0 and any(k < 0 for k in f.coeffs):
+        raise NegativePowersOnDisk(NEG_ON_DISK)
+    out = []
+    for k, c in f.coeffs.items():
+        c_lo, c_hi = frac_norm_bounds(c, A.V)
+        w = max(A.s ** k, A.t ** k)
+        out.append((c_lo * w, c_hi * w))
+    return out
+
+
+def _frac_value(lo, hi):
+    from arithline.normvalue import NormValue
+
+    return NormValue.of(lo) if lo == hi else NormValue.interval(lo, hi)
+
+
+def frac_norm_annulus(f, A):
+    """sum_k ||a_k||_V max(s^k, t^k), one Fraction product per term."""
+    terms = _frac_terms(f, A)
+    return _frac_value(sum(lo for lo, _ in terms), sum(hi for _, hi in terms))
+
+
+def frac_uniform_norm_annulus(f, A, archimedean_upper_bound=False):
+    """max_k ||a_k||_V max(s^k, t^k); the sum norm or a refusal off the
+    ultrametric branches."""
+    from arithline.errors import ArchimedeanBase
+
+    if is_archimedean_by_shape(A.V):
+        if archimedean_upper_bound:
+            return frac_norm_annulus(f, A)
+        raise ArchimedeanBase("uniform norm needs an ultrametric base compact")
+    terms = _frac_terms(f, A)
+    return _frac_value(max((lo for lo, _ in terms), default=Fraction(0)),
+                       max((hi for _, hi in terms), default=Fraction(0)))
+
+
+def frac_prune(f, ctx, tol):
+    """The monomials whose certified contribution ||c||_V.hi max(s^k, t^k)
+    exceeds tol: every coefficient's norm first, then every weight."""
+    his = [frac_norm_bounds(c, ctx.V)[1] for c in f.coeffs.values()]
+    weights = [radius_weight(ctx, k) for k in f.coeffs]
+    kept = {k: c for (k, c), hi, w in zip(f.coeffs.items(), his, weights) if hi * w > tol}
+    return FracLaurent(kept, f.trunc_mod)

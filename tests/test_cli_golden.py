@@ -22,6 +22,8 @@ where a case carries it, stderr) for:
   without ``--s``, recorded before the handlers took converted arguments;
 * ``cousin-split`` with ``--s`` and ``--t``, which it never read and no
   longer takes (exit 1, usage error), recorded when they were removed.
+* ``norm-annulus`` and ``invert-unit`` with a negative index on a disk
+  (exit 2), recorded when that refusal got its one text.
 
 Usage text is wrapped at COLUMNS=80.  ``replay_golden.py`` replays the same
 cases as subprocesses of an installed command.

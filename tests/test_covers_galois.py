@@ -78,6 +78,18 @@ def test_binomial_examples():
         binomial_root_series(4, 5, p=2)
 
 
+def test_binomial_budget():
+    from arithline.covers_galois import BINOMIAL_BITS
+
+    assert BINOMIAL_BITS == 1024
+    binomial_root_series(8, 201)  # the tallest series the checks build: 201 * 4 bits
+    binomial_root_series(1, 1024)
+    with pytest.raises(CannotCertify, match="m\\*bits\\(n\\) = 1025 exceeds 1024"):
+        binomial_root_series(1, 1025)
+    with pytest.raises(CannotCertify):
+        binomial_root_series(2 ** 60, 300)
+
+
 def test_binomial_identity_and_integrality_sweep():
     for n in range(1, 9):
         g, report = binomial_root_series(n, 64)

@@ -40,7 +40,7 @@ CENTER = AnnulusSpec(CENTRAL, 0, Fraction(1, 2))
 def naive_norm_annulus(f, A):
     """sum_k ||a_k||_V max(s^k, t^k), one Fraction multiply-add per term."""
     if f.has_negative_support() and A.s == 0:
-        raise NegativePowersOnDisk("series has negative powers but s = 0")
+        raise NegativePowersOnDisk("negative powers of T on a disk (s = 0)")
     lo = hi = Fraction(0)
     for k, c in f.coeffs.items():
         w = max(A.s ** k, A.t ** k)

@@ -138,3 +138,22 @@ def test_precision_is_per_thread():
     assert not any(t.is_alive() for t in threads)
     assert widths == {16: Fraction(1, 2 ** 16), 64: Fraction(1, 2 ** 64)}
     assert default_bits() == DEFAULT_BITS
+
+
+def test_power_budget_is_checked_before_any_power():
+    from arithline.errors import CannotCertify
+    from arithline.normvalue import POW_BITS, pow_bounds
+
+    # |e.numerator| h(x) with h(2) = 2 bits: 2^15 fits exactly, one more does not
+    half = POW_BITS // 2
+    assert pow_bounds(Fraction(2), Fraction(half)) == (2 ** half,) * 2
+    assert NormValue.of(Fraction(1, 2)).pow_rational(-half).exact == 2 ** half
+    for call in (lambda e: pow_bounds(Fraction(2), e), NormValue.of(2).pow_rational):
+        with pytest.raises(CannotCertify):
+            call(Fraction(half + 1))
+        # a k-th root costs k bits of working precision (128 here): 3 * 128 + 1 * 2 fits
+        call(Fraction(1, 3))
+        with pytest.raises(CannotCertify):
+            call(Fraction(1, POW_BITS // 128))
+    assert pow_bounds(Fraction(0), Fraction(10 ** 30)) == (0, 0)
+    assert NormValue.of(1).pow_rational(10 ** 4).exact == 1

@@ -337,7 +337,10 @@ def test_error_codes_are_the_parent_literals():
     assert {name: cls().detail for name, cls in classes.items()} == PARENT_CODES
 
 
-# -- calls that hung, or would without a bounded seed search, a sparse lift and COVER_TERMS --
+# -- calls that hung or ran out of memory, or would without a bounded seed search, a sparse
+# lift, COVER_TERMS, BINOMIAL_BITS and POW_BITS --
+
+POW_REFUSAL = {"v": 1, "error": "CannotCertify", "detail": "x ** e exceeds the budget of 65536 bits of work"}
 
 HANGS = [
     (["find-prime", "--n", "100000000000", "--bound", "1000000000000"], 2,
@@ -356,13 +359,22 @@ HANGS = [
      {"v": 1, "error": "CannotCertify", "detail": "a cover with n*m = 2000000012 terms exceeds 1024"}),
     (["cover", "--n", "3", "--p", "7", "--m", "100000", "--N", "4"], 2,
      {"v": 1, "error": "CannotCertify", "detail": "a cover with n*m = 300000 terms exceeds 1024"}),
+    (["binomial", "--n", "1000000", "--m", "178"], 2,
+     {"v": 1, "error": "CannotCertify", "detail": "a binomial series with m*bits(n) = 3560 exceeds 1024"}),
+    (["binomial", "--n", str(2 ** 60), "--m", "300"], 2,
+     {"v": 1, "error": "CannotCertify", "detail": "a binomial series with m*bits(n) = 18300 exceeds 1024"}),
+    (["cousin-split", "--a", "5/6", "--place", "2", "--u", "1099511627776"], 2, POW_REFUSAL),
+    (["base-norm", "--f", "2", "--V",
+      '{"kind":"segment","place":"inf","u":"1/100000000","v":"1/100000000"}'], 2, POW_REFUSAL),
+    (["eval-base", "--f", "2", "--point", '{"place":"inf","exp":"1/1000000000"}'], 2, POW_REFUSAL),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,code,want",
     HANGS,
-    ids=["find-prime", "zeta", "zeta-large-n", "zeta-refused", "eval-line", "cover-large-n", "cover-large-m"],
+    ids=["find-prime", "zeta", "zeta-large-n", "zeta-refused", "eval-line", "cover-large-n", "cover-large-m",
+         "binomial-large-n", "binomial-n-2^60", "cousin-split-huge-u", "base-norm-tiny-root", "eval-base-tiny-root"],
 )
 def test_former_hangs_answer_within_five_seconds(argv, code, want):
     proc = subprocess.run(
