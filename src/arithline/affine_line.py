@@ -23,8 +23,8 @@ from .errors import (
     IrrationalRadius,
     NonIntegralCoefficients,
 )
-from .normvalue import NormValue, nv_max
-from .numbers import rational_root, vp
+from .normvalue import NormValue, exact_power, nv_max
+from .numbers import vp
 from .polys import (
     Gauss,
     deg,
@@ -244,11 +244,13 @@ def flow(x: LinePoint, eps) -> LinePoint:
 
 
 def _rational_power(r: Fraction, eps: Fraction) -> Fraction:
+    """r ** eps exactly: IrrationalRadius without a rational value,
+    CannotCertify past the ``POW_BITS`` budget of ``normvalue.exact_power``."""
     if r == 0:
         return Fraction(0)
     if r == 1 or eps == 1:
         return r if eps != 0 else Fraction(1)
-    root = rational_root(r, eps.denominator)
-    if root is None:
+    out = exact_power(r, eps)
+    if out is None:
         raise IrrationalRadius(f"{r}**{eps} is irrational")
-    return root ** eps.numerator
+    return out

@@ -8,7 +8,11 @@ extreme point (exponent +inf) carrying the trivial seminorm of the residue
 field; the archimedean branch stops at exponent 1.
 
 The norms, the pole test of K(V) and ``is_archimedean_compact`` all read a
-compact as ``_norm_endpoints`` compiles it.
+compact as ``_norm_endpoints`` compiles it.  ``norm_bounds_each`` gives the
+norms of integer content n_k / D as integer pairs, each the max of its
+endpoint terms by cross-multiplication, so the annulus norms, the pruning of
+series matrices and the division threshold build no Fraction per
+coefficient; ``norm_bounds`` reads one such pair as Fractions.
 """
 
 from dataclasses import dataclass
@@ -18,7 +22,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import NonIntegralAtExtremePoint, NotInRingOfV, ZeroInput
-from .normvalue import NormValue, pow_bounds
+from .normvalue import NormValue, pow_pairs
 from .numbers import TRIAL_BOUND, factor, is_prime, small_prime_factor, strip_primes, vp, vp_int
 
 INF = float("inf")
@@ -328,12 +332,17 @@ def _norm_endpoints(V: BaseCompact):
 def norm_bounds(f, V: BaseCompact):
     """Exact Fraction enclosure (lo, hi) of ||f||_V."""
     f = Fraction(f)
-    return norm_bounds_each((f.numerator,), f.denominator, V)[0]
+    lo, hi = norm_bounds_each((f.numerator,), f.denominator, V)[0]
+    q = Fraction(*lo)
+    return q, (q if hi is lo else Fraction(*hi))
 
 
 def norm_bounds_each(nums, den: int, V: BaseCompact) -> list:
-    """[norm_bounds(n / den, V) for n in nums], den > 0, compiling V's endpoints
-    once.  No pole at den means none at any n / den; else each is tested."""
+    """[norm_bounds(n / den, V) for n in nums] as integer pairs: each item is
+    ((lo_n, lo_d), (hi_n, hi_d)) with lo_d, hi_d > 0, not necessarily in
+    lowest terms, and lo is hi unless a root was taken.  den > 0; V's
+    endpoints are compiled once.  No pole at den means none at any n / den;
+    else each is tested."""
     ends = _norm_endpoints(V)
     pole = ends[4]
     if pole is not None and den != 1 and pole(den) != 1:
@@ -344,25 +353,31 @@ def norm_bounds_each(nums, den: int, V: BaseCompact) -> list:
     return [_endpoint_bounds(n, den, ends) for n in nums]
 
 
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO, _ONE = (0, 1), (1, 1)
+
+
+def _pair_max(a, b):
+    """The larger of the rationals a[0]/a[1] and b[0]/b[1] (denominators > 0), a on a tie."""
+    return a if a[0] * b[1] >= b[0] * a[1] else b
 
 
 def _endpoint_bounds(n: int, d: int, ends):
-    """(lo, hi) of ||n / d||_V over the compiled endpoints; the caller has
-    made the pole test."""
+    """(lo, hi) of ||n / d||_V over the compiled endpoints, as integer pairs,
+    each the max of its endpoint terms by cross-multiplication; the caller
+    has made the pole test."""
     if n == 0:
         return _ZERO, _ZERO
     has_trivial, finite_terms, arch_terms, extreme, _ = ends
     lo = hi = _ONE if has_trivial else None
     for p, e in finite_terms:
-        t_lo, t_hi = pow_bounds(Fraction(p), -e * (vp_int(n, p) - vp_int(d, p)))
-        lo, hi = (t_lo, t_hi) if lo is None else (max(lo, t_lo), max(hi, t_hi))
+        t_lo, t_hi = pow_pairs(p, 1, -e * (vp_int(n, p) - vp_int(d, p)))
+        lo, hi = (t_lo, t_hi) if lo is None else (_pair_max(lo, t_lo), _pair_max(hi, t_hi))
     for e in arch_terms:
-        t_lo, t_hi = pow_bounds(Fraction(abs(n), d), e)
-        lo, hi = (t_lo, t_hi) if lo is None else (max(lo, t_lo), max(hi, t_hi))
+        t_lo, t_hi = pow_pairs(abs(n), d, e)
+        lo, hi = (t_lo, t_hi) if lo is None else (_pair_max(lo, t_lo), _pair_max(hi, t_hi))
     for q in extreme:
         t = _ZERO if vp_int(n, q) > vp_int(d, q) else _ONE
-        lo, hi = (t, t) if lo is None else (max(lo, t), max(hi, t))
+        lo, hi = (t, t) if lo is None else (_pair_max(lo, t), _pair_max(hi, t))
     if lo is None:
         raise ValueError("compact has no endpoint terms")
     return lo, hi

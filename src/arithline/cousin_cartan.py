@@ -339,9 +339,9 @@ class SeriesMatrix:
     def prune(self, ctx: AnnulusSpec, tol: Fraction) -> "SeriesMatrix":
         """Drop monomials whose certified norm contribution is below tol.
 
-        The contribution of c T^k is ||c||_V.hi w_k with the integer-pair
-        weight w_k of ``AnnulusSpec.weights``; hi w_k > tol is decided by
-        cross-multiplication.
+        The contribution of c T^k is ||c||_V.hi w_k with the integer pairs of
+        ``norm_bounds_each`` and ``AnnulusSpec.weights``; hi w_k > tol is
+        decided by cross-multiplication.
         """
         tol_n, tol_d = tol.numerator, tol.denominator
 
@@ -349,8 +349,8 @@ class SeriesMatrix:
             bounds = norm_bounds_each(e.num.values(), e.den, ctx.V)
             kept = {
                 k: c
-                for (k, c), (_, hi), (wn, wd) in zip(e.num.items(), bounds, ctx.weights(e.num))
-                if hi.numerator * wn * tol_d > tol_n * hi.denominator * wd
+                for (k, c), (_, (hn, hd)), (wn, wd) in zip(e.num.items(), bounds, ctx.weights(e.num))
+                if hn * wn * tol_d > tol_n * hd * wd
             }
             return LaurentPoly._content(kept, e.den, e.trunc_mod)
 

@@ -150,3 +150,8 @@ class CannotCertify(ArithlineError):
 
 class CannotFactor(ArithlineError):
     pass
+
+
+class OutputTooLarge(ArithlineError):
+    """An exact output holds an integer past the interpreter's limit on
+    int-to-decimal conversion (4300 digits by default)."""

@@ -7,18 +7,22 @@ Each ``parse_*`` reads one type from decoded JSON.  ``encode`` is the one
 serializer: it dispatches on the type to the matching ``*_json`` function,
 writes any other dataclass as {field: value} in declaration order, and
 refuses everything else with TypeError.  ``dumps`` writes a top-level CLI
-payload through it, headed by the schema version field "v": 1.
+payload through it, headed by the schema version field "v": 1.  An integer
+past the interpreter's int-to-str digit limit (4300 by default) is refused
+with the domain error OutputTooLarge; the limit itself is left alone.
 """
 
 import dataclasses
 import functools
 import json
+import sys
 from fractions import Fraction
 
 from .affine_line import LinePoint, TrivClosed, TrivOuter, UmDisk
 from .base_space import INF, BaseCompact, BasePoint, Place, RingLabel, is_inf
 from .cousin_cartan import SeriesMatrix
 from .covers_galois import GroupTable
+from .errors import OutputTooLarge
 from .normvalue import NormValue
 from .polys import Gauss, poly
 from .series_ring import AnnulusSpec, LaurentPoly
@@ -249,7 +253,18 @@ def parse_gauss(v) -> Gauss:
 
 
 def dumps(result, indent=None) -> str:
-    """A CLI payload: "v" first, then result (a dict, or an object encoding to one)."""
-    if not isinstance(result, dict):
-        result = encode(result)
-    return json.dumps({"v": SCHEMA_VERSION, **result}, indent=indent, default=encode)
+    """A CLI payload: "v" first, then result (a dict, or an object encoding to one).
+
+    Every int of the payload becomes decimal here, so this is where the
+    interpreter's digit limit raises its ValueError; it is refused as
+    OutputTooLarge.
+    """
+    try:
+        if not isinstance(result, dict):
+            result = encode(result)
+        return json.dumps({"v": SCHEMA_VERSION, **result}, indent=indent, default=encode)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        raise OutputTooLarge(f"an integer of the output has more than {limit} decimal digits") from None

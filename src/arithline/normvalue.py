@@ -8,13 +8,17 @@ the enclosure, so any comparison certified through ``le``/``lt`` is sound.
 
 The precision is a context variable: ``set_default_bits`` changes it for the
 current thread (or the ``contextvars`` context a caller runs in) only.
-``pow_bounds`` is the one rule for x ** e at a rational exponent: exact for
-integer e, outward at that precision otherwise; it and ``pow_rational``
-refuse a power above ``POW_BITS`` of work before taking it.
+``pow_pairs`` is the one rule for x ** e at a rational exponent: exact for
+integer e, outward at that precision otherwise, as integer pairs for the
+norms; ``pow_bounds`` reads it as Fractions.  ``exact_power`` gives x ** e
+only when it is rational, for ``pow_rational`` and the exact radii of
+``affine_line.flow``.  Both refuse a power above ``POW_BITS`` bits of work
+with CannotCertify before it is taken.
 """
 
 import contextvars
 from fractions import Fraction
+from math import gcd
 
 from .errors import CannotCertify
 from .numbers import iroot, rational_root
@@ -156,12 +160,9 @@ class NormValue:
                 if e < 0:
                     raise ZeroDivisionError("0 ** negative")
                 return NormValue.of(0)
-            _check_pow_budget(q, e)
-            if e.denominator == 1:
-                return NormValue.of(q ** e.numerator)
-            root = rational_root(q, e.denominator)
-            if root is not None:
-                return NormValue.of(root ** e.numerator)
+            z = exact_power(q, e)
+            if z is not None:
+                return NormValue.of(z)
             return NormValue(*pow_bounds(q, e))
         if e > 0:
             return NormValue(pow_bounds(self.lo, e)[0], pow_bounds(self.hi, e)[1])
@@ -199,28 +200,63 @@ class NormValue:
 
 
 def pow_bounds(x: Fraction, e: Fraction):
-    """(lo, hi) with lo <= x ** e <= hi for rational x >= 0 and e.
+    """(lo, hi) with lo <= x ** e <= hi for rational x >= 0 and e: the pairs
+    of ``pow_pairs`` as Fractions, one object when exact."""
+    lo, hi = pow_pairs(x.numerator, x.denominator, e)
+    lo_q = Fraction(*lo)
+    return lo_q, lo_q if hi is lo else Fraction(*hi)
 
-    Both are x ** e when e is an integer; otherwise they are dyadics, outward
-    at the current precision.  0 ** e is taken as 0 for every e.
+
+def pow_pairs(n: int, d: int, e: Fraction):
+    """lo <= (n / d) ** e <= hi for n >= 0 and d > 0 in any terms, as integer
+    pairs ((lo_n, lo_d), (hi_n, hi_d)) with denominators > 0.
+
+    Both are the power, one object, when e is an integer; otherwise they are
+    dyadics, outward at the current precision.  0 ** e is taken as 0 for
+    every e.  The pairs need not be in lowest terms.
     """
-    if x == 0:
-        return Fraction(0), Fraction(0)
-    if e == 1:  # x itself: no power is taken, so no budget applies
-        return x, x
-    _check_pow_budget(x, e)
-    z = x ** e.numerator
-    if e.denominator == 1:
+    if n == 0:
+        z = (0, 1)
         return z, z
-    return root_bounds(z, e.denominator, _bits.get())
+    if e == 1:  # n / d itself: no power is taken, so no budget applies
+        z = (n, d)
+        return z, z
+    g = gcd(n, d)
+    n, d = n // g, d // g
+    a, k = e.numerator, e.denominator
+    # a k-th root works at k times the precision
+    _check_pow_budget(abs(a) * _height(n, d) + (k * _bits.get() if k > 1 else 0))
+    z = (n ** a, d ** a) if a >= 0 else (d ** -a, n ** -a)
+    if k == 1:
+        return z, z
+    lo, hi = root_bounds(Fraction(*z), k, _bits.get())
+    return (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
 
 
-def _check_pow_budget(x: Fraction, e: Fraction) -> None:
-    """CannotCertify when |a| h(x) + (k bits if k > 1) exceeds POW_BITS, for
-    e = a/k and h(x) the larger bit length of x's numerator and denominator."""
-    work = abs(e.numerator) * max(x.numerator.bit_length(), x.denominator.bit_length())
-    if e.denominator > 1:
-        work += e.denominator * _bits.get()
+def exact_power(x: Fraction, e: Fraction):
+    """x ** e for rational x > 0 and e when it is rational, else None.
+
+    For e = a/k, x != 1 has a rational k-th root only if its numerator or
+    denominator is at least 2^k, so none is tried once k reaches h, the
+    larger bit length of the two.  Otherwise the root and its power cost
+    about |a| h bits.
+    """
+    if x == 1:
+        return x
+    h = _height(x.numerator, x.denominator)
+    a, k = e.numerator, e.denominator
+    if k >= h:
+        return None
+    _check_pow_budget(abs(a) * h)
+    root = rational_root(x, k) if k > 1 else x
+    return None if root is None else root ** a
+
+
+def _height(n: int, d: int) -> int:
+    return max(n.bit_length(), d.bit_length())
+
+
+def _check_pow_budget(work: int) -> None:
     if work > POW_BITS:
         raise CannotCertify(f"x ** e exceeds the budget of {POW_BITS} bits of work")
 

@@ -45,7 +45,8 @@ class LaurentPoly:
     def __init__(self, coeffs=None, trunc_mod: Optional[int] = None):
         data = {}
         for k, c in coeffs.items() if isinstance(coeffs, dict) else coeffs or ():
-            data[int(k)] = data.get(int(k), 0) + Fraction(c)
+            k, c = int(k), Fraction(c)
+            data[k] = data[k] + c if k in data else c
         mod = None if trunc_mod is None else int(trunc_mod)
         f = LaurentPoly._raw({k: c for k, c in sorted(data.items()) if c and (mod is None or k < mod)})
         self.num, self.den, self.trunc_mod = f.num, f.den, mod
@@ -223,14 +224,22 @@ def _invert_series(f: LaurentPoly, m: int) -> LaurentPoly:
     return LaurentPoly._content(dict(sorted(g.num.items())), g.den, m)
 
 
+def _known_valuation(f: LaurentPoly) -> int:
+    """A lower bound for the T-adic valuation of f as known: its lowest
+    stored index, m for a stored zero known mod T^m, 0 for the exact zero."""
+    if f.num:
+        return min(f.num)
+    return 0 if f.trunc_mod is None else f.trunc_mod
+
+
 def series_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """f g, convolved on the numerators over den_f den_g."""
     # a factor known mod T^m contributes uncertainty only from T^(m + val) on
     mods = []
     if f.trunc_mod is not None:
-        mods.append(f.trunc_mod + (g.min_index() or 0))
+        mods.append(f.trunc_mod + _known_valuation(g))
     if g.trunc_mod is not None:
-        mods.append(g.trunc_mod + (f.min_index() or 0))
+        mods.append(g.trunc_mod + _known_valuation(f))
     mod = min(mods) if mods else None
     out = _convolve(f.num.items(), sorted(g.num.items()), mod)
     return LaurentPoly._content(out, f.den * g.den, mod)
@@ -244,17 +253,19 @@ def series_scale(a, f: LaurentPoly) -> LaurentPoly:
 
 
 def series_arith(f: LaurentPoly, g: LaurentPoly, op: str) -> LaurentPoly:
-    """Ring operation dispatch; result modulus is the min of the input moduli.
+    """Ring operation dispatch; the result modulus is at most the min of the
+    input moduli.
 
-    (Internally products carry the sharper modulus min(mod_f + val g,
-    mod_g + val f); the public dispatch reports the conservative contract.)
+    A product is reported mod the smaller of that min and the modulus
+    ``series_mul`` certifies, min(mod_f + val g, mod_g + val f), which is
+    the lower one when a factor has negative valuation.
     """
     if op == "add":
         return series_add(f, g)
     if op == "mul":
         out = series_mul(f, g)
-        mods = [m for m in (f.trunc_mod, g.trunc_mod) if m is not None]
-        return out.with_mod(min(mods)) if mods else out
+        m = _result_mod(f, g)
+        return out if m is None or out.trunc_mod <= m else out.with_mod(m)
     raise ValueError(f"unknown op {op!r}")
 
 
@@ -302,13 +313,15 @@ def _check_support(f: LaurentPoly, A: AnnulusSpec):
 
 def _weighted_bounds(f: LaurentPoly, A: AnnulusSpec):
     """The terms ||a_k||_V.lo w_k and ||a_k||_V.hi w_k, w_k = max(s^k, t^k),
-    as two lists of integer pairs (n, d) with d > 0."""
+    as two lists of integer pairs (n, d) with d > 0: the pairs of
+    ``norm_bounds_each`` times the weight pairs."""
     _check_support(f, A)
     bounds = norm_bounds_each(f.num.values(), f.den, A.V)
     lo, hi = [], []
     for (wn, wd), (c_lo, c_hi) in zip(A.weights(f.num), bounds):
-        lo.append((c_lo.numerator * wn, c_lo.denominator * wd))
-        hi.append((c_hi.numerator * wn, c_hi.denominator * wd))
+        t = (c_lo[0] * wn, c_lo[1] * wd)
+        lo.append(t)
+        hi.append(t if c_hi is c_lo else (c_hi[0] * wn, c_hi[1] * wd))
     return lo, hi
 
 

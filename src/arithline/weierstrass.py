@@ -6,10 +6,14 @@ condition  sum_k ||g_k|| v^(k-p) <= 1/2, which yields the quotient/remainder
 bounds ||Q|| <= 2 v^(-p) ||F|| and ||R|| <= 2 ||F||.  The threshold is the
 first radius on the 2^-16 grid that meets the condition, found by a search on
 the grid index with the condition cleared of denominators into an integer
-inequality (see ``global_threshold``).  Local division of truncated series
-runs the fixed-point operator phi -> alpha(phi) G + beta(phi) and records its
-contraction certificate.  ``hensel_lift_root`` is the one Hensel lift, for
-series and p-adic roots (the roots of unity of ``covers_galois`` among them).
+inequality (see ``global_threshold``), its ||g_k|| read from G's integer
+content as pairs.  Q and R come from one integer pseudo-division of F's
+numerators by G's (``_euclid``), which also serves the polynomial branch of
+local division, where G's leading coefficient is a unit.  Local division of
+truncated series otherwise runs the fixed-point operator
+phi -> alpha(phi) G + beta(phi) and records its contraction certificate.
+``hensel_lift_root`` is the one Hensel lift, for series and p-adic roots (the
+roots of unity of ``covers_galois`` among them).
 """
 
 from dataclasses import dataclass
@@ -23,7 +27,7 @@ from .base_space import (
     classify_base_point,
     eval_base_seminorm,
     is_inf,
-    norm_bounds,
+    norm_bounds_each,
     shilov_base,
 )
 from .errors import (
@@ -53,7 +57,6 @@ from .polys import (
     hensel_multi_lift,
     is_monic,
     pderiv,
-    pdivmod,
     peval,
     peval_gauss,
     poly,
@@ -75,17 +78,26 @@ _GRID_BITS = 16
 GRID = Fraction(1, 1 << _GRID_BITS)  # dyadic search grid for certified thresholds
 
 
-def _as_poly(G) -> tuple:
+def _monic(G, refusal: str) -> LaurentPoly:
+    """The divisor G, a ``LaurentPoly`` or an ascending coefficient sequence,
+    as content; NotMonic(refusal) unless its leading coefficient is 1."""
     if isinstance(G, LaurentPoly):
-        return G.poly_coeffs()
-    return poly(G)
+        if G.has_negative_support():
+            raise ValueError("negative support")
+    else:
+        G = LaurentPoly.from_poly(G)
+    if not G or G.num[G.degree()] != G.den:
+        raise NotMonic(refusal)
+    return G
 
 
 def global_threshold(G, V: BaseCompact) -> Fraction:
     """Smallest grid radius v certified to satisfy sum ||g_k|| v^(k-p) <= 1/2.
 
-    With b_k = ||g_k||_V.hi, D the lcm of their denominators and v = i GRID,
-    multiplying the condition by 2 D i^p > 0 gives the integer inequality
+    The b_k = ||g_k||_V.hi come from one ``norm_bounds_each`` call on G's
+    content, as integer pairs b_k = n_k / d_k.  With D the lcm of the d_k
+    and v = i GRID, multiplying the condition by 2 D i^p > 0 gives the
+    integer inequality
 
         sum_{k<p} 2 (D b_k) 2^(16(p-k)) i^k <= D i^p,
 
@@ -98,16 +110,15 @@ def global_threshold(G, V: BaseCompact) -> Fraction:
     stands for "no index") and hi certifies; it returns hi GRID, the first
     certified grid radius.
     """
-    G = _as_poly(G)
-    if not is_monic(G):
-        raise NotMonic("threshold needs a monic divisor")
-    p = deg(G)
+    G = _monic(G, "threshold needs a monic divisor")
+    p = G.degree()
     if p < 1:
         raise NotMonic("divisor must have positive degree")
-    b = [norm_bounds(c, V)[1] for c in G[:-1]]
-    D = lcm_list(x.denominator for x in b)
+    b = [hi for _, hi in norm_bounds_each([G.num.get(k, 0) for k in range(p)], G.den, V)]
+    D = lcm_list(d for _, d in b)
     # D i^p - sum_k 2 (D b_k) 2^(16(p-k)) i^k, highest coefficient first
-    coeffs = [D] + [-(int(D * b[k]) << (_GRID_BITS * (p - k) + 1)) for k in reversed(range(p))]
+    coeffs = [D] + [-(b[k][0] * (D // b[k][1]) << (_GRID_BITS * (p - k) + 1))
+                    for k in reversed(range(p))]
 
     def certified(i: int) -> bool:
         acc = 0
@@ -130,6 +141,38 @@ def global_threshold(G, V: BaseCompact) -> Fraction:
         else:
             lo = mid
     return hi * GRID
+
+
+def _euclid(F: LaurentPoly, G: LaurentPoly):
+    """(Q, R) with F = Q G + R and deg R < deg G, both known mod F's modulus.
+
+    F has nonnegative support and G is a polynomial with leading
+    coefficient u != 0.  With F = f / d and G = g / e on their content and
+    L = u e the lead of g, s = |L|^j for the j = deg F - deg G + 1 quotient
+    steps, the pseudo-division s f = q g + r runs on the integers, each
+    quotient coefficient an exact division by L; then Q = e q / (d s) and
+    R = r / (d s).  For G monic with integer coefficients, L = s = 1 and
+    this is plain synthetic division.  Q and R store only indices below
+    deg F, hence below F's modulus.
+    """
+    mod = F.trunc_mod
+    p, n = G.degree(), F.degree()
+    if n is None or n < p:
+        return LaurentPoly._content({}, 1, mod), F
+    g = [(i, c) for i, c in G.num.items() if i < p]
+    L = G.num[p]
+    s = abs(L) ** (n - p + 1)
+    r = [F.num.get(i, 0) * s for i in range(n + 1)]
+    q = [0] * (n - p + 1)
+    for k in range(n - p, -1, -1):
+        c = r[k + p] if L == 1 else r[k + p] // L
+        if c:
+            q[k] = c * G.den
+            for i, b in g:
+                r[k + i] -= c * b
+    den = F.den * s
+    Q = LaurentPoly._content(dict(enumerate(q)), den, mod)
+    return Q, LaurentPoly._content(dict(enumerate(r[:p])), den, mod)
 
 
 @dataclass(frozen=True)
@@ -157,21 +200,16 @@ def divide(F, G, V: BaseCompact, w):
     ||Q||_{V,w} <= 2 v^(-p) ||F||_{V,w} and ||R||_{V,w} <= 2 ||F||_{V,w}.
     """
     w = Fraction(w)
-    Gp = _as_poly(G)
-    if not is_monic(Gp):
-        raise NotMonic("global division needs a monic divisor")
-    p = deg(Gp)
-    v = global_threshold(Gp, V)
+    G = _monic(G, "global division needs a monic divisor")
+    p = G.degree()
+    v = global_threshold(G, V)
     if w < v:
         raise RadiusBelowThreshold(f"w = {w} below certified threshold {v}")
     if not isinstance(F, LaurentPoly):
         F = LaurentPoly.from_poly(poly(F))
     if F.has_negative_support():
         raise ValueError("global division expects nonnegative support")
-    mod = F.trunc_mod
-    q, r = pdivmod(F.poly_coeffs(), Gp)
-    Q = LaurentPoly.from_poly(q, mod)
-    R = LaurentPoly.from_poly(r, mod)
+    Q, R = _euclid(F, G)
     A = AnnulusSpec(V, Fraction(0), w)
     normF = norm_annulus(F, A)
     normQ = norm_annulus(Q, A)
@@ -254,8 +292,7 @@ def divide_local_series(F: LaurentPoly, G: LaurentPoly, p: int, m: int, ctx: Ann
     if low_zero:
         return _divide_by_iteration(F, G, p, m, ctx)
     if G.degree() == p:
-        q, r = pdivmod(F.poly_coeffs(), G.poly_coeffs())
-        Q, R = LaurentPoly.from_poly(q, m), LaurentPoly.from_poly(r, m)
+        Q, R = _euclid(F, G)
         cert = _contraction_cert(G, p, ctx)
         return Q, R, cert
     raise ValuationUndefined(

@@ -29,10 +29,12 @@ def padic_abs(q: Fraction, p: int) -> Fraction:
 
 
 def schoolbook_divmod(F, G):
-    """Classical long division of coefficient lists (ascending), G monic."""
+    """Classical long division of coefficient lists (ascending) by G with a
+    nonzero lead: the model the integer division of ``weierstrass`` is
+    checked against.  Returns (Q, R) with no trailing zeros."""
     F = [Fraction(c) for c in F]
     G = [Fraction(c) for c in G]
-    assert G and G[-1] == 1
+    assert G and G[-1] != 0
     Q = [Fraction(0)] * max(0, len(F) - len(G) + 1)
     R = F[:]
     while len(R) >= len(G):
@@ -40,7 +42,7 @@ def schoolbook_divmod(F, G):
             R.pop()
             continue
         shift = len(R) - len(G)
-        c = R[-1]
+        c = R[-1] / G[-1]
         Q[shift] = c
         for i, g in enumerate(G):
             R[shift + i] -= c * g
@@ -50,6 +52,7 @@ def schoolbook_divmod(F, G):
     while Q and Q[-1] == 0:
         Q.pop()
     return Q, R
+
 
 def series_quotient(F, G, m):
     """Coefficients of F/G mod T^m for power series with G[0] != 0."""
@@ -641,13 +644,22 @@ def frac_scale(a, f):
     return FracLaurent({k: Fraction(a) * c for k, c in f.coeffs.items()}, f.trunc_mod)
 
 
+def frac_val(f):
+    """The valuation of f as far as it is known: its lowest index, m for a
+    zero known mod T^m, and 0 (a lower bound) for the exact zero."""
+    if f.coeffs:
+        return f.min_index()
+    return 0 if f.trunc_mod is None else f.trunc_mod
+
+
 def frac_mul(f, g):
-    """The whole product, then the indices at or past its modulus dropped."""
+    """The whole product, then the indices at or past its modulus dropped;
+    the modulus is min(mod_f + val g, mod_g + val f) with ``frac_val``."""
     mods = []
     if f.trunc_mod is not None:
-        mods.append(f.trunc_mod + (g.min_index() or 0))
+        mods.append(f.trunc_mod + frac_val(g))
     if g.trunc_mod is not None:
-        mods.append(g.trunc_mod + (f.min_index() or 0))
+        mods.append(g.trunc_mod + frac_val(f))
     mod = min(mods, default=None)
     full = {}
     for i, a in f.coeffs.items():

@@ -130,6 +130,32 @@ def test_flow_domain_errors():
         flow(y, Fraction(-1))
 
 
+def test_flow_radii_cost_their_size_not_the_precision():
+    """An exact radius r ** (a/k) costs about |a| h bits, h the bit length of
+    r: a rational root is taken past any k times the interval precision, and
+    for k >= h (no rational root of r != 1) none is tried."""
+    from arithline.errors import CannotCertify
+    from arithline.normvalue import POW_BITS, default_bits, set_default_bits
+
+    def radius(r, eps):
+        return flow(LinePoint.disk(BasePoint.finite(2, 1), 0, r), eps).fiber.r
+
+    before = default_bits()
+    set_default_bits(8 * POW_BITS)  # results do not depend on the precision
+    try:
+        assert radius(Fraction(1, 2 ** 600), Fraction(1, 600)) == Fraction(1, 2)
+        assert radius(Fraction(3 ** 40, 2 ** 80), Fraction(3, 40)) == Fraction(27, 64)
+        for r, eps in ((Fraction(1, 2), Fraction(1, 513)), (Fraction(1, 2 ** 600), Fraction(1, 601))):
+            with pytest.raises(IrrationalRadius):
+                radius(r, eps)
+    finally:
+        set_default_bits(before)
+    # (1/2) ** a costs 2 |a| bits: 2^15 fits exactly, one more does not
+    assert radius(Fraction(1, 2), POW_BITS // 2) == Fraction(1, 2 ** (POW_BITS // 2))
+    with pytest.raises(CannotCertify):
+        radius(Fraction(1, 2), POW_BITS // 2 + 1)
+
+
 def test_flow_law_random():
     rng = random.Random(17)
     checked = 0

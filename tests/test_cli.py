@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -275,3 +276,12 @@ def test_every_subcommand_reachable(capsys):
         code, out = run(capsys, name, *argv)
         assert code == 0, (name, out)
         assert out["v"] == 1
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_an_output_past_the_digit_limit_exits_2(capsys):
+    """cousin-split at u = 20000 puts 2^20000 (6021 digits) into its
+    certificate: a typed refusal with exit 2, not BadInput."""
+    code, out = run(capsys, "cousin-split", "--a", "5/6", "--place", "2", "--u", "20000")
+    assert code == 2
+    assert out["error"] == "OutputTooLarge"

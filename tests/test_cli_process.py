@@ -157,3 +157,17 @@ def test_product_formula_answers_or_refuses_in_bounded_time(f, code, payload):
         assert out["error"] == "CannotFactor"
     else:
         assert out == payload
+
+
+@pytest.mark.parametrize("eps, error", [("1/1000000000", "IrrationalRadius"), ("1000000000", "CannotCertify")])
+def test_flow_refuses_a_huge_power_in_bounded_time(eps, error):
+    """An exact radius (1/2) ** eps would build a 10^9-bit integer, inside
+    the root for eps = 1/10^9; the first has no rational root, which the bit
+    length of 1/2 shows, and the second is past the POW_BITS budget."""
+    point = '{"base": {"place": 2, "exp": "1"}, "fiber": {"kind": "um", "alpha": "0", "r": "1/2"}}'
+    proc = subprocess.run(
+        [sys.executable, "-m", "arithline.cli", "flow", "--point", point, "--eps", eps],
+        capture_output=True, text=True, env=child_env(), timeout=5,
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout)["error"] == error

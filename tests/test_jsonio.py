@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -185,3 +186,24 @@ def test_payloads_lead_with_the_schema_version():
     sandwich = ResidualSandwich(NormValue.of(3), NormValue.of(Fraction(7, 2)), Fraction(2))
     assert io.dumps(sandwich) == '{"v": 1, "div_norm": {"exact": "3"}, "upper": {"exact": "7/2"}, "C0": "2"}'
     assert io.dumps({"n": 1, "q": [Fraction(1, 3)]}) == '{"v": 1, "n": 1, "q": ["1/3"]}'
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_an_integer_past_the_digit_limit_is_a_typed_refusal():
+    """The interpreter refuses to print an int past its digit limit (4300 by
+    default); ``dumps`` turns that into the domain error OutputTooLarge, for
+    a Fraction, an interval endpoint and a plain int alike, and leaves the
+    limit as it was."""
+    from arithline.errors import OutputTooLarge
+
+    limit = sys.get_int_max_str_digits()
+    huge = 10 ** (limit + 1)
+    assert io.frac_str(Fraction(10 ** (limit - 1))) == "1" + "0" * (limit - 1)
+    for payload in (
+        {"x": Fraction(1, huge)},
+        {"x": NormValue.interval(0, huge)},
+        {"residue": huge},
+    ):
+        with pytest.raises(OutputTooLarge):
+            io.dumps(payload)
+    assert sys.get_int_max_str_digits() == limit

@@ -203,12 +203,13 @@ def raw_series(draw):
 
 
 def full_then_truncate(f, g):
-    """The whole convolution, then the indices >= the product's modulus dropped."""
+    """The whole convolution, then the indices >= the product's modulus dropped;
+    a zero known mod T^m has valuation m there, the exact zero 0."""
     mods = []
     if f.trunc_mod is not None:
-        mods.append(f.trunc_mod + min(g.coeffs, default=0))
+        mods.append(f.trunc_mod + min(g.coeffs, default=g.trunc_mod or 0))
     if g.trunc_mod is not None:
-        mods.append(g.trunc_mod + min(f.coeffs, default=0))
+        mods.append(g.trunc_mod + min(f.coeffs, default=f.trunc_mod or 0))
     mod = min(mods, default=None)
     full = convolve(f.coeffs, g.coeffs)
     return {k: c for k, c in full.items() if mod is None or k < mod}, mod

@@ -2,10 +2,11 @@
 
 ``LaurentPoly`` holds sum_k (num[k] / den) T^k in canonical form; the model
 ``oracles.FracLaurent`` holds one Fraction per index, as the series did
-before.  The series ops, ``_invert_series``, both annulus norms and
-``SeriesMatrix.prune`` must agree with the model exactly (coefficients in
-stored order, moduli, NormValues, refusal types and texts) on the whole
-space, the central point, finite and archimedean segments and stars.  The
+before.  The series ops, ``_invert_series``, the endpoint pairs of
+``norm_bounds_each``, both annulus norms and ``SeriesMatrix.prune`` must
+agree with the model exactly (coefficients in stored order, moduli,
+NormValues, refusal types and texts) on the whole space, the central point,
+finite and archimedean segments and stars.  The
 ring axioms hold on the stored form; where products of truncated series
 meet, they hold modulo the smaller of the two moduli.
 """
@@ -17,11 +18,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithline import AnnulusSpec, BaseCompact, LaurentPoly, Place, SeriesMatrix
+from arithline.base_space import norm_bounds, norm_bounds_each
 from arithline.errors import ArithlineError
 from arithline.series_ring import (
     _invert_series,
     norm_annulus,
     series_add,
+    series_arith,
     series_mul,
     series_neg,
     series_scale,
@@ -35,10 +38,12 @@ from oracles import (
     frac_mul,
     frac_neg,
     frac_norm_annulus,
+    frac_norm_bounds,
     frac_prune,
     frac_scale,
     frac_shift,
     frac_uniform_norm_annulus,
+    frac_val,
     frac_with_mod,
     invert_series_recurrence,
 )
@@ -92,6 +97,9 @@ def test_every_route_gives_the_canonical_form(f, rnd):
     assert f == g == h and hash(f) == hash(g) == hash(h)
     assert g.num is not f.num
     assert all(f.coeff(k) == c for k, c in items) and f.coeff(99) == 0
+    # the validating constructor adds up repeated indices, given as ints or strings
+    halves = [(k, c / 2) for k, c in items] + [(str(k), c / 2) for k, c in items]
+    assert LaurentPoly(halves, f.trunc_mod) == f
 
 
 def test_canonical_examples():
@@ -126,10 +134,15 @@ def test_ring_axioms(f, g, h):
 
 @settings(max_examples=200, deadline=None)
 @given(series(), series())
+@example(LaurentPoly({-3: 1}, 0), LaurentPoly({-3: 1}, 0))  # (T^-3 + O(1))^2 = T^-6 + O(T^-3)
+@example(LaurentPoly.zero(-1), LaurentPoly.zero(-1))  # O(T^-1)^2 = O(T^-2)
+@example(LaurentPoly.zero(5), LaurentPoly({0: 1}, 3))  # O(T^5) (1 + O(T^3)) = O(T^5)
 def test_modulus_rule(f, g):
     """A sum is known mod the smaller modulus; it truncates nothing.  A
-    product is known mod min(mod_f + val g, mod_g + val f), val of 0 read
-    as 0, and keeps only the indices below it."""
+    product is known mod min(mod_f + val g, mod_g + val f), the val of a
+    zero known mod T^m read as m and of the exact zero as 0, and keeps only
+    the indices below it.  ``series_arith`` never reports a product modulus
+    above that one."""
     s = series_add(f, g)
     ms = [m for m in (f.trunc_mod, g.trunc_mod) if m is not None]
     assert s.trunc_mod == min(ms, default=None)
@@ -137,11 +150,14 @@ def test_modulus_rule(f, g):
     p = series_mul(f, g)
     bounds = []
     if f.trunc_mod is not None:
-        bounds.append(f.trunc_mod + (g.min_index() or 0))
+        bounds.append(f.trunc_mod + frac_val(FracLaurent.of(g)))
     if g.trunc_mod is not None:
-        bounds.append(g.trunc_mod + (f.min_index() or 0))
+        bounds.append(g.trunc_mod + frac_val(FracLaurent.of(f)))
     assert p.trunc_mod == min(bounds, default=None)
     assert p.trunc_mod is None or all(k < p.trunc_mod for k in p.num)
+    reported = series_arith(f, g, "mul")
+    assert reported.trunc_mod == min(bounds + ms, default=None)
+    assert reported == p.with_mod(reported.trunc_mod)
 
 
 # -- every op against the Fraction model ---------------------------------------------
@@ -187,6 +203,44 @@ COMPACTS = (
     BaseCompact.star({Place.finite(3): 2, Place.infinite(): F(1, 2)}),
     BaseCompact.star({Place.finite(5): 0, Place.finite(7): 1, Place.infinite(): 0}),
 )
+
+
+# every compact shape, the extreme point alone and roots at both kinds of place
+PAIR_COMPACTS = COMPACTS + (
+    BaseCompact.segment(Place.finite(3), INF, INF),
+    BaseCompact.segment(Place.finite(2), F(1, 3), F(1, 3)),
+    BaseCompact.segment(Place.infinite(), F(2, 3), 1),
+    BaseCompact.star({Place.finite(2): F(3, 2), Place.infinite(): F(1, 5)}),
+)
+
+
+def bounds_outcome(fn):
+    try:
+        return "ok", fn()
+    except ArithlineError as exc:
+        return "raise", type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=1, max_size=5),
+       st.sampled_from(DENOMINATORS + (8, 27, 10 ** 6, 3 ** 13)), st.sampled_from(PAIR_COMPACTS))
+@example([5, 3, 0], 9, PAIR_COMPACTS[3])  # 3/9 has a pole at the extreme point of 3
+@example([1, 2], 35, PAIR_COMPACTS[7])  # uncut 5 and 7 on the star {2: 1}
+@example([-12, 7], 1, PAIR_COMPACTS[10])
+def test_endpoint_pairs_match_the_model(nums, den, V):
+    """``norm_bounds_each`` gives integer pairs with positive denominators
+    whose values are the Fraction model's bounds, or the model's refusal with
+    its type and text; ``norm_bounds`` reads the same pairs as Fractions."""
+    def pairs():
+        out = []
+        for lo, hi in norm_bounds_each(nums, den, V):
+            assert lo[1] > 0 and hi[1] > 0
+            out.append((F(*lo), F(*hi)))
+        return out
+
+    want = bounds_outcome(lambda: [frac_norm_bounds(F(n, den), V) for n in nums])
+    assert bounds_outcome(pairs) == want
+    assert bounds_outcome(lambda: [norm_bounds(F(n, den), V) for n in nums]) == want
 
 
 @st.composite
