@@ -16,6 +16,14 @@ K(V) (``base_space.member_of_kv``): p-integral on K0^- = [a_p^u, a~_p],
 with a power of p as denominator on K0^+, and integral on the archimedean
 K0^+ (its K0^- takes every rational).  Rational and series splits share one
 D-bound certificate, ``_split_cert``.
+
+A split reads the series' integer content n_k / D (``_split_series``; a
+rational is the one-term series).  At a finite place p, with q the p-part of
+D, a^+_k = t_k / q where t_k = -n_k (D/q)^-1 mod q is moved into
+[-q/2, q/2): the one element of Z[1/p] in [-1/2, 1/2) congruent to -a_k
+mod Z_(p).  At the archimedean place a^+_k = -floor((2 n_k + D) / 2D), the
+nearest integer to -a_k with ties up, where |n_k| > D, and 0 otherwise.
+Then a^- = a + a^+.
 """
 
 from dataclasses import dataclass
@@ -31,7 +39,7 @@ from .errors import (
     ToleranceNotReached,
 )
 from .normvalue import NormValue, nv_max, nv_sum
-from .numbers import invmod, vp
+from .numbers import invmod, vp_int
 from .series_ring import (
     AnnulusSpec,
     LaurentPoly,
@@ -101,11 +109,6 @@ class SplitCert:
         return self.minus_bound_ok and self.plus_bound_ok
 
 
-def _nearest_int(q: Fraction) -> int:
-    """Integer within 1/2 of q (ties toward +inf)."""
-    return (2 * q + 1).__floor__() // 2
-
-
 def split_rational(a, sys: SplitSystem):
     """Split a rational as a = a_minus - a_plus across the system's sides.
 
@@ -114,7 +117,7 @@ def split_rational(a, sys: SplitSystem):
     a_plus is the nearest integer to -a.  Returns (a_minus, a_plus, cert).
     """
     a = Fraction(a)
-    minus, plus = _split_coeff(a, sys)
+    minus, plus = (side.coeff(0) for side in _split_series(LaurentPoly({0: a}), sys))
     cert = _split_cert(
         base_norm(a, sys.overlap_compact()),
         base_norm(minus, sys.minus_compact()),
@@ -122,26 +125,6 @@ def split_rational(a, sys: SplitSystem):
         sys.D,
     )
     return minus, plus, cert
-
-
-def _split_coeff(a: Fraction, sys: SplitSystem):
-    """(a_minus, a_plus) of ``split_rational``, without the certificate."""
-    if a == 0:
-        return Fraction(0), Fraction(0)
-    if sys.place.is_finite:
-        p = sys.place.prime
-        if vp(a, p) >= 0:
-            return a, Fraction(0)
-        k = -vp(a, p)
-        d = a.denominator // p ** k
-        t = a.numerator * invmod(d, p ** k) % p ** k
-        plus = Fraction(-t, p ** k)
-        plus += -_nearest_int(plus)  # integer shift into [-1/2, 1/2]
-        return a + plus, plus
-    if abs(a) <= 1:
-        return a, Fraction(0)
-    b = -_nearest_int(a)
-    return a + b, Fraction(b)
 
 
 def _split_cert(n_in: NormValue, n_minus: NormValue, n_plus: NormValue, D: Fraction) -> SplitCert:
@@ -152,8 +135,9 @@ def _split_cert(n_in: NormValue, n_minus: NormValue, n_plus: NormValue, D: Fract
 
 def split_laurent_sides(f: LaurentPoly):
     """f = f_nonneg + f_neg by index sign; norms only move down."""
-    nonneg = LaurentPoly({k: c for k, c in f.coeffs.items() if k >= 0}, f.trunc_mod)
-    neg = LaurentPoly({k: c for k, c in f.coeffs.items() if k < 0}, f.trunc_mod)
+    items = sorted(f.num.items())
+    nonneg = LaurentPoly._content({k: c for k, c in items if k >= 0}, f.den, f.trunc_mod)
+    neg = LaurentPoly._content({k: c for k, c in items if k < 0}, f.den, f.trunc_mod)
     return nonneg, neg
 
 
@@ -175,16 +159,19 @@ def split_series_arith(f: LaurentPoly, sys: SplitSystem):
 
 
 def _split_series(f: LaurentPoly, sys: SplitSystem):
-    """(f_minus, f_plus) of ``split_series_arith``, without the certificate."""
-    minus = {}
-    plus = {}
-    for k, c in f.coeffs.items():
-        cm, cp = _split_coeff(c, sys)
-        if cm:
-            minus[k] = cm
-        if cp:
-            plus[k] = cp
-    return LaurentPoly._raw(minus, f.trunc_mod), LaurentPoly._raw(plus, f.trunc_mod)
+    """(f_minus, f_plus) of ``split_series_arith``, without the certificate:
+    the split rule of the module docstring on f's content."""
+    D = f.den
+    if sys.place.is_finite:
+        q = sys.place.prime ** vp_int(D, sys.place.prime)
+        inv = -invmod(D // q, q)
+        plus = {k: n * inv % q for k, n in f.num.items()}
+        plus = {k: t - q if 2 * t >= q else t for k, t in plus.items()}
+    else:
+        q = 1
+        plus = {k: -((2 * n + D) // (2 * D)) for k, n in f.num.items() if abs(n) > D}
+    f_plus = LaurentPoly._content(plus, q, f.trunc_mod)
+    return series_add(f, f_plus), f_plus
 
 
 @dataclass(frozen=True)
@@ -213,10 +200,7 @@ def runge_approximate(s_list, t_list, sys: SplitSystem, delta):
         raise ValueError("the approximation step is implemented at finite places")
     p = sys.place.prime
     ctx = sys.annulus_on(sys.overlap_compact())
-    N = 0
-    for s in s_list:
-        for c in s.coeffs.values():
-            N = max(N, -min(0, vp(c, p)))
+    N = max([0] + [-v for s in s_list for v in s.valuations(p).values()])
     f = Fraction(1, p ** N)
     s_primes = [series_scale(p ** N, s) for s in s_list]  # exact: defect 0
     fs_norms = [norm_annulus(sp, ctx) for sp in s_primes]
@@ -246,18 +230,17 @@ def runge_approximate(s_list, t_list, sys: SplitSystem, delta):
 
 
 def _approx_in_z_inv_p(f: LaurentPoly, p: int, M: int) -> LaurentPoly:
-    """Coefficientwise p-adic approximation by elements of Z[1/p]."""
-    out = {}
-    for k, c in f.coeffs.items():
-        e = max(0, -vp(c, p))
-        d = c.denominator // p ** e  # prime-to-p denominator part
-        if d == 1:
-            out[k] = c
-            continue
-        mod = p ** (e + M)
-        t = c.numerator * invmod(d, mod) % mod
-        out[k] = Fraction(t, p ** e)
-    return LaurentPoly(out, f.trunc_mod)
+    """Coefficientwise p-adic approximation by elements of Z[1/p].
+
+    With f = sum n_k / D T^k and D = q d, q the p-part: a coefficient with
+    d | n_k is kept; any other becomes t / q with t = n_k d^-1 mod q p^M, the
+    one x in q^-1 Z with 0 <= x < p^M and x = n_k / D mod p^M.
+    """
+    q = p ** vp_int(f.den, p)
+    d, mod = f.den // q, q * p ** M
+    inv = invmod(d, mod)
+    out = {k: n // d if n % d == 0 else n * inv % mod for k, n in sorted(f.num.items())}
+    return LaurentPoly._content(out, q, f.trunc_mod)
 
 
 # -- matrices of Laurent polynomials ------------------------------------------

@@ -26,7 +26,7 @@ from .errors import (
     PrecisionInsufficient,
 )
 from .normvalue import default_bits, pow_bounds
-from .numbers import is_prime, prime_divisors, vp, vp_int
+from .numbers import is_prime, prime_divisors
 from .padic import PadicApprox
 from .series_ring import LaurentPoly, series_add, series_mul, series_scale, series_sub
 from .weierstrass import hensel_lift_root
@@ -158,7 +158,7 @@ def binomial_root_series(n: int, m: int, p: Optional[int] = None):
         return g, BinomialReport(n=n, order=m, power_identity_ok=ok)
     if n % p == 0:
         raise PDividesN(f"{p} divides {n}; coefficients are not p-integral")
-    min_v = min(vp_int(c, p) for c in g.num.values()) - vp_int(g.den, p) if g else 0
+    min_v = min(g.valuations(p).values()) if g else 0
     return g, BinomialReport(
         n=n,
         order=m,
@@ -244,19 +244,14 @@ def cyclic_cover_split(desc: CoverDescriptor) -> CoverSplitReport:
     target = [LaurentPoly.zero(m) for _ in range(n + 1)]
     target[n] = LaurentPoly.one(m)
     target[0] = LaurentPoly({0: -(p ** n), 1: -(p ** n)}, m)
-    defects = []
-    ok = True
-    for k in range(n + 1):
-        diff = series_sub(coeffs[k], target[k])
-        for j, c in diff.coeffs.items():
-            v = vp(c, p)
-            defects.append((k, j, v))
-            if v < N:
-                ok = False
-    if not ok:
-        raise PrecisionInsufficient(
-            f"defects below p^{N}: {[(k, j, v) for k, j, v in defects if v < N]}"
-        )
+    defects = [
+        (k, j, v)
+        for k in range(n + 1)
+        for j, v in series_sub(coeffs[k], target[k]).valuations(p).items()
+    ]
+    low = [(k, j, v) for k, j, v in defects if v < N]
+    if low:
+        raise PrecisionInsufficient(f"defects below p^{N}: {low}")
     return CoverSplitReport(n=n, p=p, N=N, defects=tuple(defects), zero_at_precision=True)
 
 
@@ -294,14 +289,14 @@ def eisenstein_witness(P, f0: LaurentPoly, m: int, places) -> EisensteinWitness:
 def _radius_witness(root: LaurentPoly, place) -> Fraction:
     """Certified rational lower bound for min_i |a_i|^(-1/i)."""
     best = None
-    for i, c in root.coeffs.items():
-        if i < 1 or c == 0:
+    vals = root.valuations(place.prime) if place.is_finite else None
+    for i, n in root.num.items():
+        if i < 1:
             continue
         if place.is_finite:
-            v = vp(c, place.prime)
-            inv_abs = Fraction(place.prime) ** v  # |a_i|^-1 exactly
+            inv_abs = Fraction(place.prime) ** vals[i]  # |a_i|^-1 exactly
         else:
-            inv_abs = 1 / abs(c)
+            inv_abs = Fraction(root.den, abs(n))
         bound = pow_bounds(inv_abs, Fraction(1, i))[0]
         if bound == 0:
             # keep the witness positive: round down to a tiny dyadic instead

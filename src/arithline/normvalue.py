@@ -170,9 +170,6 @@ class NormValue:
             raise ZeroDivisionError("negative power of interval touching 0")
         return NormValue(pow_bounds(self.hi, e)[0], pow_bounds(self.lo, e)[1])
 
-    def reciprocal(self) -> "NormValue":
-        return self.pow_rational(-1)
-
     def rounded(self) -> "NormValue":
         """Outward-round endpoints to dyadics at the current precision."""
         if self.is_exact:

@@ -26,7 +26,7 @@ from .errors import (
     OrderingViolated,
 )
 from .normvalue import NormValue
-from .numbers import lcm_list
+from .numbers import lcm_list, vp_int
 
 
 class LaurentPoly:
@@ -111,6 +111,12 @@ class LaurentPoly:
     def coeff(self, k: int) -> Fraction:
         return Fraction(self.num.get(k, 0), self.den)
 
+    def valuations(self, p: int) -> dict:
+        """Index -> p-adic valuation of each stored coefficient, in stored
+        order; v_p(den) is taken once."""
+        e = vp_int(self.den, p)
+        return {k: vp_int(n, p) - e for k, n in self.num.items()}
+
     def min_index(self):
         return min(self.num) if self.num else None
 
@@ -147,7 +153,8 @@ def _result_mod(f: LaurentPoly, g: LaurentPoly):
 
 
 def series_add(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """f + g over the lcm of the denominators; cancelled indices drop out."""
+    """f + g over the lcm of the denominators, known mod the smaller modulus;
+    cancelled indices and indices at or past that modulus drop out."""
     den = f.den // gcd(f.den, g.den) * g.den
     a, b = den // f.den, den // g.den
     out = {k: c * a for k, c in f.num.items()}
@@ -155,7 +162,10 @@ def series_add(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     for k, c in g.num.items():
         s = get(k)
         out[k] = c * b if s is None else s + c * b
-    return LaurentPoly._content(out, den, _result_mod(f, g))
+    mod = _result_mod(f, g)
+    if f.trunc_mod != g.trunc_mod:  # the larger modulus may hold indices past mod
+        out = {k: c for k, c in out.items() if k < mod}
+    return LaurentPoly._content(out, den, mod)
 
 
 def series_neg(f: LaurentPoly) -> LaurentPoly:

@@ -258,8 +258,7 @@ def _reduction_valuation(G: LaurentPoly, b: BasePoint) -> Optional[int]:
     """T-adic valuation of the reduction of G at the base point b."""
     if classify_base_point(b) != "extreme":
         return G.min_index()
-    for k in sorted(G.num):
-        v = vp(G.coeff(k), b.place.prime)
+    for k, v in sorted(G.valuations(b.place.prime).items()):
         if v < 0:
             raise NonIntegralAtExtremePoint(f"coefficient {G.coeff(k)} at T^{k}")
         if v == 0:
@@ -288,8 +287,7 @@ def divide_local_series(F: LaurentPoly, G: LaurentPoly, p: int, m: int, ctx: Ann
     if val != p:
         raise ValuationUndefined(f"reduction has valuation {val}, expected {p}")
     F = F.with_mod(m)
-    low_zero = all(G.coeff(k) == 0 for k in range(p))
-    if low_zero:
+    if G.min_index() >= p:
         return _divide_by_iteration(F, G, p, m, ctx)
     if G.degree() == p:
         Q, R = _euclid(F, G)
@@ -477,7 +475,7 @@ def _series_poly(P) -> list:
         if isinstance(c, LaurentPoly):
             out.append(c)
         else:
-            out.append(LaurentPoly({0: Fraction(c)}) if Fraction(c) else LaurentPoly.zero())
+            out.append(LaurentPoly({0: c}))
     while out and not out[-1]:
         out.pop()
     return out

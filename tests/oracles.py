@@ -230,9 +230,13 @@ def prune_per_coefficient(mat, ctx, tol):
     return mat.map(prune_entry)
 
 
+def _nearest_int(q):
+    """Integer within 1/2 of q (ties toward +inf)."""
+    return (2 * q + 1).__floor__() // 2
+
+
 def split_rational_direct(a, sys):
     """(a_minus, a_plus) with a = a_minus - a_plus, as split_rational states it."""
-    from arithline.cousin_cartan import _nearest_int
     from arithline.numbers import invmod, vp
 
     a = Fraction(a)
@@ -625,6 +629,7 @@ class FracLaurent:
 
 
 def frac_add(f, g):
+    """The sum known mod the smaller modulus, the indices at or past it dropped."""
     out = dict(f.coeffs)
     for k, c in g.coeffs.items():
         s = out.get(k, Fraction(0)) + c
@@ -633,7 +638,8 @@ def frac_add(f, g):
         else:
             out.pop(k, None)
     mods = [m for m in (f.trunc_mod, g.trunc_mod) if m is not None]
-    return FracLaurent(out, min(mods, default=None))
+    mod = min(mods, default=None)
+    return FracLaurent({k: c for k, c in out.items() if mod is None or k < mod}, mod)
 
 
 def frac_neg(f):
@@ -744,3 +750,128 @@ def frac_prune(f, ctx, tol):
     weights = [radius_weight(ctx, k) for k in f.coeffs]
     kept = {k: c for (k, c), hi, w in zip(f.coeffs.items(), his, weights) if hi * w > tol}
     return FracLaurent(kept, f.trunc_mod)
+
+
+# -- the series passes, one Fraction per coefficient ---------------------------
+# The Cousin split, the Runge approximation, the cover defects, the radius
+# witness and the reduction valuation read each coefficient back as a
+# Fraction and took its valuation before they read integer content.  The
+# functions below are those forms.
+
+
+def split_series_direct(f, sys):
+    """(f_minus, f_plus): ``split_rational_direct`` on each coefficient."""
+    from arithline.series_ring import LaurentPoly
+
+    minus, plus = {}, {}
+    for k, c in f.coeffs.items():
+        cm, cp = split_rational_direct(c, sys)
+        if cm:
+            minus[k] = cm
+        if cp:
+            plus[k] = cp
+    return LaurentPoly._raw(minus, f.trunc_mod), LaurentPoly._raw(plus, f.trunc_mod)
+
+
+def approx_in_z_inv_p_direct(f, p, M):
+    """Each coefficient c with a prime-to-p part d > 1 in its reduced
+    denominator becomes t / p^e, e = max(0, -v_p(c)) and t = c's numerator
+    times d^-1 mod p^(e + M); the others are kept."""
+    from arithline.numbers import invmod, vp
+    from arithline.series_ring import LaurentPoly
+
+    out = {}
+    for k, c in f.coeffs.items():
+        e = max(0, -vp(c, p))
+        d = c.denominator // p ** e
+        if d == 1:
+            out[k] = c
+            continue
+        mod = p ** (e + M)
+        out[k] = Fraction(c.numerator * invmod(d, mod) % mod, p ** e)
+    return LaurentPoly(out, f.trunc_mod)
+
+
+def runge_depth_direct(s_list, p):
+    """N = the largest -v_p over the coefficients of s_list, and at least 0."""
+    from arithline.numbers import vp
+
+    N = 0
+    for s in s_list:
+        for c in s.coeffs.values():
+            N = max(N, -min(0, vp(c, p)))
+    return N
+
+
+def cyclic_cover_split_direct(desc):
+    """``cyclic_cover_split`` with the valuation of each defect read from a
+    Fraction coefficient."""
+    from arithline.covers_galois import CoverSplitReport
+    from arithline.errors import PrecisionInsufficient
+    from arithline.numbers import vp
+    from arithline.series_ring import LaurentPoly, series_add, series_mul, series_scale, series_sub
+
+    n, p, m, N = desc.n, desc.p, desc.m, desc.zeta.N
+    coeffs = [LaurentPoly.one(m)]
+    for j in range(n):
+        rho = series_scale(p * pow(desc.zeta.residue, j, desc.zeta.modulus), desc.g)
+        new = [LaurentPoly.zero(m) for _ in range(len(coeffs) + 1)]
+        for k, c in enumerate(coeffs):
+            new[k + 1] = series_add(new[k + 1], c)
+            new[k] = series_sub(new[k], series_mul(rho, c))
+        coeffs = new
+    target = [LaurentPoly.zero(m) for _ in range(n + 1)]
+    target[n] = LaurentPoly.one(m)
+    target[0] = LaurentPoly({0: -(p ** n), 1: -(p ** n)}, m)
+    defects = []
+    ok = True
+    for k in range(n + 1):
+        diff = series_sub(coeffs[k], target[k])
+        for j, c in diff.coeffs.items():
+            v = vp(c, p)
+            defects.append((k, j, v))
+            if v < N:
+                ok = False
+    if not ok:
+        raise PrecisionInsufficient(
+            f"defects below p^{N}: {[(k, j, v) for k, j, v in defects if v < N]}"
+        )
+    return CoverSplitReport(n=n, p=p, N=N, defects=tuple(defects), zero_at_precision=True)
+
+
+def radius_witness_direct(root, place):
+    """min over i >= 1 of the lower end of |a_i|^(-1/i), from Fraction a_i."""
+    from arithline.normvalue import default_bits, pow_bounds
+    from arithline.numbers import vp
+
+    best = None
+    for i, c in root.coeffs.items():
+        if i < 1 or c == 0:
+            continue
+        if place.is_finite:
+            inv_abs = Fraction(place.prime) ** vp(c, place.prime)
+        else:
+            inv_abs = 1 / abs(c)
+        bound = pow_bounds(inv_abs, Fraction(1, i))[0]
+        if bound == 0:
+            bound = Fraction(1, 2 ** default_bits())
+        best = bound if best is None else min(best, bound)
+    return Fraction(1) if best is None else best
+
+
+def reduction_valuation_direct(G, b):
+    """The least index whose coefficient is a p-adic unit at an extreme point
+    (a refusal at a lower non-integral one); the least index elsewhere."""
+    from arithline.base_space import classify_base_point
+    from arithline.errors import NonIntegralAtExtremePoint
+    from arithline.numbers import vp
+
+    if classify_base_point(b) != "extreme":
+        return G.min_index()
+    for k in sorted(G.num):
+        v = vp(G.coeff(k), b.place.prime)
+        if v < 0:
+            raise NonIntegralAtExtremePoint(f"coefficient {G.coeff(k)} at T^{k}")
+        if v == 0:
+            return k
+    return None

@@ -5,9 +5,10 @@ reference is the triangular Fraction recurrence.  ``_hensel_series`` inverts
 P'(x) only to the precision the correction reads; the reference takes every
 evaluation and inverse mod T^m.  ``SeriesMatrix.prune`` weighs each entry with
 integer pairs; the reference multiplies one norm by one Fraction weight per
-coefficient.  ``_split_matrix`` splits through ``_split_coeff``; the reference
-is the split rule written out.  Outputs must agree exactly: coefficients
-(in stored order for series results), moduli, gauges and exceptions.
+coefficient.  ``_split_matrix`` splits through ``_split_series``, the split
+rule on integer content; the reference is the rule written out per Fraction.
+Outputs must agree exactly: coefficients (in stored order for series
+results), moduli, gauges and exceptions.
 """
 
 import os
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 from arithline import AnnulusSpec, BaseCompact, LaurentPoly, Place, SeriesMatrix, SplitSystem
 from arithline.base_space import member_of_kv, norm_bounds
-from arithline.cousin_cartan import _split_coeff, _split_matrix, split_rational
+from arithline.cousin_cartan import _split_matrix, _split_series, split_rational
 from arithline.covers_galois import _series_pow, binomial_coefficient_series
 from arithline.errors import ArithlineError, NotInRingOfV
 from arithline.numbers import small_prime_factor, strip_primes
@@ -268,8 +269,9 @@ SPLIT_SYSTEMS = SYSTEMS + (
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(fracs, st.just(F(0))), st.sampled_from(SPLIT_SYSTEMS))
-def test_split_coeff_is_split_rational_without_certificate(a, sys_):
-    assert _split_coeff(a, sys_) == split_rational(a, sys_)[:2] == split_rational_direct(a, sys_)
+def test_one_term_split_series_is_split_rational_without_certificate(a, sys_):
+    minus, plus = _split_series(LaurentPoly({0: a}), sys_)
+    assert (minus.coeff(0), plus.coeff(0)) == split_rational(a, sys_)[:2] == split_rational_direct(a, sys_)
 
 
 # -- powers by squaring ---------------------------------------------------------

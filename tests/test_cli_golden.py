@@ -24,6 +24,8 @@ where a case carries it, stderr) for:
   longer takes (exit 1, usage error), recorded when they were removed.
 * ``norm-annulus`` and ``invert-unit`` with a negative index on a disk
   (exit 2), recorded when that refusal got its one text.
+* ``series-arith --op add`` of T^10 and 1 + O(T^5), recorded when a sum
+  began to drop the indices at or past its modulus.
 
 Usage text is wrapped at COLUMNS=80.  ``replay_golden.py`` replays the same
 cases as subprocesses of an installed command.

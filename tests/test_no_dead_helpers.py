@@ -7,9 +7,10 @@ since its decorator registers it.  A helper that only tests call belongs
 in tests/oracles.py.
 
 A public one (no leading underscore) must be referenced outside its own
-``def`` somewhere in src/, tests/, demos/ or perfbench/.  Dunders are
-exempt, and so are functions decorated with ``<dispatcher>.register``,
-which the dispatcher calls.
+``def`` somewhere in src/ (an ``__init__`` re-export counts), demos/ or
+perfbench/.  A test is not a user: an entry point that only tests call is
+dead code with a test.  Dunders are exempt, and so are functions decorated
+with ``<dispatcher>.register``, which the dispatcher calls.
 """
 
 import ast
@@ -20,7 +21,8 @@ import arithline
 
 SRC = pathlib.Path(arithline.__file__).resolve().parent
 ROOT = SRC.parents[1]
-USERS = tuple(ROOT / name for name in ("src", "tests", "demos", "perfbench"))
+USER_DIRS = ("src", "demos", "perfbench")
+USERS = tuple(ROOT / name for name in USER_DIRS)
 
 
 def _private(name: str) -> bool:
@@ -101,18 +103,21 @@ def test_gate_sees_a_helper_used_only_by_itself(tmp_path):
 
 
 def test_public_gate_looks_outside_src(tmp_path):
-    src, user = tmp_path / "src", tmp_path / "tests"
-    src.mkdir()
-    user.mkdir()
+    src, user, tests = tmp_path / "src", tmp_path / "demos", tmp_path / "tests"
+    for path in (src, user, tests):
+        path.mkdir()
     (src / "mod.py").write_text(
         "import functools\n\n"
         "@functools.singledispatch\ndef encode(x):\n    return x\n\n"
         "@encode.register(int)\ndef _(x):\n    return x\n\n"
         "@encode.register(str)\ndef encode_str(x):\n    return x\n\n"
         "def tested():\n    return 1\n\n"
+        "def only_tested():\n    return 1\n\n"
         "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
         "class K:\n    def __repr__(self):\n        return 'K'\n\n"
         "    def method(self):\n        return encode(1)\n"
     )
-    (user / "test_mod.py").write_text("from mod import tested\n\nK = tested()\n")
-    assert unused_public(src, [user]) == ["mod.py:18 recursive", "mod.py:25 method"]
+    (user / "demo_mod.py").write_text("from mod import tested\n\nK = tested()\n")
+    (tests / "test_mod.py").write_text("from mod import only_tested\n\nK = only_tested()\n")
+    roots = [tmp_path / name for name in USER_DIRS]
+    assert unused_public(src, roots) == ["mod.py:18 only_tested", "mod.py:21 recursive", "mod.py:28 method"]

@@ -93,7 +93,7 @@ def test_interval_negative_power():
     assert inv.lo ** 2 <= Fraction(1, 7) <= inv.hi ** 2
     sq = nv.pow_rational(-2)
     assert sq.lo <= Fraction(1, 7) <= sq.hi
-    rec = NormValue.interval(Fraction(1, 2), Fraction(2)).reciprocal()
+    rec = NormValue.interval(Fraction(1, 2), Fraction(2)).pow_rational(-1)
     assert rec.lo == Fraction(1, 2) and rec.hi == 2
 
 

@@ -137,16 +137,18 @@ def test_ring_axioms(f, g, h):
 @example(LaurentPoly({-3: 1}, 0), LaurentPoly({-3: 1}, 0))  # (T^-3 + O(1))^2 = T^-6 + O(T^-3)
 @example(LaurentPoly.zero(-1), LaurentPoly.zero(-1))  # O(T^-1)^2 = O(T^-2)
 @example(LaurentPoly.zero(5), LaurentPoly({0: 1}, 3))  # O(T^5) (1 + O(T^3)) = O(T^5)
+@example(LaurentPoly({10: 1}), LaurentPoly({0: 1}, 5))  # T^10 + (1 + O(T^5)) = 1 + O(T^5)
 def test_modulus_rule(f, g):
-    """A sum is known mod the smaller modulus; it truncates nothing.  A
-    product is known mod min(mod_f + val g, mod_g + val f), the val of a
-    zero known mod T^m read as m and of the exact zero as 0, and keeps only
-    the indices below it.  ``series_arith`` never reports a product modulus
-    above that one."""
+    """A sum is known mod the smaller modulus and keeps only the indices
+    below it.  A product is known mod min(mod_f + val g, mod_g + val f), the
+    val of a zero known mod T^m read as m and of the exact zero as 0, and
+    keeps only the indices below it.  ``series_arith`` never reports a
+    product modulus above that one."""
     s = series_add(f, g)
     ms = [m for m in (f.trunc_mod, g.trunc_mod) if m is not None]
     assert s.trunc_mod == min(ms, default=None)
     assert set(s.num) <= set(f.num) | set(g.num)
+    assert s.trunc_mod is None or all(k < s.trunc_mod for k in s.num)
     p = series_mul(f, g)
     bounds = []
     if f.trunc_mod is not None:
