@@ -12,7 +12,7 @@ group into the permutations of its own elements.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd
+from math import factorial, gcd
 from typing import Optional
 
 from .errors import (
@@ -102,41 +102,49 @@ class BinomialReport:
 
     n: int
     order: int
-    power_identity_ok: bool  # g**n == 1 + Z mod Z^order, checked exactly
+    power_identity_ok: bool  # g**n == 1 + Z mod Z^order, decided exactly from n (1 + Z) g' = g
     p: Optional[int] = None
     integral_at_p: Optional[bool] = None
     min_valuation: Optional[int] = None
 
 
 def binomial_coefficient_series(n: int, m: int) -> LaurentPoly:
-    """g = sum_{i<m} C(1/n, i) Z^i with exact rational coefficients."""
-    coeffs = {}
-    c = Fraction(1)
-    k = Fraction(1, n)
-    for i in range(m):
-        if c:
-            coeffs[i] = c
-        c = c * (k - i) / (i + 1)
-    return LaurentPoly(coeffs, m)
+    """g = sum_{i<m} C(1/n, i) Z^i with exact rational coefficients.
 
-
-def _series_pow(g: LaurentPoly, n: int) -> LaurentPoly:
-    """g**n for n >= 1 by repeated squaring (two products for n = 4)."""
-    power, square = None, g
-    while True:
-        if n & 1:
-            power = square if power is None else series_mul(power, square)
-        n >>= 1
-        if not n:
-            return power
-        square = series_mul(square, square)
+    Over D = n^(m-1) (m-1)! the numerators are a_0 = D and
+    a_{i+1} = (1 - n i) a_i / (n (i + 1)), an exact division; the series is
+    normalised once, in ascending index order.
+    """
+    den = n ** (m - 1) * factorial(m - 1)
+    num = {0: den}
+    for i in range(m - 1):
+        num[i + 1] = num[i] * (1 - n * i) // (n * (i + 1))
+    return LaurentPoly._content(num, den, m)
 
 
 def _is_root_of_one_plus_z(g: LaurentPoly, n: int, m: int) -> bool:
-    """g**n == 1 + Z mod Z^m, formed as 1 * g**n with 1 known mod Z^m, so the
-    power carries modulus m unless g is known to a lower one."""
-    power = series_mul(LaurentPoly.one(m), _series_pow(g, n))
-    return power == LaurentPoly({0: 1, 1: 1} if m > 1 else {0: 1}, m)
+    """g**n == 1 + Z mod Z^m, for m >= 1, decided in O(m) integer operations
+    with no power of g formed.
+
+    Lemma.  Let g have no negative index and be known mod Z^M with M >= m,
+    or exactly.  Then g^n = 1 + Z mod Z^m if and only if g_0 = +-1 (-1 only
+    for even n) and n (1 + Z) g' = g mod Z^(m-1); on the content a_i / D
+    this reads n (i+1) a_{i+1} = (1 - n i) a_i for 0 <= i < m - 1.
+    Proof.  => : differentiate g^n = 1 + Z + Z^m h and multiply by g.
+    <= : the recurrence fixes a_1, ..., a_{m-1} from a_0, and
+    g_0 (1 + Z)^(1/n) satisfies it.
+
+    A negative index, a zero g or a modulus M < m gives False: g^n then has
+    a negative index, is zero or is known only mod Z^M.  Indices >= m are not
+    read.
+    """
+    a, d = g.num, g.den
+    if not a or min(a) < 0 or (g.trunc_mod is not None and g.trunc_mod < m):
+        return False
+    get = a.get
+    if get(0) != d and not (get(0) == -d and n % 2 == 0):
+        return False
+    return all(n * (i + 1) * get(i + 1, 0) == (1 - n * i) * get(i, 0) for i in range(m - 1))
 
 
 def binomial_root_series(n: int, m: int, p: Optional[int] = None):
@@ -145,19 +153,23 @@ def binomial_root_series(n: int, m: int, p: Optional[int] = None):
     Returns (g, report); the report confirms g**n = 1 + Z mod Z^m exactly
     and, when a prime p with p not dividing n is supplied, that every
     coefficient is p-integral.  m*bits(n) above BINOMIAL_BITS is refused
-    with CannotCertify.
+    with CannotCertify, a p that is not prime with ValueError and a p that
+    divides n with PDividesN, all before g is built.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1, m >= 1")
     bits = m * n.bit_length()
     if bits > BINOMIAL_BITS:
         raise CannotCertify(f"a binomial series with m*bits(n) = {bits} exceeds {BINOMIAL_BITS}")
+    if p is not None:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        if n % p == 0:
+            raise PDividesN(f"{p} divides {n}; coefficients are not p-integral")
     g = binomial_coefficient_series(n, m)
     ok = _is_root_of_one_plus_z(g, n, m)
     if p is None:
         return g, BinomialReport(n=n, order=m, power_identity_ok=ok)
-    if n % p == 0:
-        raise PDividesN(f"{p} divides {n}; coefficients are not p-integral")
     min_v = min(g.valuations(p).values()) if g else 0
     return g, BinomialReport(
         n=n,
@@ -191,6 +203,8 @@ class CoverDescriptor:
             for q in prime_divisors(self.n)
         ):
             raise BadDescriptor("zeta is not primitive mod p")
+        if self.m < 1:
+            raise BadDescriptor("m must be >= 1")
         if not _is_root_of_one_plus_z(self.g, self.n, self.m):
             raise BadDescriptor("g**n != 1 + Z mod Z^m")
 

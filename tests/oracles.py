@@ -287,6 +287,34 @@ def cover_power_by_loop(g, n, m):
     return power
 
 
+def series_pow_by_squaring(g, n):
+    """g**n for n >= 1 by repeated squaring (two products for n = 4): the
+    power CoverDescriptor formed before it read g's differential equation."""
+    from arithline.series_ring import series_mul
+
+    power, square = None, g
+    while True:
+        if n & 1:
+            power = square if power is None else series_mul(power, square)
+        n >>= 1
+        if not n:
+            return power
+        square = series_mul(square, square)
+
+
+def binomial_series_fraction(n, m):
+    """sum_{i<m} C(1/n, i) Z^i mod Z^m from the Fraction recurrence
+    c_{i+1} = c_i (1/n - i) / (i + 1), through the validating constructor."""
+    from arithline.series_ring import LaurentPoly
+
+    coeffs, c, k = {}, Fraction(1), Fraction(1, n)
+    for i in range(m):
+        if c:
+            coeffs[i] = c
+        c = c * (k - i) / (i + 1)
+    return LaurentPoly(coeffs, m)
+
+
 # -- second copies of rules the library now writes once ----------------------
 # Each function below is the code the library deleted when it folded the rule
 # into its one remaining form: AnnulusSpec.weights, cousin_cartan._on_side,

@@ -26,6 +26,8 @@ where a case carries it, stderr) for:
   (exit 2), recorded when that refusal got its one text.
 * ``series-arith --op add`` of T^10 and 1 + O(T^5), recorded when a sum
   began to drop the indices at or past its modulus.
+* ``binomial --p`` with p = 4, 0 and 1 (exit 1, "p is not prime"), recorded
+  when ``binomial_root_series`` began to refuse a p that is not prime.
 
 Usage text is wrapped at COLUMNS=80.  ``replay_golden.py`` replays the same
 cases as subprocesses of an installed command.

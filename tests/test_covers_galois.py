@@ -20,18 +20,18 @@ from arithline import (
     standard_group_tables,
 )
 from arithline.covers_galois import (
-    _series_pow,
+    _is_root_of_one_plus_z,
     binomial_coefficient_series,
     cyclic_table,
     dihedral_table,
     quaternion_table,
     symmetric_table,
 )
-from arithline.series_ring import series_mul
+from arithline.series_ring import series_add, series_mul
 from arithline.errors import BadDescriptor, CannotCertify, CongruenceFails, NoneFound, NotLiftable, PDividesN
 from arithline.numbers import vp
 
-from oracles import cover_power_by_loop
+from oracles import binomial_series_fraction, cover_power_by_loop, series_pow_by_squaring
 
 
 def test_find_prime_examples():
@@ -76,6 +76,9 @@ def test_binomial_examples():
     assert vp(Fraction(-1, 9), 7) == 0 and rep3.integral_at_p
     with pytest.raises(PDividesN):
         binomial_root_series(4, 5, p=2)
+    for p in (4, 0, 1, -7):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            binomial_root_series(3, 5, p=p)
 
 
 def test_binomial_budget():
@@ -130,6 +133,10 @@ def test_bad_descriptor_rejected():
         CoverDescriptor(n=3, p=5, zeta=PadicApprox(5, 2, 1), m=3, g=LaurentPoly.one(3))
     with pytest.raises(BadDescriptor):
         CoverDescriptor(n=2, p=3, zeta=PadicApprox(3, 2, 1), m=3, g=LaurentPoly.one(3))
+    zeta = primitive_root_of_unity(2, 3, 2)
+    for m in (0, -1):  # refused before the power check, whatever g is
+        with pytest.raises(BadDescriptor, match="m must be >= 1"):
+            CoverDescriptor(n=2, p=3, zeta=zeta, m=m, g=LaurentPoly.one())
 
 
 def test_eisenstein_witness_examples():
@@ -237,12 +244,16 @@ def test_descriptor_accepts_what_the_product_loop_accepted(inputs):
     try:
         CoverDescriptor(n=n, p=P13, zeta=zeta, m=m, g=g)
         accepted = True
-    except BadDescriptor:
+    except BadDescriptor as exc:
         accepted = False
+        refusal = str(exc)
+    if m < 1:  # refused before the power check
+        assert not accepted and refusal == "m must be >= 1"
+        return
     old = cover_power_by_loop(g, n, m)
     assert accepted == (old == target)
-    if m >= 1:  # the same power, modulus included (for m <= 0 both are 0)
-        assert series_mul(LaurentPoly.one(m), _series_pow(g, n)) == old
+    # the same power by squaring, modulus included
+    assert series_mul(LaurentPoly.one(m), series_pow_by_squaring(g, n)) == old
 
 
 @pytest.mark.parametrize("n, p, m, N", [(4, 5, 178, 8), (2, 3, 10, 4), (3, 7, 20, 6), (1, 2, 5, 3)])
@@ -254,15 +265,73 @@ def test_build_certifies_g_power_once(n, p, m, N, monkeypatch):
 
     calls = []
 
-    def counting(g, k):
-        calls.append(k)
-        return _series_pow(g, k)
+    def counting(g, k, order):
+        calls.append((k, order))
+        return _is_root_of_one_plus_z(g, k, order)
 
-    monkeypatch.setattr(cg, "_series_pow", counting)
+    monkeypatch.setattr(cg, "_is_root_of_one_plus_z", counting)
     desc = CoverDescriptor.build(n, p, m, N)
-    assert calls == [n]
+    assert calls == [(n, m)]
     monkeypatch.undo()
     assert jsonio.dumps(desc) == jsonio.dumps(cover_build_certified_twice(n, p, m, N))
+
+
+# -- the power check read from the differential equation of (1 + Z)^(1/n) -----
+
+
+@st.composite
+def root_check_inputs(draw):
+    """(g, n, m) with n in 1..8 and m in 1..40: +-the binomial series known
+    mod Z^M with M below, at or above m, or exactly; then perhaps one
+    coefficient moved at an index < m (m - 1 included), junk at indices >= m,
+    negative indices, or g = 0."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(("below", "equal", "above", "exact")))
+    M = {"below": draw(st.integers(1, m)) - 1, "equal": m, "above": m + draw(st.integers(1, 6)),
+         "exact": None}[shape]
+    length = m + draw(st.integers(0, 6)) if M is None else max(M, 1)
+    coeffs = dict(binomial_coefficient_series(n, length).coeffs)
+    if draw(st.booleans()):  # g_0 = -1: a root of 1 + Z for even n only
+        coeffs = {k: -c for k, c in coeffs.items()}
+    edit = draw(st.sampled_from(("none", "perturb", "perturb_top", "junk", "negative", "zero")))
+    delta = Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 9)))
+    if edit in ("perturb", "perturb_top"):
+        k = m - 1 if edit == "perturb_top" else draw(st.integers(0, m - 1))
+        coeffs[k] = coeffs.get(k, 0) + delta
+    elif edit == "junk":
+        for k in draw(st.lists(st.integers(m, m + 8), min_size=1, max_size=3, unique=True)):
+            coeffs[k] = coeffs.get(k, 0) + delta
+    elif edit == "negative":
+        coeffs[draw(st.integers(-3, -1))] = delta
+    elif edit == "zero":
+        coeffs = {}
+    return LaurentPoly(coeffs, M), n, m
+
+
+@settings(max_examples=600, deadline=None)
+@given(root_check_inputs())
+def test_root_check_agrees_with_the_product_loop(inputs):
+    g, n, m = inputs
+    target = LaurentPoly({0: 1, 1: 1} if m > 1 else {0: 1}, m)
+    assert _is_root_of_one_plus_z(g, n, m) == (cover_power_by_loop(g, n, m) == target)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_root_check_at_201_terms(n):
+    g = binomial_coefficient_series(n, 201)
+    assert _is_root_of_one_plus_z(g, n, 201)
+    bent = series_add(g, LaurentPoly({200: Fraction(1, 3)}, 201))
+    assert not _is_root_of_one_plus_z(bent, n, 201)
+    target = LaurentPoly({0: 1, 1: 1}, 201)
+    assert series_mul(LaurentPoly.one(201), series_pow_by_squaring(bent, n)) != target
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_binomial_series_is_the_fraction_recurrence(n):
+    for m in range(1, 60):
+        got, want = binomial_coefficient_series(n, m), binomial_series_fraction(n, m)
+        assert (got.num, got.den, got.trunc_mod) == (want.num, want.den, want.trunc_mod)
+        assert list(got.num) == list(want.num)
 
 
 def test_build_refusals_keep_their_order():
