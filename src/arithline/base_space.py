@@ -7,12 +7,14 @@ the place sigma evaluates f to |f|_sigma**eps.  Finite branches end in an
 extreme point (exponent +inf) carrying the trivial seminorm of the residue
 field; the archimedean branch stops at exponent 1.
 
-The norms, the pole test of K(V) and ``is_archimedean_compact`` all read a
-compact as ``_norm_endpoints`` compiles it.  ``norm_bounds_each`` gives the
-norms of integer content n_k / D as integer pairs, each the max of its
-endpoint terms by cross-multiplication, so the annulus norms, the pruning of
-series matrices and the division threshold build no Fraction per
-coefficient; ``norm_bounds`` reads one such pair as Fractions.
+The norms read the Shilov boundary of a compact (``shilov_base``, the one
+case analysis of which points realize ||.||_V) as ``_norm_endpoints``
+compiles it; the pole test of K(V) and ``is_archimedean_compact`` read the
+same compile.  ``norm_bounds_each`` gives the norms of integer content
+n_k / D as integer pairs, each the max of its endpoint terms by
+cross-multiplication, so the annulus norms, the pruning of series matrices
+and the division threshold build no Fraction per coefficient;
+``norm_bounds`` reads one such pair as Fractions.
 """
 
 from dataclasses import dataclass
@@ -289,44 +291,42 @@ def _pole_detail(f: Fraction, r: int) -> str:
 
 @lru_cache(maxsize=512)
 def _norm_endpoints(V: BaseCompact):
-    """Compile the endpoint list realizing ||.||_V, plus the pole constraint.
+    """Compile ``shilov_base(V)`` into the terms of ||.||_V and the pole test.
 
-    Returns (has_trivial, finite_terms, arch_terms, extreme_primes, pole)
-    where finite_terms is a tuple of (p, exponent) and arch_terms a tuple of
-    archimedean exponents.  pole, the one pole test of K(V), maps a
+    Returns (has_trivial, finite_terms, arch_terms, extreme_primes, pole):
+    a_0 sets has_trivial, a point a_p^e adds (p, e) to finite_terms, a point
+    a_inf^e adds e to arch_terms, an extreme point its prime.  pole, the one
+    pole test of K(V) and the one reading of V's shape here, maps a
     denominator to 1 when it has no pole at an extreme point of V, else to
-    the prime of the segment's extreme point or the star's uncut cofactor;
-    it is None when V holds no extreme point.
+    the segment's prime or the star's uncut cofactor; it is None when V
+    holds no extreme point.
+
+    Two terms of the sup over V are dominated and not compiled: 1 on a star
+    with no cut at 0 (by the product formula some Shilov term of f != 0 in
+    K(V) is >= 1, and an outward-rounded lo of a value >= 1 is >= 1), and
+    the extreme term on [u, inf] (the pole test makes f p-integral, so the
+    term at a_p^u is at least it).
     """
-    if V.kind == "segment":
-        place = V.place
-        has_trivial = V.u == 0
-        exps = []
-        if V.u > 0 and not is_inf(V.u):
-            exps.append(V.u)
-        if V.v > 0 and not is_inf(V.v) and V.v not in exps:
-            exps.append(V.v)
-        if place.is_finite:
-            finite_terms = tuple((place.prime, e) for e in exps)
-            if not is_inf(V.v):
-                return has_trivial, finite_terms, (), (), None
-            p = place.prime
-            return has_trivial, finite_terms, (), (p,), lambda d: p if d % p == 0 else 1
-        return has_trivial, (), tuple(exps), (), None
-    arch_cut = next((c for pl, c in V.cuts if not pl.is_finite), None)
-    if arch_cut is None:
-        arch_terms = (Fraction(1),)
-    elif arch_cut > 0:
-        arch_terms = (arch_cut,)
+    has_trivial, finite_terms, arch_terms, extreme = False, [], [], []
+    for x in shilov_base(V):
+        cat = classify_base_point(x)
+        if cat == "central":
+            has_trivial = True
+        elif cat == "extreme":
+            extreme.append(x.place.prime)
+        elif x.place.is_finite:
+            finite_terms.append((x.place.prime, x.exponent))
+        else:
+            arch_terms.append(x.exponent)
+    if V.kind == "star":
+        cut = tuple(sorted(V.cut_primes()))
+        pole = lambda d: strip_primes(d, cut)
+    elif V.place.is_finite and is_inf(V.v):
+        p = V.place.prime
+        pole = lambda d: p if d % p == 0 else 1
     else:
-        arch_terms = ()
-    finite_terms = tuple(
-        (pl.prime, c) for pl, c in V.cuts if pl.is_finite and c > 0
-    )
-    # uncut finite branches contain their extreme point: f must be integral
-    # there, and those branches contribute at most the trivial value 1
-    cut = tuple(sorted(V.cut_primes()))
-    return True, finite_terms, arch_terms, (), lambda d: strip_primes(d, cut)
+        pole = None
+    return has_trivial, tuple(finite_terms), tuple(arch_terms), tuple(extreme), pole
 
 
 def norm_bounds(f, V: BaseCompact):
@@ -384,12 +384,16 @@ def _endpoint_bounds(n: int, d: int, ends):
 
 
 def base_norm(f, V: BaseCompact) -> NormValue:
-    """The uniform norm ||f||_V, as a maximum over the case endpoint set."""
+    """The uniform norm ||f||_V, as a maximum over the Shilov boundary of V."""
     return NormValue.between(*norm_bounds(f, V))
 
 
 def shilov_base(V: BaseCompact) -> list:
-    """The Shilov boundary of V, as the explicit finite list of points."""
+    """The Shilov boundary of V, as the explicit finite list of points.
+
+    A star lists its finite cuts c > 0, then a_0 once if a branch is cut at
+    0, then a_inf^c for an archimedean cut c > 0 (a_inf^1 when uncut).
+    """
     if V.kind == "segment":
         place = V.place
         left = BasePoint.central() if V.u == 0 else BasePoint.branch(place, V.u)
@@ -399,16 +403,11 @@ def shilov_base(V: BaseCompact) -> list:
             return [left]  # [a^u, extreme] and the whole branch: left endpoint
         right = BasePoint.central() if V.v == 0 else BasePoint.branch(place, V.v)
         return [left] if left == right else [left, right]
-    out = []
-    arch_cut = next((c for pl, c in V.cuts if not pl.is_finite), None)
-    for pl, c in V.cuts:
-        if pl.is_finite and 0 < c:
-            out.append(BasePoint.branch(pl, c))
-    if arch_cut is None:
-        out.append(BasePoint.arch(1))
-    elif arch_cut == 0:
+    out = [BasePoint.branch(pl, c) for pl, c in V.cuts if pl.is_finite and c > 0]
+    if any(c == 0 for _, c in V.cuts):
         out.append(BasePoint.central())
-    else:
+    arch_cut = next((c for pl, c in V.cuts if not pl.is_finite), Fraction(1))
+    if arch_cut > 0:
         out.append(BasePoint.arch(arch_cut))
     return out
 

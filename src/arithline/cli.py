@@ -340,12 +340,16 @@ def _precision_bits(text: str) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for every subcommand in COMMANDS."""
+    # The usage is spelled out in the three lines argparse 3.10-3.12 print
+    # at 80 columns, which 3.13 would wrap differently.
+    indent = "\n" + " " * len("usage: arithline ")
     ap = argparse.ArgumentParser(
         prog="arithline",
+        usage=f"%(prog)s [-h] [--bits BITS]{indent}{{{','.join(COMMANDS)}}}{indent}...",
         description="Exact kernel for seminorms, division and splittings on the arithmetic affine line",
     )
     ap.add_argument("--bits", type=_precision_bits, default=None, help="interval precision in bits")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, prog="arithline")
     for name, (_, specs, _) in COMMANDS.items():
         p = sub.add_parser(name)
         for flag, kind in specs:

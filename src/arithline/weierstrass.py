@@ -31,7 +31,6 @@ from .base_space import (
     shilov_base,
 )
 from .errors import (
-    ArithlineError,
     NoContractionRadiusFound,
     NoConvergence,
     NonIntegralAtExtremePoint,
@@ -306,20 +305,18 @@ def _contraction_cert(G: LaurentPoly, p: int, ctx: AnnulusSpec) -> LocalDivision
     if not B:
         return LocalDivisionCert(Fraction(1), NormValue.of(0), ())
 
-    def eps_at(w: Fraction):
-        try:
-            return norm_annulus(B, AnnulusSpec(ctx.V, Fraction(0), w)) * NormValue.of(
-                w ** (-p)
-            )
-        except ArithlineError:
-            return None
-
     # scan dyadic radii outward from 1: small radii win when B has high
-    # valuation, large radii when the low coefficients are small in norm
+    # valuation, large radii when the low coefficients are small in norm.
+    # The norms of B's coefficients do not depend on w, so an error (a pole
+    # of G/u on V, a power past POW_BITS) is raised at w = 1, the first
+    # radius tried, and no radius could certify.  B has only indices > p or
+    # only indices < p, so eps(w) = sum ||b_k|| w^(k-p) is monotone: at the
+    # first j that certifies, only one of 2^j, 2^-j does, and the set's
+    # order never changes the radius.
     for j in range(600):
         for w in {Fraction(2) ** j, Fraction(2) ** -j}:
-            eps = eps_at(w)
-            if eps is not None and eps.lt(1):
+            eps = norm_annulus(B, AnnulusSpec(ctx.V, Fraction(0), w)) * NormValue.of(w ** (-p))
+            if eps.lt(1):
                 return LocalDivisionCert(w, eps, ())
     raise NoContractionRadiusFound("no dyadic radius certifies the contraction")
 

@@ -711,10 +711,40 @@ def frac_shift(f, j):
     return FracLaurent({k + j: c for k, c in f.coeffs.items()}, mod)
 
 
+def norm_endpoints_by_case(V):
+    """The terms of ||.||_V case by case on the shape of V, as
+    ``base_space._norm_endpoints`` compiled them before it read
+    ``shilov_base``: (has_trivial, finite_terms, arch_terms, extreme_primes).
+    A star always carries the trivial term and never lists a_0's cut, and a
+    segment reaching an extreme point keeps its extreme term."""
+    from arithline.base_space import is_inf
+
+    if V.kind == "segment":
+        place = V.place
+        has_trivial = V.u == 0
+        exps = []
+        if V.u > 0 and not is_inf(V.u):
+            exps.append(V.u)
+        if V.v > 0 and not is_inf(V.v) and V.v not in exps:
+            exps.append(V.v)
+        if place.is_finite:
+            extreme = (place.prime,) if is_inf(V.v) else ()
+            return has_trivial, tuple((place.prime, e) for e in exps), (), extreme
+        return has_trivial, (), tuple(exps), ()
+    arch_cut = next((c for pl, c in V.cuts if not pl.is_finite), None)
+    if arch_cut is None:
+        arch_terms = (Fraction(1),)
+    elif arch_cut > 0:
+        arch_terms = (arch_cut,)
+    else:
+        arch_terms = ()
+    finite_terms = tuple((pl.prime, c) for pl, c in V.cuts if pl.is_finite and c > 0)
+    return True, finite_terms, arch_terms, ()
+
+
 def frac_norm_bounds(c, V):
     """(lo, hi) of ||c||_V for one Fraction: the pole test, then the largest
-    endpoint term of the compiled compact."""
-    from arithline.base_space import _norm_endpoints
+    endpoint term of ``norm_endpoints_by_case``."""
     from arithline.errors import NotInRingOfV
     from arithline.normvalue import pow_bounds
     from arithline.numbers import vp
@@ -724,7 +754,7 @@ def frac_norm_bounds(c, V):
         raise NotInRingOfV(detail)
     if c == 0:
         return Fraction(0), Fraction(0)
-    has_trivial, finite_terms, arch_terms, extreme, _ = _norm_endpoints(V)
+    has_trivial, finite_terms, arch_terms, extreme = norm_endpoints_by_case(V)
     terms = [(Fraction(1), Fraction(1))] if has_trivial else []
     terms += [pow_bounds(Fraction(p), -e * vp(c, p)) for p, e in finite_terms]
     terms += [pow_bounds(abs(c), e) for e in arch_terms]

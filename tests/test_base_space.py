@@ -185,6 +185,18 @@ def test_shilov_cases():
     assert shilov_base(arch) == [BasePoint.arch(Fraction(1, 4)), BasePoint.arch(Fraction(3, 4))]
     # the whole space: only the archimedean end carries the max
     assert shilov_base(BaseCompact.whole_space()) == [BasePoint.arch(1)]
+    # a cut at 0 lists a_0 once, after the finite points and before a_inf
+    star = BaseCompact.star
+    assert shilov_base(star({Place.finite(2): 0})) == [BasePoint.central(), BasePoint.arch(1)]
+    assert shilov_base(star({Place.finite(2): 0, Place.infinite(): Fraction(1, 2)})) == [
+        BasePoint.central(),
+        BasePoint.arch(Fraction(1, 2)),
+    ]
+    assert shilov_base(star({Place.finite(5): 1, Place.infinite(): 0})) == [
+        BasePoint.finite(5, 1),
+        BasePoint.central(),
+    ]
+    assert shilov_base(star({Place.finite(5): 0, Place.infinite(): 0})) == [BasePoint.central()]
 
 
 def compacts_family():
@@ -199,6 +211,8 @@ def compacts_family():
         BaseCompact.star({Place.finite(2): 1}),
         BaseCompact.star({Place.finite(2): 2, Place.finite(3): 1, Place.infinite(): Fraction(1, 2)}),
         BaseCompact.star({Place.infinite(): 0, Place.finite(5): 1}),
+        BaseCompact.star({Place.finite(2): 0}),
+        BaseCompact.star({Place.finite(5): 0, Place.infinite(): Fraction(1, 2)}),
     ]
 
 
@@ -228,14 +242,16 @@ def test_shilov_soundness_random():
 
 
 def test_shilov_minimality_witness():
-    """For each Shilov point of a segment or a two-cut star, some small
-    rational attains the sup there and only there."""
+    """For each Shilov point of a segment, a two-cut star or a star cut at
+    0, some small rational attains the sup there and only there (on
+    Star({2: 0}), 1/2 at a_0 and 3 at a_inf^1)."""
     rng = random.Random(3)
     targets = [
         seg(2, 1, 2),
         seg(3, Fraction(1, 2), 1),
         seg(5, 1, INF),
         BaseCompact.star({Place.finite(2): 1, Place.finite(3): 1}),
+        BaseCompact.star({Place.finite(2): 0}),
     ]
     candidates = [
         Fraction(a, b)

@@ -28,6 +28,11 @@ where a case carries it, stderr) for:
   began to drop the indices at or past its modulus.
 * ``binomial --p`` with p = 4, 0 and 1 (exit 1, "p is not prime"), recorded
   when ``binomial_root_series`` began to refuse a p that is not prime.
+* ``shilov``, ``condition-rg --G [1, 0, 1]`` (m_U = 1) and ``base-norm --f
+  1/2`` (exactly 1) on the star {2: 0}, recorded when ``shilov_base`` began
+  to list a_0 for a branch cut at 0; and a ``divide-local`` whose G/u has a
+  pole on the whole space (exit 2, NotInRingOfV), recorded when the radius
+  scan stopped swallowing that error.
 
 Usage text is wrapped at COLUMNS=80.  ``replay_golden.py`` replays the same
 cases as subprocesses of an installed command.

@@ -3,14 +3,19 @@
 ``weierstrass.hensel_lift_root`` is the one p-adic Newton lift: the covers
 lift their root of unity with it on the sparse X^n - 1, and it reduces P and
 P' to integers once per modulus.  The seed of the root of unity is the least
-one, found by an upward scan and the powers of z0 run in step.  The ``pole`` compiled by ``base_space._norm_endpoints`` is the
-one pole test of K(V), and ``base_space.is_archimedean_compact`` reads the
-compiled archimedean terms.
+one, found by an upward scan and the powers of z0 run in step.
+``base_space.shilov_base`` is the one case analysis of which points realize
+||.||_V: ``base_space._norm_endpoints`` compiles the norm terms from it, with
+the ``pole`` that is the one pole test of K(V), and
+``base_space.is_archimedean_compact`` reads the compiled archimedean terms;
+``norm_bounds`` must match the terms compiled case by case on the shape of V
+(value and refusal, at two precisions) and the max over ``shilov_base``.
 ``polys.rational_roots`` lists divisors from ``numbers.factor``, and
 ``find_prime_congruent`` walks the progression 1 mod n.  The replaced forms
 live in tests/oracles.py; results and refusals must agree exactly.
 """
 
+import contextvars
 import json
 import os
 import pathlib
@@ -25,19 +30,29 @@ from hypothesis import strategies as st
 
 import arithline
 from arithline import BaseCompact, PadicApprox, Place, errors, hensel_lift_root
-from arithline.base_space import is_archimedean_compact, member_of_kv, norm_bounds
+from arithline.base_space import (
+    base_norm,
+    eval_base_seminorm,
+    is_archimedean_compact,
+    member_of_kv,
+    norm_bounds,
+    shilov_base,
+)
 from arithline import covers_galois
 from arithline.covers_galois import find_prime_congruent, primitive_root_of_unity
 from arithline.errors import CannotCertify, CannotFactor, CongruenceFails, NotInRingOfV
+from arithline.normvalue import default_bits, nv_max, set_default_bits
 from arithline.numbers import is_prime
 from arithline.polys import ROOT_CANDIDATES, _quartic_splits, is_irreducible_q, poly, rational_roots
 
 from oracles import (
     find_prime_congruent_unit_step,
+    frac_norm_bounds,
     hensel_padic_fraction_eval,
     is_archimedean_by_shape,
     kv_pole_refusal,
     member_of_kv_by_case,
+    norm_endpoints_by_case,
     primitive_root_by_search,
     quartic_splits_trial,
     rational_roots_trial,
@@ -216,6 +231,60 @@ def test_pole_test_matches_the_case_checks(f, V):
 @example(BaseCompact.segment(Place.finite(3), float("inf"), float("inf")))
 def test_archimedean_test_reads_the_compiled_terms(V):
     assert is_archimedean_compact(V) == is_archimedean_by_shape(V)
+
+
+# -- the norms: the Shilov boundary, compiled ------------------------------------
+
+INF = float("inf")
+finite_ends = st.sampled_from((F(0), F(1), INF)) | st.builds(F, st.integers(1, 12), st.integers(2, 4))
+arch_ends = st.sampled_from((F(0), F(1))) | st.builds(lambda a, b: F(a, a + b), st.integers(1, 3), st.integers(1, 3))
+
+
+@st.composite
+def shilov_compacts(draw):
+    """Segments with ends 0, fractional and inf (at most 1 on the archimedean
+    branch); stars with finite cuts 0, fractional, 1 and inf, with or
+    without an archimedean cut."""
+    if draw(st.booleans()):
+        place = draw(places)
+        u, v = sorted(draw(st.lists(finite_ends if place.is_finite else arch_ends, min_size=2, max_size=2)))
+        return BaseCompact.segment(place, u, v)
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7)), unique=True, max_size=3))
+    cuts = {Place.finite(q): draw(finite_ends) for q in primes}
+    if draw(st.booleans()):
+        cuts[Place.infinite()] = draw(arch_ends)
+    return BaseCompact.star(cuts)
+
+
+def _norms_at(bits, f, V):
+    set_default_bits(bits)
+    want = outcome(frac_norm_bounds, f, V)
+    assert outcome(norm_bounds, f, V) == want
+    assert is_archimedean_compact(V) == bool(norm_endpoints_by_case(V)[2])
+    if isinstance(want[0], type):
+        return  # refused alike
+    nrm = base_norm(f, V)
+    best = nv_max(eval_base_seminorm(f, x) for x in shilov_base(V))
+    if nrm.is_exact and best.is_exact:
+        assert nrm.exact == best.exact
+    else:
+        assert nrm.overlaps(best)
+
+
+@settings(max_examples=600, deadline=None)
+@given(rationals, shilov_compacts())
+@example(F(1, 2), BaseCompact.star({Place.finite(2): 0}))
+@example(F(3), BaseCompact.star({Place.finite(2): 0}))
+@example(F(1, 5), BaseCompact.star({Place.finite(5): 0, Place.infinite(): F(1, 2)}))
+@example(F(2, 3), BaseCompact.star({Place.finite(3): F(1, 2), Place.infinite(): F(1, 3)}))
+@example(F(6, 35), BaseCompact.segment(Place.finite(5), F(1, 2), INF))
+@example(F(10), BaseCompact.segment(Place.finite(5), INF, INF))
+def test_norms_read_the_shilov_boundary(f, V):
+    """norm_bounds and is_archimedean_compact against the case-by-case terms,
+    and ||f||_V against the max of |f| over shilov_base(V), at the default
+    precision and at 8 bits."""
+    for bits in (default_bits(), 8):
+        contextvars.copy_context().run(_norms_at, bits, f, V)
 
 
 # -- rational roots --------------------------------------------------------------
