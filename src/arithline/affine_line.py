@@ -31,9 +31,10 @@ from .polys import (
     fp_irreducible,
     fp_multiplicity,
     fp_reduce,
+    gauss_value,
     is_irreducible_q,
+    numerators,
     p_multiplicity,
-    peval_gauss,
     poly,
     pshift,
 )
@@ -198,9 +199,8 @@ def eval_line_seminorm(F, x: LinePoint) -> NormValue:
     # archimedean rigid point
     if not F:
         return NormValue.of(0)
-    val = peval_gauss(F, fib.z)
-    m2 = val.norm2()
-    return NormValue.of(m2).pow_rational(Fraction(x.base.exponent) / 2)
+    X, Y, S = gauss_value(*numerators(F), fib.z)
+    return NormValue.of(Fraction(X * X + Y * Y, S * S)).pow_rational(Fraction(x.base.exponent) / 2)
 
 
 def _trivial_fiber_reduction(F, x: LinePoint):

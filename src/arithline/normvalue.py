@@ -26,6 +26,7 @@ from .numbers import iroot, rational_root
 DEFAULT_BITS = 128
 MIN_BITS = 8
 POW_BITS = 1 << 16  # most bits of work a power x ** e is allowed
+RESULTANT_WORK = 1 << 30  # most N^3 ceil(N h / 64)^2 a Sylvester determinant is allowed: size N, h-bit entries
 
 _bits = contextvars.ContextVar("arithline_bits", default=DEFAULT_BITS)
 

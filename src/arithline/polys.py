@@ -1,14 +1,20 @@
 """Dense univariate polynomials over Q and over F_p, plus Gaussian rationals.
 
-Polynomials are tuples of Fractions (or ints mod p) in ascending degree with
-no trailing zeros; the zero polynomial is the empty tuple.  ``fp_poly``,
-``fp_add`` and ``fp_mul`` never invert, so the Hensel lifts use them mod p^N.
+A polynomial over Q is a tuple of Fractions in ascending degree with no
+trailing zeros, the zero polynomial the empty tuple; ``poly`` builds one from
+the API and JSON boundary.  The kernels run on its integer numerators over
+one denominator D (``numerators``, the layout of FLINT's ``fmpq_poly``): one
+pseudo-division, one Gaussian Horner evaluation, the Taylor shift and the
+Bareiss resultant.  Polynomials over F_p are tuples of ints mod p;
+``fp_poly``, ``fp_add`` and ``fp_mul`` never invert, so the Hensel lifts use
+them mod p^N.
 """
 
 from fractions import Fraction
 from math import gcd, prod
 
 from .errors import CannotCertify, NotCoprime, ProductMismatch
+from .normvalue import RESULTANT_WORK
 from .numbers import factor, invmod, lcm_list, next_prime, prime_divisors, rational_root
 
 # -- polynomials over Q -----------------------------------------------------
@@ -26,40 +32,57 @@ def deg(f) -> int:
     return len(f) - 1
 
 
-def pscale(a, f):
-    a = Fraction(a)
-    if a == 0:
-        return ()
-    return tuple(a * c for c in f)
+def numerators(f):
+    """(n, D) with f = n / D: the integer numerators of f over the lcm D of
+    its denominators."""
+    D = lcm_list(c.denominator for c in f)
+    return [c.numerator * (D // c.denominator) for c in f], D
 
 
-def pdivmod(f, g):
-    """Exact euclidean division over Q; g nonzero."""
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    r = list(f)
-    dg, lc = deg(g), g[-1]
-    while len(r) >= len(g) and any(c for c in r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(g):
-            break
-        k = len(r) - len(g)
-        c = r[-1] / lc
-        q[k] = c
-        for i, b in enumerate(g):
-            r[k + i] -= c * b
-        r.pop()
-    return poly(q), poly(r)
+def pdivide(f, g):
+    """The integer pseudo-division s f = q g + r, deg r < deg g.
+
+    f and g are ascending int lists, g with a nonzero last entry L.  With
+    s = |L|^j for the j = deg f - deg g + 1 quotient steps, each quotient
+    coefficient is an exact division by L; for L = 1 this is synthetic
+    division.  Returns (s, q, r), r with deg g entries; for deg f < deg g,
+    (1, [], f).
+    """
+    p, n = len(g) - 1, len(f) - 1
+    if n < p:
+        return 1, [], list(f)
+    L = g[p]
+    low = [(i, b) for i, b in enumerate(g[:p]) if b]
+    s = abs(L) ** (n - p + 1)
+    r = [c * s for c in f]
+    q = [0] * (n - p + 1)
+    for k in range(n - p, -1, -1):
+        c = r[k + p] if L == 1 else r[k + p] // L
+        if c:
+            q[k] = c
+            for i, b in low:
+                r[k + i] -= c * b
+    return s, q, r[:p]
 
 
-def peval(f, x):
-    x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
+def horner(n, x, y, w):
+    """(X, Y) with X + iY = sum_k n_k (x + iy)^k w^(d-k), d = len(n) - 1: for
+    f = n / D and z = (x + iy) / w, f(z) = (X + iY) / (D w^d)."""
+    X = Y = 0
+    wk = 1
+    for c in reversed(n):
+        X, Y = X * x - Y * y + c * wk, X * y + Y * x
+        wk *= w
+    return X, Y
+
+
+def gauss_value(n, D, z):
+    """f(z) = (X + iY) / S as ints (X, Y, S), for f = n / D and a Gaussian
+    rational z."""
+    a, b = z.re, z.im
+    w = lcm_list((a.denominator, b.denominator))
+    X, Y = horner(n, a.numerator * (w // a.denominator), b.numerator * (w // b.denominator), w)
+    return X, Y, D * w ** max(len(n) - 1, 0)
 
 
 def pderiv(f):
@@ -67,26 +90,37 @@ def pderiv(f):
 
 
 def pshift(f, alpha):
-    """Taylor coefficients of f at alpha, i.e. g with f(T) = g(T - alpha)."""
+    """Taylor coefficients of f at alpha, i.e. g with f(T) = g(T - alpha).
+
+    With f = n / D of degree d and alpha = a / b, the shift runs on the
+    integers m_i = n_i b^(d-i): h(U) = sum_i m_i (U + a)^i gives
+    g_j = h_j / (D b^(d-j)).
+    """
     alpha = Fraction(alpha)
-    out = list(f)
-    n = len(out)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            out[j] += alpha * out[j + 1]
-    return tuple(out)
+    a, b = alpha.numerator, alpha.denominator
+    n, D = numerators(f)
+    d = len(n) - 1
+    out = [c * b ** (d - i) for i, c in enumerate(n)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            out[j] += a * out[j + 1]
+    return tuple(Fraction(c, D * b ** (d - j)) for j, c in enumerate(out))
 
 
-def p_multiplicity(f, p):
-    """Largest k with p**k dividing f; f nonzero, deg p >= 1."""
+def p_multiplicity(f, P):
+    """Largest k with P**k dividing f; f nonzero, deg P >= 1.  Each step is
+    one ``pdivide`` of the primitive numerators of f by those of P: the
+    remainder vanishes exactly when P divides f over Q."""
     if not f:
         raise ValueError("multiplicity in the zero polynomial")
+    f, g = numerators(f)[0], numerators(P)[0]
     k = 0
     while True:
-        q, r = pdivmod(f, p)
-        if r:
+        _, q, r = pdivide(f, g)
+        if any(r):
             return k
-        f = q
+        c = gcd(*q)
+        f = [x // c for x in q]
         k += 1
 
 
@@ -95,7 +129,15 @@ def is_monic(f) -> bool:
 
 
 def sylvester_resultant(f, g) -> Fraction:
-    """Res(f, g) as the Sylvester determinant (Res = lc(f)^deg g * prod g(roots f))."""
+    """Res(f, g) as the Sylvester determinant (Res = lc(f)^deg g * prod g(roots f)).
+
+    The determinant of the integer Sylvester matrix of the numerators
+    f = nf / Df, g = ng / Dg comes from fraction-free Bareiss elimination,
+    then Res(f, g) = det / (Df^deg g Dg^deg f).  Its N^3 steps each divide
+    numbers of up to about N h bits for entries of h bits, a cost quadratic
+    in the words: a matrix with N^3 ceil(N h / 64)^2 above RESULTANT_WORK is
+    refused with CannotCertify before the elimination starts.
+    """
     n, m = deg(f), deg(g)
     if n < 0 and m < 0:
         raise ValueError("resultant of two zero polynomials")
@@ -105,30 +147,31 @@ def sylvester_resultant(f, g) -> Fraction:
         return f[0] ** m
     if m == 0:
         return g[0] ** n
+    (nf, Df), (ng, Dg) = numerators(f), numerators(g)
     size = n + m
-    rows = []
-    fr = list(reversed(f))
-    gr = list(reversed(g))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + fr + [Fraction(0)] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + gr + [Fraction(0)] * (size - m - 1 - i))
-    det = Fraction(1)
-    for col in range(size):
-        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
+    h = max(abs(c) for c in nf + ng).bit_length()
+    work = size ** 3 * ((size * h + 63) // 64) ** 2
+    if work > RESULTANT_WORK:
+        raise CannotCertify(f"a {size}x{size} Sylvester determinant of {h}-bit entries exceeds {RESULTANT_WORK}")
+    fr, gr = nf[::-1], ng[::-1]
+    rows = [[0] * i + fr + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + gr + [0] * (n - 1 - i) for i in range(n)]
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        piv = next((r for r in range(k, size) if rows[r][k]), None)
         if piv is None:
             return Fraction(0)
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, size):
-            if rows[r][col]:
-                factor = rows[r][col] * inv
-                for c in range(col, size):
-                    rows[r][c] -= factor * rows[col][c]
-    return det
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        top = rows[k]
+        a = top[k]
+        for row in rows[k + 1:]:
+            c = row[k]
+            for j in range(k + 1, size):
+                row[j] = (row[j] * a - c * top[j]) // prev
+        prev = a
+    return Fraction(sign * rows[-1][-1], Df ** m * Dg ** n)
 
 
 # -- polynomials over F_p ---------------------------------------------------
@@ -143,13 +186,11 @@ def fp_poly(coeffs, p):
 
 def fp_reduce(f, p):
     """Reduce a Q-polynomial with p-integral coefficients mod p."""
-    out = []
-    for c in f:
-        c = Fraction(c)
-        if c.denominator % p == 0:
-            raise ValueError("coefficient not p-integral")
-        out.append(c.numerator * invmod(c.denominator, p) % p)
-    return fp_poly(out, p)
+    n, D = numerators(f)
+    if D % p == 0:
+        raise ValueError("coefficient not p-integral")
+    u = invmod(D, p)
+    return fp_poly([c * u for c in n], p)
 
 
 def fp_add(f, g, p):
@@ -339,17 +380,15 @@ def rational_roots(f):
         k += 1
     f = f[k:]
     roots = set([Fraction(0)] if k else [])
-    den = prod(Fraction(c).denominator for c in f)
-    g = [int(c * den) for c in f]
+    g = numerators(f)[0]
     content = gcd(*g)
     g = [c // content for c in g]
     r_divs, s_divs = _divisors(g[0], g[-1])
     for r in r_divs:
         for s in s_divs:
             for sign in (1, -1):
-                cand = Fraction(sign * r, s)
-                if peval(f, cand) == 0:
-                    roots.add(cand)
+                if horner(g, sign * r, 0, s)[0] == 0:
+                    roots.add(Fraction(sign * r, s))
     return sorted(roots)
 
 
@@ -386,7 +425,7 @@ def is_irreducible_q(f) -> bool:
         return False
     if d <= 3:
         return True
-    monic = pscale(1 / f[-1], f)
+    monic = tuple(c / f[-1] for c in f)
     if d == 4:
         return not _quartic_splits(monic)
     p = 2
@@ -436,7 +475,8 @@ def _quartic_splits(f) -> bool:
 
 
 class Gauss:
-    """Gaussian rational a + b*i with exact arithmetic."""
+    """Gaussian rational a + b*i, a value only: ``gauss_value`` evaluates a
+    polynomial at it on the integers."""
 
     __slots__ = ("re", "im")
 
@@ -444,26 +484,9 @@ class Gauss:
         self.re = Fraction(re)
         self.im = Fraction(im)
 
-    def __add__(self, other):
-        other = Gauss._coerce(other)
-        return Gauss(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        other = Gauss._coerce(other)
-        return Gauss(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        other = Gauss._coerce(other)
-        return Gauss(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
     def __eq__(self, other):
-        other = Gauss._coerce(other)
+        if not isinstance(other, Gauss):
+            return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
@@ -471,17 +494,3 @@ class Gauss:
 
     def __repr__(self):
         return f"Gauss({self.re}, {self.im})"
-
-    def norm2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    @staticmethod
-    def _coerce(v):
-        return v if isinstance(v, Gauss) else Gauss(v)
-
-
-def peval_gauss(f, z: Gauss) -> Gauss:
-    acc = Gauss(0)
-    for c in reversed(f):
-        acc = acc * z + Gauss(c)
-    return acc

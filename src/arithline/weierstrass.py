@@ -7,9 +7,10 @@ bounds ||Q|| <= 2 v^(-p) ||F|| and ||R|| <= 2 ||F||.  The threshold is the
 first radius on the 2^-16 grid that meets the condition, found by a search on
 the grid index with the condition cleared of denominators into an integer
 inequality (see ``global_threshold``), its ||g_k|| read from G's integer
-content as pairs.  Q and R come from one integer pseudo-division of F's
-numerators by G's (``_euclid``), which also serves the polynomial branch of
-local division, where G's leading coefficient is a unit.  Local division of
+content as pairs.  Q and R come from ``_euclid``, which runs the one integer
+pseudo-division ``polys.pdivide`` on F's numerators and G's and turns the
+result back into content; it also serves the polynomial branch of local
+division, where G's leading coefficient is a unit.  Local division of
 truncated series otherwise runs the fixed-point operator
 phi -> alpha(phi) G + beta(phi) and records its contraction certificate.
 ``hensel_lift_root`` is the one Hensel lift, for series and p-adic roots (the
@@ -53,11 +54,12 @@ from .polys import (
     fp_mul,
     fp_poly,
     fp_reduce,
+    gauss_value,
     hensel_multi_lift,
     is_monic,
+    numerators,
     pderiv,
-    peval,
-    peval_gauss,
+    pdivide,
     poly,
     sylvester_resultant,
 )
@@ -146,32 +148,19 @@ def _euclid(F: LaurentPoly, G: LaurentPoly):
     """(Q, R) with F = Q G + R and deg R < deg G, both known mod F's modulus.
 
     F has nonnegative support and G is a polynomial with leading
-    coefficient u != 0.  With F = f / d and G = g / e on their content and
-    L = u e the lead of g, s = |L|^j for the j = deg F - deg G + 1 quotient
-    steps, the pseudo-division s f = q g + r runs on the integers, each
-    quotient coefficient an exact division by L; then Q = e q / (d s) and
-    R = r / (d s).  For G monic with integer coefficients, L = s = 1 and
-    this is plain synthetic division.  Q and R store only indices below
+    coefficient u != 0.  With F = f / d and G = g / e on their content,
+    ``polys.pdivide`` gives s f = q g + r on the integers; then
+    Q = e q / (d s) and R = r / (d s).  Q and R store only indices below
     deg F, hence below F's modulus.
     """
     mod = F.trunc_mod
     p, n = G.degree(), F.degree()
     if n is None or n < p:
         return LaurentPoly._content({}, 1, mod), F
-    g = [(i, c) for i, c in G.num.items() if i < p]
-    L = G.num[p]
-    s = abs(L) ** (n - p + 1)
-    r = [F.num.get(i, 0) * s for i in range(n + 1)]
-    q = [0] * (n - p + 1)
-    for k in range(n - p, -1, -1):
-        c = r[k + p] if L == 1 else r[k + p] // L
-        if c:
-            q[k] = c * G.den
-            for i, b in g:
-                r[k + i] -= c * b
+    s, q, r = pdivide([F.num.get(i, 0) for i in range(n + 1)], [G.num.get(i, 0) for i in range(p + 1)])
     den = F.den * s
-    Q = LaurentPoly._content(dict(enumerate(q)), den, mod)
-    return Q, LaurentPoly._content(dict(enumerate(r[:p])), den, mod)
+    Q = LaurentPoly._content({k: c * G.den for k, c in enumerate(q)}, den, mod)
+    return Q, LaurentPoly._content(dict(enumerate(r)), den, mod)
 
 
 @dataclass(frozen=True)
@@ -607,21 +596,16 @@ def lagrange_bound_report(f, g, roots, r, place) -> LagrangeBoundReport:
     finite = place.is_finite
     if finite and any(z.im != 0 for z in roots):
         raise ValueError("finite places need rational roots")
-    # verify the supplied roots: g = prod (T - alpha_i) over the Gaussians
-    acc = [Gauss(1)]
-    for z in roots:
-        nxt = [Gauss(0)] * (len(acc) + 1)
-        for i, c in enumerate(acc):
-            nxt[i + 1] += c
-            nxt[i] += c * Gauss(-z.re, -z.im)
-        acc = nxt
-    if any(Gauss(c) != acc[i] for i, c in enumerate(g)):
+    # g is monic and separable of degree d, so g = prod (T - alpha_i) exactly
+    # when the alpha_i are d distinct roots of g
+    gn, gD = numerators(g)
+    if len(set(roots)) < d or any(gauss_value(gn, gD, z)[:2] != (0, 0) for z in roots):
         raise ValueError("supplied roots do not multiply back to g")
 
     def root_abs(z: Gauss) -> NormValue:
         if finite:
             return NormValue.of(abs_at_place(z.re, place))
-        return NormValue.of(z.norm2()).pow_rational(Fraction(1, 2))
+        return NormValue.of(z.re * z.re + z.im * z.im).pow_rational(Fraction(1, 2))
 
     for z in roots:
         if not root_abs(z).le(NormValue.of(r)):
@@ -630,14 +614,14 @@ def lagrange_bound_report(f, g, roots, r, place) -> LagrangeBoundReport:
         NormValue.of(abs_at_place(c, place) * r ** i) for i, c in enumerate(f) if c
     )
     Dv = NormValue.of(Fraction(d) * (2 * r) ** (d * d - d) / abs_at_place(res, place))
+    fn, fD = numerators(f)
     vals = []
     for z in roots:
+        X, Y, S = gauss_value(fn, fD, z)
         if z.im == 0:
-            fv = peval(f, z.re)
-            vals.append(NormValue.of(abs_at_place(fv, place)))
+            vals.append(NormValue.of(abs_at_place(Fraction(X, S), place)))
         else:
-            fv = peval_gauss(f, z)
-            vals.append(NormValue.of(fv.norm2()).pow_rational(Fraction(1, 2)))
+            vals.append(NormValue.of(Fraction(X * X + Y * Y, S * S)).pow_rational(Fraction(1, 2)))
     rhs = Dv * nv_max(vals)
     return LagrangeBoundReport(lhs=lhs, D=Dv, rhs=rhs)
 

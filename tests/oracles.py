@@ -575,11 +575,79 @@ def trial_divisors(n):
     return sorted(out)
 
 
+def frac_horner(f, x):
+    """f(x) by Horner's rule on Fractions."""
+    acc = Fraction(0)
+    for c in reversed(f):
+        acc = acc * x + Fraction(c)
+    return acc
+
+
+def frac_horner_gauss(f, re, im):
+    """f(re + i im) by Horner's rule on Fraction pairs, as (real part, imaginary part)."""
+    a = b = Fraction(0)
+    for c in reversed(f):
+        a, b = a * re - b * im + Fraction(c), a * im + b * re
+    return a, b
+
+
+def frac_taylor_shift(f, alpha):
+    """g with f(T) = g(T - alpha), by repeated synthetic division on Fractions."""
+    alpha = Fraction(alpha)
+    out = [Fraction(c) for c in f]
+    n = len(out)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            out[j] += alpha * out[j + 1]
+    return tuple(out)
+
+
+def frac_multiplicity(f, P):
+    """Largest k with P^k dividing the nonzero f, by long division on Fractions."""
+    k = 0
+    while True:
+        q, r = schoolbook_divmod(f, P)
+        if r:
+            return k
+        f, k = q, k + 1
+
+
+def frac_sylvester_det(f, g):
+    """Res(f, g) for Fraction tuples without trailing zeros: Gaussian elimination
+    with Fraction pivots on the Sylvester matrix."""
+    n, m = len(f) - 1, len(g) - 1
+    if n < 0 and m < 0:
+        raise ValueError("resultant of two zero polynomials")
+    if n < 0 or m < 0:
+        return Fraction(0)
+    if n == 0:
+        return Fraction(f[0]) ** m
+    if m == 0:
+        return Fraction(g[0]) ** n
+    size = n + m
+    fr = [Fraction(c) for c in reversed(f)]
+    gr = [Fraction(c) for c in reversed(g)]
+    rows = [[Fraction(0)] * i + fr + [Fraction(0)] * (size - n - 1 - i) for i in range(m)]
+    rows += [[Fraction(0)] * i + gr + [Fraction(0)] * (size - m - 1 - i) for i in range(n)]
+    det = Fraction(1)
+    for col in range(size):
+        piv = next((r for r in range(col, size) if rows[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, size):
+            factor = rows[r][col] / rows[col][col]
+            for c in range(col, size):
+                rows[r][c] -= factor * rows[col][c]
+    return det
+
+
 def rational_roots_trial(f):
     """Rational roots of a nonzero f in Q[T] over trial-division divisors."""
     from math import gcd
-
-    from arithline.polys import peval
 
     if not f:
         raise ValueError("zero polynomial")
@@ -600,7 +668,7 @@ def rational_roots_trial(f):
         for s in trial_divisors(abs(g[-1])):
             for sign in (1, -1):
                 cand = Fraction(sign * r, s)
-                if peval(f, cand) == 0:
+                if frac_horner(f, cand) == 0:
                     roots.add(cand)
     return sorted(roots)
 

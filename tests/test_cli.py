@@ -155,6 +155,18 @@ def test_malformed_shape_is_bad_input(argv, capsys):
     assert json.loads(captured.err)["error"] == "BadInput"
 
 
+@pytest.mark.parametrize(
+    "g,roots",
+    [('["-1","0","1"]', '["1","1"]'), ('["-1","0","1"]', '["1","2"]'), ('["1","0","1"]', '[["0","1"],["0","1"]]')],
+    ids=["repeated-root", "non-root", "i-twice"],
+)
+def test_lagrange_roots_must_multiply_back_to_g(g, roots, capsys):
+    code = main(["lagrange-bound", "--f", '["0","1"]', "--g", g, "--roots", roots, "--r", "2", "--place", "inf"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert json.loads(captured.err) == {"v": 1, "error": "BadInput", "detail": "supplied roots do not multiply back to g"}
+
+
 def test_bits_override(capsys, monkeypatch):
     from arithline.normvalue import set_default_bits
 

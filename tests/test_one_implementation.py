@@ -11,16 +11,22 @@ the ``pole`` that is the one pole test of K(V), and
 ``norm_bounds`` must match the terms compiled case by case on the shape of V
 (value and refusal, at two precisions) and the max over ``shilov_base``.
 ``polys.rational_roots`` lists divisors from ``numbers.factor``, and
-``find_prime_congruent`` walks the progression 1 mod n.  The replaced forms
-live in tests/oracles.py; results and refusals must agree exactly.
+``find_prime_congruent`` walks the progression 1 mod n.  Q[T] runs on integer
+numerators over one denominator: ``polys.pdivide`` is the one pseudo-division,
+for ``weierstrass._euclid`` and ``polys.p_multiplicity``, and ``Gauss`` is a
+value without arithmetic; shift, evaluation, division, multiplicity and the
+resultant must match the Fraction routines.  The replaced forms live in
+tests/oracles.py; results and refusals must agree exactly.
 """
 
+import ast
 import contextvars
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from math import gcd
 
@@ -41,13 +47,33 @@ from arithline.base_space import (
 from arithline import covers_galois
 from arithline.covers_galois import find_prime_congruent, primitive_root_of_unity
 from arithline.errors import CannotCertify, CannotFactor, CongruenceFails, NotInRingOfV
-from arithline.normvalue import default_bits, nv_max, set_default_bits
+from arithline.normvalue import RESULTANT_WORK, default_bits, nv_max, set_default_bits
 from arithline.numbers import is_prime
-from arithline.polys import ROOT_CANDIDATES, _quartic_splits, is_irreducible_q, poly, rational_roots
+from arithline import polys
+from arithline.cli import main
+from arithline.polys import (
+    ROOT_CANDIDATES,
+    Gauss,
+    _quartic_splits,
+    gauss_value,
+    is_irreducible_q,
+    numerators,
+    p_multiplicity,
+    pdivide,
+    poly,
+    pshift,
+    rational_roots,
+    sylvester_resultant,
+)
 
 from oracles import (
     find_prime_congruent_unit_step,
+    frac_horner,
+    frac_horner_gauss,
+    frac_multiplicity,
     frac_norm_bounds,
+    frac_sylvester_det,
+    frac_taylor_shift,
     hensel_padic_fraction_eval,
     is_archimedean_by_shape,
     kv_pole_refusal,
@@ -56,6 +82,7 @@ from oracles import (
     primitive_root_by_search,
     quartic_splits_trial,
     rational_roots_trial,
+    schoolbook_divmod,
     trial_divisors,
 )
 
@@ -352,6 +379,131 @@ def test_too_many_candidates_are_refused():
 def test_unfactorable_constant_is_refused():
     with pytest.raises(CannotFactor):
         rational_roots(poly([(2 ** 61 - 1) * (2 ** 89 - 1), 0, 1]))
+
+
+# -- dense Q[T] on integer numerators ---------------------------------------------
+
+# zero half the time, else up to 20 bits over denominators from 1 to 2^30
+qcoeffs = st.just(F(0)) | st.builds(
+    F, st.integers(-10 ** 6, 10 ** 6), st.sampled_from((1, 1, 2, 3, 12, 1024, 3 ** 9, 10 ** 9 + 7))
+)
+qpolys = st.lists(qcoeffs, max_size=7).map(poly)
+
+
+def conv(a, b):
+    """The product of two ascending coefficient lists."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(qpolys, qcoeffs, qcoeffs)
+@example((), F(1, 2), F(3))
+@example((F(5, 3),), F(0), F(0))
+@example(poly([1, 0, 1]), F(0), F(1))
+@example(poly([F(1, 3), F(-2, 7), F(5, 1024)]), F(-7, 12), F(0))
+def test_shift_and_evaluation_match_fractions(f, a, b):
+    n, D = numerators(f)
+    assert tuple(F(c, D) for c in n) == f
+    assert pshift(f, a) == frac_taylor_shift(f, a)
+    for z in (Gauss(a, b), Gauss(a)):
+        X, Y, S = gauss_value(n, D, z)
+        assert (F(X, S), F(Y, S)) == frac_horner_gauss(f, z.re, z.im)
+        if z.im == 0:
+            assert Y == 0 and F(X, S) == frac_horner(f, z.re)
+
+
+ints = st.lists(st.integers(-10 ** 4, 10 ** 4) | st.just(0), max_size=8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ints, ints.filter(lambda g: g and g[-1]))
+@example([], [3])
+@example([5], [0, 2])
+@example([1, 2, 3, 4], [-7])
+@example([0, 0, 0, 6], [1, 0, 4])
+def test_pseudo_division_matches_long_division(f, g):
+    """s f = q g + r with s > 0 and deg r < deg g, and q / s, r / s are the
+    Fraction long division."""
+    s, q, r = pdivide(f, g)
+    assert s > 0 and len(r) < len(g)
+    lhs = [s * c for c in f]
+    rhs = conv(q, g)
+    size = max(len(lhs), len(rhs), len(r))
+    pad = lambda v: v + [0] * (size - len(v))  # noqa: E731
+    assert pad(lhs) == [a + b for a, b in zip(pad(rhs), pad(r))]
+    want_q, want_r = schoolbook_divmod(f, g)
+    assert poly(F(c, s) for c in q) == tuple(want_q)
+    assert poly(F(c, s) for c in r) == tuple(want_r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(qpolys.filter(lambda P: len(P) >= 2), st.integers(0, 3), qpolys.filter(bool))
+@example(poly([-1, 1]), 2, poly([1, 1]))
+@example(poly([F(1, 2), 0, F(3, 7)]), 3, poly([F(5, 9)]))
+@example(poly([0, 1]), 1, poly([0, 0, 2]))
+def test_multiplicity_matches_long_division(P, k, h):
+    f = h
+    for _ in range(k):
+        f = poly(conv(f, P))
+    assert p_multiplicity(f, P) == frac_multiplicity(f, P)
+
+
+@settings(max_examples=300, deadline=None)
+@given(qpolys, qpolys)
+@example((), ())
+@example((), (F(2),))
+@example((F(3, 2),), poly([1, 2, 3]))
+@example(poly([0, 0, 0, 1]), poly([1, 0, 1]))
+@example(poly([-2, 1, 1]), poly([0, -1, 1]))  # the common root 1
+@example(poly([F(1, 3), F(2, 5)]), poly([F(7, 2), 0, F(-1, 9)]))
+def test_resultant_matches_fraction_elimination(f, g):
+    assert outcome(sylvester_resultant, f, g) == outcome(frac_sylvester_det, f, g)
+
+
+def test_one_pseudo_division():
+    """pdivide is called by _euclid and p_multiplicity and by nothing else, and
+    the Fraction kernels it replaced are gone."""
+    callers = set()
+    for path in pathlib.Path(SRC, "arithline").glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                isinstance(node, ast.Name) and node.id == "pdivide" for node in ast.walk(fn)
+            ):
+                callers.add(fn.name)
+    assert callers == {"_euclid", "p_multiplicity"}
+    for name in ("pdivmod", "pscale", "peval", "peval_gauss"):
+        assert not hasattr(polys, name)
+
+
+def test_gauss_is_a_value():
+    arith = {f"__{pre}{op}__" for op in ("add", "sub", "mul", "truediv", "floordiv", "mod", "pow")
+             for pre in ("", "r", "i")} | {"__neg__", "__pos__", "__abs__"}
+    assert not arith & set(vars(Gauss))
+    assert not hasattr(Gauss, "norm2") and not hasattr(Gauss, "_coerce")
+    z = Gauss(F(1, 2), -3)
+    assert (z.re, z.im, repr(z)) == (F(1, 2), F(-3), "Gauss(1/2, -3)")
+    assert z == Gauss(F(2, 4), F(-3)) and hash(z) == hash(Gauss(F(1, 2), -3)) and z != Gauss(F(1, 2))
+
+
+def test_resultant_budget_refuses_a_large_condition_rg(capsys):
+    """A degree-399 G: its 797x797 Sylvester matrix is refused before elimination."""
+    G = json.dumps([str(k % 7 - 3) for k in range(399)] + ["1"])
+    U = '{"kind": "segment", "place": 2, "u": "1", "v": "inf"}'
+    start = time.perf_counter()
+    code = main(["condition-rg", "--U", U, "--G", G])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert 797 ** 3 * ((797 * 11 + 63) // 64) ** 2 > RESULTANT_WORK
+    assert json.loads(captured.out) == {
+        "v": 1, "error": "CannotCertify",
+        "detail": f"a 797x797 Sylvester determinant of 11-bit entries exceeds {RESULTANT_WORK}",
+    }
+    assert elapsed < 1
 
 
 # -- error codes -----------------------------------------------------------------
