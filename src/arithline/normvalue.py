@@ -27,6 +27,7 @@ DEFAULT_BITS = 128
 MIN_BITS = 8
 POW_BITS = 1 << 16  # most bits of work a power x ** e is allowed
 RESULTANT_WORK = 1 << 30  # most N^3 ceil(N h / 64)^2 a Sylvester determinant is allowed: size N, h-bit entries
+DIVISION_WORK = 1 << 26  # most j (p + 1) ceil(H / 64) a pseudo-division is allowed: j steps by a degree-p divisor, entries of H bits
 
 _bits = contextvars.ContextVar("arithline_bits", default=DEFAULT_BITS)
 

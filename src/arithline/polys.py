@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .errors import CannotCertify, NotCoprime, ProductMismatch
-from .normvalue import RESULTANT_WORK
+from .normvalue import DIVISION_WORK, RESULTANT_WORK
 from .numbers import factor, invmod, lcm_list, next_prime, prime_divisors, rational_root
 
 # -- polynomials over Q -----------------------------------------------------
@@ -39,6 +39,18 @@ def numerators(f):
     return [c.numerator * (D // c.denominator) for c in f], D
 
 
+def check_division_work(n: int, p: int, hf: int, hg: int) -> None:
+    """Refuse, with CannotCertify, a pseudo-division of a degree-n dividend by
+    a degree-p divisor, with coefficients of at most hf and hg bits, whose
+    work is above DIVISION_WORK.  Its j = n - p + 1 steps each touch p + 1
+    entries of up to H = hf + j hg bits, and the j quotient entries are as
+    large: the work is j (p + 1) ceil(H / 64) words."""
+    j = n - p + 1
+    if j * (p + 1) * ((hf + j * hg + 63) // 64) > DIVISION_WORK:
+        raise CannotCertify(f"a pseudo-division of degree {n} by degree {p} with {hf}- and {hg}-bit "
+                            f"coefficients exceeds the DIVISION_WORK budget of {DIVISION_WORK}")
+
+
 def pdivide(f, g):
     """The integer pseudo-division s f = q g + r, deg r < deg g.
 
@@ -46,11 +58,13 @@ def pdivide(f, g):
     s = |L|^j for the j = deg f - deg g + 1 quotient steps, each quotient
     coefficient is an exact division by L; for L = 1 this is synthetic
     division.  Returns (s, q, r), r with deg g entries; for deg f < deg g,
-    (1, [], f).
+    (1, [], f).  Work above DIVISION_WORK (``check_division_work``) is
+    refused before the first step.
     """
     p, n = len(g) - 1, len(f) - 1
     if n < p:
         return 1, [], list(f)
+    check_division_work(n, p, max(map(abs, f)).bit_length(), max(map(abs, g)).bit_length())
     L = g[p]
     low = [(i, b) for i, b in enumerate(g[:p]) if b]
     s = abs(L) ** (n - p + 1)

@@ -7,14 +7,20 @@ integers, and ``LaurentPoly.coeffs`` is a Fraction view for printing.
 The weighted norm of sum a_k T^k on the annulus s <= |T| <= t over a compact
 V is sum ||a_k||_V * max(s^k, t^k); over an ultrametric V the uniform
 (spectral) norm replaces the sum by a max and is attained on the finite
-Shilov boundary.  The radius weights max(s^k, t^k) come from one place,
-``AnnulusSpec.weights``, as integer pairs: every norm and the pruning of
-``cousin_cartan.SeriesMatrix`` read them there.
+Shilov boundary.  The weight max(s^k, t^k) is t^k for k >= 0 and s^k for
+k < 0.  ``norm_annulus`` sums the coefficient bounds against these powers by
+one integer Horner pass over the sorted support, in t and in 1/s, and never
+forms a weight on its own.  The uniform norm and the pruning of
+``cousin_cartan.SeriesMatrix`` compare single terms, so they read the
+weights as integer pairs from ``AnnulusSpec.weights``.  Both charge the
+largest power of each radius to ``normvalue.POW_BITS`` before taking any.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import Optional
 
 from .base_space import BaseCompact, is_archimedean_compact, member_of_kv, norm_bounds_each, shilov_base
@@ -25,7 +31,7 @@ from .errors import (
     NotAUnit,
     OrderingViolated,
 )
-from .normvalue import NormValue
+from .normvalue import NormValue, _check_pow_budget
 from .numbers import lcm_list, vp_int
 
 
@@ -301,19 +307,25 @@ class AnnulusSpec:
         """The weights max(s^k, t^k) of the indices ks as integer pairs (n, d).
 
         As 0 <= s <= t the weight is t^k for k >= 0 and s^k for k < 0, which
-        needs s > 0.  Each pair is in lowest terms, with d > 0.
+        needs s > 0.  Each pair is in lowest terms, with d > 0.  The largest
+        powers of t and s are charged to ``POW_BITS`` before any is taken.
         """
         sn, sd = self.s.numerator, self.s.denominator
         tn, td = self.t.numerator, self.t.denominator
-        out = []
-        for k in ks:
-            if k >= 0:
-                out.append((tn ** k, td ** k))
-            elif sn == 0:
-                _refuse_negative_powers()
-            else:
-                out.append((sd ** -k, sn ** -k))
-        return out
+        top, bottom = max(ks, default=0), min(ks, default=0)
+        if bottom < 0 and sn == 0:
+            _refuse_negative_powers()
+        _charge_radius(tn, td, top)
+        _charge_radius(sd, sn, -bottom)
+        return [(tn ** k, td ** k) if k >= 0 else (sd ** -k, sn ** -k) for k in ks]
+
+
+def _charge_radius(n: int, d: int, k: int) -> None:
+    """Charge the power (n / d)^k of a radius to ``POW_BITS`` before it is
+    taken: k times its height.  The radii 0 and 1 take no power, and k <= 0
+    is not charged."""
+    if k > 0 and (n > 1 or d > 1):
+        _check_pow_budget(k * max(n.bit_length(), d.bit_length()))
 
 
 def _check_support(f: LaurentPoly, A: AnnulusSpec):
@@ -335,19 +347,6 @@ def _weighted_bounds(f: LaurentPoly, A: AnnulusSpec):
     return lo, hi
 
 
-def _sum_ratios(terms) -> Fraction:
-    """Exact sum of the rationals n/d (d > 0) over one running lcm of the d."""
-    num, den = 0, 1
-    for n, d in terms:
-        if d == den:
-            num += n
-        else:
-            g = gcd(den, d)
-            num = num * (d // g) + n * (den // g)
-            den = den // g * d
-    return Fraction(num, den)
-
-
 def _max_ratio(terms) -> Fraction:
     """The largest of the rationals n/d (n >= 0, d > 0), or 0 for none."""
     num, den = 0, 1
@@ -357,15 +356,72 @@ def _max_ratio(terms) -> Fraction:
     return Fraction(num, den)
 
 
+def _radius_sum(terms, rn: int, rd: int, side: int):
+    """sum_j b_j (rn / rd)^j as (num, den), for (j, bounds) by ascending j >= 0
+    and b_j = bounds[side], an integer pair with a denominator > 0.
+
+    A homogeneous Horner sum on the integers: after index j the sum is
+    acc / (D rd^j).  A step to j + g multiplies acc by rd^g, raises the
+    ladder rn^j by rn^g, and adds b's numerator times the ladder; b's
+    denominator is merged into D by gcd only when it is neither 1 nor D.
+    A gap of g indices costs one power, so sparse support stays sparse.
+    """
+    acc, D, j, ladder = 0, 1, 0, 1
+    for k, bounds in terms:
+        g = k - j
+        if g:
+            if rd != 1:
+                acc *= rd if g == 1 else rd ** g
+            if rn != 1:
+                ladder *= rn if g == 1 else rn ** g
+            j = k
+        n, d = bounds[side]
+        if d == D:
+            acc += n * ladder
+        elif d == 1:
+            acc += n * ladder * D
+        else:
+            h = gcd(D, d)
+            acc = acc * (d // h) + n * ladder * (D // h)
+            D = D // h * d
+    return acc, D * rd ** j
+
+
 def norm_annulus(f: LaurentPoly, A: AnnulusSpec) -> NormValue:
     """The weighted norm  sum_k ||a_k||_V max(s^k, t^k).
 
-    The terms are integer pairs (``_weighted_bounds``), summed over a common
-    denominator, one Fraction per bound; equal term lists are summed once.
+    One pass over the sorted support: the bounds of ``norm_bounds_each`` are
+    summed against t^k for k >= 0 and against (1/s)^-k for k < 0 by
+    ``_radius_sum``, the largest powers charged to ``POW_BITS`` first, and
+    one Fraction is built per bound; the hi sum is taken only when some
+    bound is an interval.  The weights are not formed as pairs here; the
+    uniform norm and ``SeriesMatrix.prune`` read them from
+    ``AnnulusSpec.weights``.
     """
-    lo_terms, hi_terms = _weighted_bounds(f, A)
-    lo = _sum_ratios(lo_terms)
-    return NormValue.between(lo, lo if hi_terms == lo_terms else _sum_ratios(hi_terms))
+    _check_support(f, A)
+    bounds = norm_bounds_each(f.num.values(), f.den, A.V)
+    index = itemgetter(0)
+    terms = sorted(zip(f.num, bounds), key=index)
+    cut = bisect_left(terms, 0, key=index)  # the negative indices come first
+    pos = terms[cut:]
+    neg = [(-k, b) for k, b in reversed(terms[:cut])]
+    tn, td, sn, sd = A.t.numerator, A.t.denominator, A.s.numerator, A.s.denominator
+    if pos:
+        _charge_radius(tn, td, pos[-1][0])
+    if neg:
+        _charge_radius(sd, sn, neg[-1][0])
+
+    def total(side):
+        num, den = _radius_sum(pos, tn, td, side)
+        if neg:
+            n2, d2 = _radius_sum(neg, sd, sn, side)
+            num, den = num * d2 + n2 * den, den * d2
+        return Fraction(num, den)
+
+    lo = total(0)
+    if all(b_hi is b_lo for b_lo, b_hi in bounds):  # every bound exact: so is the sum
+        return NormValue(lo, lo, lo)
+    return NormValue.between(lo, total(1))
 
 
 def uniform_norm_annulus(

@@ -49,6 +49,7 @@ from .numbers import invmod, lcm_list, vp, vp_int
 from .padic import PadicApprox
 from .polys import (
     Gauss,
+    check_division_work,
     deg,
     fp_gcd,
     fp_mul,
@@ -151,12 +152,15 @@ def _euclid(F: LaurentPoly, G: LaurentPoly):
     coefficient u != 0.  With F = f / d and G = g / e on their content,
     ``polys.pdivide`` gives s f = q g + r on the integers; then
     Q = e q / (d s) and R = r / (d s).  Q and R store only indices below
-    deg F, hence below F's modulus.
+    deg F, hence below F's modulus.  Work above ``DIVISION_WORK`` is refused
+    on the sparse content, before the dense lists are built.
     """
     mod = F.trunc_mod
     p, n = G.degree(), F.degree()
     if n is None or n < p:
         return LaurentPoly._content({}, 1, mod), F
+    check_division_work(n, p, max(map(abs, F.num.values())).bit_length(),
+                        max(map(abs, G.num.values())).bit_length())
     s, q, r = pdivide([F.num.get(i, 0) for i in range(n + 1)], [G.num.get(i, 0) for i in range(p + 1)])
     den = F.den * s
     Q = LaurentPoly._content({k: c * G.den for k, c in enumerate(q)}, den, mod)
@@ -296,9 +300,11 @@ def _contraction_cert(G: LaurentPoly, p: int, ctx: AnnulusSpec) -> LocalDivision
 
     # scan dyadic radii outward from 1: small radii win when B has high
     # valuation, large radii when the low coefficients are small in norm.
-    # The norms of B's coefficients do not depend on w, so an error (a pole
-    # of G/u on V, a power past POW_BITS) is raised at w = 1, the first
-    # radius tried, and no radius could certify.  B has only indices > p or
+    # The norms of B's coefficients do not depend on w, so an error in them (a
+    # pole of G/u on V, a power past POW_BITS) is raised at w = 1, the first
+    # radius tried, and no radius could certify.  The weights w^k are charged
+    # to POW_BITS per radius, so a long B can also be refused at a far
+    # radius, deg B * bits(w) past the budget.  B has only indices > p or
     # only indices < p, so eps(w) = sum ||b_k|| w^(k-p) is monotone: at the
     # first j that certifies, only one of 2^j, 2^-j does, and the set's
     # order never changes the radius.

@@ -855,6 +855,25 @@ def frac_norm_annulus(f, A):
     return _frac_value(sum(lo for lo, _ in terms), sum(hi for _, hi in terms))
 
 
+def naive_norm_annulus(f, A):
+    """sum_k ||a_k||_V max(s^k, t^k), one Fraction multiply-add per term: the
+    model of ``norm_annulus``, which sums the same terms by one integer
+    Horner pass.  Each radius power is formed in full, with no budget."""
+    from arithline.base_space import norm_bounds
+    from arithline.errors import NegativePowersOnDisk
+    from arithline.normvalue import NormValue
+
+    if f.has_negative_support() and A.s == 0:
+        raise NegativePowersOnDisk(NEG_ON_DISK)
+    lo = hi = Fraction(0)
+    for k, c in f.coeffs.items():
+        w = max(A.s ** k, A.t ** k)
+        c_lo, c_hi = norm_bounds(c, A.V)
+        lo += c_lo * w
+        hi += c_hi * w
+    return NormValue.of(lo) if lo == hi else NormValue.interval(lo, hi)
+
+
 def frac_uniform_norm_annulus(f, A, archimedean_upper_bound=False):
     """max_k ||a_k||_V max(s^k, t^k); the sum norm or a refusal off the
     ultrametric branches."""

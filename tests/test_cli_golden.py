@@ -33,6 +33,10 @@ where a case carries it, stderr) for:
   to list a_0 for a branch cut at 0; and a ``divide-local`` whose G/u has a
   pole on the whole space (exit 2, NotInRingOfV), recorded when the radius
   scan stopped swallowing that error.
+* ``norm-annulus`` of T^(10^8) at t = 3 and ``divide`` of T^(10^5) and
+  T^(10^6) by a cubic (exit 2, CannotCertify), recorded when the radius
+  powers of the annulus norms were charged to ``POW_BITS`` and dense division
+  got the ``DIVISION_WORK`` budget.
 
 Usage text is wrapped at COLUMNS=80.  ``replay_golden.py`` replays the same
 cases as subprocesses of an installed command.

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -171,3 +172,37 @@ def test_flow_refuses_a_huge_power_in_bounded_time(eps, error):
     )
     assert (proc.returncode, proc.stderr) == (2, "")
     assert json.loads(proc.stdout)["error"] == error
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+NORM_AT_3 = '{"V": {"kind": "segment", "place": 2, "u": "1", "v": "1"}, "s": "0", "t": "3"}'
+DIVISOR = '["-6","0","3","1"]'
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["norm-annulus", "--f", '{"coeffs": {"100000000": "1"}, "mod": null}', "--A", NORM_AT_3],
+         "x ** e exceeds the budget of 65536 bits of work"),
+        (["divide", "--F", '{"coeffs": {"100000": "1"}, "mod": null}', "--G", DIVISOR, "--w", "40"],
+         "DIVISION_WORK"),
+        (["divide", "--F", '{"coeffs": {"1000000": "1"}, "mod": null}', "--G", DIVISOR, "--w", "40"],
+         "DIVISION_WORK"),
+    ],
+    ids=["radius-power", "division-1e5", "division-1e6"],
+)
+def test_budget_refusals_exit_2_under_a_memory_cap(argv, detail):
+    """Each call is refused before its work starts: CannotCertify as
+    versioned JSON on stdout, exit 2 and no traceback, inside a 2 GB address
+    space and a 10 s wall cap (T^(10^6) / G once died with a MemoryError
+    traceback under such a cap, and T^(10^8) at t = 3 ran past 20 s)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "arithline.cli", *argv],
+        capture_output=True, text=True, env=child_env(), timeout=10, preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stderr) == (2, "")
+    out = json.loads(proc.stdout)
+    assert out["v"] == 1 and out["error"] == "CannotCertify" and detail in out["detail"]

@@ -7,16 +7,21 @@ of ``oracles.schoolbook_divmod``, a Fraction long division, in
 canonical form with ascending indices and F's modulus, for a rational
 monic G, a G whose leading coefficient is a unit, a truncated F, the zero
 F and deg F < deg G; and so must ``divide`` and the polynomial branch of
-``divide_local_series``, which call it.
+``divide_local_series``, which call it.  Work above ``DIVISION_WORK`` is
+refused before it starts.
 """
 
 from fractions import Fraction as F
 from math import gcd
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithline import AnnulusSpec, BaseCompact, LaurentPoly, Place
+from arithline.errors import CannotCertify
+from arithline.normvalue import DIVISION_WORK
+from arithline.polys import pdivide
 from arithline.weierstrass import _euclid, divide, divide_local_series, global_threshold
 
 from oracles import schoolbook_divmod
@@ -106,3 +111,28 @@ def test_local_polynomial_branch_matches_fraction_long_division(F_, p, data):
     Q, R, cert = divide_local_series(F_, G, p, max(m, 1), AT_3)
     assert_division(Q, R, F_.with_mod(max(m, 1)), G)
     assert cert.epsilon.lt(1) and cert.residuals == ()
+
+
+def test_dense_division_is_refused_above_its_budget():
+    """``polys.pdivide`` charges j (p + 1) ceil((h_f + j h_g) / 64) words to
+    DIVISION_WORK before its first step, and ``_euclid`` checks the same on
+    the sparse content before it builds the dense lists, so T^(10^9) is
+    refused at once.  Under the budget, the division runs as before."""
+    G = LaurentPoly.from_poly([-3, 1])  # p = 1, 2-bit entries
+
+    def work(n):  # T^n / G: j = n steps on entries of up to 1 + 2 j bits
+        return n * 2 * ((1 + 2 * n + 63) // 64)
+
+    n = 1
+    while work(n + 1) <= DIVISION_WORK:
+        n += 1
+    pdivide([0] * n + [1], [-3, 1])  # the largest allowed
+    with pytest.raises(CannotCertify, match="DIVISION_WORK"):
+        pdivide([0] * (n + 1) + [1], [-3, 1])
+    Q, R = _euclid(LaurentPoly.monomial(2000), G)
+    assert R == LaurentPoly({0: F(3) ** 2000})
+    for k in (n + 1, 10 ** 9):
+        with pytest.raises(CannotCertify) as exc:
+            _euclid(LaurentPoly.monomial(k), G)
+        assert str(exc.value) == (f"a pseudo-division of degree {k} by degree 1 with 1- and 2-bit "
+                                  f"coefficients exceeds the DIVISION_WORK budget of {DIVISION_WORK}")

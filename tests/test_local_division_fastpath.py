@@ -2,15 +2,18 @@
 
 ``_divide_by_iteration`` updates the residual by the linear recurrence
 r <- -(alpha(r) B) mod T^m on integer numerators over one denominator, and
-``norm_annulus`` sums integer pairs over a common denominator.  The oracles
-below are the direct forms: the fixed point that rebuilds
-A(phi) = phi + alpha(phi) B and F - A(phi) every step in Fractions through
-the validating ``LaurentPoly`` constructor, the norm summed as one Fraction
-product per coefficient, and the product of series formed in full before
-its truncation.  Both sides must agree exactly: the same Q, R, radius,
-epsilon and residual trajectory, the same NormValues and the same products.
+``norm_annulus`` sums the coefficient bounds against the radius powers by one
+integer Horner pass.  The oracles are the direct forms: the fixed point that
+rebuilds A(phi) = phi + alpha(phi) B and F - A(phi) every step in Fractions
+through the validating ``LaurentPoly`` constructor, the norm summed as one
+Fraction product per coefficient (``oracles.naive_norm_annulus``), and the
+product of series formed in full before its truncation.  Both sides must
+agree exactly: the same Q, R, radius, epsilon and residual trajectory, the
+same NormValues or refusal texts, and the same products.  The radius powers
+are charged to ``POW_BITS`` before they are taken.
 """
 
+import contextvars
 import random
 from fractions import Fraction
 
@@ -26,28 +29,16 @@ from arithline import (
     Place,
     divide_local_series,
     norm_annulus,
+    uniform_norm_annulus,
 )
-from arithline.base_space import norm_bounds
-from arithline.errors import ArithlineError, NegativePowersOnDisk, NoConvergence
+from arithline.errors import ArithlineError, CannotCertify, NegativePowersOnDisk, NoConvergence
+from arithline.normvalue import POW_BITS, set_default_bits
 from arithline.series_ring import series_add, series_mul, series_scale, series_sub
 
-from oracles import convolve
+from oracles import convolve, naive_norm_annulus
 
 CENTRAL = BaseCompact.central_point()
 CENTER = AnnulusSpec(CENTRAL, 0, Fraction(1, 2))
-
-
-def naive_norm_annulus(f, A):
-    """sum_k ||a_k||_V max(s^k, t^k), one Fraction multiply-add per term."""
-    if f.has_negative_support() and A.s == 0:
-        raise NegativePowersOnDisk("negative powers of T on a disk (s = 0)")
-    lo = hi = Fraction(0)
-    for k, c in f.coeffs.items():
-        w = max(A.s ** k, A.t ** k)
-        c_lo, c_hi = norm_bounds(c, A.V)
-        lo += c_lo * w
-        hi += c_hi * w
-    return NormValue.of(lo) if lo == hi else NormValue.interval(lo, hi)
 
 
 def nv_key(nv):
@@ -276,3 +267,144 @@ def test_norm_annulus_examples_cover_intervals_and_negative_indices():
     assert ring == NormValue.of(Fraction(35, 8))
     with pytest.raises(NegativePowersOnDisk):
         norm_annulus(LaurentPoly({-1: 1}), SPECS["central"])
+
+
+# -- norm_annulus against the naive sum on every shape --------------------------
+
+# The central point, segments (one reaching the extreme point of 5), stars,
+# and archimedean cuts with non-integer exponents, where bounds are intervals
+# (hi is not lo).  The whole space admits only integers: fractional
+# coefficients there are refused with the pole's text.
+NAIVE_COMPACTS = (
+    CENTRAL,
+    WHOLE,
+    BaseCompact.segment(Place.finite(3), Fraction(1, 2), 2),
+    BaseCompact.segment(Place.finite(5), 1, float("inf")),
+    BaseCompact.segment(Place.infinite(), Fraction(1, 3), Fraction(1, 2)),
+    BaseCompact.segment(Place.infinite(), Fraction(2, 3), 1),
+    BaseCompact.star({Place.finite(2): 1}),
+    BaseCompact.star({Place.finite(3): 2, Place.infinite(): Fraction(1, 2)}),
+    BaseCompact.star({Place.finite(2): Fraction(3, 2), Place.infinite(): Fraction(1, 5)}),
+)
+# (s, t) with s = 0, 0 < s < t and s = t; t = 0, 1, dyadic and not
+DENSE_RADII = [(Fraction(0), Fraction(0)), (Fraction(0), Fraction(1, 2)), (Fraction(0), Fraction(2, 3)),
+               (Fraction(0), Fraction(3)), (Fraction(1, 3), Fraction(5, 4)), (Fraction(2, 3), Fraction(3)),
+               (Fraction(1), Fraction(1)), (Fraction(3, 2), Fraction(3, 2))]
+# gaps up to 10^4 stay inside POW_BITS at radii of at most 2 bits
+SPARSE_RADII = [(Fraction(0), Fraction(1)), (Fraction(1), Fraction(1)), (Fraction(0), Fraction(1, 2)),
+                (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1)), (Fraction(1, 2), Fraction(2)),
+                (Fraction(1), Fraction(3, 2))]
+
+
+@st.composite
+def naive_norm_cases(draw):
+    """(f, A, bits): dense support in [-6, 12], or up to four indices with
+    gaps up to 10^4 on either side of 0; negative indices on a disk now and
+    then, for the refusal."""
+    V = draw(st.sampled_from(NAIVE_COMPACTS))
+    sparse = draw(st.booleans())
+    s, t = draw(st.sampled_from(SPARSE_RADII if sparse else DENSE_RADII))
+    negative = s > 0 or draw(st.integers(0, 9)) == 0
+    if sparse:
+        keys = [draw(st.integers(-12 if negative else 0, 12))]
+        for _ in range(draw(st.integers(0, 3))):
+            step = draw(st.integers(1, 10 ** 4))
+            keys.append(keys[-1] - step if negative and draw(st.booleans()) else keys[-1] + step)
+        keys = set(keys)
+    else:
+        keys = draw(st.sets(st.integers(-6 if negative else 0, 12), max_size=10))
+    coeff = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6).filter(bool), st.sampled_from((1, 1, 1, 2, 3, 9, 2 ** 10)))
+    f = LaurentPoly({k: draw(coeff) for k in keys})
+    return f, AnnulusSpec(V, s, t), draw(st.sampled_from((128, 8)))
+
+
+def norm_outcome(fn, f, A):
+    try:
+        nv = fn(f, A)
+    except ArithlineError as exc:
+        return "raise", type(exc), str(exc)
+    return "ok", nv.lo, nv.hi, nv.exact
+
+
+@settings(max_examples=300, deadline=None)
+@given(naive_norm_cases())
+@example((LaurentPoly(), AnnulusSpec(CENTRAL, 0, Fraction(1, 2)), 128))
+@example((LaurentPoly({0: 2, 10 ** 4: 1, 2 * 10 ** 4: Fraction(-3, 2), 3 * 10 ** 4: 5}),
+          AnnulusSpec(NAIVE_COMPACTS[4], 0, 1), 8))
+@example((LaurentPoly({-3 * 10 ** 4: 7, -2: Fraction(1, 3), 10 ** 4: 1}),
+          AnnulusSpec(NAIVE_COMPACTS[7], Fraction(1, 2), 2), 128))
+@example((LaurentPoly({0: 2, 1: Fraction(5, 3), 7: -4}), AnnulusSpec(NAIVE_COMPACTS[8], Fraction(3, 2), Fraction(3, 2)), 8))
+@example((LaurentPoly({-1: 1, 0: Fraction(1, 2)}), AnnulusSpec(WHOLE, 0, 3), 128))
+@example((LaurentPoly({0: 1, 2: Fraction(1, 2)}), AnnulusSpec(WHOLE, 0, 3), 128))
+@example((LaurentPoly({5: 3, 0: 1, -4: Fraction(5, 9)}), AnnulusSpec(NAIVE_COMPACTS[2], Fraction(1, 3), Fraction(5, 4)), 128))
+def test_norm_annulus_matches_the_naive_sum_on_every_shape(case):
+    """The Horner pass gives the naive sum's NormValue (lo, hi and exactness)
+    or its refusal, with the same type and text, at 128 and at 8 bits."""
+    f, A, bits = case
+
+    def both():
+        set_default_bits(bits)
+        return norm_outcome(norm_annulus, f, A), norm_outcome(naive_norm_annulus, f, A)
+
+    got, want = contextvars.copy_context().run(both)
+    assert got == want
+
+
+POW_REFUSAL = f"x ** e exceeds the budget of {POW_BITS} bits of work"
+
+
+def test_radius_powers_are_charged_before_they_are_taken():
+    V = BaseCompact.segment(Place.finite(2), 1, 1)
+    far = LaurentPoly({10 ** 8: 1})
+    A = AnnulusSpec(V, 0, 3)
+    for call in (lambda: norm_annulus(far, A), lambda: uniform_norm_annulus(far, A),
+                 lambda: A.weights([0, 10 ** 8])):
+        with pytest.raises(CannotCertify) as exc:
+            call()
+        assert str(exc.value) == POW_REFUSAL
+    # s^k for k < 0 is charged as (1/s)^-k
+    with pytest.raises(CannotCertify):
+        norm_annulus(LaurentPoly({-10 ** 8: 1}), AnnulusSpec(V, Fraction(1, 3), 1))
+    # the charge is -k or k times the height of the radius: 2 bits for t = 2
+    edge = POW_BITS // 2
+    assert norm_annulus(LaurentPoly({edge: 1}), AnnulusSpec(V, 0, 2)) == NormValue.of(2 ** edge)
+    with pytest.raises(CannotCertify):
+        norm_annulus(LaurentPoly({edge + 1: 1}), AnnulusSpec(V, 0, 2))
+    with pytest.raises(CannotCertify):
+        AnnulusSpec(V, Fraction(1, 2), 2).weights([-edge - 1])
+    # the radii 1 and 0 take no power: T^(10^9) stays cheap
+    huge = LaurentPoly({0: 1, 10 ** 9: Fraction(1, 2)})
+    assert norm_annulus(huge, AnnulusSpec(V, 1, 1)) == NormValue.of(3)  # |1/2|_2 = 2
+    assert norm_annulus(huge, AnnulusSpec(V, 0, 0)) == NormValue.of(1)
+    assert AnnulusSpec(V, 1, 1).weights([10 ** 9, -10 ** 9]) == [(1, 1), (1, 1)]
+    # a disk's refusal of negative powers comes before the budget
+    with pytest.raises(NegativePowersOnDisk):
+        AnnulusSpec(V, 0, 3).weights([-1, 10 ** 8])
+
+
+def ld_round_inputs(seed, rounds, m=64):
+    """Inputs of the local_division benchmark's shape: per round one G for
+    each p in 1..3, exactly one of them with no T^(p+1) term, and F of
+    degree < 8, all known mod T^m."""
+    rng = random.Random(seed)
+    for _ in range(rounds):
+        short = rng.randrange(3)
+        for i, p in enumerate((1, 2, 3)):
+            unit = {0: Fraction(rng.choice((1, -1, 2, 3)))}
+            if i != short:
+                unit[1] = Fraction(rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)))
+            for j in range(2, 6):
+                if rng.random() < 0.7:
+                    unit[j] = Fraction(rng.randint(-5, 5))
+            G = LaurentPoly({p + k: c for k, c in unit.items()}, m)
+            F = LaurentPoly({k: Fraction(rng.randint(-9, 9)) for k in range(8)}, m)
+            yield F, G, p
+
+
+def test_benchmark_shaped_residual_trajectories_match_the_oracle():
+    """The residual norms r_0, r_1, ... of the benchmark's divisions, each
+    summed by the Horner pass, equal the naive sums of the rebuild oracle."""
+    cases = list(ld_round_inputs(31, 4))
+    assert {p for _, _, p in cases} == {1, 2, 3}
+    for F, G, p in cases:
+        assert_same_division(F, G, p, 64, CENTER)
