@@ -10,11 +10,15 @@ field; the archimedean branch stops at exponent 1.
 The norms read the Shilov boundary of a compact (``shilov_base``, the one
 case analysis of which points realize ||.||_V) as ``_norm_endpoints``
 compiles it; the pole test of K(V) and ``is_archimedean_compact`` read the
-same compile.  ``norm_bounds_each`` gives the norms of integer content
-n_k / D as integer pairs, each the max of its endpoint terms by
+same compile.  A finite point a_p^e compiles to integers (p, a, k) with
+e = a/k in lowest terms.  ``norm_bounds_each`` gives the norms of integer
+content n_k / D as integer pairs, each the max of its endpoint terms by
 cross-multiplication, so the annulus norms, the pruning of series matrices
-and the division threshold build no Fraction per coefficient;
-``norm_bounds`` reads one such pair as Fractions.
+and the division threshold build no Fraction per coefficient; it takes
+v_p(D) once per finite term and call, and forms the term p^x,
+x = a (v_p(D) - v_p(n_k)), as one integer pair when k = 1.  On the trivial
+compact (the central point alone) every norm is 1 or 0, one shared pair
+each.  ``norm_bounds`` reads one such pair as Fractions.
 """
 
 from dataclasses import dataclass
@@ -24,7 +28,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import NonIntegralAtExtremePoint, NotInRingOfV, ZeroInput
-from .normvalue import NormValue, pow_pairs
+from .normvalue import NormValue, _check_pow_budget, pow_pairs
 from .numbers import TRIAL_BOUND, factor, is_prime, small_prime_factor, strip_primes, vp, vp_int
 
 INF = float("inf")
@@ -294,12 +298,12 @@ def _norm_endpoints(V: BaseCompact):
     """Compile ``shilov_base(V)`` into the terms of ||.||_V and the pole test.
 
     Returns (has_trivial, finite_terms, arch_terms, extreme_primes, pole):
-    a_0 sets has_trivial, a point a_p^e adds (p, e) to finite_terms, a point
-    a_inf^e adds e to arch_terms, an extreme point its prime.  pole, the one
-    pole test of K(V) and the one reading of V's shape here, maps a
-    denominator to 1 when it has no pole at an extreme point of V, else to
-    the segment's prime or the star's uncut cofactor; it is None when V
-    holds no extreme point.
+    a_0 sets has_trivial, a point a_p^e adds (p, a, k) to finite_terms for
+    e = a/k in lowest terms, a point a_inf^e adds e to arch_terms, an
+    extreme point its prime.  pole, the one pole test of K(V) and the one
+    reading of V's shape here, maps a denominator to 1 when it has no pole
+    at an extreme point of V, else to the segment's prime or the star's
+    uncut cofactor; it is None when V holds no extreme point.
 
     Two terms of the sup over V are dominated and not compiled: 1 on a star
     with no cut at 0 (by the product formula some Shilov term of f != 0 in
@@ -315,7 +319,7 @@ def _norm_endpoints(V: BaseCompact):
         elif cat == "extreme":
             extreme.append(x.place.prime)
         elif x.place.is_finite:
-            finite_terms.append((x.place.prime, x.exponent))
+            finite_terms.append((x.place.prime, x.exponent.numerator, x.exponent.denominator))
         else:
             arch_terms.append(x.exponent)
     if V.kind == "star":
@@ -340,47 +344,61 @@ def norm_bounds(f, V: BaseCompact):
 def norm_bounds_each(nums, den: int, V: BaseCompact) -> list:
     """[norm_bounds(n / den, V) for n in nums] as integer pairs: each item is
     ((lo_n, lo_d), (hi_n, hi_d)) with lo_d, hi_d > 0, not necessarily in
-    lowest terms, and lo is hi unless a root was taken.  den > 0; V's
+    lowest terms, and lo is hi exactly when the two are equal.  den > 0; V's
     endpoints are compiled once.  No pole at den means none at any n / den;
-    else each is tested."""
-    ends = _norm_endpoints(V)
-    pole = ends[4]
+    else each is tested.
+
+    A finite term (p, a, k) reads p^x with x = a (v_p(den) - v_p(n)), v_p(den)
+    taken once per call: for k = 1 it is the pair (p^x, 1) or (1, p^-x),
+    charged |x| bits(p) to ``POW_BITS`` unless x = 1, as ``pow_pairs`` charges
+    it; for k > 1 ``pow_pairs`` takes the root.  v_q(den) of an extreme
+    point q is taken once too.  On the trivial compact every n != 0 gets one
+    shared pair for 1 and every 0 one for 0, with no per-coefficient work."""
+    has_trivial, finite_terms, arch_terms, extreme, pole = _norm_endpoints(V)
     if pole is not None and den != 1 and pole(den) != 1:
         for n in nums:
             r = pole(den // gcd(n, den))
             if r != 1:
                 raise NotInRingOfV(_pole_detail(Fraction(n, den), r))
-    return [_endpoint_bounds(n, den, ends) for n in nums]
+    if not (finite_terms or arch_terms or extreme):  # a_0 alone: shilov_base lists a point
+        return [_UNIT if n else _NIL for n in nums]
+    finite = [(p, a, k, a * vp_int(den, p)) for p, a, k in finite_terms]
+    extreme = [(q, vp_int(den, q)) for q in extreme]
+    start = _ONE if has_trivial else None
+    out = []
+    for n in nums:
+        if n == 0:
+            out.append(_NIL)
+            continue
+        lo = hi = start
+        for p, a, k, a_vd in finite:
+            x = a_vd - a * vp_int(n, p)
+            if k == 1:
+                if x != 1:
+                    _check_pow_budget(abs(x) * p.bit_length())
+                t_lo = t_hi = (p ** x, 1) if x >= 0 else (1, p ** -x)
+            else:
+                t_lo, t_hi = pow_pairs(p, 1, Fraction(x, k))
+            lo, hi = (t_lo, t_hi) if lo is None else (_pair_max(lo, t_lo), _pair_max(hi, t_hi))
+        for e in arch_terms:
+            t_lo, t_hi = pow_pairs(abs(n), den, e)
+            lo, hi = (t_lo, t_hi) if lo is None else (_pair_max(lo, t_lo), _pair_max(hi, t_hi))
+        for q, vd in extreme:
+            t = _ZERO if vp_int(n, q) > vd else _ONE
+            lo, hi = (t, t) if lo is None else (_pair_max(lo, t), _pair_max(hi, t))
+        if hi is not lo and hi[0] * lo[1] == lo[0] * hi[1]:
+            hi = lo  # a root taken exactly, or a rounded root tying an exact term
+        out.append((lo, hi))
+    return out
 
 
 _ZERO, _ONE = (0, 1), (1, 1)
+_NIL, _UNIT = (_ZERO, _ZERO), (_ONE, _ONE)
 
 
 def _pair_max(a, b):
     """The larger of the rationals a[0]/a[1] and b[0]/b[1] (denominators > 0), a on a tie."""
     return a if a[0] * b[1] >= b[0] * a[1] else b
-
-
-def _endpoint_bounds(n: int, d: int, ends):
-    """(lo, hi) of ||n / d||_V over the compiled endpoints, as integer pairs,
-    each the max of its endpoint terms by cross-multiplication; the caller
-    has made the pole test."""
-    if n == 0:
-        return _ZERO, _ZERO
-    has_trivial, finite_terms, arch_terms, extreme, _ = ends
-    lo = hi = _ONE if has_trivial else None
-    for p, e in finite_terms:
-        t_lo, t_hi = pow_pairs(p, 1, -e * (vp_int(n, p) - vp_int(d, p)))
-        lo, hi = (t_lo, t_hi) if lo is None else (_pair_max(lo, t_lo), _pair_max(hi, t_hi))
-    for e in arch_terms:
-        t_lo, t_hi = pow_pairs(abs(n), d, e)
-        lo, hi = (t_lo, t_hi) if lo is None else (_pair_max(lo, t_lo), _pair_max(hi, t_hi))
-    for q in extreme:
-        t = _ZERO if vp_int(n, q) > vp_int(d, q) else _ONE
-        lo, hi = (t, t) if lo is None else (_pair_max(lo, t), _pair_max(hi, t))
-    if lo is None:
-        raise ValueError("compact has no endpoint terms")
-    return lo, hi
 
 
 def base_norm(f, V: BaseCompact) -> NormValue:

@@ -6,6 +6,13 @@ endpoints come from outward rounding at a configurable binary precision
 (default 128 bits); sums, products, maxima and rational powers all preserve
 the enclosure, so any comparison certified through ``le``/``lt`` is sound.
 
+``NormValue(lo, hi)`` is the trusted constructor for rational endpoints
+(Fractions or ints): it checks 0 <= lo <= hi on the integers, by the sign
+of lo's numerator and one cross-multiplication, skipped when hi is lo.
+``of``, ``interval`` and ``between`` convert their inputs to Fraction first
+(``of`` skips a value that already is one), so they take ints, strings and
+Fractions alike.
+
 The precision is a context variable: ``set_default_bits`` changes it for the
 current thread (or the ``contextvars`` context a caller runs in) only.
 ``pow_pairs`` is the one rule for x ** e at a rational exponent: exact for
@@ -75,7 +82,9 @@ class NormValue:
     __slots__ = ("lo", "hi", "exact")
 
     def __init__(self, lo: Fraction, hi: Fraction, exact=None):
-        if lo < 0 or hi < lo:
+        if lo.numerator < 0 or (
+            hi is not lo and hi.numerator * lo.denominator < lo.numerator * hi.denominator
+        ):
             raise ValueError(f"bad enclosure [{lo}, {hi}]")
         self.lo = lo
         self.hi = hi
@@ -83,10 +92,13 @@ class NormValue:
 
     @classmethod
     def of(cls, q) -> "NormValue":
-        q = Fraction(q)
-        if q < 0:
+        if q.__class__ is not Fraction:
+            q = Fraction(q)
+        if q.numerator < 0:
             raise ValueError("norm values are nonnegative")
-        return cls(q, q, q)
+        nv = object.__new__(cls)
+        nv.lo = nv.hi = nv.exact = q
+        return nv
 
     @classmethod
     def interval(cls, lo, hi) -> "NormValue":

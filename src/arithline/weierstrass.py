@@ -67,6 +67,7 @@ from .polys import (
 from .series_ring import (
     AnnulusSpec,
     LaurentPoly,
+    _charge_radius,
     _convolve,
     _invert_series,
     norm_annulus,
@@ -145,7 +146,7 @@ def global_threshold(G, V: BaseCompact) -> Fraction:
     return hi * GRID
 
 
-def _euclid(F: LaurentPoly, G: LaurentPoly):
+def _euclid(F: LaurentPoly, G: LaurentPoly, w: Optional[Fraction] = None):
     """(Q, R) with F = Q G + R and deg R < deg G, both known mod F's modulus.
 
     F has nonnegative support and G is a polynomial with leading
@@ -153,7 +154,8 @@ def _euclid(F: LaurentPoly, G: LaurentPoly):
     ``polys.pdivide`` gives s f = q g + r on the integers; then
     Q = e q / (d s) and R = r / (d s).  Q and R store only indices below
     deg F, hence below F's modulus.  Work above ``DIVISION_WORK`` is refused
-    on the sparse content, before the dense lists are built.
+    on the sparse content, before the dense lists are built; then, for the
+    norms at a radius w that follow, w^(deg F) is charged to ``POW_BITS``.
     """
     mod = F.trunc_mod
     p, n = G.degree(), F.degree()
@@ -161,6 +163,8 @@ def _euclid(F: LaurentPoly, G: LaurentPoly):
         return LaurentPoly._content({}, 1, mod), F
     check_division_work(n, p, max(map(abs, F.num.values())).bit_length(),
                         max(map(abs, G.num.values())).bit_length())
+    if w is not None:
+        _charge_radius(w.numerator, w.denominator, n)
     s, q, r = pdivide([F.num.get(i, 0) for i in range(n + 1)], [G.num.get(i, 0) for i in range(p + 1)])
     den = F.den * s
     Q = LaurentPoly._content({k: c * G.den for k, c in enumerate(q)}, den, mod)
@@ -201,7 +205,7 @@ def divide(F, G, V: BaseCompact, w):
         F = LaurentPoly.from_poly(poly(F))
     if F.has_negative_support():
         raise ValueError("global division expects nonnegative support")
-    Q, R = _euclid(F, G)
+    Q, R = _euclid(F, G, w)
     A = AnnulusSpec(V, Fraction(0), w)
     normF = norm_annulus(F, A)
     normQ = norm_annulus(Q, A)

@@ -36,7 +36,9 @@ where a case carries it, stderr) for:
 * ``norm-annulus`` of T^(10^8) at t = 3 and ``divide`` of T^(10^5) and
   T^(10^6) by a cubic (exit 2, CannotCertify), recorded when the radius
   powers of the annulus norms were charged to ``POW_BITS`` and dense division
-  got the ``DIVISION_WORK`` budget.
+  got the ``DIVISION_WORK`` budget; and ``divide`` of T^30000 by T - 3 at
+  w = 40 (exit 2, CannotCertify under ``POW_BITS``), recorded when the
+  radius power w^(deg F) began to be charged before the pseudo-division.
 
 Usage text is wrapped at COLUMNS=80.  ``replay_golden.py`` replays the same
 cases as subprocesses of an installed command.

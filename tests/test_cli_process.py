@@ -191,14 +191,18 @@ DIVISOR = '["-6","0","3","1"]'
          "DIVISION_WORK"),
         (["divide", "--F", '{"coeffs": {"1000000": "1"}, "mod": null}', "--G", DIVISOR, "--w", "40"],
          "DIVISION_WORK"),
+        (["divide", "--F", '{"coeffs": {"30000": "1"}, "mod": null}', "--G", '["-3","1"]', "--w", "40"],
+         "x ** e exceeds the budget of 65536 bits of work"),
     ],
-    ids=["radius-power", "division-1e5", "division-1e6"],
+    ids=["radius-power", "division-1e5", "division-1e6", "divide-radius-power"],
 )
 def test_budget_refusals_exit_2_under_a_memory_cap(argv, detail):
     """Each call is refused before its work starts: CannotCertify as
     versioned JSON on stdout, exit 2 and no traceback, inside a 2 GB address
     space and a 10 s wall cap (T^(10^6) / G once died with a MemoryError
-    traceback under such a cap, and T^(10^8) at t = 3 ran past 20 s)."""
+    traceback under such a cap, and T^(10^8) at t = 3 ran past 20 s; T^30000
+    / (T - 3) at w = 40 passes DIVISION_WORK, and its w^30000 is refused
+    before a quotient of about 90 MB is built)."""
     proc = subprocess.run(
         [sys.executable, "-m", "arithline.cli", *argv],
         capture_output=True, text=True, env=child_env(), timeout=10, preexec_fn=_cap_address_space,

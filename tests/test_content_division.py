@@ -8,7 +8,8 @@ canonical form with ascending indices and F's modulus, for a rational
 monic G, a G whose leading coefficient is a unit, a truncated F, the zero
 F and deg F < deg G; and so must ``divide`` and the polynomial branch of
 ``divide_local_series``, which call it.  Work above ``DIVISION_WORK`` is
-refused before it starts.
+refused before it starts, and so is a radius power w^(deg F) of ``divide``
+above ``POW_BITS``.
 """
 
 from fractions import Fraction as F
@@ -136,3 +137,26 @@ def test_dense_division_is_refused_above_its_budget():
             _euclid(LaurentPoly.monomial(k), G)
         assert str(exc.value) == (f"a pseudo-division of degree {k} by degree 1 with 1- and 2-bit "
                                   f"coefficients exceeds the DIVISION_WORK budget of {DIVISION_WORK}")
+
+
+def test_divide_charges_its_radius_power_before_the_division(monkeypatch):
+    """``divide`` charges w^(deg F) to ``POW_BITS`` after the DIVISION_WORK
+    check and before ``pdivide``: T^30000 / (T - 3) at w = 40 is within
+    DIVISION_WORK, and its 30000 * 6 bits of radius power are refused with
+    no division taken; past both budgets, DIVISION_WORK is named."""
+    from arithline import weierstrass
+
+    def no_division(f, g):
+        raise AssertionError("pdivide called")
+
+    monkeypatch.setattr(weierstrass, "pdivide", no_division)
+    G = LaurentPoly.from_poly([-3, 1])
+    V = BaseCompact.whole_space()
+    with pytest.raises(CannotCertify) as exc:
+        divide(LaurentPoly.monomial(30000), G, V, 40)
+    assert str(exc.value) == "x ** e exceeds the budget of 65536 bits of work"
+    with pytest.raises(CannotCertify, match="DIVISION_WORK"):
+        divide(LaurentPoly.monomial(10 ** 5), G, V, 40)
+    monkeypatch.undo()
+    Q, R, cert = divide(LaurentPoly.monomial(2000), G, V, 40)  # 2000 * 6 bits: within POW_BITS
+    assert R == LaurentPoly({0: F(3) ** 2000}) and cert.bounds_ok

@@ -73,6 +73,44 @@ def test_interval_combinators_sound():
         assert prod.lo ** ex.denominator <= (x * y) ** ex.numerator <= prod.hi ** ex.denominator
 
 
+@pytest.mark.parametrize("lo, hi, text", [
+    (Fraction(-1, 3), Fraction(1, 2), "bad enclosure [-1/3, 1/2]"),
+    (-2, 5, "bad enclosure [-2, 5]"),
+    (Fraction(3, 4), Fraction(2, 3), "bad enclosure [3/4, 2/3]"),
+    (3, 2, "bad enclosure [3, 2]"),
+    (Fraction(-1), Fraction(-1), "bad enclosure [-1, -1]"),
+])
+def test_constructor_refuses_a_bad_enclosure(lo, hi, text):
+    """lo < 0 and hi < lo are refused with one text for Fraction and int
+    endpoints, the checks read on the integers."""
+    with pytest.raises(ValueError) as exc:
+        NormValue(lo, hi)
+    assert str(exc.value) == text
+
+
+def test_constructor_accepts_equal_endpoints_as_two_objects():
+    lo, hi = Fraction(6, 8), Fraction(3, 4)
+    assert lo is not hi
+    nv = NormValue(lo, hi)
+    assert (nv.lo, nv.hi, nv.is_exact) == (Fraction(3, 4), Fraction(3, 4), False)
+    assert NormValue(0, 0).hi == 0 and NormValue(Fraction(1, 3), 1).hi == 1
+
+
+@pytest.mark.parametrize("q, want", [(3, Fraction(3)), (Fraction(3, 4), Fraction(3, 4)),
+                                     ("3/4", Fraction(3, 4)), (0, Fraction(0))])
+def test_of_converts_its_input(q, want):
+    nv = NormValue.of(q)
+    assert type(nv.exact) is Fraction and nv.lo is nv.hi is nv.exact
+    assert nv.exact == want and nv == NormValue.between(want, want)
+
+
+@pytest.mark.parametrize("q", [-1, Fraction(-1, 3), "-3/4"])
+def test_of_refuses_a_negative_value(q):
+    with pytest.raises(ValueError) as exc:
+        NormValue.of(q)
+    assert str(exc.value) == "norm values are nonnegative"
+
+
 def test_certified_comparisons():
     a = NormValue.interval(Fraction(1, 3), Fraction(1, 2))
     b = NormValue.interval(Fraction(3, 4), Fraction(7, 8))

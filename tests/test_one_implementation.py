@@ -9,7 +9,8 @@ one, found by an upward scan and the powers of z0 run in step.
 the ``pole`` that is the one pole test of K(V), and
 ``base_space.is_archimedean_compact`` reads the compiled archimedean terms;
 ``norm_bounds`` must match the terms compiled case by case on the shape of V
-(value and refusal, at two precisions) and the max over ``shilov_base``.
+(value and refusal, at two precisions) and the max over ``shilov_base``;
+every compact compiles to at least one term.
 ``polys.rational_roots`` lists divisors from ``numbers.factor``, and
 ``find_prime_congruent`` walks the progression 1 mod n.  Q[T] runs on integer
 numerators over one denominator: ``polys.pdivide`` is the one pseudo-division,
@@ -35,8 +36,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arithline
-from arithline import BaseCompact, PadicApprox, Place, errors, hensel_lift_root
+from arithline import BaseCompact, BasePoint, PadicApprox, Place, errors, hensel_lift_root
 from arithline.base_space import (
+    _norm_endpoints,
     base_norm,
     eval_base_seminorm,
     is_archimedean_compact,
@@ -281,6 +283,27 @@ def shilov_compacts(draw):
     if draw(st.booleans()):
         cuts[Place.infinite()] = draw(arch_ends)
     return BaseCompact.star(cuts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shilov_compacts())
+@example(BaseCompact.central_point())
+@example(BaseCompact.star({Place.infinite(): 0}))
+@example(BaseCompact.star({Place.finite(2): 0, Place.infinite(): 0}))
+@example(BaseCompact.segment(Place.finite(3), INF, INF))
+@example(BaseCompact.segment(Place.finite(5), F(3, 2), INF))
+def test_every_compact_compiles_to_a_term(V):
+    """``shilov_base`` lists at least one point of every compact, so
+    ``_norm_endpoints`` compiles at least one term and ``norm_bounds_each``
+    has no empty case.  A finite term (p, a, k) is a point a_p^(a/k) of the
+    boundary, a/k in lowest terms."""
+    points = shilov_base(V)
+    assert points
+    has_trivial, finite_terms, arch_terms, extreme, _ = _norm_endpoints(V)
+    assert has_trivial or finite_terms or arch_terms or extreme
+    for p, a, k in finite_terms:
+        assert k >= 1 and gcd(a, k) == 1
+        assert BasePoint.finite(p, F(a, k)) in points
 
 
 def _norms_at(bits, f, V):

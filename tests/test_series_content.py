@@ -229,19 +229,35 @@ def bounds_outcome(fn):
 @example([5, 3, 0], 9, PAIR_COMPACTS[3])  # 3/9 has a pole at the extreme point of 3
 @example([1, 2], 35, PAIR_COMPACTS[7])  # uncut 5 and 7 on the star {2: 1}
 @example([-12, 7], 1, PAIR_COMPACTS[10])
+# the POW_BITS boundary of a_2^1: 2^(-32768) and 2^32768 are charged exactly 65536 bits,
+# 2^(-32769) is refused
+@example([2 ** 32768, 3], 1, BaseCompact.segment(Place.finite(2), 1, 1))
+@example([1, 3], 2 ** 32768, BaseCompact.segment(Place.finite(2), 1, 1))
+@example([2 ** 32769], 1, BaseCompact.segment(Place.finite(2), 1, 1))
+# integer exponents e = 2 and e = 3 at p = 3 and p = 5
+@example([9, -54, 7, 0], 25, BaseCompact.segment(Place.finite(3), 2, 3))
+@example([125, -10, 3, 1], 45, BaseCompact.star({Place.finite(5): 2, Place.finite(3): 3}))
+@example([-250, 6], 1, BaseCompact.segment(Place.finite(5), 3, INF))
+# roots taken exactly: 1 and 4 to the power 1/2 are one object, as the model's bounds are equal
+@example([1, -1, 4, 2], 1, BaseCompact.star({Place.infinite(): F(1, 2)}))
+# the central point: negative numerators over a large den
+@example([-7, 0, -10 ** 30, 3 ** 40], 3 ** 40 * 10 ** 6, BaseCompact.central_point())
 def test_endpoint_pairs_match_the_model(nums, den, V):
     """``norm_bounds_each`` gives integer pairs with positive denominators
     whose values are the Fraction model's bounds, or the model's refusal with
-    its type and text; ``norm_bounds`` reads the same pairs as Fractions."""
+    its type and text; ``norm_bounds`` reads the same pairs as Fractions.
+    A pair is one object (hi is lo) exactly when the model's bounds are
+    equal: ``norm_annulus`` reads that identity to skip its hi sum."""
     def pairs():
         out = []
         for lo, hi in norm_bounds_each(nums, den, V):
             assert lo[1] > 0 and hi[1] > 0
-            out.append((F(*lo), F(*hi)))
+            out.append((F(*lo), F(*hi), hi is lo))
         return out
 
     want = bounds_outcome(lambda: [frac_norm_bounds(F(n, den), V) for n in nums])
-    assert bounds_outcome(pairs) == want
+    exact = want if want[0] == "raise" else ("ok", [(lo, hi, lo == hi) for lo, hi in want[1]])
+    assert bounds_outcome(pairs) == exact
     assert bounds_outcome(lambda: [norm_bounds(F(n, den), V) for n in nums]) == want
 
 
