@@ -15,10 +15,10 @@ e = a/k in lowest terms.  ``norm_bounds_each`` gives the norms of integer
 content n_k / D as integer pairs, each the max of its endpoint terms by
 cross-multiplication, so the annulus norms, the pruning of series matrices
 and the division threshold build no Fraction per coefficient; it takes
-v_p(D) once per finite term and call, and forms the term p^x,
-x = a (v_p(D) - v_p(n_k)), as one integer pair when k = 1.  On the trivial
-compact (the central point alone) every norm is 1 or 0, one shared pair
-each.  ``norm_bounds`` reads one such pair as Fractions.
+v_p(D) once per finite term and call, and hands ``pow_pairs`` the term
+p^x, x = a (v_p(D) - v_p(n_k)), at the int exponent x when k = 1.  On the
+trivial compact (the central point alone) every norm is 1 or 0, one shared
+pair each.  ``norm_bounds`` reads one such pair as Fractions.
 """
 
 from dataclasses import dataclass
@@ -28,7 +28,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import NonIntegralAtExtremePoint, NotInRingOfV, ZeroInput
-from .normvalue import NormValue, _check_pow_budget, pow_pairs
+from .normvalue import NormValue, pow_pairs
 from .numbers import TRIAL_BOUND, factor, is_prime, small_prime_factor, strip_primes, vp, vp_int
 
 INF = float("inf")
@@ -333,6 +333,17 @@ def _norm_endpoints(V: BaseCompact):
     return has_trivial, tuple(finite_terms), tuple(arch_terms), tuple(extreme), pole
 
 
+def _refuse_poles(nums, den: int, pole) -> None:
+    """Refuse with NotInRingOfV the first n / den (n in nums) with a pole at an
+    extreme point of V, pole being V's test from ``_norm_endpoints``.  No pole
+    at den means none at any n / den; else each is tested."""
+    if pole is not None and den != 1 and pole(den) != 1:
+        for n in nums:
+            r = pole(den // gcd(n, den))
+            if r != 1:
+                raise NotInRingOfV(_pole_detail(Fraction(n, den), r))
+
+
 def norm_bounds(f, V: BaseCompact):
     """Exact Fraction enclosure (lo, hi) of ||f||_V."""
     f = Fraction(f)
@@ -345,21 +356,17 @@ def norm_bounds_each(nums, den: int, V: BaseCompact) -> list:
     """[norm_bounds(n / den, V) for n in nums] as integer pairs: each item is
     ((lo_n, lo_d), (hi_n, hi_d)) with lo_d, hi_d > 0, not necessarily in
     lowest terms, and lo is hi exactly when the two are equal.  den > 0; V's
-    endpoints are compiled once.  No pole at den means none at any n / den;
-    else each is tested.
+    endpoints are compiled once, and ``_refuse_poles`` refuses a pole first.
 
     A finite term (p, a, k) reads p^x with x = a (v_p(den) - v_p(n)), v_p(den)
-    taken once per call: for k = 1 it is the pair (p^x, 1) or (1, p^-x),
-    charged |x| bits(p) to ``POW_BITS`` unless x = 1, as ``pow_pairs`` charges
-    it; for k > 1 ``pow_pairs`` takes the root.  v_q(den) of an extreme
-    point q is taken once too.  On the trivial compact every n != 0 gets one
-    shared pair for 1 and every 0 one for 0, with no per-coefficient work."""
+    taken once per call, and ``pow_pairs`` gives p^(x/k): for k = 1 it takes
+    the int x itself, so no Fraction exponent is built, and returns one pair
+    (p^x, 1) or (1, p^-x) for lo and hi; for k > 1 it takes the root.
+    v_q(den) of an extreme point q is taken once too.  On the trivial
+    compact every n != 0 gets one shared pair for 1 and every 0 one for 0,
+    with no per-coefficient work."""
     has_trivial, finite_terms, arch_terms, extreme, pole = _norm_endpoints(V)
-    if pole is not None and den != 1 and pole(den) != 1:
-        for n in nums:
-            r = pole(den // gcd(n, den))
-            if r != 1:
-                raise NotInRingOfV(_pole_detail(Fraction(n, den), r))
+    _refuse_poles(nums, den, pole)
     if not (finite_terms or arch_terms or extreme):  # a_0 alone: shilov_base lists a point
         return [_UNIT if n else _NIL for n in nums]
     finite = [(p, a, k, a * vp_int(den, p)) for p, a, k in finite_terms]
@@ -373,12 +380,7 @@ def norm_bounds_each(nums, den: int, V: BaseCompact) -> list:
         lo = hi = start
         for p, a, k, a_vd in finite:
             x = a_vd - a * vp_int(n, p)
-            if k == 1:
-                if x != 1:
-                    _check_pow_budget(abs(x) * p.bit_length())
-                t_lo = t_hi = (p ** x, 1) if x >= 0 else (1, p ** -x)
-            else:
-                t_lo, t_hi = pow_pairs(p, 1, Fraction(x, k))
+            t_lo, t_hi = pow_pairs(p, 1, x if k == 1 else Fraction(x, k))
             lo, hi = (t_lo, t_hi) if lo is None else (_pair_max(lo, t_lo), _pair_max(hi, t_hi))
         for e in arch_terms:
             t_lo, t_hi = pow_pairs(abs(n), den, e)

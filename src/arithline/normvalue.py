@@ -96,9 +96,7 @@ class NormValue:
             q = Fraction(q)
         if q.numerator < 0:
             raise ValueError("norm values are nonnegative")
-        nv = object.__new__(cls)
-        nv.lo = nv.hi = nv.exact = q
-        return nv
+        return cls(q, q, q)
 
     @classmethod
     def interval(cls, lo, hi) -> "NormValue":
@@ -218,9 +216,10 @@ def pow_bounds(x: Fraction, e: Fraction):
     return lo_q, lo_q if hi is lo else Fraction(*hi)
 
 
-def pow_pairs(n: int, d: int, e: Fraction):
-    """lo <= (n / d) ** e <= hi for n >= 0 and d > 0 in any terms, as integer
-    pairs ((lo_n, lo_d), (hi_n, hi_d)) with denominators > 0.
+def pow_pairs(n: int, d: int, e):
+    """lo <= (n / d) ** e <= hi for n >= 0 and d > 0 in any terms and e a
+    Fraction or an int, as integer pairs ((lo_n, lo_d), (hi_n, hi_d)) with
+    denominators > 0.
 
     Both are the power, one object, when e is an integer; otherwise they are
     dyadics, outward at the current precision.  0 ** e is taken as 0 for

@@ -24,6 +24,8 @@ from typing import Optional
 from .base_space import (
     BaseCompact,
     BasePoint,
+    _norm_endpoints,
+    _refuse_poles,
     base_norm,
     classify_base_point,
     eval_base_seminorm,
@@ -146,7 +148,7 @@ def global_threshold(G, V: BaseCompact) -> Fraction:
     return hi * GRID
 
 
-def _euclid(F: LaurentPoly, G: LaurentPoly, w: Optional[Fraction] = None):
+def _euclid(F: LaurentPoly, G: LaurentPoly, A: Optional[AnnulusSpec] = None):
     """(Q, R) with F = Q G + R and deg R < deg G, both known mod F's modulus.
 
     F has nonnegative support and G is a polynomial with leading
@@ -154,8 +156,10 @@ def _euclid(F: LaurentPoly, G: LaurentPoly, w: Optional[Fraction] = None):
     ``polys.pdivide`` gives s f = q g + r on the integers; then
     Q = e q / (d s) and R = r / (d s).  Q and R store only indices below
     deg F, hence below F's modulus.  Work above ``DIVISION_WORK`` is refused
-    on the sparse content, before the dense lists are built; then, for the
-    norms at a radius w that follow, w^(deg F) is charged to ``POW_BITS``.
+    on the sparse content, before the dense lists are built.  Given the
+    annulus A whose norms follow, the refusals ``norm_annulus(F, A)`` would
+    make are made next, in its order: a pole of F on A.V, then t^(deg F)
+    charged to ``POW_BITS``.
     """
     mod = F.trunc_mod
     p, n = G.degree(), F.degree()
@@ -163,8 +167,9 @@ def _euclid(F: LaurentPoly, G: LaurentPoly, w: Optional[Fraction] = None):
         return LaurentPoly._content({}, 1, mod), F
     check_division_work(n, p, max(map(abs, F.num.values())).bit_length(),
                         max(map(abs, G.num.values())).bit_length())
-    if w is not None:
-        _charge_radius(w.numerator, w.denominator, n)
+    if A is not None:
+        _refuse_poles(F.num.values(), F.den, _norm_endpoints(A.V)[4])
+        _charge_radius(A.t.numerator, A.t.denominator, n)
     s, q, r = pdivide([F.num.get(i, 0) for i in range(n + 1)], [G.num.get(i, 0) for i in range(p + 1)])
     den = F.den * s
     Q = LaurentPoly._content({k: c * G.den for k, c in enumerate(q)}, den, mod)
@@ -205,8 +210,8 @@ def divide(F, G, V: BaseCompact, w):
         F = LaurentPoly.from_poly(poly(F))
     if F.has_negative_support():
         raise ValueError("global division expects nonnegative support")
-    Q, R = _euclid(F, G, w)
     A = AnnulusSpec(V, Fraction(0), w)
+    Q, R = _euclid(F, G, A)
     normF = norm_annulus(F, A)
     normQ = norm_annulus(Q, A)
     normR = norm_annulus(R, A)

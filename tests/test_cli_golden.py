@@ -38,7 +38,10 @@ where a case carries it, stderr) for:
   powers of the annulus norms were charged to ``POW_BITS`` and dense division
   got the ``DIVISION_WORK`` budget; and ``divide`` of T^30000 by T - 3 at
   w = 40 (exit 2, CannotCertify under ``POW_BITS``), recorded when the
-  radius power w^(deg F) began to be charged before the pseudo-division.
+  radius power w^(deg F) began to be charged before the pseudo-division;
+  and ``divide`` of T^30000 / 3 by T - 3 at w = 40 on [a_3^1, extreme] (exit
+  2, NotInRingOfV), recorded before that charge, which must not precede the
+  pole test.
 
 Usage text is wrapped at COLUMNS=80.  ``replay_golden.py`` replays the same
 cases as subprocesses of an installed command.

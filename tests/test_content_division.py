@@ -9,7 +9,8 @@ monic G, a G whose leading coefficient is a unit, a truncated F, the zero
 F and deg F < deg G; and so must ``divide`` and the polynomial branch of
 ``divide_local_series``, which call it.  Work above ``DIVISION_WORK`` is
 refused before it starts, and so is a radius power w^(deg F) of ``divide``
-above ``POW_BITS``.
+above ``POW_BITS``, after a pole of F on V, as ``norm_annulus(F)`` orders
+them.
 """
 
 from fractions import Fraction as F
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithline import AnnulusSpec, BaseCompact, LaurentPoly, Place
-from arithline.errors import CannotCertify
+from arithline.errors import CannotCertify, NotInRingOfV
 from arithline.normvalue import DIVISION_WORK
 from arithline.polys import pdivide
 from arithline.weierstrass import _euclid, divide, divide_local_series, global_threshold
@@ -143,7 +144,9 @@ def test_divide_charges_its_radius_power_before_the_division(monkeypatch):
     """``divide`` charges w^(deg F) to ``POW_BITS`` after the DIVISION_WORK
     check and before ``pdivide``: T^30000 / (T - 3) at w = 40 is within
     DIVISION_WORK, and its 30000 * 6 bits of radius power are refused with
-    no division taken; past both budgets, DIVISION_WORK is named."""
+    no division taken; past both budgets, DIVISION_WORK is named, and a
+    pole of F on V is named before the radius power, as ``norm_annulus(F)``
+    names it."""
     from arithline import weierstrass
 
     def no_division(f, g):
@@ -157,6 +160,12 @@ def test_divide_charges_its_radius_power_before_the_division(monkeypatch):
     assert str(exc.value) == "x ** e exceeds the budget of 65536 bits of work"
     with pytest.raises(CannotCertify, match="DIVISION_WORK"):
         divide(LaurentPoly.monomial(10 ** 5), G, V, 40)
+    third = LaurentPoly({30000: F(1, 3)})
+    with pytest.raises(NotInRingOfV) as exc:
+        divide(third, G, BaseCompact.segment(Place.finite(3), 1, INF), 40)
+    assert str(exc.value) == "1/3 has a pole at the extreme point of 3"
+    with pytest.raises(CannotCertify, match="x \\*\\* e exceeds"):  # no extreme point of 3: no pole
+        divide(third, G, BaseCompact.segment(Place.finite(3), 1, 2), 40)
     monkeypatch.undo()
     Q, R, cert = divide(LaurentPoly.monomial(2000), G, V, 40)  # 2000 * 6 bits: within POW_BITS
     assert R == LaurentPoly({0: F(3) ** 2000}) and cert.bounds_ok
