@@ -35,7 +35,9 @@ INF = float("inf")
 
 
 def is_inf(x) -> bool:
-    return x == INF
+    """Is x +inf?  A rational (Fraction or int) never is: its type says so
+    before any comparison with the float INF."""
+    return not isinstance(x, (Fraction, int)) and x == INF
 
 
 @dataclass(frozen=True)
@@ -193,6 +195,17 @@ class BaseCompact:
     u: object = None
     v: object = None
     cuts: tuple = ()  # sorted tuple of (Place, exponent)
+    _hash = None  # not a field: the hash of the fields, taken on first use
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.kind, self.place, self.u, self.v, self.cuts))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self):  # string hashes differ between processes
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     def __post_init__(self):
         if self.kind == "segment":

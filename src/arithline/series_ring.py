@@ -51,7 +51,7 @@ class LaurentPoly:
     def __init__(self, coeffs=None, trunc_mod: Optional[int] = None):
         data = {}
         for k, c in coeffs.items() if isinstance(coeffs, dict) else coeffs or ():
-            k, c = int(k), Fraction(c)
+            k, c = int(k), c if type(c) is int or type(c) is Fraction else Fraction(c)
             data[k] = data[k] + c if k in data else c
         mod = None if trunc_mod is None else int(trunc_mod)
         f = LaurentPoly._raw({k: c for k, c in sorted(data.items()) if c and (mod is None or k < mod)})
@@ -59,7 +59,7 @@ class LaurentPoly:
 
     @classmethod
     def _raw(cls, data: dict, trunc_mod=None) -> "LaurentPoly":
-        """Trusted constructor from nonzero Fraction values, keys < mod."""
+        """Trusted constructor from nonzero int or Fraction values, keys < mod."""
         den = lcm_list(c.denominator for c in data.values())
         return cls._content({k: c.numerator * (den // c.denominator) for k, c in data.items()}, den, trunc_mod)
 

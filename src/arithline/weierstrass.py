@@ -11,8 +11,8 @@ content as pairs.  Q and R come from ``_euclid``, which runs the one integer
 pseudo-division ``polys.pdivide`` on F's numerators and G's and turns the
 result back into content; it also serves the polynomial branch of local
 division, where G's leading coefficient is a unit.  Local division of
-truncated series otherwise runs the fixed-point operator
-phi -> alpha(phi) G + beta(phi) and records its contraction certificate.
+truncated series otherwise iterates the residual r <- -alpha(r) (G/u - T^p),
+keeps alpha(phi) as one running integer sum and records its certificate.
 ``hensel_lift_root`` is the one Hensel lift, for series and p-adic roots (the
 roots of unity of ``covers_galois`` among them).
 """
@@ -333,37 +333,37 @@ def _divide_by_iteration(F: LaurentPoly, G: LaurentPoly, p: int, m: int, ctx: An
     is followed by r <- -(alpha(r) B) mod T^m, without rebuilding A(phi).
     The norms of r_0, r_1, ... at the certified radius are the residuals.
 
-    phi and r are ``LaurentPoly``s, so integer content: a step convolves the
-    numerators of alpha(r) with those of -B below T^m over the product of
-    their denominators, and phi + r is one ``series_add``.
+    phi itself is never formed.  B, hence every r, lives above T^p, so
+    R = F mod T^p, and Q = alpha(phi) / u with alpha(phi) = alpha(F) plus the
+    alpha(r) of each step: one running sum of integer numerators, keyed by
+    the indices reached, over one denominator D that grows only when r.den
+    does not divide it, made canonical once, at the end.
     """
     u = G.coeff(p)
-    Gn = series_scale(1 / u, G).with_mod(m)  # monic-at-T^p normalization
-    minus_B = series_sub(LaurentPoly.monomial(p, trunc_mod=m), Gn).with_mod(m)
+    minus_B = series_sub(LaurentPoly.monomial(p, trunc_mod=m), series_scale(1 / u, G).with_mod(m))
     cert_radius = _contraction_cert(G, p, ctx)
     at_radius = AnnulusSpec(ctx.V, Fraction(0), cert_radius.radius)
-    beta = sorted(minus_B.num.items())
-
-    def step(r: LaurentPoly) -> LaurentPoly:  # -(alpha(r) B) mod T^m
-        alpha = [(k - p, c) for k, c in r.num.items() if k >= p]
-        return LaurentPoly._content(_convolve(alpha, beta, m), r.den * minus_B.den, m)
-
-    phi, r = F, step(F)
+    beta, Bd = sorted(minus_B.num.items()), minus_B.den
+    total, D = {k - p: c for k, c in F.num.items() if k >= p}, F.den  # alpha(phi) over D
+    r = LaurentPoly._content(_convolve(total.items(), beta, m), D * Bd, m)
     residuals = []
     for _ in range(m + 2):
         residuals.append(norm_annulus(r, at_radius))
         if not r:
             break
-        phi = series_add(phi, r)
-        r = step(r)
+        alpha = [(k - p, c) for k, c in r.num.items()]
+        if D % r.den:
+            grow = lcm_list((D, r.den)) // D
+            total, D = {j: c * grow for j, c in total.items()}, D * grow
+        scale, get = D // r.den, total.get
+        for j, c in alpha:
+            total[j] = get(j, 0) + c * scale
+        r = LaurentPoly._content(_convolve(alpha, beta, m), r.den * Bd, m)
     else:
         raise NoConvergence("fixed point not reached")  # pragma: no cover
-    # Q = alpha(phi) / u, naturally known mod T^(m - p); R = phi mod T^p
-    Q = series_scale(1 / u, LaurentPoly._content(
-        {k - p: c for k, c in phi.num.items() if k >= p}, phi.den, m - p))
-    R = LaurentPoly._content({k: c for k, c in phi.num.items() if k < p}, phi.den)
-    cert = LocalDivisionCert(cert_radius.radius, cert_radius.epsilon, tuple(residuals))
-    return Q, R, cert
+    Q = series_scale(1 / u, LaurentPoly._content(total, D, m - p))
+    R = LaurentPoly._content({k: c for k, c in F.num.items() if k < p}, F.den)
+    return Q, R, LocalDivisionCert(cert_radius.radius, cert_radius.epsilon, tuple(residuals))
 
 
 def prepare(G: LaurentPoly, p: int, m: int, ctx: AnnulusSpec):

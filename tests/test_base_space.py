@@ -303,3 +303,35 @@ def test_star_normalizes_full_cuts():
     V = BaseCompact.star({Place.finite(2): INF, Place.infinite(): 1})
     assert V.cuts == ()
     assert V == BaseCompact.whole_space()
+
+
+def test_equal_compacts_hash_equal():
+    """A compact keeps its hash after the first use; equal compacts, however
+    they were written, hash equal before and after, and a copy made by
+    pickling takes its hash afresh."""
+    import pickle
+
+    pairs = [
+        (BaseCompact.central_point(), BaseCompact.segment(Place.infinite(), Fraction(0), 0)),
+        (seg(3, Fraction(1, 2), 2), seg(3, Fraction(2, 4), Fraction(2))),
+        (seg(5, 1, INF), seg(5, Fraction(1), float("inf"))),
+        (BaseCompact.star({Place.finite(2): 1, Place.infinite(): Fraction(1, 2)}),
+         BaseCompact.star([(Place.infinite(), Fraction(1, 2)), (Place.finite(2), Fraction(1))])),
+        (BaseCompact.whole_space(), BaseCompact.star({Place.finite(7): INF, Place.infinite(): 1})),
+    ]
+    for V, W in pairs:
+        h = hash(V)
+        assert V == W and hash(W) == h == hash(V)
+        assert hash(W) == hash((W.kind, W.place, W.u, W.v, W.cuts))
+        assert len({V, W}) == 1
+        copy = pickle.loads(pickle.dumps(V))
+        assert "_hash" not in vars(copy) and copy == V and hash(copy) == h
+    assert hash(seg(3, Fraction(1, 2), 2)) != hash(seg(3, Fraction(1, 2), 1))
+
+
+def test_is_inf_reads_the_type_of_a_rational_first():
+    from arithline.base_space import is_inf
+
+    assert is_inf(INF) and is_inf(float("inf"))
+    for x in (Fraction(1, 2), Fraction(0), 0, 7, True, None, "inf", -INF, 1.5):
+        assert not is_inf(x)

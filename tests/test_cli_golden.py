@@ -42,6 +42,9 @@ where a case carries it, stderr) for:
   and ``divide`` of T^30000 / 3 by T - 3 at w = 40 on [a_3^1, extreme] (exit
   2, NotInRingOfV), recorded before that charge, which must not precede the
   pole test.
+* ``divide-local`` of F = 1 by G = T + T^2/3 modulo T^(2^200) at the central
+  point (exit 0), recorded when the local fixed point stopped forming phi:
+  its running sum of alpha(phi) must not be sized by the modulus.
 
 Usage text is wrapped at COLUMNS=80.  ``replay_golden.py`` replays the same
 cases as subprocesses of an installed command.

@@ -210,3 +210,17 @@ def test_budget_refusals_exit_2_under_a_memory_cap(argv, detail):
     assert (proc.returncode, proc.stderr) == (2, "")
     out = json.loads(proc.stdout)
     assert out["v"] == 1 and out["error"] == "CannotCertify" and detail in out["detail"]
+
+
+def test_local_division_modulo_a_huge_power_answers_at_once_under_a_memory_cap():
+    """F = 1 lies below T^p, so the fixed point stops at r_0 = 0 and nothing
+    is sized by the modulus 2^200: the golden bytes, exit 0 and no
+    traceback, inside a 2 GB address space and a 10 s wall cap (a list of
+    length m - p would fail with an OverflowError traceback)."""
+    cases = json.loads((pathlib.Path(__file__).parent / "cli_golden.json").read_text())
+    (case,) = [c for c in cases if c["argv"][0] == "divide-local" and str(2 ** 200) in c["argv"]]
+    proc = subprocess.run(
+        [sys.executable, "-m", "arithline.cli", *case["argv"]],
+        capture_output=True, text=True, env=child_env(), timeout=10, preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (case["exit"], case["stdout"], case["stderr"])

@@ -1,7 +1,10 @@
 """The local-division fast path against the original rebuild-A(phi) loop.
 
 ``_divide_by_iteration`` updates the residual by the linear recurrence
-r <- -(alpha(r) B) mod T^m on integer numerators over one denominator, and
+r <- -(alpha(r) B) mod T^m on integer numerators over one denominator and
+never forms phi: R is F mod T^p, and alpha(phi) of Q = alpha(phi) / u is one
+running integer sum of alpha(F) and the alpha(r) of each step, keyed by the
+indices reached (so a modulus of 2^200 costs nothing when F lies below T^p).
 ``norm_annulus`` sums the coefficient bounds against the radius powers by one
 integer Horner pass.  The oracles are the direct forms: the fixed point that
 rebuilds A(phi) = phi + alpha(phi) B and F - A(phi) every step in Fractions
@@ -15,6 +18,7 @@ are charged to ``POW_BITS`` before they are taken.
 
 import contextvars
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -145,11 +149,14 @@ def test_local_division_matches_oracle_off_the_central_point(V):
 
 # Off the central point the coefficient norms are powers with fractional
 # exponents (|c|^(1/3) on the archimedean segment, 3^(-e v_3(c)) on the 3-adic
-# one), so most residual norms are intervals.
+# one), so most residual norms are intervals.  The segment reaching the
+# extreme point of 5 anchors there and needs 5-integral inputs, so only an
+# example uses it.
 DIVISION_COMPACTS = {
     "central": CENTRAL,
     "3-adic": BaseCompact.segment(Place.finite(3), Fraction(1, 2), 2),
     "arch-frac": BaseCompact.segment(Place.infinite(), Fraction(1, 3), Fraction(1, 2)),
+    "5-extreme": BaseCompact.segment(Place.finite(5), 1, float("inf")),
 }
 
 
@@ -164,7 +171,7 @@ def fractional_division_inputs(draw):
         unit[j] = draw(coeff)
     G = LaurentPoly({p + k: c for k, c in unit.items()}, m)
     F = LaurentPoly({k: draw(coeff) for k in range(8)}, m)
-    name = draw(st.sampled_from(sorted(DIVISION_COMPACTS)))
+    name = draw(st.sampled_from(["3-adic", "arch-frac", "central"]))
     return F, G, p, m, name
 
 
@@ -176,9 +183,33 @@ def fractional_division_inputs(draw):
           LaurentPoly({3: Fraction(-5, 7), 4: Fraction(3, 2), 5: Fraction(-1, 4)}, 40), 3, 40, "3-adic"))
 @example((LaurentPoly({1: Fraction(8, 9)}, 64),
           LaurentPoly({2: Fraction(-5, 7), 3: Fraction(2, 5)}, 64), 2, 64, "central"))
+# F has no index >= p, so r_0 = 0 and Q = 0
+@example((LaurentPoly({0: Fraction(1, 2), 1: 3}, 40),
+          LaurentPoly({2: Fraction(2, 3), 3: Fraction(1, 5)}, 40), 2, 40, "central"))
+# m = p + 1: B vanishes mod T^m and Q is alpha(F) / u
+@example((LaurentPoly({0: 1, 3: Fraction(5, 7)}, 4),
+          LaurentPoly({3: 2, 4: 1, 5: Fraction(-1, 2)}, 4), 3, 4, "arch-frac"))
+# u = 3/7: r.den runs 21, 63, 189, 567, 1701, 567, 1701, 5103, growing and
+# shrinking after a gcd, so the running sum is rescaled more than once
+@example((LaurentPoly({1: Fraction(9, 7), 4: 7}, 10),
+          LaurentPoly({1: Fraction(3, 7), 2: Fraction(1, 7)}, 10), 1, 10, "3-adic"))
+# the anchor is the extreme point of 5
+@example((LaurentPoly({0: 1, 2: Fraction(3, 2), 5: -4}, 24),
+          LaurentPoly({1: 2, 2: 5, 3: Fraction(1, 3)}, 24), 1, 24, "5-extreme"))
 def test_fractional_division_matches_rebuild_oracle(case):
     F, G, p, m, name = case
     assert_same_division(F, G, p, m, AnnulusSpec(DIVISION_COMPACTS[name], 0, Fraction(1, 2)))
+
+
+def test_a_huge_modulus_costs_nothing_when_F_lies_below_T_p():
+    """With F = 1 below T^p the first residual is 0; nothing is sized by
+    m = 2^200, so the division returns at once."""
+    m = 2 ** 200
+    start = time.perf_counter()
+    Q, R, cert = divide_local_series(LaurentPoly({0: 1}), LaurentPoly({1: 1, 2: Fraction(1, 3)}), 1, m, CENTER)
+    assert time.perf_counter() - start < 1
+    assert (Q, R) == (LaurentPoly.zero(m - 1), LaurentPoly.one())
+    assert (cert.radius, cert.residuals) == (Fraction(1, 2), (NormValue.of(0),))
 
 
 # -- series_mul against the full product, truncated afterwards ------------------

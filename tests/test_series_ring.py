@@ -281,3 +281,20 @@ def test_with_mod_examples():
     # the modulus is set as given, also above the source's own modulus
     assert LaurentPoly({0: 1, 2: 3}, 3).with_mod(5) == LaurentPoly({0: 1, 2: 3}, 5)
     assert LaurentPoly({0: 1, 2: 3}, 4).shift(-1) == LaurentPoly({-1: 1, 1: 3}, 3)
+
+
+def test_constructor_takes_ints_and_fractions_as_they_are():
+    """int and Fraction coefficients go in unwrapped; strings, floats and
+    other Rationals are read by ``Fraction`` as before, and bad values keep
+    its errors."""
+    f = LaurentPoly({0: 3, 1: Fraction(-2, 6), 2: "5/4", 3: 0.5, 4: True, 5: 0, 6: Fraction(0)})
+    assert (f.num, f.den) == ({0: 36, 1: -4, 2: 15, 3: 6, 4: 12}, 12)
+    assert LaurentPoly([(1, 2), (1, Fraction(1, 2)), (0, -4)]) == LaurentPoly({0: -4, 1: Fraction(5, 2)})
+    assert LaurentPoly.from_poly([1, 0, Fraction(-1, 3)], 2) == LaurentPoly({0: 1}, 2)
+    assert all(type(c) is Fraction for c in f.coeffs.values())
+    for bad, error in ((None, TypeError), ("x", ValueError), ([1], TypeError), (float("nan"), ValueError)):
+        with pytest.raises(error) as got:
+            LaurentPoly({0: bad})
+        with pytest.raises(error) as want:
+            Fraction(bad)
+        assert str(got.value) == str(want.value)
