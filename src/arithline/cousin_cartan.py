@@ -9,7 +9,9 @@ finite places and D = C + 2 = 5/2 at the archimedean place.
 The Cartan factorization writes a matrix a close to the identity as
 c^- c^+ with sides living on K0^- and K0^+, by iterating entrywise Cousin
 splits; the products are truncated and certified a posteriori through an
-exactly computed residual.
+exactly computed residual.  Each round splits every entry of the
+perturbation b once, b = b^- + b^+, and inverts I + b^- and I + b^+ by
+Neumann series in b^- and b^+ themselves.
 
 A side is a compact, and living on it means that every coefficient lies in
 K(V) (``base_space.member_of_kv``): p-integral on K0^- = [a_p^u, a~_p],
@@ -28,6 +30,7 @@ Then a^- = a + a^+.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 from .base_space import BaseCompact, Place, base_norm, member_of_kv, norm_bounds_each
@@ -305,16 +308,13 @@ class SeriesMatrix:
     def mul(self, other) -> "SeriesMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = LaurentPoly.zero()
-                for k in range(self.cols):
-                    acc = series_add(acc, series_mul(self.entries[i][k], other.entries[k][j]))
-                row.append(acc)
-            out.append(tuple(row))
-        return SeriesMatrix(tuple(out))
+        columns = tuple(zip(*other.entries))
+        return SeriesMatrix(
+            tuple(
+                tuple(reduce(series_add, map(series_mul, row, col)) for col in columns)
+                for row in self.entries
+            )
+        )
 
     def is_zero(self) -> bool:
         return all(not e for row in self.entries for e in row)
@@ -462,8 +462,8 @@ def cartan_factorize(a: SeriesMatrix, sys: SplitSystem, max_iter: int, tol):
         a_p = ident.add(b_p)
         c_minus = c_minus.mul(a_m).prune(ctx_minus, prune_c)
         c_plus = a_p.mul(c_plus).prune(ctx_plus, prune_c)
-        inv_m = _approx_inverse(a_m, ctx, inv_target, prune_b)
-        inv_p = _approx_inverse(a_p, ctx, inv_target, prune_b)
+        inv_m = _approx_inverse(b_m, ctx, inv_target, prune_b)
+        inv_p = _approx_inverse(b_p, ctx, inv_target, prune_b)
         btilde = inv_m.mul(ident.add(btilde)).mul(inv_p).sub(ident).prune(ctx, prune_b)
         norms.append(matrix_norm(btilde, ctx).hi)
         residual = matrix_norm(c_minus.mul(c_plus).sub(a), ctx)
@@ -521,30 +521,22 @@ def _one_sided_result(a, b0, norm_b0, sys, ctx_minus, ctx_plus):
 def _split_matrix(mat: SeriesMatrix, sys: SplitSystem):
     """Entrywise split b = b^- + b^+ with b^- = b_minus and b^+ = -b_plus
     (``_split_series``; no certificate is built)."""
-    minus_rows = []
-    plus_rows = []
-    for row in mat.entries:
-        mrow = []
-        prow = []
-        for e in row:
-            em, ep = _split_series(e, sys)
-            mrow.append(em)
-            prow.append(series_neg(ep))
-        minus_rows.append(tuple(mrow))
-        plus_rows.append(tuple(prow))
-    return SeriesMatrix(tuple(minus_rows)), SeriesMatrix(tuple(plus_rows))
+    split = [[_split_series(e, sys) for e in row] for row in mat.entries]
+    return (
+        SeriesMatrix([[em for em, _ in row] for row in split]),
+        SeriesMatrix([[series_neg(ep) for _, ep in row] for row in split]),
+    )
 
 
 def _approx_inverse(
-    mat: SeriesMatrix, ctx: AnnulusSpec, target: Fraction, prune_tol: Fraction
+    n: SeriesMatrix, ctx: AnnulusSpec, target: Fraction, prune_tol: Fraction
 ) -> SeriesMatrix:
-    """Neumann inverse truncated so the defect norm is below target."""
-    n = mat.sub(SeriesMatrix.identity(mat.rows))
+    """Neumann inverse of I + n, truncated so the defect norm is below target."""
     nrm = matrix_norm(n, ctx)
     if not nrm.le(Fraction(1, 2)):
         raise NormTooLarge("inverse factor drifted out of the Neumann zone")
-    acc = SeriesMatrix.identity(mat.rows)
-    term = SeriesMatrix.identity(mat.rows)
+    acc = SeriesMatrix.identity(n.rows)
+    term = acc
     bound = nrm.hi
     running = bound
     for _ in range(500):

@@ -6,12 +6,14 @@ factorization S^n - p^n - T = prod_j (S - p zeta^j g) over a primitive n-th
 root of unity zeta in Z_p (p = 1 mod n): the least one mod p, lifted on the
 sparse X^n - 1 by the one p-adic Newton lift, ``weierstrass.hensel_lift_root``.  The combinatorial core is the
 coset bookkeeping sigma_i and the left-translation embedding mu of a finite
-group into the permutations of its own elements.
+group into the permutations of its own elements.  Every table of the small
+library is an element list and a product, built by the one Cayley-table
+builder ``_table``; the list order fixes the 1-based indices.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, permutations
 from math import factorial, gcd
 from typing import Optional
 
@@ -336,27 +338,15 @@ class GroupTable:
             raise ValueError("table must be square")
         if any(not 1 <= x <= n for row in table for x in row):
             raise ValueError("entries must lie in [1, n]")
-        identity = None
-        for e in range(1, n + 1):
-            if all(
-                table[e - 1][j - 1] == j and table[j - 1][e - 1] == j
-                for j in range(1, n + 1)
-            ):
-                identity = e
-                break
+        r = range(n)
+        identity = next((e + 1 for e in r if all(table[e][j] == j + 1 == table[j][e] for j in r)), None)
         if identity is None:
             raise ValueError("no identity element")
-        for i in range(1, n + 1):
-            if identity not in table[i - 1]:
-                raise ValueError(f"element {i} has no inverse")
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for k in range(1, n + 1):
-                    if (
-                        table[table[i - 1][j - 1] - 1][k - 1]
-                        != table[i - 1][table[j - 1][k - 1] - 1]
-                    ):
-                        raise ValueError("associativity fails")
+        for i in r:
+            if identity not in table[i]:
+                raise ValueError(f"element {i + 1} has no inverse")
+        if any(table[table[i][j] - 1][k] != table[i][table[j][k] - 1] for i in r for j in r for k in r):
+            raise ValueError("associativity fails")
         self.n = n
         self.table = table
         self.identity = identity
@@ -441,76 +431,46 @@ def mu_homomorphism(G: GroupTable) -> MuReport:
 # -- a small library of tables -------------------------------------------------
 
 
+def _table(elements, mul) -> GroupTable:
+    """The Cayley table of ``mul`` on the elements, each numbered by its
+    1-based position in the list."""
+    index = {x: k for k, x in enumerate(elements, 1)}
+    return GroupTable([[index[mul(x, y)] for y in elements] for x in elements])
+
+
 def cyclic_table(n: int) -> GroupTable:
-    return GroupTable(
-        [[(i + j) % n + 1 for j in range(n)] for i in range(n)]
-    )
+    """Z/n on 0, ..., n-1."""
+    return _table(range(n), lambda i, j: (i + j) % n)
 
 
 def direct_product_table(A: GroupTable, B: GroupTable) -> GroupTable:
+    """A x B on the pairs (a, b) in row-major order."""
     pairs = [(a, b) for a in range(1, A.n + 1) for b in range(1, B.n + 1)]
-    index = {ab: k + 1 for k, ab in enumerate(pairs)}
-    return GroupTable(
-        [
-            [index[(A.mul(a1, a2), B.mul(b1, b2))] for (a2, b2) in pairs]
-            for (a1, b1) in pairs
-        ]
-    )
+    return _table(pairs, lambda x, y: (A.mul(x[0], y[0]), B.mul(x[1], y[1])))
 
 
 def symmetric_table(n: int) -> GroupTable:
-    from itertools import permutations
-
-    perms = sorted(permutations(range(n)))
-    index = {p: k + 1 for k, p in enumerate(perms)}
-    compose = lambda p, q: tuple(p[q[i]] for i in range(n))
-    return GroupTable(
-        [[index[compose(p, q)] for q in perms] for p in perms]
-    )
+    """S_n on the sorted permutations of 0..n-1, (p q)(i) = p(q(i))."""
+    return _table(sorted(permutations(range(n))), lambda p, q: tuple(p[i] for i in q))
 
 
 def dihedral_table(n: int) -> GroupTable:
-    """D_n of order 2n: elements r^k and s r^k."""
-    elems = [(0, k) for k in range(n)] + [(1, k) for k in range(n)]
-    index = {e: i + 1 for i, e in enumerate(elems)}
-
-    def mul(x, y):
-        (s1, k1), (s2, k2) = x, y
-        if s1 == 0:
-            return (s2, (k1 + k2) % n) if s2 == 0 else (1, (k2 - k1) % n)
-        return (1, (k1 + k2) % n) if s2 == 0 else (0, (k2 - k1) % n)
-
-    return GroupTable(
-        [[index[mul(x, y)] for y in elems] for x in elems]
-    )
+    """D_n of order 2n: elements r^k, then s r^k, as pairs (0, k) and (1, k),
+    with s^a r^k s^b r^l = s^(a + b) r^(l + (-1)^b k)."""
+    elems = [(s, k) for s in (0, 1) for k in range(n)]
+    return _table(elems, lambda x, y: (x[0] ^ y[0], (y[1] - x[1] if y[0] else y[1] + x[1]) % n))
 
 
 def quaternion_table() -> GroupTable:
-    """Q_8 = {1, -1, i, -i, j, -j, k, -k}."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    index = {nm: k + 1 for k, nm in enumerate(names)}
+    """Q_8 = {1, -1, i, -i, j, -j, k, -k} under the Hamilton product."""
 
-    def normalize(sign, letter):
-        return ("-" if sign < 0 else "") + letter
+    def mul(x, y):
+        (a, b, c, d), (e, f, g, h) = x, y
+        return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+                a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
 
-    base = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
-        ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-        ("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
-        ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j"),
-    }
-
-    def mul(a, b):
-        sa = -1 if a.startswith("-") else 1
-        sb = -1 if b.startswith("-") else 1
-        la, lb = a.lstrip("-"), b.lstrip("-")
-        s, l = base[(la, lb)]
-        return normalize(sa * sb * s, l)
-
-    return GroupTable(
-        [[index[mul(a, b)] for b in names] for a in names]
-    )
+    units = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    return _table([tuple(s * c for c in u) for u in units for s in (1, -1)], mul)
 
 
 def standard_group_tables() -> dict:

@@ -3,13 +3,16 @@
 Rationals travel as "p/q" strings (plain "p" for integers); interval
 endpoints are outward-rounded dyadics printed as exact decimal strings.
 
-Each ``parse_*`` reads one type from decoded JSON.  ``encode`` is the one
+Each ``parse_*`` reads one type from decoded JSON; ``parse_int`` is the one
+reader of an integer (a place, a modulus, a table entry), so a float such as
+2.9 or a bool is refused instead of truncated.  ``encode`` is the one
 serializer: it dispatches on the type to the matching ``*_json`` function,
-writes any other dataclass as {field: value} in declaration order, and
-refuses everything else with TypeError.  ``dumps`` writes a top-level CLI
-payload through it, headed by the schema version field "v": 1.  An integer
-past the interpreter's int-to-str digit limit (4300 by default) is refused
-with the domain error OutputTooLarge; the limit itself is left alone.
+writes any other dataclass (``AnnulusSpec`` among them) as {field: value} in
+declaration order, and refuses everything else with TypeError.  ``dumps``
+writes a top-level CLI payload through it, headed by the schema version
+field "v": 1.  An integer past the interpreter's int-to-str digit limit
+(4300 by default) is refused with the domain error OutputTooLarge; the
+limit itself is left alone.
 """
 
 import dataclasses
@@ -41,6 +44,16 @@ def encode(obj):
 @encode.register(Fraction)
 def frac_str(q) -> str:
     return str(Fraction(q))
+
+
+def parse_int(v) -> int:
+    """An int that is not a bool, or a base-10 string such as "2" (the form
+    in which ``--place 2`` arrives); anything else is a ValueError."""
+    if isinstance(v, str):
+        return int(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ValueError(f"expected an integer, got {v!r}")
 
 
 def parse_frac(s) -> Fraction:
@@ -94,7 +107,7 @@ def parse_place(v):
         return None
     if v == "inf":
         return Place.infinite()
-    return Place.finite(int(v))
+    return Place.finite(parse_int(v))
 
 
 def parse_places(lst) -> list:
@@ -111,11 +124,7 @@ def base_point_json(x: BasePoint) -> dict:
 
 
 def parse_base_point(d) -> BasePoint:
-    place = parse_place(d["place"])
-    exp = parse_exp(d["exp"])
-    if place is None:
-        return BasePoint.central()
-    return BasePoint.branch(place, exp)
+    return BasePoint.branch(parse_place(d["place"]), parse_exp(d["exp"]))
 
 
 @encode.register(BaseCompact)
@@ -207,12 +216,8 @@ def parse_laurent(d) -> LaurentPoly:
     if not isinstance(d["coeffs"], dict):
         raise ValueError("coeffs must be an object {index: rational}")
     coeffs = {int(k): parse_frac(c) for k, c in d["coeffs"].items()}
-    return LaurentPoly(coeffs, d.get("mod"))
-
-
-@encode.register(AnnulusSpec)
-def annulus_json(A: AnnulusSpec) -> dict:
-    return {"V": base_compact_json(A.V), "s": frac_str(A.s), "t": frac_str(A.t)}
+    mod = d.get("mod")
+    return LaurentPoly(coeffs, None if mod is None else parse_int(mod))
 
 
 def parse_annulus(d) -> AnnulusSpec:
@@ -241,7 +246,8 @@ def group_table_json(G: GroupTable) -> dict:
 
 
 def parse_group_table(d) -> GroupTable:
-    return GroupTable(d if isinstance(d, list) else d["table"])
+    rows = d if isinstance(d, list) else d["table"]
+    return GroupTable([[parse_int(x) for x in row] for row in rows])
 
 
 def parse_gauss(v) -> Gauss:

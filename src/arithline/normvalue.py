@@ -5,6 +5,8 @@ A ``NormValue`` is either an exact nonnegative rational or a closed interval
 endpoints come from outward rounding at a configurable binary precision
 (default 128 bits); sums, products, maxima and rational powers all preserve
 the enclosure, so any comparison certified through ``le``/``lt`` is sound.
+``+``, ``*``, ``max_with`` and ``min_with`` share one rule: the operation on
+the exact values when both operands are exact, else on the endpoints.
 
 ``NormValue(lo, hi)`` is the trusted constructor for rational endpoints
 (Fractions or ints): it checks 0 <= lo <= hi on the integers, by the sign
@@ -24,6 +26,7 @@ with CannotCertify before it is taken.
 """
 
 import contextvars
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -133,33 +136,28 @@ class NormValue:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other) -> "NormValue":
+    def _combine(self, other, op) -> "NormValue":
+        """op (monotone on nonnegative values) on the exact values, else on the endpoints."""
         other = _coerce(other)
-        if self.is_exact and other.is_exact:
-            return NormValue.of(self.exact + other.exact)
-        return NormValue(self.lo + other.lo, self.hi + other.hi)
+        if self.exact is not None and other.exact is not None:
+            return NormValue.of(op(self.exact, other.exact))
+        return NormValue(op(self.lo, other.lo), op(self.hi, other.hi))
+
+    def __add__(self, other) -> "NormValue":
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __mul__(self, other) -> "NormValue":
-        other = _coerce(other)
-        if self.is_exact and other.is_exact:
-            return NormValue.of(self.exact * other.exact)
-        return NormValue(self.lo * other.lo, self.hi * other.hi)
+        return self._combine(other, operator.mul)
 
     __rmul__ = __mul__
 
     def max_with(self, other) -> "NormValue":
-        other = _coerce(other)
-        if self.is_exact and other.is_exact:
-            return NormValue.of(max(self.exact, other.exact))
-        return NormValue(max(self.lo, other.lo), max(self.hi, other.hi))
+        return self._combine(other, max)
 
     def min_with(self, other) -> "NormValue":
-        other = _coerce(other)
-        if self.is_exact and other.is_exact:
-            return NormValue.of(min(self.exact, other.exact))
-        return NormValue(min(self.lo, other.lo), min(self.hi, other.hi))
+        return self._combine(other, min)
 
     def pow_rational(self, e) -> "NormValue":
         """self ** e for rational e, exact whenever representable."""

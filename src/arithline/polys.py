@@ -7,10 +7,12 @@ one denominator D (``numerators``, the layout of FLINT's ``fmpq_poly``): one
 pseudo-division, one Gaussian Horner evaluation, the Taylor shift and the
 Bareiss resultant.  Polynomials over F_p are tuples of ints mod p;
 ``fp_poly``, ``fp_add`` and ``fp_mul`` never invert, so the Hensel lifts use
-them mod p^N.
+them mod p^N.  ``_fp_bezout`` is the one Euclid over F_p: ``fp_gcd`` is the
+monic gcd it reads off, and the pair lift takes its Bezout cofactors.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd, prod
 
 from .errors import CannotCertify, NotCoprime, ProductMismatch
@@ -208,13 +210,7 @@ def fp_reduce(f, p):
 
 
 def fp_add(f, g, p):
-    n = max(len(f), len(g))
-    out = [0] * n
-    for i, c in enumerate(f):
-        out[i] = c
-    for i, c in enumerate(g):
-        out[i] = (out[i] + c) % p
-    return fp_poly(out, p)
+    return fp_poly([a + b for a, b in zip_longest(f, g, fillvalue=0)], p)
 
 
 def fp_mul(f, g, p):
@@ -248,9 +244,8 @@ def fp_divmod(f, g, p):
 
 
 def fp_gcd(f, g, p):
-    a, b = f, g
-    while b:
-        a, b = b, fp_divmod(a, b, p)[1]
+    """The monic gcd over F_p, read from ``_fp_bezout``; () for two zeros."""
+    a = _fp_bezout(f, g, p)[0]
     if a and a[-1] != 1:
         inv = invmod(a[-1], p)
         a = fp_poly([c * inv for c in a], p)
@@ -320,7 +315,7 @@ def hensel_pair_lift(f, g, h, p, N):
     for k in range(1, N):
         mod = p ** (k + 1)
         prod = fp_mul(tuple(g_cur), tuple(h_cur), mod)
-        diff = [(a - b) % mod for a, b in _zip_pad(f, prod)]
+        diff = [(a - b) % mod for a, b in zip_longest(f, prod, fillvalue=0)]
         if all(c % p ** (k + 1) == 0 for c in diff):
             continue
         assert all(c % p ** k == 0 for c in diff), "lift invariant broken"
@@ -330,17 +325,10 @@ def hensel_pair_lift(f, g, h, p, N):
         es = fp_mul(fp_poly(e, p), s, p)
         dg = fp_divmod(et, fp_poly(g_cur, p), p)[1]
         dh = fp_divmod(es, fp_poly(h_cur, p), p)[1]
-        g_cur = [(a + p ** k * b) % mod for a, b in _zip_pad(g_cur, dg)]
-        h_cur = [(a + p ** k * b) % mod for a, b in _zip_pad(h_cur, dh)]
+        g_cur = [(a + p ** k * b) % mod for a, b in zip_longest(g_cur, dg, fillvalue=0)]
+        h_cur = [(a + p ** k * b) % mod for a, b in zip_longest(h_cur, dh, fillvalue=0)]
     modN = p ** N
     return fp_poly(g_cur, modN), fp_poly(h_cur, modN)
-
-
-def _zip_pad(f, g):
-    n = max(len(f), len(g))
-    f = list(f) + [0] * (n - len(f))
-    g = list(g) + [0] * (n - len(g))
-    return zip(f, g)
 
 
 def _fp_bezout(f, g, p):

@@ -1020,3 +1020,106 @@ def reduction_valuation_direct(G, b):
         if v == 0:
             return k
     return None
+
+
+# -- the Cayley tables as they were written by hand ----------------------------
+
+
+def cyclic_table_by_hand(n):
+    from arithline.covers_galois import GroupTable
+
+    return GroupTable([[(i + j) % n + 1 for j in range(n)] for i in range(n)])
+
+
+def direct_product_table_by_hand(A, B):
+    from arithline.covers_galois import GroupTable
+
+    pairs = [(a, b) for a in range(1, A.n + 1) for b in range(1, B.n + 1)]
+    index = {ab: k + 1 for k, ab in enumerate(pairs)}
+    return GroupTable(
+        [[index[(A.mul(a1, a2), B.mul(b1, b2))] for (a2, b2) in pairs] for (a1, b1) in pairs]
+    )
+
+
+def symmetric_table_by_hand(n):
+    from itertools import permutations
+
+    from arithline.covers_galois import GroupTable
+
+    perms = sorted(permutations(range(n)))
+    index = {p: k + 1 for k, p in enumerate(perms)}
+    compose = lambda p, q: tuple(p[q[i]] for i in range(n))
+    return GroupTable([[index[compose(p, q)] for q in perms] for p in perms])
+
+
+def dihedral_table_by_hand(n):
+    """D_n of order 2n: elements r^k and s r^k, the product case by case."""
+    from arithline.covers_galois import GroupTable
+
+    elems = [(0, k) for k in range(n)] + [(1, k) for k in range(n)]
+    index = {e: i + 1 for i, e in enumerate(elems)}
+
+    def mul(x, y):
+        (s1, k1), (s2, k2) = x, y
+        if s1 == 0:
+            return (s2, (k1 + k2) % n) if s2 == 0 else (1, (k2 - k1) % n)
+        return (1, (k1 + k2) % n) if s2 == 0 else (0, (k2 - k1) % n)
+
+    return GroupTable([[index[mul(x, y)] for y in elems] for x in elems])
+
+
+def quaternion_table_by_hand():
+    """Q_8 = {1, -1, i, -i, j, -j, k, -k} from the 16 products of the letters."""
+    from arithline.covers_galois import GroupTable
+
+    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+    index = {nm: k + 1 for k, nm in enumerate(names)}
+    base = {
+        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
+        ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
+        ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
+        ("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
+        ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j"),
+    }
+
+    def mul(a, b):
+        sa = -1 if a.startswith("-") else 1
+        sb = -1 if b.startswith("-") else 1
+        s, letter = base[(a.lstrip("-"), b.lstrip("-"))]
+        return ("-" if sa * sb * s < 0 else "") + letter
+
+    return GroupTable([[index[mul(a, b)] for b in names] for a in names])
+
+
+# -- the direct Euclid over F_p and the zero-start matrix product ---------------
+
+
+def fp_gcd_direct(f, g, p):
+    """The monic gcd by its own remainder loop, as fp_gcd was written."""
+    from arithline.numbers import invmod
+    from arithline.polys import fp_divmod, fp_poly
+
+    a, b = f, g
+    while b:
+        a, b = b, fp_divmod(a, b, p)[1]
+    if a and a[-1] != 1:
+        inv = invmod(a[-1], p)
+        a = fp_poly([c * inv for c in a], p)
+    return a
+
+
+def matrix_mul_zero_start(a, b):
+    """a b with each entry summed from LaurentPoly.zero(), term by term."""
+    from arithline.cousin_cartan import SeriesMatrix
+    from arithline.series_ring import LaurentPoly, series_add, series_mul
+
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = LaurentPoly.zero()
+            for k in range(a.cols):
+                acc = series_add(acc, series_mul(a.entries[i][k], b.entries[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return SeriesMatrix(tuple(out))

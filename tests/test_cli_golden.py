@@ -45,6 +45,11 @@ where a case carries it, stderr) for:
 * ``divide-local`` of F = 1 by G = T + T^2/3 modulo T^(2^200) at the central
   point (exit 0), recorded when the local fixed point stopped forming phi:
   its running sum of alpha(phi) must not be sized by the modulus.
+* a central point with exponent 7 or inf (exit 1, "central point must have
+  exponent 0"), and a place, a star cut, a ``mod`` and a group-table entry
+  given as a float, and a place given as ``true`` (exit 1, "expected an
+  integer"), recorded when ``jsonio`` stopped ignoring a central point's
+  exponent and truncating a number where an integer is expected.
 
 Usage text is wrapped at COLUMNS=80.  ``replay_golden.py`` replays the same
 cases as subprocesses of an installed command.

@@ -85,7 +85,34 @@ def test_laurent_and_annulus_roundtrip():
     assert io.parse_laurent(io.laurent_json(f)) == f
     assert io.parse_laurent(["1", "0", "2"]) == LaurentPoly({0: 1, 2: 2})
     A = AnnulusSpec(BaseCompact.segment(Place.finite(3), 1, 2), Fraction(1, 2), 2)
-    assert io.parse_annulus(io.annulus_json(A)) == A
+    text = io.dumps(A)  # through encode's dataclass rule, fields in order
+    assert text == (
+        '{"v": 1, "V": {"kind": "segment", "place": 3, "u": "1", "v": "2"}, "s": "1/2", "t": "2"}'
+    )
+    assert io.parse_annulus(json.loads(text)) == A
+
+
+def test_integers_are_read_without_truncation():
+    assert io.parse_int(7) == 7
+    assert io.parse_int("-12") == -12
+    for bad in (2.9, 2.0, True, None, [2], "2.9", "x"):
+        with pytest.raises(ValueError):
+            io.parse_int(bad)
+    assert io.parse_place("2") == Place.finite(2)
+    with pytest.raises(ValueError):
+        io.parse_place(2.9)
+    with pytest.raises(ValueError):
+        io.parse_laurent({"coeffs": {"0": "1"}, "mod": 2.7})
+    assert io.parse_laurent({"coeffs": {"0": "1"}, "mod": 3}) == LaurentPoly({0: 1}, 3)
+    with pytest.raises(ValueError):
+        io.parse_group_table([[1.9, 2], [2, 1]])
+
+
+def test_a_central_point_needs_exponent_zero():
+    assert io.parse_base_point({"place": None, "exp": "0"}) == BasePoint.central()
+    for exp in ("7", "inf", "1/2"):
+        with pytest.raises(ValueError, match="central point must have exponent 0"):
+            io.parse_base_point({"place": None, "exp": exp})
 
 
 def test_matrix_and_table_roundtrip():

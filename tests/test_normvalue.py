@@ -71,6 +71,28 @@ def test_interval_combinators_sound():
         # true values lie inside (compare by powering the bounds)
         assert (s.lo) <= (a.hi + b.hi)
         assert prod.lo ** ex.denominator <= (x * y) ** ex.numerator <= prod.hi ** ex.denominator
+        # +, *, max and min on every exact/interval mix: exact exactly when
+        # both operands are, the operation on the exact values then and on
+        # the endpoints otherwise
+        ops = (
+            (NormValue.__add__, lambda u, v: u + v),
+            (NormValue.__mul__, lambda u, v: u * v),
+            (NormValue.max_with, max),
+            (NormValue.min_with, min),
+        )
+        for u in (NormValue.of(x), a):
+            for v in (NormValue.of(y), b):
+                for method, op in ops:
+                    got = method(u, v)
+                    assert got.is_exact == (u.is_exact and v.is_exact)
+                    if got.is_exact:
+                        assert got.exact == op(u.exact, v.exact) == got.lo == got.hi
+                    else:
+                        assert (got.lo, got.hi) == (op(u.lo, v.lo), op(u.hi, v.hi))
+    # a plain rational operand is an exact value; ties keep the first operand
+    assert (NormValue.of(2) + 3).exact == 5 and (3 * NormValue.of(2)).exact == 6
+    u, v = NormValue.interval(1, 3), NormValue.interval(Fraction(1), 2)
+    assert u.max_with(v).lo is u.lo and v.min_with(u).lo is v.lo
 
 
 @pytest.mark.parametrize("lo, hi, text", [
