@@ -11,7 +11,12 @@ c^- c^+ with sides living on K0^- and K0^+, by iterating entrywise Cousin
 splits; the products are truncated and certified a posteriori through an
 exactly computed residual.  Each round splits every entry of the
 perturbation b once, b = b^- + b^+, and inverts I + b^- and I + b^+ by
-Neumann series in b^- and b^+ themselves.
+Neumann series in b^- and b^+ themselves.  ``_neumann`` is the one Neumann
+loop; the exact inverse of ``neumann_inverse`` and the pruned one of a round
+differ only in when it stops and what it keeps of each term.  Admissibility
+is the one test 4 D^2 ||a - I|| <= 1/2, which implies the other two bounds
+as D > 1 (``cartan_factorize``); a = I passes it and, for tol >= 0, stops
+at round 0.
 
 A side is a compact, and living on it means that every coefficient lies in
 K(V) (``base_space.member_of_kv``): p-integral on K0^- = [a_p^u, a~_p],
@@ -209,25 +214,17 @@ def runge_approximate(s_list, t_list, sys: SplitSystem, delta):
     fs_norms = [norm_annulus(sp, ctx) for sp in s_primes]
     ft_list = [series_scale(f, t) for t in t_list]
     ft_norms = [norm_annulus(ft, ctx) for ft in ft_list]
-    max_fs = nv_max(fs_norms) if fs_norms else NormValue.of(0)
+    max_fs = nv_max(fs_norms)
 
     M = 1
     for _ in range(400):
         t_primes = [_approx_in_z_inv_p(ft, p, M) for ft in ft_list]
-        t_defects = []
-        ok = True
-        for ft, tp in zip(ft_list, t_primes):
-            err = norm_annulus(series_sub(ft, tp), ctx)
-            worst = (max_fs * err).hi
-            t_defects.append(worst)
-            if worst > delta:
-                ok = False
-        if ok:
+        t_defects = tuple(
+            (max_fs * norm_annulus(series_sub(ft, tp), ctx)).hi for ft, tp in zip(ft_list, t_primes)
+        )
+        if all(d <= delta for d in t_defects):
             s_defects = tuple(Fraction(0) for _ in s_primes for _ in t_list)
-            cert = RungeCert(
-                s_defects=s_defects, t_defects=tuple(t_defects), delta=delta
-            )
-            return f, s_primes, t_primes, cert
+            return f, s_primes, t_primes, RungeCert(s_defects, t_defects, delta)
         M *= 2
     raise DeltaNotAchievable(f"no approximation depth reached delta = {delta}")
 
@@ -358,35 +355,36 @@ def neumann_inverse(a: SeriesMatrix, ctx: AnnulusSpec, m: int) -> SeriesMatrix:
     gap = matrix_norm(n, ctx)
     if not gap.le(Fraction(1, 2)):
         raise NormTooLarge(f"||a - I|| = {gap} not certified <= 1/2")
-    if n.is_zero():
-        return SeriesMatrix.identity(a.rows)
     indices = _indices(n)
     if all(k > 0 for k in indices):
-        b = _neumann_sum(n, lambda mat: all(k >= m for k in _indices(mat)))
+        stop, steps = (lambda mat: all(k >= m for k in _indices(mat))), 10000
     elif all(k < 0 for k in indices):
-        b = _neumann_sum(n, lambda mat: all(k <= -m for k in _indices(mat)))
+        stop, steps = (lambda mat: all(k <= -m for k in _indices(mat))), 10000
     else:
-        b = _neumann_sum(n, SeriesMatrix.is_zero, cap=4 * m + 8 * a.rows)
-    nb = matrix_norm(b, ctx)
-    if not nb.le(2):
+        stop, steps = SeriesMatrix.is_zero, 4 * m + 8 * a.rows
+    b, stopped = _neumann(n, stop, steps, lambda mat: mat)
+    if not stopped:
+        raise NoConvergence("Neumann series did not terminate exactly")
+    if not matrix_norm(b, ctx).le(2):
         raise NormTooLarge("inverse norm not certified <= 2")
-    prod = a.mul(b)
-    if not _is_identity_in_window(prod, m):
+    if not _is_identity_in_window(a.mul(b), m):
         raise NoConvergence("no exactly summable Neumann shape found")
     return b
 
 
-def _neumann_sum(n: SeriesMatrix, done, cap=10000) -> SeriesMatrix:
-    term = SeriesMatrix.identity(n.rows)
-    acc = term
-    for _ in range(cap):
-        term = term.mul(n).map(series_neg)
-        if done(term):
-            break
+def _neumann(n: SeriesMatrix, stop, steps: int, keep):
+    """(acc, stopped): the partial sum I - n + n^2 - ... of (I + n)^-1, each
+    term keep(previous term times -n).  The sum ends before the first term
+    that ``stop`` accepts (stopped is True), or after ``steps`` terms
+    (stopped is False)."""
+    minus_n = n.map(series_neg)
+    term = acc = SeriesMatrix.identity(n.rows)
+    for _ in range(steps):
+        term = keep(term.mul(minus_n))
+        if stop(term):
+            return acc, True
         acc = acc.add(term)
-    else:
-        raise NoConvergence("Neumann series did not terminate exactly")
-    return acc
+    return acc, False
 
 
 def _indices(mat: SeriesMatrix) -> list:
@@ -415,11 +413,12 @@ def cartan_factorize(a: SeriesMatrix, sys: SplitSystem, max_iter: int, tol):
     """Factor a = c^- c^+ across the system's sides, up to a certified residual.
 
     Requires the admissibility conditions on eps = ||a - I||: eps < 1/(2D),
-    beta = 4 D^2 eps <= 1/2 and eps <= 1/(8D).  The infinite product is
-    truncated after at most max_iter rounds; acceptance is the exactly
-    computed residual ||c^- c^+ - a|| <= tol, together with entrywise side
-    membership, invertibility margins, the 4D bounds on ||c^± - I|| and the
-    geometric decay of the recorded iteration norms.
+    beta = 4 D^2 eps <= 1/2 and eps <= 1/(8D).  Only beta <= 1/2 is tested:
+    as D > 1 it gives eps <= 1/(8 D^2) < 1/(8D) < 1/(2D).  The infinite
+    product is truncated after at most max_iter rounds; acceptance is the
+    exactly computed residual ||c^- c^+ - a|| <= tol, together with entrywise
+    side membership, invertibility margins, the 4D bounds on ||c^± - I|| and
+    the geometric decay of the recorded iteration norms.
     """
     tol = Fraction(tol)
     D = sys.D
@@ -430,18 +429,14 @@ def cartan_factorize(a: SeriesMatrix, sys: SplitSystem, max_iter: int, tol):
     b0 = a.sub(ident)
     norm_b0 = matrix_norm(b0, ctx)
     eps = norm_b0.hi
-    if b0.is_zero() or not (
-        eps < 1 / (2 * D)
-        and 4 * D * D * eps <= Fraction(1, 2)
-        and eps <= 1 / (8 * D)
-    ):
+    beta = 4 * D * D * eps
+    if beta > Fraction(1, 2):
         # inputs already living on one side are accepted by verification
         # even when the iteration's admissibility bounds fail
         one_sided = _one_sided_result(a, b0, norm_b0, sys, ctx_minus, ctx_plus)
         if one_sided is not None:
             return one_sided
         raise EpsilonTooLarge(f"||a - I|| = {eps} violates the admissibility bounds")
-    beta = 4 * D * D * eps
     # every approximation defect lands in the final residual, so all three
     # budgets sit safely below the acceptance tolerance
     prune_c = tol / (1 << 12)
@@ -458,10 +453,8 @@ def cartan_factorize(a: SeriesMatrix, sys: SplitSystem, max_iter: int, tol):
         if residual.hi <= tol:
             break
         b_m, b_p = _split_matrix(btilde, sys)
-        a_m = ident.add(b_m)
-        a_p = ident.add(b_p)
-        c_minus = c_minus.mul(a_m).prune(ctx_minus, prune_c)
-        c_plus = a_p.mul(c_plus).prune(ctx_plus, prune_c)
+        c_minus = c_minus.mul(ident.add(b_m)).prune(ctx_minus, prune_c)
+        c_plus = ident.add(b_p).mul(c_plus).prune(ctx_plus, prune_c)
         inv_m = _approx_inverse(b_m, ctx, inv_target, prune_b)
         inv_p = _approx_inverse(b_p, ctx, inv_target, prune_b)
         btilde = inv_m.mul(ident.add(btilde)).mul(inv_p).sub(ident).prune(ctx, prune_b)
@@ -469,34 +462,19 @@ def cartan_factorize(a: SeriesMatrix, sys: SplitSystem, max_iter: int, tol):
         residual = matrix_norm(c_minus.mul(c_plus).sub(a), ctx)
         iterations = k
     if residual.hi > tol:
-        raise ToleranceNotReached(
-            f"residual {residual.hi} > {tol} after {iterations} iterations"
-        )
+        raise ToleranceNotReached(f"residual {residual.hi} > {tol} after {iterations} iterations")
     bound = NormValue.of(4 * D) * norm_b0
     gap_minus = matrix_norm(c_minus.sub(ident), ctx_minus)
     gap_plus = matrix_norm(c_plus.sub(ident), ctx_plus)
     bound_ok = gap_minus.le(bound) and gap_plus.le(bound)
     sides_ok = _on_side(c_minus, ctx_minus.V) and _on_side(c_plus, ctx_plus.V)
-    M = norms[0]
-    decay_ok = all(nk <= M * beta ** k for k, nk in enumerate(norms))
-    return CartanResult(
-        c_minus=c_minus,
-        c_plus=c_plus,
-        residual=residual,
-        iterations=iterations,
-        bound_4D_ok=bound_ok,
-        sides_ok=sides_ok,
-        decay_ok=decay_ok,
-        btilde_norms=tuple(norms),
-    )
+    decay_ok = all(nk <= norms[0] * beta ** k for k, nk in enumerate(norms))
+    return CartanResult(c_minus, c_plus, residual, iterations, bound_ok, sides_ok, decay_ok, tuple(norms))
 
 
 def _one_sided_result(a, b0, norm_b0, sys, ctx_minus, ctx_plus):
     """(a, I) or (I, a) when a - I already lives entirely on one side."""
     ident = SeriesMatrix.identity(a.rows)
-    D = sys.D
-    if b0.is_zero():
-        return CartanResult(ident, ident, NormValue.of(0), 0, True, True, True, (Fraction(0),))
     for minus in (True, False):
         ctx_side = ctx_minus if minus else ctx_plus
         if not _on_side(b0, ctx_side.V):
@@ -504,7 +482,7 @@ def _one_sided_result(a, b0, norm_b0, sys, ctx_minus, ctx_plus):
         gap = matrix_norm(b0, ctx_side)
         if not gap.le(Fraction(1, 2)):
             continue  # Neumann invertibility not certified on that side
-        bound_ok = gap.le(NormValue.of(4 * D) * norm_b0)
+        bound_ok = gap.le(NormValue.of(4 * sys.D) * norm_b0)
         return CartanResult(
             c_minus=a if minus else ident,
             c_plus=ident if minus else a,
@@ -531,23 +509,16 @@ def _split_matrix(mat: SeriesMatrix, sys: SplitSystem):
 def _approx_inverse(
     n: SeriesMatrix, ctx: AnnulusSpec, target: Fraction, prune_tol: Fraction
 ) -> SeriesMatrix:
-    """Neumann inverse of I + n, truncated so the defect norm is below target."""
+    """Neumann inverse of I + n, truncated so the defect norm is below target:
+    the least j <= 500 terms with ||n||^(j+1) <= target, each pruned."""
     nrm = matrix_norm(n, ctx)
     if not nrm.le(Fraction(1, 2)):
         raise NormTooLarge("inverse factor drifted out of the Neumann zone")
-    acc = SeriesMatrix.identity(n.rows)
-    term = acc
     bound = nrm.hi
-    running = bound
-    for _ in range(500):
-        term = term.mul(n).map(series_neg).prune(ctx, prune_tol)
-        if term.is_zero():
-            break
-        acc = acc.add(term)
-        running *= bound
-        if running <= target:
-            break
-    return acc
+    steps, running = 1, bound * bound
+    while steps < 500 and running > target:
+        steps, running = steps + 1, running * bound
+    return _neumann(n, SeriesMatrix.is_zero, steps, lambda mat: mat.prune(ctx, prune_tol))[0]
 
 
 def _on_side(mat: SeriesMatrix, V: BaseCompact) -> bool:

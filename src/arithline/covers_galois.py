@@ -28,7 +28,7 @@ from .errors import (
     PrecisionInsufficient,
 )
 from .normvalue import default_bits, pow_bounds
-from .numbers import is_prime, prime_divisors
+from .numbers import is_prime, parse_int, prime_divisors
 from .padic import PadicApprox
 from .series_ring import LaurentPoly, series_add, series_mul, series_scale, series_sub
 from .weierstrass import hensel_lift_root
@@ -327,12 +327,13 @@ def _radius_witness(root: LaurentPoly, place) -> Fraction:
 
 
 class GroupTable:
-    """A finite group as a 1-based Cayley table, validated at construction."""
+    """A finite group as a 1-based Cayley table, validated at construction;
+    its entries are read by ``numbers.parse_int``."""
 
     __slots__ = ("n", "table", "identity")
 
     def __init__(self, table):
-        table = tuple(tuple(int(x) for x in row) for row in table)
+        table = tuple(tuple(parse_int(x) for x in row) for row in table)
         n = len(table)
         if any(len(row) != n for row in table):
             raise ValueError("table must be square")

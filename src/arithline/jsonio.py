@@ -3,9 +3,10 @@
 Rationals travel as "p/q" strings (plain "p" for integers); interval
 endpoints are outward-rounded dyadics printed as exact decimal strings.
 
-Each ``parse_*`` reads one type from decoded JSON; ``parse_int`` is the one
-reader of an integer (a place, a modulus, a table entry), so a float such as
-2.9 or a bool is refused instead of truncated.  ``encode`` is the one
+Each ``parse_*`` reads one type from decoded JSON.  ``numbers.parse_int`` is
+the one reader of an integer (a place, a series index or modulus, a table
+entry, here and in the constructors), so a float such as 2.9, a bool or a
+string such as "1_0" is refused instead of truncated.  ``encode`` is the one
 serializer: it dispatches on the type to the matching ``*_json`` function,
 writes any other dataclass (``AnnulusSpec`` among them) as {field: value} in
 declaration order, and refuses everything else with TypeError.  ``dumps``
@@ -27,6 +28,7 @@ from .cousin_cartan import SeriesMatrix
 from .covers_galois import GroupTable
 from .errors import OutputTooLarge
 from .normvalue import NormValue
+from .numbers import parse_int
 from .polys import Gauss, poly
 from .series_ring import AnnulusSpec, LaurentPoly
 
@@ -44,16 +46,6 @@ def encode(obj):
 @encode.register(Fraction)
 def frac_str(q) -> str:
     return str(Fraction(q))
-
-
-def parse_int(v) -> int:
-    """An int that is not a bool, or a base-10 string such as "2" (the form
-    in which ``--place 2`` arrives); anything else is a ValueError."""
-    if isinstance(v, str):
-        return int(v)
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
-    raise ValueError(f"expected an integer, got {v!r}")
 
 
 def parse_frac(s) -> Fraction:
@@ -215,9 +207,8 @@ def parse_laurent(d) -> LaurentPoly:
         return LaurentPoly.from_poly(parse_poly(d))
     if not isinstance(d["coeffs"], dict):
         raise ValueError("coeffs must be an object {index: rational}")
-    coeffs = {int(k): parse_frac(c) for k, c in d["coeffs"].items()}
-    mod = d.get("mod")
-    return LaurentPoly(coeffs, None if mod is None else parse_int(mod))
+    coeffs = {parse_int(k): parse_frac(c) for k, c in d["coeffs"].items()}
+    return LaurentPoly(coeffs, d.get("mod"))
 
 
 def parse_annulus(d) -> AnnulusSpec:
@@ -247,7 +238,7 @@ def group_table_json(G: GroupTable) -> dict:
 
 def parse_group_table(d) -> GroupTable:
     rows = d if isinstance(d, list) else d["table"]
-    return GroupTable([[parse_int(x) for x in row] for row in rows])
+    return GroupTable(rows)
 
 
 def parse_gauss(v) -> Gauss:

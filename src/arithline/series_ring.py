@@ -32,7 +32,7 @@ from .errors import (
     OrderingViolated,
 )
 from .normvalue import NormValue, _check_pow_budget
-from .numbers import lcm_list, vp_int
+from .numbers import lcm_list, parse_int, vp_int
 
 
 class LaurentPoly:
@@ -42,8 +42,9 @@ class LaurentPoly:
     and gcd(den, all num[k]) = 1 (den = 1 for zero).  The form is canonical,
     so ``__eq__`` and ``__hash__`` compare the fields.  ``trunc_mod = m``
     marks the object as a representative of its class modulo T^m; all stored
-    indices are then < m.  ``coeffs`` and ``coeff(k)`` are read-only
-    Fraction views.
+    indices are then < m.  The constructor and ``with_mod`` read indices and
+    moduli by ``numbers.parse_int``.  ``coeffs`` and ``coeff(k)`` are
+    read-only Fraction views.
     """
 
     __slots__ = ("num", "den", "trunc_mod")
@@ -51,9 +52,9 @@ class LaurentPoly:
     def __init__(self, coeffs=None, trunc_mod: Optional[int] = None):
         data = {}
         for k, c in coeffs.items() if isinstance(coeffs, dict) else coeffs or ():
-            k, c = int(k), c if type(c) is int or type(c) is Fraction else Fraction(c)
+            k, c = parse_int(k), c if type(c) is int or type(c) is Fraction else Fraction(c)
             data[k] = data[k] + c if k in data else c
-        mod = None if trunc_mod is None else int(trunc_mod)
+        mod = None if trunc_mod is None else parse_int(trunc_mod)
         f = LaurentPoly._raw({k: c for k, c in sorted(data.items()) if c and (mod is None or k < mod)})
         self.num, self.den, self.trunc_mod = f.num, f.den, mod
 
@@ -144,7 +145,7 @@ class LaurentPoly:
 
     def with_mod(self, trunc_mod) -> "LaurentPoly":
         """The class of self modulo T^trunc_mod (keys >= trunc_mod dropped)."""
-        m = None if trunc_mod is None else int(trunc_mod)
+        m = None if trunc_mod is None else parse_int(trunc_mod)
         return LaurentPoly._content({k: c for k, c in self.num.items() if m is None or k < m}, self.den, m)
 
     def shift(self, j: int) -> "LaurentPoly":

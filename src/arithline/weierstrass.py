@@ -471,12 +471,7 @@ def _hensel_padic(P, f0: PadicApprox, N: int):
 
 def _series_poly(P) -> list:
     """Coerce a polynomial in S with series coefficients."""
-    out = []
-    for c in P:
-        if isinstance(c, LaurentPoly):
-            out.append(c)
-        else:
-            out.append(LaurentPoly({0: c}))
+    out = [c if isinstance(c, LaurentPoly) else LaurentPoly({0: c}) for c in P]
     while out and not out[-1]:
         out.pop()
     return out
@@ -485,6 +480,7 @@ def _series_poly(P) -> list:
 def _series_poly_eval(P, x: LaurentPoly, m: int) -> LaurentPoly:
     acc = LaurentPoly.zero(m)
     for c in reversed(P):
+        # with a negative index in P, with_mod(m) restates a modulus the sum does not certify
         acc = series_add(series_mul(acc, x), c.with_mod(m)).with_mod(m)
     return acc
 
@@ -528,7 +524,7 @@ def _hensel_series(P, f0: LaurentPoly, m: int):
         prec = m - gauges[-1]
         dfx = d0 if len(gauges) == 1 else _series_poly_eval(dP, x, prec)
         inv = _invert_series(dfx, prec)
-        x = series_sub(x, series_mul(fx, inv).with_mod(m)).with_mod(m)
+        x = series_sub(x, series_mul(fx, inv))
         fx = _series_poly_eval(P, x, m)
         gauges.append(_series_gauge(fx, m))
     if gauges[-1] < m:
@@ -540,7 +536,8 @@ def hensel_factor_lift(G, factors, p: int, N: int):
     """Lift a pairwise-coprime monic factorization of G mod p to mod p^N.
 
     G is a monic integer polynomial, the seed factors are monic mod p and
-    multiply to G mod p.  Returns the lifted monic factors with coefficients
+    multiply to G mod p; their coefficients are p-integral rationals, each
+    reduced mod p exactly (``fp_reduce``).  Returns the lifted monic factors with coefficients
     reduced mod p^N; each is congruent to its seed mod p and the product is
     congruent to G mod p^N.
     """
@@ -550,7 +547,7 @@ def hensel_factor_lift(G, factors, p: int, N: int):
     if any(Fraction(c).denominator != 1 for c in Gp):
         raise ValueError("G must have integer coefficients")
     Gint = tuple(int(c) for c in Gp)
-    seeds = [fp_poly(f, p) for f in factors]
+    seeds = [fp_reduce(poly(f), p) for f in factors]
     for f in seeds:
         if not f or f[-1] != 1:
             raise NotMonic("seed factors must be monic mod p")

@@ -1123,3 +1123,79 @@ def matrix_mul_zero_start(a, b):
             row.append(acc)
         out.append(tuple(row))
     return SeriesMatrix(tuple(out))
+
+
+def neumann_sum(n, done, cap=10000):
+    """I - n + n^2 - ... with each term the previous one times n, negated;
+    the sum ends before the first term ``done`` accepts, and raises
+    NoConvergence after cap terms."""
+    from arithline.cousin_cartan import SeriesMatrix
+    from arithline.errors import NoConvergence
+    from arithline.series_ring import series_neg
+
+    term = SeriesMatrix.identity(n.rows)
+    acc = term
+    for _ in range(cap):
+        term = term.mul(n).map(series_neg)
+        if done(term):
+            break
+        acc = acc.add(term)
+    else:
+        raise NoConvergence("Neumann series did not terminate exactly")
+    return acc
+
+
+def neumann_inverse_by_sum(a, ctx, m):
+    """``cousin_cartan.neumann_inverse`` with a shortcut for a = I and its sum
+    taken by ``neumann_sum``."""
+    from fractions import Fraction
+
+    from arithline.cousin_cartan import SeriesMatrix, _indices, _is_identity_in_window, matrix_norm
+    from arithline.errors import NoConvergence, NormTooLarge
+
+    n = a.sub(SeriesMatrix.identity(a.rows))
+    gap = matrix_norm(n, ctx)
+    if not gap.le(Fraction(1, 2)):
+        raise NormTooLarge(f"||a - I|| = {gap} not certified <= 1/2")
+    if n.is_zero():
+        return SeriesMatrix.identity(a.rows)
+    indices = _indices(n)
+    if all(k > 0 for k in indices):
+        b = neumann_sum(n, lambda mat: all(k >= m for k in _indices(mat)))
+    elif all(k < 0 for k in indices):
+        b = neumann_sum(n, lambda mat: all(k <= -m for k in _indices(mat)))
+    else:
+        b = neumann_sum(n, SeriesMatrix.is_zero, cap=4 * m + 8 * a.rows)
+    if not matrix_norm(b, ctx).le(2):
+        raise NormTooLarge("inverse norm not certified <= 2")
+    if not _is_identity_in_window(a.mul(b), m):
+        raise NoConvergence("no exactly summable Neumann shape found")
+    return b
+
+
+def approx_inverse_by_loop(n, ctx, target, prune_tol):
+    """``cousin_cartan._approx_inverse`` as one loop: each term is the
+    previous one times n, negated and pruned; the sum stops at a zero term,
+    once ||n||^(j+1) <= target after j terms, or after 500 terms."""
+    from fractions import Fraction
+
+    from arithline.cousin_cartan import SeriesMatrix, matrix_norm
+    from arithline.errors import NormTooLarge
+    from arithline.series_ring import series_neg
+
+    nrm = matrix_norm(n, ctx)
+    if not nrm.le(Fraction(1, 2)):
+        raise NormTooLarge("inverse factor drifted out of the Neumann zone")
+    acc = SeriesMatrix.identity(n.rows)
+    term = acc
+    bound = nrm.hi
+    running = bound
+    for _ in range(500):
+        term = term.mul(n).map(series_neg).prune(ctx, prune_tol)
+        if term.is_zero():
+            break
+        acc = acc.add(term)
+        running *= bound
+        if running <= target:
+            break
+    return acc

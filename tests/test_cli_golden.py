@@ -50,6 +50,16 @@ where a case carries it, stderr) for:
   given as a float, and a place given as ``true`` (exit 1, "expected an
   integer"), recorded when ``jsonio`` stopped ignoring a central point's
   exponent and truncating a number where an integer is expected.
+* ``cartan`` at place 2 on I, on 1 + 64T and 1 + 8T, on a 2x2 matrix with
+  both signs of index, on 1 + T^-1/3 (exit 2, EpsilonTooLarge), and on
+  1 + 81T mod T^5 at place 3; ``neumann`` on 1 + 8T^-1, on a nilpotent 2x2,
+  on 1 + 2T mod T^3 and on the constant 5 (exit 2, NoConvergence), recorded
+  before the exact and the pruned Neumann sums became one loop and the
+  Cartan admissibility one test.
+* ``hensel-factor`` with the seeds T + 1/2, T - 1/2 and T + 7/5 mod 5, and a
+  series index "1_0" and a place " 3" (exit 1), recorded when a fractional
+  seed was first reduced mod p exactly and an integer string first had to be
+  an optional "-" and ASCII digits.
 
 Usage text is wrapped at COLUMNS=80.  ``replay_golden.py`` replays the same
 cases as subprocesses of an installed command.

@@ -108,6 +108,38 @@ def test_integers_are_read_without_truncation():
         io.parse_group_table([[1.9, 2], [2, 1]])
 
 
+def test_one_integer_rule_for_json_and_the_constructors():
+    """``numbers.parse_int`` reads an optional "-" and ASCII digits; every
+    other string gets int()'s own text, and the constructors use the rule."""
+    from arithline.covers_galois import GroupTable
+    from arithline.numbers import parse_int
+
+    assert parse_int("007") == 7 and parse_int("-0") == 0 and parse_int(-3) == -3
+    for bad in ("1_0", " 3", "3 ", "+3", "", "-", "\u0663", "0x10", "1e3"):
+        with pytest.raises(ValueError, match=r"^invalid literal for int\(\) with base 10: "):
+            parse_int(bad)
+    with pytest.raises(ValueError, match="^invalid literal for int\\(\\) with base 10: 'x'$"):
+        parse_int("x")
+    for bad in (2.7, 2.0, True, None, Fraction(2), [2]):
+        with pytest.raises(ValueError, match="^expected an integer"):
+            parse_int(bad)
+    assert LaurentPoly({"3": 1, -1: 2}, "5") == LaurentPoly({3: 1, -1: 2}, 5)
+    assert LaurentPoly({0: 1}).with_mod("4") == LaurentPoly({0: 1}, 4)
+    for coeffs, mod in (({0: 1}, 2.7), ({1.0: 1}, None), ({"1_0": 1}, None), ({0: 1}, True)):
+        with pytest.raises(ValueError):
+            LaurentPoly(coeffs, mod)
+    with pytest.raises(ValueError):
+        LaurentPoly({0: 1}).with_mod(2.7)
+    assert GroupTable([["1", 2], [2, "1"]]).table == ((1, 2), (2, 1))
+    for table in ([[1.9, 2], [2, 1.2]], [[True, 2], [2, 1]], [[" 1", 2], [2, 1]]):
+        with pytest.raises(ValueError):
+            GroupTable(table)
+    with pytest.raises(ValueError, match="'1_0'"):
+        io.parse_laurent({"coeffs": {"1_0": "1"}, "mod": None})
+    with pytest.raises(ValueError, match="' 3'"):
+        io.parse_place(" 3")
+
+
 def test_a_central_point_needs_exponent_zero():
     assert io.parse_base_point({"place": None, "exp": "0"}) == BasePoint.central()
     for exp in ("7", "inf", "1/2"):

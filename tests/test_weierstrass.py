@@ -30,6 +30,7 @@ from arithline.errors import (
     NotMonic,
     NotSeparable,
     NotSimpleRoot,
+    ProductMismatch,
     RadiusBelowThreshold,
     RadiusTooSmall,
     ValuationUndefined,
@@ -219,6 +220,17 @@ def test_hensel_factor_lift_examples():
     assert lifted3 == [(235, 1), (108, 1)]  # T -/+ 108, matching the root lift
     with pytest.raises(NotCoprime):
         hensel_factor_lift([1, 2, 1], [[1, 1], [1, 1]], 5, 2)
+
+
+def test_hensel_factor_lift_reduces_fractional_seeds_exactly():
+    """A seed coefficient a/b is read as a b^-1 mod p, never truncated to an int."""
+    half = Fraction(1, 2)
+    assert hensel_factor_lift([6, 5, 1], [[-half, 1], [3, 1]], 5, 3) == [(2, 1), (3, 1)]  # -1/2 = 2
+    assert hensel_factor_lift([6, 5, 1], [["-1/2", 1], [3, 1]], 5, 3) == [(2, 1), (3, 1)]
+    with pytest.raises(ProductMismatch):  # 1/2 = 3 mod 5, and (T + 3)(T + 1) is not T^2 + T
+        hensel_factor_lift([0, 1, 1], [[half, 1], [1, 1]], 5, 3)
+    with pytest.raises(ValueError, match="not p-integral"):
+        hensel_factor_lift([1, 2, 1], [[Fraction(7, 5), 1], [1, 1]], 5, 2)
 
 
 def test_hensel_factor_lift_random():

@@ -5,9 +5,11 @@ is an element list and a product, Q_8 the Hamilton product on the unit
 quaternions.  ``polys.fp_gcd`` is the monic gcd read from the one Euclid over
 F_p, ``_fp_bezout``.  ``SeriesMatrix.mul`` sums each row-by-column product
 list from its first term, and the Cartan loop inverts I + b^- and I + b^+
-from the split perturbations themselves.  The replaced forms live in
-tests/oracles.py; tables, gcds and matrix entries (with their moduli) must
-agree exactly.
+from the split perturbations themselves.  ``cousin_cartan._neumann`` is the
+one Neumann loop behind ``neumann_inverse`` and ``_approx_inverse``, and the
+Cartan admissibility is the one test 4 D^2 eps <= 1/2.  The replaced forms
+live in tests/oracles.py; tables, gcds and matrix entries (with their
+moduli) must agree exactly, and so must refusals.
 """
 
 from fractions import Fraction as F
@@ -16,8 +18,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arithline import LaurentPoly, Place, SeriesMatrix, SplitSystem
-from arithline.cousin_cartan import _split_matrix
+from arithline import AnnulusSpec, BaseCompact, LaurentPoly, NormValue, Place, SeriesMatrix, SplitSystem
+from arithline.cousin_cartan import (
+    CartanResult,
+    _approx_inverse,
+    _split_matrix,
+    cartan_factorize,
+    neumann_inverse,
+)
 from arithline.covers_galois import (
     cyclic_table,
     dihedral_table,
@@ -25,14 +33,17 @@ from arithline.covers_galois import (
     quaternion_table,
     symmetric_table,
 )
+from arithline.errors import ToleranceNotReached
 from arithline.polys import fp_gcd, fp_poly
 
 from oracles import (
+    approx_inverse_by_loop,
     cyclic_table_by_hand,
     dihedral_table_by_hand,
     direct_product_table_by_hand,
     fp_gcd_direct,
     matrix_mul_zero_start,
+    neumann_inverse_by_sum,
     quaternion_table_by_hand,
     symmetric_table_by_hand,
 )
@@ -123,3 +134,95 @@ def test_the_split_perturbations_are_what_the_loop_rebuilt(b, sys_):
     ident = SeriesMatrix.identity(b.rows)
     for side in _split_matrix(b, sys_):
         assert ident.add(side).sub(ident) == side
+
+
+# -- the Neumann loop and the Cartan admissibility --------------------------------
+
+CONTEXTS = (
+    AnnulusSpec(BaseCompact.segment(Place.finite(2), 1, 1), F(1, 4), F(1, 4)),
+    AnnulusSpec(BaseCompact.segment(Place.finite(3), F(1, 2), 2), F(1, 3), 1),
+)
+INDICES = {"positive": st.integers(1, 4), "negative": st.integers(-3, -1), "mixed": st.integers(-2, 2)}
+
+
+@st.composite
+def perturbations(draw):
+    """n with 1 or 2 rows, its indices all positive, all negative or mixed,
+    coefficients +-2^e 3^f a / b, and an optional common modulus."""
+    rows = draw(st.integers(1, 2))
+    index = INDICES[draw(st.sampled_from(sorted(INDICES)))]
+    mod = draw(st.sampled_from((None, 2, 4, 7)))
+    coeff = st.builds(
+        lambda sign, e, f, a, b: sign * F(2) ** e * 3**f * F(a, b),
+        st.sampled_from((1, -1)), st.integers(-1, 12), st.integers(0, 8),
+        st.sampled_from((1, 5, 7)), st.sampled_from((1, 5, 7)),
+    )
+    entry = st.dictionaries(index, coeff, max_size=2).map(lambda c: LaurentPoly(c, mod))
+    return SeriesMatrix([[draw(entry) for _ in range(rows)] for _ in range(rows)])
+
+
+def outcome(fn, *args):
+    """fn's answer with the moduli of its entries, or its refusal."""
+    try:
+        out = fn(*args)
+    except Exception as e:  # any refusal must be the same, type and text
+        return type(e).__name__, str(e)
+    return out, [[e.trunc_mod for e in row] for row in out.entries]
+
+
+@settings(max_examples=300, deadline=None)
+@given(perturbations(), st.sampled_from(CONTEXTS), st.integers(1, 6))
+@example(SeriesMatrix([[LaurentPoly({}, 4)]]), CONTEXTS[0], 3)  # a = I
+@example(SeriesMatrix([[LaurentPoly({0: 4})]]), CONTEXTS[0], 3)  # the zero term never comes
+@example(SeriesMatrix([[LaurentPoly({-1: 8})]]), CONTEXTS[0], 5)
+@example(SeriesMatrix([[LaurentPoly({}), LaurentPoly({-1: 32, 0: F(1, 8), 1: 1})],
+                       [LaurentPoly({}), LaurentPoly({})]]), CONTEXTS[0], 4)  # nilpotent, mixed
+def test_neumann_inverse_matches_the_old_sum(n, ctx, m):
+    a = SeriesMatrix.identity(n.rows).add(n)
+    assert outcome(neumann_inverse, a, ctx, m) == outcome(neumann_inverse_by_sum, a, ctx, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    perturbations(),
+    st.sampled_from(CONTEXTS),
+    st.sampled_from((F(1, 2**8), F(1, 2**20), F(1, 2**40))),
+    st.sampled_from((F(0), F(1, 2**30), F(1, 2**12))),
+)
+@example(SeriesMatrix([[LaurentPoly({})]]), CONTEXTS[0], F(1, 2**40), F(0))
+@example(SeriesMatrix([[LaurentPoly({0: 4})]]), CONTEXTS[0], F(0), F(0))  # all 500 terms
+def test_approx_inverse_matches_the_old_loop(n, ctx, target, prune_tol):
+    assert outcome(_approx_inverse, n, ctx, target, prune_tol) == outcome(
+        approx_inverse_by_loop, n, ctx, target, prune_tol
+    )
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(SYSTEMS), st.fractions(min_value=0, max_value=1))
+@example(SYSTEMS[0], F(0))
+@example(SYSTEMS[0], F(2, 9))  # 1/(8D) at D = 3/2, refused
+@example(SYSTEMS[0], F(1, 18))  # 1/(8 D^2), the edge
+@example(SYSTEMS[2], F(1, 50))  # 1/(8 D^2) at D = 5/2
+@example(SYSTEMS[2], F(1, 5))  # 1/(2D)
+def test_the_admissibility_test_is_the_three_bounds(sys_, eps):
+    D = sys_.D
+    assert D in (F(3, 2), F(5, 2))
+    three = eps < 1 / (2 * D) and 4 * D * D * eps <= F(1, 2) and eps <= 1 / (8 * D)
+    assert (4 * D * D * eps <= F(1, 2)) == three
+
+
+@pytest.mark.parametrize("mod", (None, 5))
+@pytest.mark.parametrize("rows", (1, 2))
+@pytest.mark.parametrize("sys_", SYSTEMS)
+def test_the_identity_factors_on_the_main_path(sys_, rows, mod):
+    """a = I passes the admissibility test and, for tol >= 0, stops at
+    iteration 0 with the result the removed zero-perturbation branch returned;
+    a negative tol is not reached, as for any other admissible a."""
+    a = SeriesMatrix([[LaurentPoly({0: 1} if i == j else {}, mod) for j in range(rows)] for i in range(rows)])
+    ident = SeriesMatrix.identity(rows)
+    old = CartanResult(ident, ident, NormValue.of(0), 0, True, True, True, (F(0),))
+    split = SplitSystem(sys_.place, sys_.u, (F(1, 2), 2))
+    assert cartan_factorize(a, split, 64, F(1, 2**40)) == old
+    assert cartan_factorize(a, split, 64, 0) == old
+    with pytest.raises(ToleranceNotReached):  # as for every admissible a, residual 0 > tol
+        cartan_factorize(a, split, 4, -1)
