@@ -2,28 +2,27 @@
 
 Fibers come in three flavours.  Over an internal point of a finite branch the
 fiber is an ultrametric analytic line and we represent disk points
-eta_{alpha,r} with rational center and radius.  Over the central point and
-over extreme points the fiber is the line over a trivially valued field
-(Q resp. F_p): closed points pair an irreducible polynomial with a radius
-r <= 1, and the outer region is parametrized by r > 1.  Over archimedean
-points the rigid fibers are Gaussian rationals.
+eta_{alpha,r} with rational center and radius; |F| there is the max of
+|c_k| r^k over the Taylor coefficients c_k at alpha, their norms read by one
+``norm_bounds_each`` over the base point as the one-point compact.  Over the
+central point and over extreme points the fiber is the line over a trivially
+valued field (Q resp. F_p): closed points pair an irreducible polynomial with
+a radius r <= 1, and the outer region is parametrized by r > 1.  Over
+archimedean points the rigid fibers are Gaussian rationals, and only there
+does a seminorm keep exact rational roots (``pow_rational``).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .base_space import (
-    BasePoint,
-    classify_base_point,
-    eval_base_seminorm,
-)
+from .base_space import BasePoint, classify_base_point, norm_bounds_each
 from .errors import (
     FlowOutOfDomain,
     IncompatiblePoint,
     IrrationalRadius,
     NonIntegralCoefficients,
 )
-from .normvalue import NormValue, exact_power, nv_max
+from .normvalue import NormValue, exact_power, pair_max
 from .numbers import vp
 from .polys import (
     Gauss,
@@ -167,35 +166,29 @@ def eval_line_seminorm(F, x: LinePoint) -> NormValue:
     F = poly(F)
     fib = x.fiber
     if isinstance(fib, UmDisk):
-        if not F:
-            return NormValue.of(0)
-        shifted = pshift(F, fib.alpha)  # F = sum c_k (T - alpha)^k
-        terms = []
-        rpow = Fraction(1)
-        for k, c in enumerate(shifted):
-            if c:
-                terms.append(eval_base_seminorm(c, x.base) * NormValue.of(rpow))
-            rpow *= fib.r
-            if fib.r == 0 and k == 0:
-                break
-        return nv_max(terms)
-    if isinstance(fib, TrivClosed):
+        # F = sum c_k (T - alpha)^k: the max of |c_k| r^k, |c_k| read over {x.base}
+        r = fib.r
+        shifted = pshift(F, fib.alpha)
+        lo = hi = (0, 1)
+        exact, rn, rd = True, 1, 1
+        for c_lo, c_hi in norm_bounds_each(*numerators(shifted if r else shifted[:1]), x.base):
+            exact = exact and c_hi is c_lo
+            lo = pair_max(lo, (c_lo[0] * rn, c_lo[1] * rd))
+            hi = pair_max(hi, (c_hi[0] * rn, c_hi[1] * rd))
+            rn, rd = rn * r.numerator, rd * r.denominator
+        return NormValue.of(Fraction(*lo)) if exact else NormValue(Fraction(*lo), Fraction(*hi))
+    if isinstance(fib, (TrivClosed, TrivOuter)):
         reduced = _trivial_fiber_reduction(F, x)
         if not reduced:
             return NormValue.of(0)
+        if isinstance(fib, TrivOuter):
+            return NormValue.of(fib.r ** deg(reduced))
         if classify_base_point(x.base) == "central":
             v = p_multiplicity(reduced, fib.P)
         else:
             p = x.base.place.prime
             v = fp_multiplicity(reduced, fp_reduce(fib.P, p), p)
-        if fib.r == 0:
-            return NormValue.of(0 if v > 0 else 1)
-        return NormValue.of(fib.r ** v)
-    if isinstance(fib, TrivOuter):
-        reduced = _trivial_fiber_reduction(F, x)
-        if not reduced:
-            return NormValue.of(0)
-        return NormValue.of(fib.r ** deg(reduced))
+        return NormValue.of(fib.r ** v)  # 0 ** 0 = 1
     # archimedean rigid point
     if not F:
         return NormValue.of(0)
@@ -223,10 +216,7 @@ def flow(x: LinePoint, eps) -> LinePoint:
     if eps <= 0:
         raise FlowOutOfDomain("flow exponents are positive")
     base = x.base
-    cat = classify_base_point(base)
-    if cat == "central":
-        new_base = base
-    elif cat == "extreme":
+    if classify_base_point(base) in ("central", "extreme"):
         new_base = base
     else:
         new_exp = base.exponent * eps
@@ -246,10 +236,8 @@ def flow(x: LinePoint, eps) -> LinePoint:
 def _rational_power(r: Fraction, eps: Fraction) -> Fraction:
     """r ** eps exactly: IrrationalRadius without a rational value,
     CannotCertify past the ``POW_BITS`` budget of ``normvalue.exact_power``."""
-    if r == 0:
-        return Fraction(0)
-    if r == 1 or eps == 1:
-        return r if eps != 0 else Fraction(1)
+    if r == 0 or eps == 1:
+        return r
     out = exact_power(r, eps)
     if out is None:
         raise IrrationalRadius(f"{r}**{eps} is irrational")

@@ -10,11 +10,14 @@ field; the archimedean branch stops at exponent 1.
 The norms read the Shilov boundary of a compact (``shilov_base``, the one
 case analysis of which points realize ||.||_V) as ``_norm_endpoints``
 compiles it; the pole test of K(V) and ``is_archimedean_compact`` read the
-same compile.  A finite point a_p^e compiles to integers (p, a, k) with
-e = a/k in lowest terms.  ``norm_bounds_each`` gives the norms of integer
-content n_k / D as integer pairs, each the max of its endpoint terms by
-cross-multiplication, so the annulus norms, the pruning of series matrices
-and the division threshold build no Fraction per coefficient; it takes
+same compile.  A point is the one-point compact (of kind "point"), its own
+boundary, so ``eval_base_seminorm`` is ``base_norm`` over it; only an
+archimedean point keeps exact rational roots (|1/9|^(1/2) = 1/3).  A finite
+point a_p^e compiles to integers (p, a, k) with e = a/k in lowest terms.
+``norm_bounds_each`` gives the norms of integer content n_k / D as integer
+pairs, each the max of its endpoint terms by cross-multiplication, so the
+annulus norms, the pruning of series matrices, the disk seminorms and the
+division threshold build no Fraction per coefficient; it takes
 v_p(D) once per finite term and call, and hands ``pow_pairs`` the term
 p^x, x = a (v_p(D) - v_p(n_k)), at the int exponent x when k = 1.  On the
 trivial compact (the central point alone) every norm is 1 or 0, one shared
@@ -28,7 +31,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import NonIntegralAtExtremePoint, NotInRingOfV, ZeroInput
-from .normvalue import NormValue, pow_pairs
+from .normvalue import NormValue, pair_max, pow_pairs
 from .numbers import TRIAL_BOUND, factor, is_prime, small_prime_factor, strip_primes, vp, vp_int
 
 INF = float("inf")
@@ -81,6 +84,7 @@ class Place:
 class BasePoint:
     """A multiplicative seminorm on Z: central, internal, or extreme."""
 
+    kind = "point"  # not a field: a point is the one-point compact of the norms
     place: Optional[Place]
     exponent: object  # Fraction >= 0 or INF
 
@@ -149,21 +153,16 @@ def abs_at_place(f: Fraction, place: Place) -> Fraction:
 
 
 def eval_base_seminorm(f, x: BasePoint) -> NormValue:
-    """|f(x)| for rational f, exact whenever the exponent arithmetic is integral."""
+    """|f(x)|: ``base_norm`` over the one-point compact {x}, except at an
+    archimedean point, whose rational roots stay exact (|1/9|^(1/2) = 1/3),
+    and at an extreme point, where a pole of f is refused."""
     f = Fraction(f)
-    if f == 0:
-        return NormValue.of(0)
-    cat = classify_base_point(x)
-    if cat == "central":
-        return NormValue.of(1)
-    if cat == "extreme":
-        p = x.place.prime
-        v = vp(f, p)
-        if v < 0:
-            raise NonIntegralAtExtremePoint(f"{f} has a pole at the extreme point of {p}")
-        return NormValue.of(0 if v > 0 else 1)
-    base = abs_at_place(f, x.place)
-    return NormValue.of(base).pow_rational(x.exponent)
+    place = x.place
+    if place is not None and not place.is_finite:
+        return NormValue.of(abs(f)).pow_rational(x.exponent)
+    if is_inf(x.exponent) and f.denominator % place.prime == 0:
+        raise NonIntegralAtExtremePoint(f"{f} has a pole at the extreme point of {place.prime}")
+    return base_norm(f, x)
 
 
 def product_formula_defect(f) -> NormValue:
@@ -307,16 +306,17 @@ def _pole_detail(f: Fraction, r: int) -> str:
 
 
 @lru_cache(maxsize=512)
-def _norm_endpoints(V: BaseCompact):
-    """Compile ``shilov_base(V)`` into the terms of ||.||_V and the pole test.
+def _norm_endpoints(V):
+    """Compile ``shilov_base(V)`` into the terms of ||.||_V and the pole test,
+    for a compact V or a point, the one-point compact.
 
     Returns (has_trivial, finite_terms, arch_terms, extreme_primes, pole):
     a_0 sets has_trivial, a point a_p^e adds (p, a, k) to finite_terms for
     e = a/k in lowest terms, a point a_inf^e adds e to arch_terms, an
     extreme point its prime.  pole, the one pole test of K(V) and the one
     reading of V's shape here, maps a denominator to 1 when it has no pole
-    at an extreme point of V, else to the segment's prime or the star's
-    uncut cofactor; it is None when V holds no extreme point.
+    at an extreme point of V, else to the prime of the segment or the point,
+    or to the star's uncut cofactor; it is None when V holds no extreme point.
 
     Two terms of the sup over V are dominated and not compiled: 1 on a star
     with no cut at 0 (by the product formula some Shilov term of f != 0 in
@@ -338,7 +338,7 @@ def _norm_endpoints(V: BaseCompact):
     if V.kind == "star":
         cut = tuple(sorted(V.cut_primes()))
         pole = lambda d: strip_primes(d, cut)
-    elif V.place.is_finite and is_inf(V.v):
+    elif extreme or V.kind == "segment" and is_inf(V.v):
         p = V.place.prime
         pole = lambda d: p if d % p == 0 else 1
     else:
@@ -357,7 +357,7 @@ def _refuse_poles(nums, den: int, pole) -> None:
                 raise NotInRingOfV(_pole_detail(Fraction(n, den), r))
 
 
-def norm_bounds(f, V: BaseCompact):
+def norm_bounds(f, V):
     """Exact Fraction enclosure (lo, hi) of ||f||_V."""
     f = Fraction(f)
     lo, hi = norm_bounds_each((f.numerator,), f.denominator, V)[0]
@@ -365,7 +365,7 @@ def norm_bounds(f, V: BaseCompact):
     return q, (q if hi is lo else Fraction(*hi))
 
 
-def norm_bounds_each(nums, den: int, V: BaseCompact) -> list:
+def norm_bounds_each(nums, den: int, V) -> list:
     """[norm_bounds(n / den, V) for n in nums] as integer pairs: each item is
     ((lo_n, lo_d), (hi_n, hi_d)) with lo_d, hi_d > 0, not necessarily in
     lowest terms, and lo is hi exactly when the two are equal.  den > 0; V's
@@ -394,13 +394,13 @@ def norm_bounds_each(nums, den: int, V: BaseCompact) -> list:
         for p, a, k, a_vd in finite:
             x = a_vd - a * vp_int(n, p)
             t_lo, t_hi = pow_pairs(p, 1, x if k == 1 else Fraction(x, k))
-            lo, hi = (t_lo, t_hi) if lo is None else (_pair_max(lo, t_lo), _pair_max(hi, t_hi))
+            lo, hi = (t_lo, t_hi) if lo is None else (pair_max(lo, t_lo), pair_max(hi, t_hi))
         for e in arch_terms:
             t_lo, t_hi = pow_pairs(abs(n), den, e)
-            lo, hi = (t_lo, t_hi) if lo is None else (_pair_max(lo, t_lo), _pair_max(hi, t_hi))
+            lo, hi = (t_lo, t_hi) if lo is None else (pair_max(lo, t_lo), pair_max(hi, t_hi))
         for q, vd in extreme:
             t = _ZERO if vp_int(n, q) > vd else _ONE
-            lo, hi = (t, t) if lo is None else (_pair_max(lo, t), _pair_max(hi, t))
+            lo, hi = (t, t) if lo is None else (pair_max(lo, t), pair_max(hi, t))
         if hi is not lo and hi[0] * lo[1] == lo[0] * hi[1]:
             hi = lo  # a root taken exactly, or a rounded root tying an exact term
         out.append((lo, hi))
@@ -411,22 +411,21 @@ _ZERO, _ONE = (0, 1), (1, 1)
 _NIL, _UNIT = (_ZERO, _ZERO), (_ONE, _ONE)
 
 
-def _pair_max(a, b):
-    """The larger of the rationals a[0]/a[1] and b[0]/b[1] (denominators > 0), a on a tie."""
-    return a if a[0] * b[1] >= b[0] * a[1] else b
-
-
-def base_norm(f, V: BaseCompact) -> NormValue:
-    """The uniform norm ||f||_V, as a maximum over the Shilov boundary of V."""
+def base_norm(f, V) -> NormValue:
+    """The uniform norm ||f||_V, as a maximum over the Shilov boundary of V
+    (a compact, or a point as the one-point compact)."""
     return NormValue.between(*norm_bounds(f, V))
 
 
-def shilov_base(V: BaseCompact) -> list:
+def shilov_base(V) -> list:
     """The Shilov boundary of V, as the explicit finite list of points.
 
-    A star lists its finite cuts c > 0, then a_0 once if a branch is cut at
-    0, then a_inf^c for an archimedean cut c > 0 (a_inf^1 when uncut).
+    A point x is the one-point compact {x}, its own boundary.  A star lists
+    its finite cuts c > 0, then a_0 once if a branch is cut at 0, then
+    a_inf^c for an archimedean cut c > 0 (a_inf^1 when uncut).
     """
+    if V.kind == "point":
+        return [V]
     if V.kind == "segment":
         place = V.place
         left = BasePoint.central() if V.u == 0 else BasePoint.branch(place, V.u)

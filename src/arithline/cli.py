@@ -15,10 +15,11 @@ COMMANDS is the one table of subcommands: name -> (callable, argument specs
 `cmd_*` handler where the result is reshaped or an intermediate value is
 built.  A kind holds the argparse keywords of a flag and the converter
 (FRAC, POLY, LAURENT, COMPACT, ...) of the string argparse leaves; argparse
-itself converts only integers.  `_run` converts the arguments in spec order
-and calls the callable inside one guard, so malformed JSON, a missing key
-or a bad rational is BadInput on stderr (exit 1) and a domain error met
-while reading an argument keeps its exit-2 payload.  The key names the
+itself converts only integers (`--bits` and ARITHLINE_BITS too), all by
+`numbers.parse_int`.  `_run` converts the arguments in spec order and calls
+the callable inside one guard, so malformed JSON, a missing key or a bad
+rational is BadInput on stderr (exit 1) and a domain error met while
+reading an argument keeps its exit-2 payload.  The key names the
 payload for `jsonio.dumps`: None takes the result as it is (a dict, or one
 object that encodes to a dict), a string K gives {K: result}, and a tuple
 of names gives dict(zip(key, result)) for a tuple result.
@@ -71,6 +72,7 @@ from .covers_galois import (
 )
 from .errors import ArithlineError, UnknownSuite
 from .normvalue import MIN_BITS, set_default_bits
+from .numbers import parse_int
 from .selftest import run_suite
 from .series_ring import (
     compare_annulus_factor,
@@ -111,10 +113,18 @@ def _decoded_list(parse):
     return lambda text: [parse(x) for x in json.loads(text)]
 
 
+def _int(text: str) -> int:
+    """An integer flag by ``numbers.parse_int``, refused in argparse's words."""
+    try:
+        return parse_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 STR = Kind({"required": True})
 OPT_STR = Kind({"default": None})
-INT = Kind({"type": int, "required": True})
-OPT_INT = Kind({"type": int, "default": None})
+INT = Kind({"type": _int, "required": True})
+OPT_INT = Kind({"type": _int, "default": None})
 FLAG = Kind({"action": "store_true"})
 JSON = Kind({"required": True}, json.loads)
 FRAC = Kind({"required": True}, io.parse_frac)
@@ -254,7 +264,7 @@ COMMANDS = {
         compare_annulus_factor, (("--s", FRAC), ("--t", FRAC), ("--u", FRAC), ("--v", FRAC)), "factor"
     ),
     "find-prime": (
-        find_prime_congruent, (("--n", INT), ("--bound", Kind({"type": int, "default": 10000}))), "prime"
+        find_prime_congruent, (("--n", INT), ("--bound", Kind({"type": _int, "default": 10000}))), "prime"
     ),
     "norm-annulus": (norm_annulus, (("--f", LAURENT), ("--A", ANNULUS)), None),
     "unif-norm": (cmd_unif_norm, (("--f", LAURENT), ("--A", ANNULUS), ("--upper-bound", FLAG)), None),
@@ -308,7 +318,7 @@ COMMANDS = {
         (
             ("--a", MATRIX),
             *SPLIT,
-            ("--max-iter", Kind({"type": int, "default": 64})),
+            ("--max-iter", Kind({"type": _int, "default": 64})),
             ("--tol", Kind({"default": "1/1099511627776"}, io.parse_frac)),
         ),
         None,
@@ -323,16 +333,13 @@ COMMANDS = {
     ),
     "group-data": (cmd_group_data, (("--table", STR), ("--name", OPT_STR), ("--i", INT)), None),
     "group-mu": (cmd_group_mu, (("--table", STR), ("--name", OPT_STR)), None),
-    "selftest": (run_suite, (("--suite", STR), ("--seed", Kind({"type": int, "default": 0}))), None),
+    "selftest": (run_suite, (("--suite", STR), ("--seed", Kind({"type": _int, "default": 0}))), None),
 }
 
 
 def _precision_bits(text: str) -> int:
     """An interval precision in bits: an integer of at least MIN_BITS."""
-    try:
-        bits = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    bits = _int(text)
     if bits < MIN_BITS:
         raise argparse.ArgumentTypeError(f"precision below {MIN_BITS} bits is not supported: {bits}")
     return bits

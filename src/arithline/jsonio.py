@@ -6,7 +6,8 @@ endpoints are outward-rounded dyadics printed as exact decimal strings.
 Each ``parse_*`` reads one type from decoded JSON.  ``numbers.parse_int`` is
 the one reader of an integer (a place, a series index or modulus, a table
 entry, here and in the constructors), so a float such as 2.9, a bool or a
-string such as "1_0" is refused instead of truncated.  ``encode`` is the one
+string such as "1_0" is refused instead of truncated; ``parse_frac`` is the
+one reader of a rational, by the same digit rule.  ``encode`` is the one
 serializer: it dispatches on the type to the matching ``*_json`` function,
 writes any other dataclass (``AnnulusSpec`` among them) as {field: value} in
 declaration order, and refuses everything else with TypeError.  ``dumps``
@@ -19,6 +20,7 @@ limit itself is left alone.
 import dataclasses
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -48,12 +50,18 @@ def frac_str(q) -> str:
     return str(Fraction(q))
 
 
+_RATIONAL = re.compile("-?[0-9]+(/[0-9]+)?")
+
+
 def parse_frac(s) -> Fraction:
+    """A Fraction, an int that is not a bool, or an ASCII string "p" or "p/q"
+    (an optional "-" and digits, then "/" and digits); anything else, a float,
+    "1_0", " 1" or "1e9" among them, is refused in ``Fraction``'s words."""
     if isinstance(s, Fraction):
         return s
-    if isinstance(s, int):
+    if isinstance(s, str) and _RATIONAL.fullmatch(s) or isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
-    return Fraction(str(s))
+    raise ValueError(f"Invalid literal for Fraction: {str(s)!r:.200}")
 
 
 def exp_str(e) -> str:

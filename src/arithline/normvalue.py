@@ -19,10 +19,10 @@ The precision is a context variable: ``set_default_bits`` changes it for the
 current thread (or the ``contextvars`` context a caller runs in) only.
 ``pow_pairs`` is the one rule for x ** e at a rational exponent: exact for
 integer e, outward at that precision otherwise, as integer pairs for the
-norms; ``pow_bounds`` reads it as Fractions.  ``exact_power`` gives x ** e
-only when it is rational, for ``pow_rational`` and the exact radii of
-``affine_line.flow``.  Both refuse a power above ``POW_BITS`` bits of work
-with CannotCertify before it is taken.
+norms, which take maxima of such pairs by ``pair_max``; ``pow_bounds`` reads
+it as Fractions.  ``exact_power`` gives x ** e only when it is rational, for
+``pow_rational`` and the exact radii of ``affine_line.flow``.  Both refuse a
+power above ``POW_BITS`` bits of work with CannotCertify before it is taken.
 """
 
 import contextvars
@@ -239,6 +239,11 @@ def pow_pairs(n: int, d: int, e):
         return z, z
     lo, hi = root_bounds(Fraction(*z), k, _bits.get())
     return (lo.numerator, lo.denominator), (hi.numerator, hi.denominator)
+
+
+def pair_max(a, b):
+    """The larger of the rationals a[0]/a[1] and b[0]/b[1] (denominators > 0), a on a tie."""
+    return a if a[0] * b[1] >= b[0] * a[1] else b
 
 
 def exact_power(x: Fraction, e: Fraction):

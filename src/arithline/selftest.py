@@ -30,7 +30,7 @@ from .covers_galois import (
     standard_group_tables,
 )
 from .errors import UnknownSuite
-from .normvalue import NormValue
+from .normvalue import NormValue, nv_max
 from .numbers import vp
 from .padic import PadicApprox
 from .polys import poly
@@ -103,10 +103,7 @@ def suite_norms(seed: int):
         V = BaseCompact.segment(Place.finite(p), Fraction(rng.randint(1, 4)), Fraction(rng.randint(4, 8)))
         f = _rand_rational(rng, 10 ** 3)
         nrm = base_norm(f, V)
-        best = None
-        for gamma in shilov_base(V):
-            val = eval_base_seminorm(f, gamma)
-            best = val if best is None else best.max_with(val)
+        best = nv_max(eval_base_seminorm(f, gamma) for gamma in shilov_base(V))
         if nrm.is_exact and best.is_exact:
             tally.count(nrm.exact != best.exact, lambda: f"Shilov max mismatch on {V} for {f}")
         else:

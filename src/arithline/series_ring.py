@@ -19,6 +19,7 @@ largest power of each radius to ``normvalue.POW_BITS`` before taking any.
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 from operator import itemgetter
 from typing import Optional
@@ -31,7 +32,7 @@ from .errors import (
     NotAUnit,
     OrderingViolated,
 )
-from .normvalue import NormValue, _check_pow_budget
+from .normvalue import NormValue, _check_pow_budget, pair_max
 from .numbers import lcm_list, parse_int, vp_int
 
 
@@ -348,15 +349,6 @@ def _weighted_bounds(f: LaurentPoly, A: AnnulusSpec):
     return lo, hi
 
 
-def _max_ratio(terms) -> Fraction:
-    """The largest of the rationals n/d (n >= 0, d > 0), or 0 for none."""
-    num, den = 0, 1
-    for n, d in terms:
-        if n * den > num * d:
-            num, den = n, d
-    return Fraction(num, den)
-
-
 def _radius_sum(terms, rn: int, rd: int, side: int):
     """sum_j b_j (rn / rd)^j as (num, den), for (j, bounds) by ascending j >= 0
     and b_j = bounds[side], an integer pair with a denominator > 0.
@@ -438,8 +430,8 @@ def uniform_norm_annulus(
         if archimedean_upper_bound:
             return norm_annulus(f, A)
         raise ArchimedeanBase("uniform norm needs an ultrametric base compact")
-    lo_terms, hi_terms = _weighted_bounds(f, A)
-    return NormValue.between(_max_ratio(lo_terms), _max_ratio(hi_terms))
+    lo, hi = (Fraction(*reduce(pair_max, terms, (0, 1))) for terms in _weighted_bounds(f, A))
+    return NormValue.between(lo, hi)
 
 
 def compare_annulus_factor(s, t, u, v) -> Fraction:

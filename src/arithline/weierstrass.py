@@ -26,6 +26,7 @@ from .base_space import (
     BasePoint,
     _norm_endpoints,
     _refuse_poles,
+    abs_at_place,
     base_norm,
     classify_base_point,
     eval_base_seminorm,
@@ -399,7 +400,8 @@ def hensel_lift_root(P, f0, target: int):
     polynomial over Q with p-integral coefficients and target is the p-adic
     precision N; a sparse P may be given as a {degree: coefficient} map.  If
     f0 is a LaurentPoly, P is a polynomial in S whose coefficients are
-    (Laurent) series and target is the T-adic truncation order m.  Returns (root, report) with the per-step residual gauges.
+    series with no negative index and target is the T-adic truncation order
+    m.  Returns (root, report) with the per-step residual gauges.
     """
     if isinstance(f0, PadicApprox):
         return _hensel_padic(P, f0, target)
@@ -470,8 +472,11 @@ def _hensel_padic(P, f0: PadicApprox, N: int):
 
 
 def _series_poly(P) -> list:
-    """Coerce a polynomial in S with series coefficients."""
+    """Coerce a polynomial in S with series coefficients, refusing one with a
+    negative index as a seed is refused: P(x) mod T^m is then known mod T^m."""
     out = [c if isinstance(c, LaurentPoly) else LaurentPoly({0: c}) for c in P]
+    if any(c.has_negative_support() for c in out):
+        raise ValueError("series coefficients of P must have nonnegative support")
     while out and not out[-1]:
         out.pop()
     return out
@@ -480,8 +485,7 @@ def _series_poly(P) -> list:
 def _series_poly_eval(P, x: LaurentPoly, m: int) -> LaurentPoly:
     acc = LaurentPoly.zero(m)
     for c in reversed(P):
-        # with a negative index in P, with_mod(m) restates a modulus the sum does not certify
-        acc = series_add(series_mul(acc, x), c.with_mod(m)).with_mod(m)
+        acc = series_add(series_mul(acc, x), c.with_mod(m))
     return acc
 
 
@@ -589,8 +593,6 @@ def lagrange_bound_report(f, g, roots, r, place) -> LagrangeBoundReport:
     every |alpha_i|.  Roots may be Gaussian rationals at the archimedean
     place, rational elsewhere.
     """
-    from .base_space import abs_at_place
-
     f = poly(f)
     g = poly(g)
     r = Fraction(r)

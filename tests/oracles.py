@@ -1199,3 +1199,49 @@ def approx_inverse_by_loop(n, ctx, target, prune_tol):
         if running <= target:
             break
     return acc
+
+
+def eval_base_by_pow_rational(f, x):
+    """|f(x)| as ``eval_base_seminorm`` computed it before a point was read as
+    the one-point compact: the central point gives 1, an extreme point 0 or
+    1 (a pole refused), and a branch point |f|_sigma, an exact rational,
+    raised to the exponent by ``NormValue.pow_rational``."""
+    from arithline.base_space import abs_at_place, is_inf
+    from arithline.errors import NonIntegralAtExtremePoint
+    from arithline.normvalue import NormValue
+    from arithline.numbers import vp
+
+    f = Fraction(f)
+    if f == 0:
+        return NormValue.of(0)
+    if x.place is None:
+        return NormValue.of(1)
+    if is_inf(x.exponent):
+        v = vp(f, x.place.prime)
+        if v < 0:
+            raise NonIntegralAtExtremePoint(f"{f} has a pole at the extreme point of {x.place.prime}")
+        return NormValue.of(0 if v > 0 else 1)
+    return NormValue.of(abs_at_place(f, x.place)).pow_rational(x.exponent)
+
+
+def eval_disk_by_terms(F, x):
+    """|F(x)| at a disk point eta_{alpha,r} by the per-coefficient loop that
+    ``eval_line_seminorm`` ran before: the max over the Taylor coefficients
+    c_k at alpha of ``eval_base_by_pow_rational(c_k)`` times r^k, as
+    NormValues; at r = 0 only c_0 is read."""
+    from arithline.normvalue import NormValue, nv_max
+    from arithline.polys import poly, pshift
+
+    F = poly(F)
+    if not F:
+        return NormValue.of(0)
+    r = x.fiber.r
+    terms = []
+    rpow = Fraction(1)
+    for k, c in enumerate(pshift(F, x.fiber.alpha)):
+        if c:
+            terms.append(eval_base_by_pow_rational(c, x.base) * NormValue.of(rpow))
+        rpow *= r
+        if r == 0 and k == 0:
+            break
+    return nv_max(terms)

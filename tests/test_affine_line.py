@@ -78,6 +78,27 @@ def test_eval_disk_recentring_oracle():
         assert got == NormValue.of(want)
 
 
+def test_only_archimedean_points_take_a_fraction_power(monkeypatch):
+    """A disk seminorm and ``eval_base_seminorm`` off the archimedean branch
+    read ``norm_bounds_each`` over the one-point compact: they never call
+    ``abs_at_place`` or ``NormValue.pow_rational``, which an archimedean
+    point still reaches for its exact rational roots."""
+    from arithline import base_space, eval_base_seminorm
+
+    powers = []
+    pow_rational = NormValue.pow_rational
+    monkeypatch.setattr(NormValue, "pow_rational", lambda self, e: powers.append(e) or pow_rational(self, e))
+    monkeypatch.setattr(base_space, "abs_at_place", None)
+    base = BasePoint.finite(3, Fraction(2, 7))
+    for r in (0, Fraction(1, 3), 1, 9):
+        eval_line_seminorm([Fraction(2, 3), 6, Fraction(1, 9)], LinePoint.disk(base, 1, r))
+    for x in (BasePoint.central(), base, BasePoint.finite(3, 2), BasePoint.extreme(3)):
+        eval_base_seminorm(Fraction(18, 5), x)
+    assert powers == []
+    assert eval_base_seminorm(Fraction(1, 9), BasePoint.arch(Fraction(1, 2))) == NormValue.of(Fraction(1, 3))
+    assert powers == [Fraction(1, 2)]
+
+
 def test_eval_trivial_fibers():
     # v_T(T^3 (T+1)) = 3
     x = LinePoint.triv_closed(BasePoint.central(), (0, 1), Fraction(1, 2))

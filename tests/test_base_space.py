@@ -65,6 +65,21 @@ def test_eval_extreme_pole_rejected():
         eval_base_seminorm(Fraction(1, 5), BasePoint.extreme(5))
 
 
+def test_a_point_is_its_one_point_compact():
+    """base_norm over a point x is |f(x)|: the boundary of {x} is x, and an
+    extreme point tests poles as the segment [inf, inf] does."""
+    segment = BaseCompact.segment(Place.finite(5), INF, INF)
+    x = BasePoint.extreme(5)
+    assert shilov_base(x) == [x] == shilov_base(segment)
+    for f in (10, Fraction(3, 7), 0):
+        assert base_norm(f, x) == eval_base_seminorm(f, x) == base_norm(f, segment)
+    for V in (x, segment):
+        with pytest.raises(NotInRingOfV, match="^1/5 has a pole at the extreme point of 5$"):
+            base_norm(Fraction(1, 5), V)
+    for x in (BasePoint.central(), BasePoint.finite(3, Fraction(2, 5))):
+        assert shilov_base(x) == [x] and base_norm(Fraction(18, 7), x) == eval_base_seminorm(Fraction(18, 7), x)
+
+
 def test_product_formula_examples():
     assert product_formula_defect(12) == NormValue.of(1)
     assert product_formula_defect(1) == NormValue.of(1)

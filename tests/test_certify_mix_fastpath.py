@@ -26,8 +26,8 @@ from arithline.cousin_cartan import _split_matrix, _split_series, split_rational
 from arithline.covers_galois import binomial_coefficient_series
 from arithline.errors import ArithlineError, NotInRingOfV
 from arithline.numbers import small_prime_factor, strip_primes
-from arithline.series_ring import _invert_series, invert_unit, series_mul
-from arithline.weierstrass import _hensel_series
+from arithline.series_ring import _invert_series, invert_unit, series_add, series_mul
+from arithline.weierstrass import _hensel_series, _series_poly, _series_poly_eval
 
 from oracles import (
     hensel_series_full_precision,
@@ -185,6 +185,32 @@ def test_hensel_matches_full_precision_loop(inp):
         assert got[1][1].gauges == want[1][1].gauges
     else:
         assert got[1] == want[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(hensel_inputs())
+def test_series_poly_eval_is_known_mod_m_without_restating_it(inp):
+    """With P and x of nonnegative support, the Horner sum of P(x) is known
+    mod T^m as it stands: a closing ``with_mod(m)`` at each step changes
+    nothing."""
+    P, f0, m = inp
+    P, x = _series_poly(P), f0.with_mod(m)
+    want = LaurentPoly.zero(m)
+    for c in reversed(P):
+        want = series_add(series_mul(want, x), c.with_mod(m)).with_mod(m)
+    got = _series_poly_eval(P, x, m)
+    assert got.trunc_mod == m and layout(got) == layout(want)
+
+
+def test_series_hensel_refuses_a_negative_index_in_P():
+    """P(x) mod T^m is known only mod T^(m - j) when a coefficient of P has
+    the index -j, so such a P is refused as a seed with one is."""
+    for P in (
+        [LaurentPoly({-1: -1, 0: -1}), LaurentPoly.zero(), LaurentPoly({-1: 1, 0: 1})],  # answered before
+        [LaurentPoly({-1: 9, 0: -3, 1: -1}), LaurentPoly({-1: -6, 0: 1}), LaurentPoly({-1: 1})],
+    ):
+        with pytest.raises(ValueError, match="^series coefficients of P must have nonnegative support$"):
+            _hensel_series(P, LaurentPoly({0: 1}), 4)
 
 
 # -- Cartan prune and split -----------------------------------------------------

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
 import sys
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arithline.cli import main
 
@@ -48,6 +53,45 @@ def test_base_norm_and_interval_payload(capsys):
     )
     assert set(out) == {"v", "lo", "hi"}
     assert float(out["lo"]) <= 7 ** 0.5 <= float(out["hi"])
+
+
+def printed(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    st.builds(F, st.integers(1, 200), st.sampled_from((1, 2, 3, 7, 64, 256, 499, 1000))),
+    st.builds(F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)),
+    st.integers(-20, 20),
+    st.sampled_from(("8", "128")),
+)
+@example(5, F(9, 1000), F(7, 625), 0, "128")  # CannotCertify in eval-base before
+@example(3, F(97, 499), F(59049), 0, "128")  # CannotCertify in base-norm before
+def test_a_point_prints_as_its_one_point_compact(p, e, f, v, bits):
+    """eval-base at a_p^e, and eval-line of the constant f at a disk over it,
+    print what base-norm over [e, e] prints, answer or refusal."""
+    f *= F(p) ** v
+    point = json.dumps({"place": p, "exp": str(e)})
+    disk = json.dumps({"base": {"place": p, "exp": str(e)}, "fiber": {"kind": "um", "alpha": "1/3", "r": "5"}})
+    segment = json.dumps({"kind": "segment", "place": p, "u": str(e), "v": str(e)})
+    want = printed("--bits", bits, "base-norm", f"--f={f}", "--V", segment)
+    assert printed("--bits", bits, "eval-base", f"--f={f}", "--point", point) == want
+    assert printed("--bits", bits, "eval-line", "--F", json.dumps([str(f)]), "--point", disk) == want
+
+
+def test_no_flag_is_read_by_int():
+    """Every integer flag reads ``numbers.parse_int``'s digits, not int()'s
+    literals ("1_0", " 3", Unicode digits)."""
+    from arithline.cli import COMMANDS, build_parser
+
+    types = {kind.options.get("type") for _, specs, _ in COMMANDS.values() for _, kind in specs}
+    assert int not in types and len(types - {None}) == 1
+    assert all(a.type is not int for a in build_parser()._actions)
 
 
 def test_eval_line_and_flow(capsys):

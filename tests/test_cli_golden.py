@@ -60,6 +60,14 @@ where a case carries it, stderr) for:
   series index "1_0" and a place " 3" (exit 1), recorded when a fractional
   seed was first reduced mod p exactly and an integer string first had to be
   an optional "-" and ASCII digits.
+* ``eval-base``, ``base-norm`` over [e, e] and ``eval-line`` at a disk over
+  a_p^e for 7/625 at a_5^(9/1000) (all three answer) and 59049 at
+  a_3^(97/499) (all three exit 2 under ``POW_BITS``), recorded when a point
+  became the one-point compact of the norms; integer flags and --bits given
+  as "1_0", a Unicode digit or " 1", and rationals given as "1e2000000",
+  "1_0", 0.5, "+12" and true (exit 1); and series ``hensel`` with a
+  coefficient T^-1 (exit 1), recorded when the integer flags, the rationals
+  and the coefficients of a series Hensel lift each got one rule.
 
 Usage text is wrapped at COLUMNS=80.  ``replay_golden.py`` replays the same
 cases as subprocesses of an installed command.

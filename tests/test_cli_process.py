@@ -212,6 +212,20 @@ def test_budget_refusals_exit_2_under_a_memory_cap(argv, detail):
     assert out["v"] == 1 and out["error"] == "CannotCertify" and detail in out["detail"]
 
 
+def test_an_exponent_literal_is_refused_at_once_under_a_memory_cap():
+    """A rational is "p" or "p/q" in ASCII digits, so 1e100000000 is refused as
+    it is read, exit 1 with BadInput on stderr, inside a 2 GB address space
+    and a 10 s wall cap, before any 10^100000000 is built."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "arithline.cli", "eval-base", "--f", "1e100000000", "--point",
+         '{"place": 2, "exp": "1"}'],
+        capture_output=True, text=True, env=child_env(), timeout=10, preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert json.loads(proc.stderr) == {"v": 1, "error": "BadInput",
+                                       "detail": "Invalid literal for Fraction: '1e100000000'"}
+
+
 def test_local_division_modulo_a_huge_power_answers_at_once_under_a_memory_cap():
     """F = 1 lies below T^p, so the fixed point stops at r_0 = 0 and nothing
     is sized by the modulus 2^200: the golden bytes, exit 0 and no

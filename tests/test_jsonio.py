@@ -140,6 +140,26 @@ def test_one_integer_rule_for_json_and_the_constructors():
         io.parse_place(" 3")
 
 
+def test_one_rational_rule_for_json_and_the_cli():
+    """``parse_frac`` reads a Fraction, an int that is not a bool, or "p" or
+    "p/q" in ASCII digits (the digits of ``parse_int``); everything else is
+    refused in Fraction's own words, before any number is built."""
+    assert io.parse_frac("007/014") == Fraction(1, 2) and io.parse_frac("-0") == 0
+    assert io.parse_frac(Fraction(2, 3)) == Fraction(2, 3) and io.parse_frac(-4) == -4
+    for bad in ("1_0", " 1", "1 ", "+1", "1e9", "1e2000000", "0.5", "1/-2", "-1/+2", "1//2", "/2", "1/",
+                "\u0663", "inf", "", 0.5, 2.0, True, None, [1]):
+        with pytest.raises(ValueError, match=r"^Invalid literal for Fraction: "):
+            io.parse_frac(bad)
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction: 'x'$"):
+        io.parse_frac("x")
+    with pytest.raises(ValueError, match="^Invalid literal for Fraction: 'True'$"):
+        io.parse_poly([1, True])
+    with pytest.raises(ZeroDivisionError):
+        io.parse_frac("1/0")
+    with pytest.raises(ValueError, match="'1_0'"):
+        io.parse_base_point({"place": 2, "exp": "1_0"})
+
+
 def test_a_central_point_needs_exponent_zero():
     assert io.parse_base_point({"place": None, "exp": "0"}) == BasePoint.central()
     for exp in ("7", "inf", "1/2"):
