@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .base_space import BasePoint, classify_base_point, norm_bounds_each
-from .errors import (
-    FlowOutOfDomain,
-    IncompatiblePoint,
-    IrrationalRadius,
-    NonIntegralCoefficients,
-)
+from .errors import BadInput, FlowOutOfDomain, IncompatiblePoint, IrrationalRadius, NonIntegralCoefficients
 from .normvalue import NormValue, exact_power, pair_max
 from .numbers import vp
 from .polys import (
@@ -50,7 +45,7 @@ class UmDisk:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
         object.__setattr__(self, "r", Fraction(self.r))
         if self.r < 0:
-            raise ValueError("radius must be nonnegative")
+            raise BadInput("radius must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -64,9 +59,9 @@ class TrivClosed:
         object.__setattr__(self, "P", poly(self.P))
         object.__setattr__(self, "r", Fraction(self.r))
         if not (0 <= self.r <= 1):
-            raise ValueError("closed-region radius lives in [0, 1]")
+            raise BadInput("closed-region radius lives in [0, 1]")
         if deg(self.P) < 1:
-            raise ValueError("P must be nonconstant")
+            raise BadInput("P must be nonconstant")
 
 
 @dataclass(frozen=True)
@@ -78,7 +73,7 @@ class TrivOuter:
     def __post_init__(self):
         object.__setattr__(self, "r", Fraction(self.r))
         if self.r <= 1:
-            raise ValueError("outer-region radius exceeds 1")
+            raise BadInput("outer-region radius exceeds 1")
 
 
 @dataclass(frozen=True)
@@ -118,10 +113,7 @@ class LinePoint:
                 raise IncompatiblePoint("P is reducible over Q")
         else:
             p = self.base.place.prime
-            try:
-                Pbar = fp_reduce(P, p)
-            except ValueError as exc:
-                raise NonIntegralCoefficients(str(exc)) from exc
+            Pbar = _trivial_fiber_reduction(P, self)
             if deg(Pbar) != deg(P) or not fp_irreducible(Pbar, p):
                 raise IncompatiblePoint(f"P is not irreducible over F_{p}")
 

@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Optional
 
-from .errors import NonIntegralAtExtremePoint, NotInRingOfV, ZeroInput
+from .errors import BadInput, NonIntegralAtExtremePoint, NotInRingOfV, ZeroInput
 from .normvalue import NormValue, pair_max, pow_pairs
 from .numbers import TRIAL_BOUND, factor, is_prime, small_prime_factor, strip_primes, vp, vp_int
 
@@ -53,12 +53,12 @@ class Place:
     def __post_init__(self):
         if self.kind == "finite":
             if self.prime is None or self.prime < 2 or not is_prime(self.prime):
-                raise ValueError(f"bad finite place {self.prime}")
+                raise BadInput(f"bad finite place {self.prime}")
         elif self.kind == "infinite":
             if self.prime is not None:
-                raise ValueError("infinite place carries no prime")
+                raise BadInput("infinite place carries no prime")
         else:
-            raise ValueError(f"bad place kind {self.kind!r}")
+            raise BadInput(f"bad place kind {self.kind!r}")
 
     @classmethod
     def finite(cls, p: int) -> "Place":
@@ -92,18 +92,18 @@ class BasePoint:
         e = self.exponent
         if self.place is None:
             if e != 0:
-                raise ValueError("central point must have exponent 0")
+                raise BadInput("central point must have exponent 0")
             return
         if is_inf(e):
             if not self.place.is_finite:
-                raise ValueError("extreme points live on finite branches")
+                raise BadInput("extreme points live on finite branches")
             return
         e = Fraction(e)
         object.__setattr__(self, "exponent", e)
         if e <= 0:
-            raise ValueError("branch points need a positive exponent")
+            raise BadInput("branch points need a positive exponent")
         if e > self.place.branch_length():
-            raise ValueError("exponent exceeds branch length")
+            raise BadInput("exponent exceeds branch length")
 
     @classmethod
     def central(cls) -> "BasePoint":
@@ -209,17 +209,17 @@ class BaseCompact:
     def __post_init__(self):
         if self.kind == "segment":
             if self.place is None:
-                raise ValueError("segment needs a place")
+                raise BadInput("segment needs a place")
             u = self.u if is_inf(self.u) else Fraction(self.u)
             v = self.v if is_inf(self.v) else Fraction(self.v)
             if is_inf(u) and not is_inf(v):
-                raise ValueError("need u <= v")
+                raise BadInput("need u <= v")
             if not is_inf(u) and (u < 0 or (not is_inf(v) and u > v)):
-                raise ValueError("need 0 <= u <= v")
+                raise BadInput("need 0 <= u <= v")
             if not is_inf(v) and v > self.place.branch_length():
-                raise ValueError("v exceeds branch length")
+                raise BadInput("v exceeds branch length")
             if is_inf(v) and not self.place.is_finite:
-                raise ValueError("archimedean branch has length 1")
+                raise BadInput("archimedean branch has length 1")
             object.__setattr__(self, "u", u)
             object.__setattr__(self, "v", v)
         elif self.kind == "star":
@@ -227,22 +227,22 @@ class BaseCompact:
             seen = set()
             for place, cut in self.cuts:
                 if place is None:
-                    raise ValueError("cut needs a place")
+                    raise BadInput("cut needs a place")
                 if place in seen:
-                    raise ValueError("duplicate cut")
+                    raise BadInput("duplicate cut")
                 seen.add(place)
                 if is_inf(cut):
                     continue  # cutting at full branch length = no cut
                 cut = Fraction(cut)
                 if cut < 0 or cut > place.branch_length():
-                    raise ValueError("cut outside branch")
+                    raise BadInput("cut outside branch")
                 if not place.is_finite and cut == 1:
                     continue
                 cleaned.append((place, cut))
             cleaned.sort(key=_place_sort_key)
             object.__setattr__(self, "cuts", tuple(cleaned))
         else:
-            raise ValueError(f"bad compact kind {self.kind!r}")
+            raise BadInput(f"bad compact kind {self.kind!r}")
 
     @classmethod
     def segment(cls, place: Place, u, v) -> "BaseCompact":

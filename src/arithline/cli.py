@@ -1,14 +1,14 @@
 """Command-line surface: every library operation behind one subcommand.
 
-All values travel as JSON; rationals are "p/q" strings.  Exit codes:
-0 success, 1 usage or malformed input, 2 domain error (with an
-{"error": code, "detail": ...} payload on stdout).  `--bits`, or else the
-environment variable ARITHLINE_BITS, sets the interval precision for that
-call only: `main` runs the call in a copy of the current `contextvars`
-context, so the precision is scoped to the call.  A
+All values travel as JSON; rationals are "p/q" strings.  Exit codes: 0
+success, 1 usage error or malformed input, 2 domain error, 3 internal error.
+A refusal prints one {"v": 1, "error": code, "detail": ...} line, on the
+stream and with the exit code its error class names (see `errors`); a usage
+error is argparse's text on stderr.  `--bits`, or else the environment
+variable ARITHLINE_BITS, sets the interval precision for that call only:
+`main` runs the call in a copy of the current `contextvars` context.  A
 precision that is not an integer of at least MIN_BITS is refused with exit
-1: a usage error for `--bits`, a BadInput payload on stderr for the
-variable.
+1: a usage error for `--bits`, BadInput for the variable.
 
 COMMANDS is the one table of subcommands: name -> (callable, argument specs
 (flag, Kind), key).  The callable is the library function itself, or a
@@ -16,18 +16,21 @@ COMMANDS is the one table of subcommands: name -> (callable, argument specs
 built.  A kind holds the argparse keywords of a flag and the converter
 (FRAC, POLY, LAURENT, COMPACT, ...) of the string argparse leaves; argparse
 itself converts only integers (`--bits` and ARITHLINE_BITS too), all by
-`numbers.parse_int`.  `_run` converts the arguments in spec order and calls
-the callable inside one guard, so malformed JSON, a missing key or a bad
-rational is BadInput on stderr (exit 1) and a domain error met while
-reading an argument keeps its exit-2 payload.  The key names the
-payload for `jsonio.dumps`: None takes the result as it is (a dict, or one
-object that encodes to a dict), a string K gives {K: result}, and a tuple
-of names gives dict(zip(key, result)) for a tuple result.
+`numbers.parse_int`.  Each converter refuses a value it cannot read (bad
+JSON, a missing key, "1/0") as BadInput in the parser's own words.  `_run`
+converts the arguments in spec order, calls the callable and catches
+ArithlineError alone.  The key names the payload for `jsonio.dumps`: None
+takes the result as it is (a dict, or one object that encodes to a dict), a
+string K gives {K: result}, and a tuple of names gives
+dict(zip(key, result)) for a tuple result.
 
 `build_parser` turns COMMANDS into a new argparse parser; `main` builds
 that parser once per process, on its first call (not at import), and reuses
 it.  When the reader of stdout goes away (`arithline ... | head`), `main`
-exits 1 with nothing on stderr.
+exits 1 with nothing on stderr.  Anything else raised below `main` (a
+library bug, MemoryError, RecursionError, a result with no JSON encoding)
+meets the one handler in `main`: exit 3, {"v": 1, "error": "InternalError",
+"detail": "<type>: <message>"} on stderr, nothing on stdout, no traceback.
 """
 
 import argparse
@@ -70,7 +73,7 @@ from .covers_galois import (
     primitive_root_of_unity,
     standard_group_tables,
 )
-from .errors import ArithlineError, UnknownSuite
+from .errors import ArithlineError, BadInput
 from .normvalue import MIN_BITS, set_default_bits
 from .numbers import parse_int
 from .selftest import run_suite
@@ -105,12 +108,22 @@ class Kind(NamedTuple):
     convert: Callable = lambda text: text
 
 
+def _refusing(parse):
+    """parse, with a value it cannot read refused as BadInput in its own words."""
+    def convert(value):
+        try:
+            return parse(value)
+        except (KeyError, OSError, RecursionError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise BadInput(str(exc)) from None
+    return convert
+
+
 def _decoded(parse):
-    return lambda text: parse(json.loads(text))
+    return _refusing(lambda text: parse(json.loads(text)))
 
 
 def _decoded_list(parse):
-    return lambda text: [parse(x) for x in json.loads(text)]
+    return _decoded(lambda v: [parse(x) for x in io.parse_list(v)])
 
 
 def _int(text: str) -> int:
@@ -126,9 +139,8 @@ OPT_STR = Kind({"default": None})
 INT = Kind({"type": _int, "required": True})
 OPT_INT = Kind({"type": _int, "default": None})
 FLAG = Kind({"action": "store_true"})
-JSON = Kind({"required": True}, json.loads)
-FRAC = Kind({"required": True}, io.parse_frac)
-PLACE = Kind({"required": True}, io.parse_place)
+FRAC = Kind({"required": True}, _refusing(io.parse_frac))
+PLACE = Kind({"required": True}, _refusing(io.parse_place))
 PLACES = Kind({"required": True}, _decoded(io.parse_places))
 POLY = Kind({"required": True}, _decoded(io.parse_poly))
 POLYS = Kind({"required": True}, _decoded_list(io.parse_poly))
@@ -163,16 +175,16 @@ def cmd_prepare(G, p, m, A):
 
 
 def cmd_hensel(P, prime, seed, N, f0, m):
-    # --f0 stays a string until the mode is known: "null" is malformed, not missing
+    # --P and --f0 stay strings until the mode is known: "null" is malformed, not missing
     if prime is not None:
         if seed is None or N is None:
-            raise ArithlineError("p-adic mode needs --seed and --N")
+            raise BadInput("p-adic mode needs --seed and --N")
         seed = PadicApprox(prime, 1, seed)
-        root, report = hensel_lift_root(io.parse_poly(P), seed, N)
+        root, report = hensel_lift_root(POLY.convert(P), seed, N)
     elif f0 is None or m is None:
-        raise ArithlineError("series mode needs --f0 and --m")
+        raise BadInput("series mode needs --f0 and --m")
     else:
-        root, report = hensel_lift_root([io.parse_laurent(c) for c in P], LAURENT.convert(f0), m)
+        root, report = hensel_lift_root(LAURENTS.convert(P), LAURENT.convert(f0), m)
     return {"root": root, "gauges": report.gauges}
 
 
@@ -225,13 +237,21 @@ def cmd_eisenstein(P, f0, m, places):
     return {"root": w.root, "N": w.N, "radii": radii}
 
 
+def _read_table(text):
+    """A group table given as JSON or as the path of a JSON file."""
+    if os.path.exists(text):
+        with open(text) as fh:
+            text = fh.read()
+    return io.parse_group_table(json.loads(text))
+
+
 def _load_table(table, name):
-    if table == "standard":
-        return standard_group_tables()[name]
-    if os.path.exists(table):
-        with open(table) as fh:
-            return io.parse_group_table(json.load(fh))
-    return io.parse_group_table(json.loads(table))
+    if table != "standard":
+        return _refusing(_read_table)(table)
+    tables = standard_group_tables()
+    if name not in tables:
+        raise BadInput(repr(name))
+    return tables[name]
 
 
 def cmd_group_data(table, name, i):
@@ -281,7 +301,7 @@ COMMANDS = {
     "hensel": (
         cmd_hensel,
         (
-            ("--P", JSON),
+            ("--P", STR),
             ("--prime", OPT_INT),
             ("--seed", OPT_INT),
             ("--N", OPT_INT),
@@ -319,7 +339,7 @@ COMMANDS = {
             ("--a", MATRIX),
             *SPLIT,
             ("--max-iter", Kind({"type": _int, "default": 64})),
-            ("--tol", Kind({"default": "1/1099511627776"}, io.parse_frac)),
+            ("--tol", Kind({"default": "1/1099511627776"}, FRAC.convert)),
         ),
         None,
     ),
@@ -381,6 +401,10 @@ def main(argv=None) -> int:
         # at interpreter exit does not fail again, and exit 1 quietly.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except Exception as exc:
+        # The one handler of a fault that is not a refusal (see the module docstring).
+        print(io.dumps({"error": "InternalError", "detail": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
+        return 3
 
 
 def _run(argv) -> int:
@@ -388,18 +412,16 @@ def _run(argv) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    bits = args.bits
-    env_bits = os.environ.get("ARITHLINE_BITS")
-    if bits is None and env_bits:
-        try:
-            bits = _precision_bits(env_bits)
-        except argparse.ArgumentTypeError as exc:
-            return _bad_input(f"ARITHLINE_BITS: {exc}")
-    if bits is not None:
-        set_default_bits(bits)
     call, specs, key = COMMANDS[args.command]
     selftest = args.command == "selftest"
     try:
+        bits, env_bits = args.bits, os.environ.get("ARITHLINE_BITS")
+        try:
+            bits = _precision_bits(env_bits) if bits is None and env_bits else bits
+        except argparse.ArgumentTypeError as exc:
+            raise BadInput(f"ARITHLINE_BITS: {exc}") from None
+        if bits is not None:
+            set_default_bits(bits)
         values = [kind.convert(getattr(args, flag[2:].replace("-", "_"))) for flag, kind in specs]
         result = call(*values)
         if isinstance(key, tuple):
@@ -408,17 +430,10 @@ def _run(argv) -> int:
             result = {key: result}
         text = io.dumps(result, indent=2 if selftest else None)
     except ArithlineError as exc:
-        print(io.dumps({"error": exc.code, "detail": exc.detail}))
-        return 1 if isinstance(exc, UnknownSuite) else 2
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        return _bad_input(str(exc))
+        print(io.dumps({"error": exc.code, "detail": exc.detail}), file=getattr(sys, exc.stream))
+        return exc.exit_code
     print(text)
     return 1 if selftest and result["failures"] else 0
-
-
-def _bad_input(detail: str) -> int:
-    print(io.dumps({"error": "BadInput", "detail": detail}), file=sys.stderr)
-    return 1
 
 
 if __name__ == "__main__":

@@ -40,6 +40,7 @@ from typing import Optional
 
 from .base_space import BaseCompact, Place, base_norm, member_of_kv, norm_bounds_each
 from .errors import (
+    BadInput,
     DeltaNotAchievable,
     EpsilonTooLarge,
     NoConvergence,
@@ -73,7 +74,7 @@ class SplitSystem:
     def __post_init__(self):
         object.__setattr__(self, "u", Fraction(self.u))
         if not 0 < self.u < self.place.branch_length():
-            raise ValueError("exponent must lie strictly inside the branch")
+            raise BadInput("exponent must lie strictly inside the branch")
         if self.annulus is not None:
             s, t = self.annulus
             object.__setattr__(self, "annulus", (Fraction(s), Fraction(t)))
@@ -97,7 +98,7 @@ class SplitSystem:
 
     def annulus_on(self, V: BaseCompact) -> AnnulusSpec:
         if self.annulus is None:
-            raise ValueError("system carries no annulus")
+            raise BadInput("system carries no annulus")
         return AnnulusSpec(V, *self.annulus)
 
 
@@ -203,9 +204,9 @@ def runge_approximate(s_list, t_list, sys: SplitSystem, delta):
     """
     delta = Fraction(delta)
     if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise BadInput("delta must be positive")
     if not sys.place.is_finite:
-        raise ValueError("the approximation step is implemented at finite places")
+        raise BadInput("the approximation step is implemented at finite places")
     p = sys.place.prime
     ctx = sys.annulus_on(sys.overlap_compact())
     N = max([0] + [-v for s in s_list for v in s.valuations(p).values()])
@@ -254,11 +255,11 @@ class SeriesMatrix:
     def __init__(self, entries):
         entries = tuple(tuple(e for e in row) for row in entries)
         if not entries or not entries[0]:
-            raise ValueError("matrix must be nonempty")
+            raise BadInput("matrix must be nonempty")
         cols = len(entries[0])
         for row in entries:
             if len(row) != cols:
-                raise ValueError("ragged matrix")
+                raise BadInput("ragged matrix")
             for e in row:
                 if not isinstance(e, LaurentPoly):
                     raise TypeError("entries must be LaurentPoly")
@@ -304,7 +305,7 @@ class SeriesMatrix:
 
     def mul(self, other) -> "SeriesMatrix":
         if self.cols != other.rows:
-            raise ValueError("shape mismatch")
+            raise BadInput("shape mismatch")
         columns = tuple(zip(*other.entries))
         return SeriesMatrix(
             tuple(

@@ -19,6 +19,7 @@ from typing import Optional
 
 from .errors import (
     BadDescriptor,
+    BadInput,
     CannotCertify,
     CongruenceFails,
     NoneFound,
@@ -37,7 +38,7 @@ from .weierstrass import hensel_lift_root
 def find_prime_congruent(n: int, bound: int = 10000) -> int:
     """Least prime p <= bound with p = 1 (mod n), walking p = n+1, 2n+1, ..."""
     if n < 1:
-        raise ValueError("n must be positive")
+        raise BadInput("n must be positive")
     if n == 1:
         return 2
     q = n + 1
@@ -67,9 +68,9 @@ def primitive_root_of_unity(n: int, p: int, N: int) -> PadicApprox:
     p does not divide n.
     """
     if n < 1 or N < 1:
-        raise ValueError("need n >= 1, N >= 1")
+        raise BadInput("need n >= 1, N >= 1")
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise BadInput(f"{p} is not prime")
     if n == 1:
         return PadicApprox(p, N, 1)
     if (p - 1) % n != 0:
@@ -155,17 +156,17 @@ def binomial_root_series(n: int, m: int, p: Optional[int] = None):
     Returns (g, report); the report confirms g**n = 1 + Z mod Z^m exactly
     and, when a prime p with p not dividing n is supplied, that every
     coefficient is p-integral.  m*bits(n) above BINOMIAL_BITS is refused
-    with CannotCertify, a p that is not prime with ValueError and a p that
+    with CannotCertify, a p that is not prime with BadInput and a p that
     divides n with PDividesN, all before g is built.
     """
     if n < 1 or m < 1:
-        raise ValueError("need n >= 1, m >= 1")
+        raise BadInput("need n >= 1, m >= 1")
     bits = m * n.bit_length()
     if bits > BINOMIAL_BITS:
         raise CannotCertify(f"a binomial series with m*bits(n) = {bits} exceeds {BINOMIAL_BITS}")
     if p is not None:
         if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise BadInput(f"{p} is not prime")
         if n % p == 0:
             raise PDividesN(f"{p} divides {n}; coefficients are not p-integral")
     g = binomial_coefficient_series(n, m)
@@ -217,7 +218,7 @@ class CoverDescriptor:
         CannotCertify."""
         zeta = primitive_root_of_unity(n, p, N)
         if m < 1:
-            raise ValueError("need n >= 1, m >= 1")
+            raise BadInput("need n >= 1, m >= 1")
         if n * m > COVER_TERMS:
             raise CannotCertify(f"a cover with n*m = {n * m} terms exceeds {COVER_TERMS}")
         return cls(n=n, p=p, zeta=zeta, m=m, g=binomial_coefficient_series(n, m))
@@ -336,18 +337,18 @@ class GroupTable:
         table = tuple(tuple(parse_int(x) for x in row) for row in table)
         n = len(table)
         if any(len(row) != n for row in table):
-            raise ValueError("table must be square")
+            raise BadInput("table must be square")
         if any(not 1 <= x <= n for row in table for x in row):
-            raise ValueError("entries must lie in [1, n]")
+            raise BadInput("entries must lie in [1, n]")
         r = range(n)
         identity = next((e + 1 for e in r if all(table[e][j] == j + 1 == table[j][e] for j in r)), None)
         if identity is None:
-            raise ValueError("no identity element")
+            raise BadInput("no identity element")
         for i in r:
             if identity not in table[i]:
-                raise ValueError(f"element {i + 1} has no inverse")
+                raise BadInput(f"element {i + 1} has no inverse")
         if any(table[table[i][j] - 1][k] != table[i][table[j][k] - 1] for i in r for j in r for k in r):
-            raise ValueError("associativity fails")
+            raise BadInput("associativity fails")
         self.n = n
         self.table = table
         self.identity = identity
@@ -386,7 +387,7 @@ def group_cover_data(G: GroupTable, i: int) -> CoverGlueData:
     """
     n = G.n
     if not 1 <= i <= n:
-        raise ValueError(f"element index {i} outside [1, {n}]")
+        raise BadInput(f"element index {i} outside [1, {n}]")
     powers = [G.identity]  # g_i^0, g_i^1, ... until the walk is back at the identity
     h = i
     while h != G.identity:

@@ -1,11 +1,16 @@
-"""Domain-error hierarchy.
+"""Error hierarchy, and the CLI's refusal policy on each class.
 
-Every error's stable ``code`` for the CLI JSON output is its class name.
+Every error's stable ``code`` for the CLI JSON output is its class name, and
+its ``exit_code`` and ``stream`` say how the CLI refuses: 2 on stdout for a
+domain error, 1 on stdout for ``UnknownSuite``, 1 on stderr for ``BadInput``
+(malformed input; a ValueError too, which ``except ValueError`` catches).
 """
 
 
 class ArithlineError(Exception):
     code = "DomainError"
+    exit_code = 2
+    stream = "stdout"
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -14,6 +19,11 @@ class ArithlineError(Exception):
     def __init__(self, detail=""):
         super().__init__(detail or self.code)
         self.detail = detail or self.code
+
+
+class BadInput(ArithlineError, ValueError):
+    exit_code = 1
+    stream = "stderr"
 
 
 class ZeroInput(ArithlineError):
@@ -137,7 +147,7 @@ class NotLiftable(ArithlineError):
 
 
 class UnknownSuite(ArithlineError):
-    pass
+    exit_code = 1
 
 
 class BadDescriptor(ArithlineError):

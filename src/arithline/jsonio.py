@@ -7,7 +7,9 @@ Each ``parse_*`` reads one type from decoded JSON.  ``numbers.parse_int`` is
 the one reader of an integer (a place, a series index or modulus, a table
 entry, here and in the constructors), so a float such as 2.9, a bool or a
 string such as "1_0" is refused instead of truncated; ``parse_frac`` is the
-one reader of a rational, by the same digit rule.  ``encode`` is the one
+one reader of a rational, by the same digit rule; ``parse_list`` of an
+array, so a string or an object is refused instead of iterated.  Each
+refuses with BadInput.  ``encode`` is the one
 serializer: it dispatches on the type to the matching ``*_json`` function,
 writes any other dataclass (``AnnulusSpec`` among them) as {field: value} in
 declaration order, and refuses everything else with TypeError.  ``dumps``
@@ -28,7 +30,7 @@ from .affine_line import LinePoint, TrivClosed, TrivOuter, UmDisk
 from .base_space import INF, BaseCompact, BasePoint, Place, RingLabel, is_inf
 from .cousin_cartan import SeriesMatrix
 from .covers_galois import GroupTable
-from .errors import OutputTooLarge
+from .errors import BadInput, OutputTooLarge
 from .normvalue import NormValue
 from .numbers import parse_int
 from .polys import Gauss, poly
@@ -61,7 +63,7 @@ def parse_frac(s) -> Fraction:
         return s
     if isinstance(s, str) and _RATIONAL.fullmatch(s) or isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
-    raise ValueError(f"Invalid literal for Fraction: {str(s)!r:.200}")
+    raise BadInput(f"Invalid literal for Fraction: {str(s)!r:.200}")
 
 
 def exp_str(e) -> str:
@@ -112,9 +114,9 @@ def parse_place(v):
 
 def parse_places(lst) -> list:
     """A list of places; unlike the place of a base point, none is null."""
-    places = [parse_place(v) for v in lst]
+    places = [parse_place(v) for v in parse_list(lst)]
     if None in places:
-        raise ValueError("a place is \"inf\" or a prime, not null")
+        raise BadInput("a place is \"inf\" or a prime, not null")
     return places
 
 
@@ -150,9 +152,9 @@ def parse_base_compact(d) -> BaseCompact:
             parse_place(d["place"]), parse_exp(d["u"]), parse_exp(d["v"])
         )
     if d["kind"] == "star":
-        cuts = [(parse_place(c["place"]), parse_exp(c["v"])) for c in d["cuts"]]
+        cuts = [(parse_place(c["place"]), parse_exp(c["v"])) for c in parse_list(d["cuts"])]
         return BaseCompact.star(cuts)
-    raise ValueError(f"unknown compact kind {d['kind']!r}")
+    raise BadInput(f"unknown compact kind {d['kind']!r}")
 
 
 @encode.register(RingLabel)
@@ -168,8 +170,15 @@ def poly_json(coeffs) -> list:
     return [frac_str(c) for c in poly(coeffs)]
 
 
+def parse_list(v) -> list:
+    """A JSON array; a string or an object, which would iterate as a list, is refused."""
+    if not isinstance(v, list):
+        raise BadInput(f"expected a JSON array, got {v!r:.200}")
+    return v
+
+
 def parse_poly(lst) -> tuple:
-    return poly([parse_frac(c) for c in lst])
+    return poly([parse_frac(c) for c in parse_list(lst)])
 
 
 @encode.register(LinePoint)
@@ -198,7 +207,7 @@ def parse_line_point(d) -> LinePoint:
         return LinePoint.triv_outer(base, parse_frac(f["r"]))
     if kind == "arch":
         return LinePoint.arch(base, parse_frac(f["re"]), parse_frac(f.get("im", 0)))
-    raise ValueError(f"unknown fiber kind {kind!r}")
+    raise BadInput(f"unknown fiber kind {kind!r}")
 
 
 @encode.register(LaurentPoly)
@@ -214,7 +223,7 @@ def parse_laurent(d) -> LaurentPoly:
     if isinstance(d, list):
         return LaurentPoly.from_poly(parse_poly(d))
     if not isinstance(d["coeffs"], dict):
-        raise ValueError("coeffs must be an object {index: rational}")
+        raise BadInput("coeffs must be an object {index: rational}")
     coeffs = {parse_int(k): parse_frac(c) for k, c in d["coeffs"].items()}
     return LaurentPoly(coeffs, d.get("mod"))
 
@@ -236,7 +245,7 @@ def matrix_json(a: SeriesMatrix) -> dict:
 
 def parse_matrix(d) -> SeriesMatrix:
     rows = d if isinstance(d, list) else d["entries"]
-    return SeriesMatrix([[parse_laurent(e) for e in row] for row in rows])
+    return SeriesMatrix([[parse_laurent(e) for e in parse_list(row)] for row in parse_list(rows)])
 
 
 @encode.register(GroupTable)
@@ -246,13 +255,13 @@ def group_table_json(G: GroupTable) -> dict:
 
 def parse_group_table(d) -> GroupTable:
     rows = d if isinstance(d, list) else d["table"]
-    return GroupTable(rows)
+    return GroupTable([parse_list(row) for row in parse_list(rows)])
 
 
 def parse_gauss(v) -> Gauss:
     if isinstance(v, (list, tuple)):
         if len(v) != 2:
-            raise ValueError("a Gaussian rational is a rational or a pair [re, im]")
+            raise BadInput("a Gaussian rational is a rational or a pair [re, im]")
         return Gauss(parse_frac(v[0]), parse_frac(v[1]))
     return Gauss(parse_frac(v))
 

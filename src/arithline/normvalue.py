@@ -30,7 +30,7 @@ import operator
 from fractions import Fraction
 from math import gcd
 
-from .errors import CannotCertify
+from .errors import BadInput, CannotCertify
 from .numbers import iroot, rational_root
 
 DEFAULT_BITS = 128
@@ -48,7 +48,7 @@ def default_bits() -> int:
 
 def set_default_bits(bits: int) -> None:
     if bits < MIN_BITS:
-        raise ValueError(f"precision below {MIN_BITS} bits is not supported")
+        raise BadInput(f"precision below {MIN_BITS} bits is not supported")
     _bits.set(bits)
 
 

@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import CannotFactor
+from .errors import BadInput, CannotFactor
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _DECIMAL = re.compile("-?[0-9]+")
@@ -12,15 +12,15 @@ _DECIMAL = re.compile("-?[0-9]+")
 
 def parse_int(v) -> int:
     """An int that is not a bool, or an optional "-" and ASCII digits (the form
-    in which ``--place 2`` arrives); anything else is a ValueError, with
+    in which ``--place 2`` arrives); anything else is BadInput, with
     ``int()``'s text for a string, so no float, "1_0" or " 3" is truncated."""
     if isinstance(v, str):
         if _DECIMAL.fullmatch(v):
             return int(v)
-        raise ValueError(f"invalid literal for int() with base 10: {v!r:.200}")
+        raise BadInput(f"invalid literal for int() with base 10: {v!r:.200}")
     if isinstance(v, int) and not isinstance(v, bool):
         return v
-    raise ValueError(f"expected an integer, got {v!r}")
+    raise BadInput(f"expected an integer, got {v!r}")
 
 
 def is_prime(n: int) -> bool:

@@ -6,6 +6,7 @@ the Hensel lift in ``weierstrass`` computes on plain integer residues.
 
 from dataclasses import dataclass
 
+from .errors import BadInput
 from .numbers import is_prime
 
 
@@ -19,9 +20,9 @@ class PadicApprox:
 
     def __post_init__(self):
         if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+            raise BadInput(f"{self.p} is not prime")
         if self.N < 1:
-            raise ValueError("precision must be >= 1")
+            raise BadInput("precision must be >= 1")
         object.__setattr__(self, "residue", self.residue % self.p ** self.N)
 
     @property

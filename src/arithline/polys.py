@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd, prod
 
-from .errors import CannotCertify, NotCoprime, ProductMismatch
+from .errors import BadInput, CannotCertify, NotCoprime, ProductMismatch
 from .normvalue import DIVISION_WORK, RESULTANT_WORK
 from .numbers import factor, invmod, lcm_list, next_prime, prime_divisors, rational_root
 
@@ -156,7 +156,7 @@ def sylvester_resultant(f, g) -> Fraction:
     """
     n, m = deg(f), deg(g)
     if n < 0 and m < 0:
-        raise ValueError("resultant of two zero polynomials")
+        raise BadInput("resultant of two zero polynomials")
     if n < 0 or m < 0:
         return Fraction(0)
     if n == 0:
@@ -204,7 +204,7 @@ def fp_reduce(f, p):
     """Reduce a Q-polynomial with p-integral coefficients mod p."""
     n, D = numerators(f)
     if D % p == 0:
-        raise ValueError("coefficient not p-integral")
+        raise BadInput("coefficient not p-integral")
     u = invmod(D, p)
     return fp_poly([c * u for c in n], p)
 
@@ -352,8 +352,8 @@ def hensel_multi_lift(f, factors, p, N):
         prod = fp_mul(prod, fp_poly(fac, p), p)
     if prod != fp_reduce(poly(fint), p):
         raise ProductMismatch("seed factors do not multiply to G mod p")
-    if len(factors) == 1:
-        return [fp_poly(fint, p ** N)]
+    if len(factors) <= 1:  # with no factor f = 1 mod p, and the empty product lifts as it is
+        return [fp_poly(fint, p ** N) for _ in factors]
     rest = (1,)
     for fac in factors[1:]:
         rest = fp_mul(rest, fp_poly(fac, p), p)

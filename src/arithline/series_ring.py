@@ -26,12 +26,7 @@ from typing import Optional
 
 from .base_space import BaseCompact, is_archimedean_compact, member_of_kv, norm_bounds_each, shilov_base
 from .affine_line import LinePoint
-from .errors import (
-    ArchimedeanBase,
-    NegativePowersOnDisk,
-    NotAUnit,
-    OrderingViolated,
-)
+from .errors import ArchimedeanBase, BadInput, NegativePowersOnDisk, NotAUnit, OrderingViolated
 from .normvalue import NormValue, _check_pow_budget, pair_max
 from .numbers import lcm_list, parse_int, vp_int
 
@@ -141,7 +136,7 @@ class LaurentPoly:
     def poly_coeffs(self) -> tuple:
         """Ascending dense coefficients; requires nonnegative support."""
         if self.has_negative_support():
-            raise ValueError("negative support")
+            raise BadInput("negative support")
         return tuple(self.coeff(k) for k in range(max(self.num, default=-1) + 1))
 
     def with_mod(self, trunc_mod) -> "LaurentPoly":
@@ -284,7 +279,7 @@ def series_arith(f: LaurentPoly, g: LaurentPoly, op: str) -> LaurentPoly:
         out = series_mul(f, g)
         m = _result_mod(f, g)
         return out if m is None or out.trunc_mod <= m else out.with_mod(m)
-    raise ValueError(f"unknown op {op!r}")
+    raise BadInput(f"unknown op {op!r}")
 
 
 def _refuse_negative_powers():
@@ -303,7 +298,7 @@ class AnnulusSpec:
         object.__setattr__(self, "s", Fraction(self.s))
         object.__setattr__(self, "t", Fraction(self.t))
         if not (0 <= self.s <= self.t):
-            raise ValueError("need 0 <= s <= t")
+            raise BadInput("need 0 <= s <= t")
 
     def weights(self, ks) -> list:
         """The weights max(s^k, t^k) of the indices ks as integer pairs (n, d).
@@ -469,7 +464,7 @@ def invert_unit(f: LaurentPoly, A: AnnulusSpec, m: int) -> LaurentPoly:
     if not f:
         raise NotAUnit("zero is not a unit")
     if m < 1:
-        raise ValueError("truncation target must be positive")
+        raise BadInput("truncation target must be positive")
     _check_support(f, A)
     # series shape: pivot at the lowest index
     k0 = f.min_index()

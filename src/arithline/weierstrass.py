@@ -35,6 +35,7 @@ from .base_space import (
     shilov_base,
 )
 from .errors import (
+    BadInput,
     NoContractionRadiusFound,
     NoConvergence,
     NonIntegralAtExtremePoint,
@@ -48,7 +49,7 @@ from .errors import (
     ValuationUndefined,
 )
 from .normvalue import NormValue, nv_max, nv_sum
-from .numbers import invmod, lcm_list, vp, vp_int
+from .numbers import invmod, is_prime, lcm_list, vp, vp_int
 from .padic import PadicApprox
 from .polys import (
     Gauss,
@@ -89,7 +90,7 @@ def _monic(G, refusal: str) -> LaurentPoly:
     as content; NotMonic(refusal) unless its leading coefficient is 1."""
     if isinstance(G, LaurentPoly):
         if G.has_negative_support():
-            raise ValueError("negative support")
+            raise BadInput("negative support")
     else:
         G = LaurentPoly.from_poly(G)
     if not G or G.num[G.degree()] != G.den:
@@ -210,7 +211,7 @@ def divide(F, G, V: BaseCompact, w):
     if not isinstance(F, LaurentPoly):
         F = LaurentPoly.from_poly(poly(F))
     if F.has_negative_support():
-        raise ValueError("global division expects nonnegative support")
+        raise BadInput("global division expects nonnegative support")
     A = AnnulusSpec(V, Fraction(0), w)
     Q, R = _euclid(F, G, A)
     normF = norm_annulus(F, A)
@@ -279,9 +280,9 @@ def divide_local_series(F: LaurentPoly, G: LaurentPoly, p: int, m: int, ctx: Ann
     (Q, R, cert).
     """
     if m < 1:
-        raise ValueError("truncation order must be positive")
+        raise BadInput("truncation order must be positive")
     if F.has_negative_support() or G.has_negative_support():
-        raise ValueError("local division expects nonnegative support")
+        raise BadInput("local division expects nonnegative support")
     b = _anchor_point(ctx.V)
     val = _reduction_valuation(G, b)
     if val is None:
@@ -438,7 +439,7 @@ def _hensel_padic(P, f0: PadicApprox, N: int):
     terms = {i: c for i, c in sorted(terms.items()) if c}  # a refusal names the lowest term
     for c in terms.values():
         if vp(c, p) < 0:
-            raise ValueError(f"coefficient {c} is not {p}-integral")
+            raise BadInput(f"coefficient {c} is not {p}-integral")
     dterms = {i - 1: i * c for i, c in terms.items() if i}
     df_cap = f0.N + 4
     v_df = _val_mod(_eval_mod(_terms_mod(dterms, p ** df_cap), f0.residue, p ** df_cap), p, df_cap)
@@ -476,7 +477,7 @@ def _series_poly(P) -> list:
     negative index as a seed is refused: P(x) mod T^m is then known mod T^m."""
     out = [c if isinstance(c, LaurentPoly) else LaurentPoly({0: c}) for c in P]
     if any(c.has_negative_support() for c in out):
-        raise ValueError("series coefficients of P must have nonnegative support")
+        raise BadInput("series coefficients of P must have nonnegative support")
     while out and not out[-1]:
         out.pop()
     return out
@@ -512,7 +513,7 @@ def _hensel_series(P, f0: LaurentPoly, m: int):
     P = _series_poly(P)
     dP = _series_poly_deriv(P)
     if f0.has_negative_support():
-        raise ValueError("series roots must have nonnegative support")
+        raise BadInput("series roots must have nonnegative support")
     x = f0.with_mod(m)
     fx = _series_poly_eval(P, x, m)
     d0 = _series_poly_eval(dP, x, m)
@@ -543,13 +544,17 @@ def hensel_factor_lift(G, factors, p: int, N: int):
     multiply to G mod p; their coefficients are p-integral rationals, each
     reduced mod p exactly (``fp_reduce``).  Returns the lifted monic factors with coefficients
     reduced mod p^N; each is congruent to its seed mod p and the product is
-    congruent to G mod p^N.
+    congruent to G mod p^N.  An N < 1 or a p that is not prime is BadInput.
     """
+    if N < 1:
+        raise BadInput("need N >= 1")
+    if not is_prime(p):
+        raise BadInput(f"{p} is not prime")
     Gp = poly(G)
     if not is_monic(Gp):
         raise NotMonic("factor lifting needs a monic G")
     if any(Fraction(c).denominator != 1 for c in Gp):
-        raise ValueError("G must have integer coefficients")
+        raise BadInput("G must have integer coefficients")
     Gint = tuple(int(c) for c in Gp)
     seeds = [fp_reduce(poly(f), p) for f in factors]
     for f in seeds:
@@ -600,21 +605,21 @@ def lagrange_bound_report(f, g, roots, r, place) -> LagrangeBoundReport:
     if not is_monic(g):
         raise NotMonic("g must be monic")
     if deg(f) >= d:
-        raise ValueError("f must have degree < deg g")
+        raise BadInput("f must have degree < deg g")
     if len(roots) != d:
-        raise ValueError("need exactly deg g roots")
+        raise BadInput("need exactly deg g roots")
     res = sylvester_resultant(g, pderiv(g))
     if res == 0:
         raise NotSeparable("Res(g, g') = 0")
     roots = [z if isinstance(z, Gauss) else Gauss(z) for z in roots]
     finite = place.is_finite
     if finite and any(z.im != 0 for z in roots):
-        raise ValueError("finite places need rational roots")
+        raise BadInput("finite places need rational roots")
     # g is monic and separable of degree d, so g = prod (T - alpha_i) exactly
     # when the alpha_i are d distinct roots of g
     gn, gD = numerators(g)
     if len(set(roots)) < d or any(gauss_value(gn, gD, z)[:2] != (0, 0) for z in roots):
-        raise ValueError("supplied roots do not multiply back to g")
+        raise BadInput("supplied roots do not multiply back to g")
 
     def root_abs(z: Gauss) -> NormValue:
         if finite:

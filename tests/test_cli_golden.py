@@ -68,6 +68,16 @@ where a case carries it, stderr) for:
   "1_0", 0.5, "+12" and true (exit 1); and series ``hensel`` with a
   coefficient T^-1 (exit 1), recorded when the integer flags, the rationals
   and the coefficients of a series Hensel lift each got one rule.
+* a JSON string where an array belongs (``eval-line --F '"13"'``, the rows
+  of a group table) and a table that is an object around a string (exit 1);
+  ``hensel-factor`` with p = 0, 1 and 4 and with N = 0 (exit 1); a closed
+  point over a~_2 whose P, or whose F, has the coefficient 1/2 (exit 2, one
+  text); ``hensel`` without --N or without --f0 (exit 1, BadInput); a table
+  row that is an integer and an unknown standard name (exit 1), recorded when
+  each error class began to carry its exit code and stream; and star cuts
+  given as an object and ``--places`` given as a string (exit 1); and
+  ``hensel-factor`` of G = 1 with no seed factor (exit 0, no factors), which
+  raised IndexError before.
 
 Usage text is wrapped at COLUMNS=80.  ``replay_golden.py`` replays the same
 cases as subprocesses of an installed command.
