@@ -156,14 +156,20 @@ class LinePoint:
 def eval_line_seminorm(F, x: LinePoint) -> NormValue:
     """|F(x)| for a polynomial F over Q."""
     F = poly(F)
+    if not F:
+        return NormValue.of(0)
     fib = x.fiber
     if isinstance(fib, UmDisk):
         # F = sum c_k (T - alpha)^k: the max of |c_k| r^k, |c_k| read over {x.base}
         r = fib.r
-        shifted = pshift(F, fib.alpha)
+        if r:
+            shifted = pshift(F, fib.alpha)
+        else:  # only c_0 = F(alpha) counts: one Horner pass
+            X, _, S = gauss_value(*numerators(F), Gauss(fib.alpha))
+            shifted = (Fraction(X, S),)
         lo = hi = (0, 1)
         exact, rn, rd = True, 1, 1
-        for c_lo, c_hi in norm_bounds_each(*numerators(shifted if r else shifted[:1]), x.base):
+        for c_lo, c_hi in norm_bounds_each(*numerators(shifted), x.base):
             exact = exact and c_hi is c_lo
             lo = pair_max(lo, (c_lo[0] * rn, c_lo[1] * rd))
             hi = pair_max(hi, (c_hi[0] * rn, c_hi[1] * rd))
@@ -182,8 +188,6 @@ def eval_line_seminorm(F, x: LinePoint) -> NormValue:
             v = fp_multiplicity(reduced, fp_reduce(fib.P, p), p)
         return NormValue.of(fib.r ** v)  # 0 ** 0 = 1
     # archimedean rigid point
-    if not F:
-        return NormValue.of(0)
     X, Y, S = gauss_value(*numerators(F), fib.z)
     return NormValue.of(Fraction(X * X + Y * Y, S * S)).pow_rational(Fraction(x.base.exponent) / 2)
 

@@ -237,11 +237,18 @@ def cmd_eisenstein(P, f0, m, places):
     return {"root": w.root, "N": w.N, "radii": radii}
 
 
+TABLE_BYTES = 1 << 20  # longest --table file read
+
+
 def _read_table(text):
-    """A group table given as JSON or as the path of a JSON file."""
+    """A group table given as JSON or as the path of a JSON file of at most
+    TABLE_BYTES bytes; a longer file is BadInput, read no further."""
     if os.path.exists(text):
-        with open(text) as fh:
-            text = fh.read()
+        with open(text, "rb") as fh:
+            data = fh.read(TABLE_BYTES + 1)
+        if len(data) > TABLE_BYTES:
+            raise BadInput(f"table file longer than {TABLE_BYTES} bytes")
+        text = data.decode()
     return io.parse_group_table(json.loads(text))
 
 

@@ -52,6 +52,7 @@ from .numbers import invmod, vp_int
 from .series_ring import (
     AnnulusSpec,
     LaurentPoly,
+    _check_support,
     norm_annulus,
     series_add,
     series_mul,
@@ -212,10 +213,10 @@ def runge_approximate(s_list, t_list, sys: SplitSystem, delta):
     N = max([0] + [-v for s in s_list for v in s.valuations(p).values()])
     f = Fraction(1, p ** N)
     s_primes = [series_scale(p ** N, s) for s in s_list]  # exact: defect 0
-    fs_norms = [norm_annulus(sp, ctx) for sp in s_primes]
+    max_fs = nv_max([norm_annulus(sp, ctx) for sp in s_primes])
+    for t in t_list:  # T^-k at s = 0, refused here: where t' = t the loop's norms never see it
+        _check_support(t, ctx)
     ft_list = [series_scale(f, t) for t in t_list]
-    ft_norms = [norm_annulus(ft, ctx) for ft in ft_list]
-    max_fs = nv_max(fs_norms)
 
     M = 1
     for _ in range(400):

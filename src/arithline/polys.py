@@ -6,13 +6,16 @@ the API and JSON boundary.  The kernels run on its integer numerators over
 one denominator D (``numerators``, the layout of FLINT's ``fmpq_poly``): one
 pseudo-division, one Gaussian Horner evaluation, the Taylor shift and the
 Bareiss resultant.  Polynomials over F_p are tuples of ints mod p;
-``fp_poly``, ``fp_add`` and ``fp_mul`` never invert, so the Hensel lifts use
-them mod p^N.  ``_fp_bezout`` is the one Euclid over F_p: ``fp_gcd`` is the
-monic gcd it reads off, and the pair lift takes its Bezout cofactors.
+``fp_poly``, ``fp_sub`` and ``fp_mul`` never invert, so the Hensel lifts use
+them mod p^N.  ``_fp_bezout`` is the one Euclid over F_p, its gcd monic and
+its Bezout cofactors scaled to match (``fp_gcd`` is its first entry).  The
+factor lift is one pass: one ``_fp_bezout`` per seed, against the product of
+the seeds after it.
 """
 
 from fractions import Fraction
-from itertools import zip_longest
+from functools import reduce
+from itertools import accumulate, zip_longest
 from math import gcd, prod
 
 from .errors import BadInput, CannotCertify, NotCoprime, ProductMismatch
@@ -209,8 +212,8 @@ def fp_reduce(f, p):
     return fp_poly([c * u for c in n], p)
 
 
-def fp_add(f, g, p):
-    return fp_poly([a + b for a, b in zip_longest(f, g, fillvalue=0)], p)
+def fp_sub(f, g, p):
+    return fp_poly([a - b for a, b in zip_longest(f, g, fillvalue=0)], p)
 
 
 def fp_mul(f, g, p):
@@ -245,11 +248,22 @@ def fp_divmod(f, g, p):
 
 def fp_gcd(f, g, p):
     """The monic gcd over F_p, read from ``_fp_bezout``; () for two zeros."""
-    a = _fp_bezout(f, g, p)[0]
-    if a and a[-1] != 1:
-        inv = invmod(a[-1], p)
-        a = fp_poly([c * inv for c in a], p)
-    return a
+    return _fp_bezout(f, g, p)[0]
+
+
+def _fp_bezout(f, g, p):
+    """Extended Euclid over F_p[T]: (d, s, t) with s*f + t*g = d and d the
+    monic gcd, s and t scaled with it; ((), (1,), ()) for two zeros."""
+    r0, r1 = f, g
+    s0, s1 = (1,), ()
+    t0, t1 = (), (1,)
+    while r1:
+        q, r = fp_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, fp_sub(s0, fp_mul(q, s1, p), p)
+        t0, t1 = t1, fp_sub(t0, fp_mul(q, t1, p), p)
+    inv = invmod(r0[-1], p) if r0 else 1
+    return tuple(fp_poly([c * inv for c in a], p) for a in (r0, s0, t0))
 
 
 def fp_powmod(f, e, mod, p):
@@ -287,7 +301,7 @@ def fp_irreducible(f, p) -> bool:
     for q in prime_divisors(d):
         e = d // q
         xe = fp_powmod(x, p ** e, f, p)
-        diff = fp_add(xe, fp_poly([-c for c in x], p), p)
+        diff = fp_sub(xe, x, p)
         if deg(fp_gcd(diff, f, p)) != 0:
             return False
     return True
@@ -296,70 +310,55 @@ def fp_irreducible(f, p) -> bool:
 # -- Hensel lifting of coprime factorizations -------------------------------
 
 
-def hensel_pair_lift(f, g, h, p, N):
-    """Lift f = g*h (mod p), g,h monic coprime mod p, to the same shape mod p^N.
+def hensel_multi_lift(f, seeds, p, N):
+    """Lift f = seeds[0] ... seeds[-1] mod p, f monic in Z[T] and the seeds
+    monic mod p, to the monic factors mod p^N, in one pass (von zur Gathen
+    and Gerhard, ch. 15): with rest[i] = seeds[i] ... seeds[-1] mod p, one
+    ``_fp_bezout`` of seeds[i] and rest[i + 1] is both the coprimality test
+    (NotCoprime names the first pair that shares a root) and the Bezout pair
+    that lifts seeds[i] against rest[i + 1], whose lift is the next f.  The
+    product is checked mod p before the lift and mod p^N after it."""
+    rest = list(accumulate(reversed(seeds), lambda a, g: fp_mul(g, a, p), initial=(1,)))[::-1]
+    pairs = []
+    for i, g in enumerate(seeds):
+        one, s, t = _fp_bezout(g, rest[i + 1], p)
+        if one != (1,):
+            j = next(j for j in range(i + 1, len(seeds)) if fp_gcd(g, seeds[j], p) != (1,))
+            raise NotCoprime(f"factors {i} and {j} share a root mod p")
+        pairs.append((s, t))
+    if rest[0] != fp_poly(f, p):
+        raise ProductMismatch("seed factors do not multiply to G mod p")
+    lifted, cofactor = [], f
+    for g, h, (s, t) in zip(seeds, rest[1:], pairs):
+        lift, cofactor = _pair_lift(cofactor, g, h, s, t, p, N)
+        lifted.append(lift)
+    modN = p ** N
+    if reduce(lambda a, b: fp_mul(a, b, modN), lifted, (1,)) != fp_poly(f, modN):
+        raise ProductMismatch("lifted product does not match G mod p^N")
+    return lifted
 
-    Classical linear Hensel with Bezout data refreshed each step; returns the
-    lifted monic pair (g, h) with integer coefficients reduced mod p^N.
-    """
-    gp = fp_poly(g, p)
-    hp = fp_poly(h, p)
-    one, s, t = _fp_bezout(gp, hp, p)
-    if deg(one) != 0:
-        raise NotCoprime("factors share a root mod p")
-    inv = invmod(one[0], p)
-    s = fp_poly([c * inv for c in s], p)
-    t = fp_poly([c * inv for c in t], p)
-    g_cur = [int(c) for c in g]
-    h_cur = [int(c) for c in h]
+
+def _pair_lift(f, g, h, s, t, p, N):
+    """Lift f = g h mod p, g and h monic with s g + t h = 1 mod p, to the monic
+    pair with f = g h mod p^N: the step to p^(k+1) adds p^k (e t mod g) and
+    p^k (e s mod h), e = (f - g h) / p^k mod p.  The lifts stay g and h mod p,
+    so the remainders are taken by g and h themselves."""
+    g_cur, h_cur = g, h
     for k in range(1, N):
-        mod = p ** (k + 1)
-        prod = fp_mul(tuple(g_cur), tuple(h_cur), mod)
-        diff = [(a - b) % mod for a, b in zip_longest(f, prod, fillvalue=0)]
-        if all(c % p ** (k + 1) == 0 for c in diff):
+        pk = p ** k
+        mod = pk * p
+        gh = fp_mul(g_cur, h_cur, mod)
+        diff = [(a - b) % mod for a, b in zip_longest(f, gh, fillvalue=0)]
+        if not any(diff):
             continue
-        assert all(c % p ** k == 0 for c in diff), "lift invariant broken"
-        e = [c // p ** k % p for c in diff]
-        # delta_g = (e*t mod g), delta_h = (e*s mod h), correction at level p^k
-        et = fp_mul(fp_poly(e, p), t, p)
-        es = fp_mul(fp_poly(e, p), s, p)
-        dg = fp_divmod(et, fp_poly(g_cur, p), p)[1]
-        dh = fp_divmod(es, fp_poly(h_cur, p), p)[1]
-        g_cur = [(a + p ** k * b) % mod for a, b in zip_longest(g_cur, dg, fillvalue=0)]
-        h_cur = [(a + p ** k * b) % mod for a, b in zip_longest(h_cur, dh, fillvalue=0)]
+        assert all(c % pk == 0 for c in diff), "lift invariant broken"
+        e = fp_poly([c // pk for c in diff], p)
+        dg = fp_divmod(fp_mul(e, t, p), g, p)[1]
+        dh = fp_divmod(fp_mul(e, s, p), h, p)[1]
+        g_cur = tuple((a + pk * b) % mod for a, b in zip_longest(g_cur, dg, fillvalue=0))
+        h_cur = tuple((a + pk * b) % mod for a, b in zip_longest(h_cur, dh, fillvalue=0))
     modN = p ** N
     return fp_poly(g_cur, modN), fp_poly(h_cur, modN)
-
-
-def _fp_bezout(f, g, p):
-    """Extended euclid over F_p[T]: returns (gcd, s, t) with s*f + t*g = gcd."""
-    r0, r1 = f, g
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = fp_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, fp_add(s0, fp_poly([-c for c in fp_mul(q, s1, p)], p), p)
-        t0, t1 = t1, fp_add(t0, fp_poly([-c for c in fp_mul(q, t1, p)], p), p)
-    return r0, s0, t0
-
-
-def hensel_multi_lift(f, factors, p, N):
-    """Lift a pairwise-coprime monic factorization of f mod p to mod p^N."""
-    fint = [int(c) for c in f]
-    prod = (1,)
-    for fac in factors:
-        prod = fp_mul(prod, fp_poly(fac, p), p)
-    if prod != fp_reduce(poly(fint), p):
-        raise ProductMismatch("seed factors do not multiply to G mod p")
-    if len(factors) <= 1:  # with no factor f = 1 mod p, and the empty product lifts as it is
-        return [fp_poly(fint, p ** N) for _ in factors]
-    rest = (1,)
-    for fac in factors[1:]:
-        rest = fp_mul(rest, fp_poly(fac, p), p)
-    g_lift, h_lift = hensel_pair_lift(tuple(fint), fp_poly(factors[0], p), rest, p, N)
-    sub = hensel_multi_lift(h_lift, factors[1:], p, N)
-    return [g_lift] + sub
 
 
 # -- irreducibility over Q --------------------------------------------------

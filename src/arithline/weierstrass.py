@@ -39,11 +39,9 @@ from .errors import (
     NoContractionRadiusFound,
     NoConvergence,
     NonIntegralAtExtremePoint,
-    NotCoprime,
     NotMonic,
     NotSeparable,
     NotSimpleRoot,
-    ProductMismatch,
     RadiusBelowThreshold,
     RadiusTooSmall,
     ValuationUndefined,
@@ -55,9 +53,6 @@ from .polys import (
     Gauss,
     check_division_work,
     deg,
-    fp_gcd,
-    fp_mul,
-    fp_poly,
     fp_reduce,
     gauss_value,
     hensel_multi_lift,
@@ -542,9 +537,11 @@ def hensel_factor_lift(G, factors, p: int, N: int):
 
     G is a monic integer polynomial, the seed factors are monic mod p and
     multiply to G mod p; their coefficients are p-integral rationals, each
-    reduced mod p exactly (``fp_reduce``).  Returns the lifted monic factors with coefficients
-    reduced mod p^N; each is congruent to its seed mod p and the product is
-    congruent to G mod p^N.  An N < 1 or a p that is not prime is BadInput.
+    reduced mod p exactly (``fp_reduce``).  Returns the lifted monic factors
+    with coefficients reduced mod p^N; each is congruent to its seed mod p
+    and the product is congruent to G mod p^N.  An N < 1 or a p that is not
+    prime is BadInput.  This function checks the input; the coprimality and
+    product checks and the lift itself are ``hensel_multi_lift``'s one pass.
     """
     if N < 1:
         raise BadInput("need N >= 1")
@@ -555,23 +552,11 @@ def hensel_factor_lift(G, factors, p: int, N: int):
         raise NotMonic("factor lifting needs a monic G")
     if any(Fraction(c).denominator != 1 for c in Gp):
         raise BadInput("G must have integer coefficients")
-    Gint = tuple(int(c) for c in Gp)
     seeds = [fp_reduce(poly(f), p) for f in factors]
     for f in seeds:
         if not f or f[-1] != 1:
             raise NotMonic("seed factors must be monic mod p")
-    for i in range(len(seeds)):
-        for j in range(i + 1, len(seeds)):
-            if deg(fp_gcd(seeds[i], seeds[j], p)) > 0:
-                raise NotCoprime(f"factors {i} and {j} share a root mod p")
-    lifted = hensel_multi_lift(Gint, seeds, p, N)
-    modN = p ** N
-    prod = (1,)
-    for f in lifted:
-        prod = fp_mul(prod, f, modN)
-    if prod != fp_poly(Gint, modN):
-        raise ProductMismatch("lifted product does not match G mod p^N")
-    return lifted
+    return hensel_multi_lift(tuple(int(c) for c in Gp), seeds, p, N)
 
 
 def resultant(P, Q) -> Fraction:

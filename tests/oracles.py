@@ -1245,3 +1245,114 @@ def eval_disk_by_terms(F, x):
         if r == 0 and k == 0:
             break
     return nv_max(terms)
+
+
+# -- the recursive factor lift and its pairwise coprimality check --------------
+
+
+def _fp_bezout_unscaled(f, g, p):
+    """Extended Euclid over F_p[T], the gcd left as the remainders end:
+    (d, s, t) with s f + t g = d."""
+    from itertools import zip_longest
+
+    from arithline.polys import fp_divmod, fp_mul, fp_poly
+
+    def sub(a, b):
+        return fp_poly([x - y for x, y in zip_longest(a, b, fillvalue=0)], p)
+
+    r0, r1 = f, g
+    s0, s1 = (1,), ()
+    t0, t1 = (), (1,)
+    while r1:
+        q, r = fp_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, sub(s0, fp_mul(q, s1, p))
+        t0, t1 = t1, sub(t0, fp_mul(q, t1, p))
+    return r0, s0, t0
+
+
+def hensel_pair_lift_refreshing(f, g, h, p, N):
+    """Lift f = g h (mod p) to mod p^N as the pair lift was written: its own
+    Bezout pair, made monic here, and g and h re-reduced mod p each step."""
+    from itertools import zip_longest
+
+    from arithline.errors import NotCoprime
+    from arithline.numbers import invmod
+    from arithline.polys import deg, fp_divmod, fp_mul, fp_poly
+
+    gp, hp = fp_poly(g, p), fp_poly(h, p)
+    one, s, t = _fp_bezout_unscaled(gp, hp, p)
+    if deg(one) != 0:
+        raise NotCoprime("factors share a root mod p")
+    inv = invmod(one[0], p)
+    s = fp_poly([c * inv for c in s], p)
+    t = fp_poly([c * inv for c in t], p)
+    g_cur, h_cur = [int(c) for c in g], [int(c) for c in h]
+    for k in range(1, N):
+        mod = p ** (k + 1)
+        prod = fp_mul(tuple(g_cur), tuple(h_cur), mod)
+        diff = [(a - b) % mod for a, b in zip_longest(f, prod, fillvalue=0)]
+        if all(c % p ** (k + 1) == 0 for c in diff):
+            continue
+        assert all(c % p ** k == 0 for c in diff), "lift invariant broken"
+        e = fp_poly([c // p ** k % p for c in diff], p)
+        dg = fp_divmod(fp_mul(e, t, p), fp_poly(g_cur, p), p)[1]
+        dh = fp_divmod(fp_mul(e, s, p), fp_poly(h_cur, p), p)[1]
+        g_cur = [(a + p ** k * b) % mod for a, b in zip_longest(g_cur, dg, fillvalue=0)]
+        h_cur = [(a + p ** k * b) % mod for a, b in zip_longest(h_cur, dh, fillvalue=0)]
+    return fp_poly(g_cur, p ** N), fp_poly(h_cur, p ** N)
+
+
+def hensel_multi_lift_recursive(f, factors, p, N):
+    """The first factor lifted against the product of the rest, then the
+    rest lifted by recursion; the product mod p checked at every level."""
+    from arithline.errors import ProductMismatch
+    from arithline.polys import fp_mul, fp_poly
+
+    prod = (1,)
+    for fac in factors:
+        prod = fp_mul(prod, fp_poly(fac, p), p)
+    if prod != fp_poly(f, p):
+        raise ProductMismatch("seed factors do not multiply to G mod p")
+    if len(factors) <= 1:
+        return [fp_poly(f, p ** N) for _ in factors]
+    rest = (1,)
+    for fac in factors[1:]:
+        rest = fp_mul(rest, fp_poly(fac, p), p)
+    g_lift, h_lift = hensel_pair_lift_refreshing(tuple(f), fp_poly(factors[0], p), rest, p, N)
+    return [g_lift] + hensel_multi_lift_recursive(h_lift, factors[1:], p, N)
+
+
+def hensel_factor_lift_recursive(G, factors, p, N):
+    """``weierstrass.hensel_factor_lift`` as it was written: the input checks,
+    a quadratic pairwise gcd loop for coprimality, the recursive lift and the
+    product of the lifts checked mod p^N."""
+    from arithline.errors import BadInput, NotCoprime, NotMonic, ProductMismatch
+    from arithline.numbers import is_prime
+    from arithline.polys import deg, fp_mul, fp_poly, fp_reduce, is_monic, poly
+
+    if N < 1:
+        raise BadInput("need N >= 1")
+    if not is_prime(p):
+        raise BadInput(f"{p} is not prime")
+    Gp = poly(G)
+    if not is_monic(Gp):
+        raise NotMonic("factor lifting needs a monic G")
+    if any(Fraction(c).denominator != 1 for c in Gp):
+        raise BadInput("G must have integer coefficients")
+    Gint = [int(c) for c in Gp]
+    seeds = [fp_reduce(poly(f), p) for f in factors]
+    for f in seeds:
+        if not f or f[-1] != 1:
+            raise NotMonic("seed factors must be monic mod p")
+    for i in range(len(seeds)):
+        for j in range(i + 1, len(seeds)):
+            if deg(fp_gcd_direct(seeds[i], seeds[j], p)) > 0:
+                raise NotCoprime(f"factors {i} and {j} share a root mod p")
+    lifted = hensel_multi_lift_recursive(Gint, seeds, p, N)
+    prod = (1,)
+    for f in lifted:
+        prod = fp_mul(prod, f, p ** N)
+    if prod != fp_poly(Gint, p ** N):
+        raise ProductMismatch("lifted product does not match G mod p^N")
+    return lifted

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arithline.cli import main
+from arithline.cli import TABLE_BYTES, main
 
 
 def run(capsys, *argv):
@@ -153,6 +153,16 @@ def test_group_cli(capsys):
     assert out["injective"] and out["homomorphism"]
     _, out = run(capsys, "group-data", "--table", "standard", "--name", "Z4", "--i", "3")
     assert out["n_i"] == 2 and out["d_i"] == 2
+
+
+def test_a_table_file_is_read_up_to_its_byte_bound(tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text("[[1]]".ljust(TABLE_BYTES))  # padded with spaces to the bound
+    code, out = run(capsys, "group-mu", "--table", str(path))
+    assert code == 0 and out["injective"]
+    path.write_text("[[1]]".ljust(TABLE_BYTES + 1))
+    assert main(["group-mu", "--table", str(path)]) == 1
+    assert json.loads(capsys.readouterr().err)["detail"] == f"table file longer than {TABLE_BYTES} bytes"
 
 
 def test_domain_error_exit_code(capsys):

@@ -78,6 +78,13 @@ where a case carries it, stderr) for:
   given as an object and ``--places`` given as a string (exit 1); and
   ``hensel-factor`` of G = 1 with no seed factor (exit 0, no factors), which
   raised IndexError before.
+* ``hensel-factor`` with 1200 seeds 1 (exit 0; RecursionError, exit 3,
+  before), with three seeds of which factors 1 and 2 share a root (exit 2)
+  and with three seeds that lift (exit 0), recorded when factor lifting
+  became one pass; and ``runge`` with T^-1 in --t-list at s = 0 (exit 2,
+  NegativePowersOnDisk) and with T^70000 at t = 3 (exit 0; CannotCertify
+  under ``POW_BITS`` before, from a norm nothing read), recorded when the
+  approximation step stopped taking the norms of f t.
 
 Usage text is wrapped at COLUMNS=80.  ``replay_golden.py`` replays the same
 cases as subprocesses of an installed command.

@@ -238,3 +238,31 @@ def test_local_division_modulo_a_huge_power_answers_at_once_under_a_memory_cap()
         capture_output=True, text=True, env=child_env(), timeout=10, preexec_fn=_cap_address_space,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def test_factor_lift_of_1200_seeds_answers_under_a_memory_cap():
+    """The lift is one pass over the seeds, so 1200 seeds 1 answer: exit 0
+    and the 1200 lifted factors, inside a 2 GB address space and a 10 s
+    wall cap (a lift that recursed once per seed exited 3 with a
+    RecursionError after about 11 s)."""
+    ones = json.dumps([[1]] * 1200)
+    proc = subprocess.run(
+        [sys.executable, "-m", "arithline.cli", "hensel-factor", "--G", "[1]", "--factors", ones,
+         "--prime", "2", "--N", "2"],
+        capture_output=True, text=True, env=child_env(), timeout=10, preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"v": 1, "factors": [[1]] * 1200}
+
+
+def test_an_endless_table_file_is_refused_under_a_memory_cap():
+    """``--table`` reads a file up to TABLE_BYTES and refuses a longer one, so
+    /dev/zero is BadInput, exit 1, inside a 2 GB address space and a 10 s
+    wall cap (read whole, it met a MemoryError, exit 3)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "arithline.cli", "group-mu", "--table", "/dev/zero"],
+        capture_output=True, text=True, env=child_env(), timeout=10, preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    detail = f"table file longer than {cli.TABLE_BYTES} bytes"
+    assert json.loads(proc.stderr) == {"v": 1, "error": "BadInput", "detail": detail}

@@ -5,13 +5,15 @@
 ``normvalue.pow_bounds`` the lower/upper rational-power helpers,
 ``numbers.invmod`` the extended-Euclid inverse, and ``norm_bounds_each`` over
 the one-point compact the Fraction seminorm of ``eval_base_seminorm`` and of
-the disk case of ``eval_line_seminorm``.  The old forms live in
+the disk case of ``eval_line_seminorm``, which at radius 0 reads F(alpha) by
+one Horner pass instead of the Taylor shift.  The old forms live in
 tests/oracles.py; results and refusals must agree exactly, except that a
 seminorm may answer where the old form exceeded ``POW_BITS`` or the reverse.
 """
 
 import contextvars
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +31,7 @@ from arithline import (
     eval_base_seminorm,
     eval_line_seminorm,
 )
+from arithline import affine_line
 from arithline.cousin_cartan import _on_side
 from arithline.errors import ArithlineError, CannotCertify, NegativePowersOnDisk
 from arithline.jsonio import dumps
@@ -217,5 +220,28 @@ def test_eval_disk_matches_the_per_coefficient_loop(case):
     x, coeffs = case
     want = _printed(eval_disk_by_terms, coeffs, x)
     got = _printed(eval_line_seminorm, coeffs, x)
+    if want is not None and got is not None:
+        assert got == want
+
+
+@st.composite
+def centers_and_polys(draw):
+    p = draw(primes)
+    x = BasePoint.finite(p, draw(exponents))
+    alpha = draw(st.one_of(st.just(F(0)), valued_rationals(p)))
+    return LinePoint.disk(x, alpha, 0), draw(st.lists(valued_rationals(p), max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(centers_and_polys())
+@example((LinePoint.disk(BasePoint.finite(3, F(1, 2)), 1, 0), [F(-1), F(1)]))  # F(alpha) = 0
+@example((LinePoint.disk(BasePoint.finite(2, 1), F(1, 2), 0), []))
+def test_eval_at_a_point_disk_reads_f_alpha_without_the_shift(case):
+    """At r = 0 only c_0 = F(alpha) counts: one Horner pass gives the bytes
+    of the Taylor-shift path, and ``pshift`` is not called."""
+    x, coeffs = case
+    want = _printed(eval_disk_by_terms, coeffs, x)
+    with mock.patch.object(affine_line, "pshift", side_effect=AssertionError("pshift at r = 0")):
+        got = _printed(eval_line_seminorm, coeffs, x)
     if want is not None and got is not None:
         assert got == want

@@ -3,13 +3,15 @@
 ``covers_galois._table`` is the one Cayley-table builder: each library table
 is an element list and a product, Q_8 the Hamilton product on the unit
 quaternions.  ``polys.fp_gcd`` is the monic gcd read from the one Euclid over
-F_p, ``_fp_bezout``.  ``SeriesMatrix.mul`` sums each row-by-column product
-list from its first term, and the Cartan loop inverts I + b^- and I + b^+
-from the split perturbations themselves.  ``cousin_cartan._neumann`` is the
+F_p, ``_fp_bezout``, and ``hensel_multi_lift`` lifts each seed against the
+product of the seeds after it with one ``_fp_bezout`` per seed, in a loop
+where a recursion and a pairwise gcd check were.  ``SeriesMatrix.mul`` sums
+each row-by-column product list from its first term, and the Cartan loop
+inverts I + b^- and I + b^+ from the split perturbations themselves.  ``cousin_cartan._neumann`` is the
 one Neumann loop behind ``neumann_inverse`` and ``_approx_inverse``, and the
 Cartan admissibility is the one test 4 D^2 eps <= 1/2.  The replaced forms
-live in tests/oracles.py; tables, gcds and matrix entries (with their
-moduli) must agree exactly, and so must refusals.
+live in tests/oracles.py; tables, gcds, lifted factors and matrix entries
+(with their moduli) must agree exactly, and so must refusals.
 """
 
 from fractions import Fraction as F
@@ -19,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithline import AnnulusSpec, BaseCompact, LaurentPoly, NormValue, Place, SeriesMatrix, SplitSystem
+from arithline import polys
 from arithline.cousin_cartan import (
     CartanResult,
     _approx_inverse,
@@ -33,8 +36,9 @@ from arithline.covers_galois import (
     quaternion_table,
     symmetric_table,
 )
-from arithline.errors import ToleranceNotReached
-from arithline.polys import fp_gcd, fp_poly
+from arithline.errors import ArithlineError, ToleranceNotReached
+from arithline.polys import _fp_bezout, fp_gcd, fp_mul, fp_poly, fp_sub
+from arithline.weierstrass import hensel_factor_lift
 
 from oracles import (
     approx_inverse_by_loop,
@@ -42,6 +46,7 @@ from oracles import (
     dihedral_table_by_hand,
     direct_product_table_by_hand,
     fp_gcd_direct,
+    hensel_factor_lift_recursive,
     matrix_mul_zero_start,
     neumann_inverse_by_sum,
     quaternion_table_by_hand,
@@ -92,6 +97,92 @@ def fp_pairs(draw):
 def test_fp_gcd_matches_the_direct_loop(pair):
     f, g, p = pair
     assert fp_gcd(f, g, p) == fp_gcd_direct(f, g, p)
+
+
+def test_fp_bezout_returns_the_monic_gcd_with_its_cofactors():
+    f, g, p = (2, 4, 2), (3, 3), 5  # 2 (x + 1)^2 and 3 (x + 1)
+    d, s, t = _fp_bezout(f, g, p)
+    assert d == (1, 1)
+    assert fp_sub(fp_mul(s, f, p), fp_sub(d, fp_mul(t, g, p), p), p) == ()  # s f + t g = d
+    assert _fp_bezout((), (), p) == ((), (1,), ())
+
+
+# -- the one-pass factor lift ----------------------------------------------------------
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def factor_lifts(draw):
+    """G, seeds, p, N: 0-5 monic seeds of degree 0-3 and G their product over
+    Z, at times with a seed sharing a root with an earlier one, a seed or a G
+    that is not monic, or a G that does not match."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    coeff = st.integers(-2 * p, 2 * p)
+    seeds = []
+    for _ in range(draw(st.integers(0, 5))):
+        if seeds and draw(st.integers(0, 5)) == 0:  # a root shared with an earlier seed
+            seeds.append(_mul(draw(st.sampled_from(seeds)), draw(st.lists(coeff, max_size=1)) + [1]))
+        else:
+            seeds.append(draw(st.lists(coeff, max_size=3)) + [1])
+    G = [1]
+    for f in seeds:
+        G = _mul(G, f)
+    flaw = draw(st.integers(0, 9))
+    if flaw == 0 and seeds:  # a seed that is not monic mod p
+        seeds[draw(st.integers(0, len(seeds) - 1))][-1] = draw(st.sampled_from((0, 2, p, p + 1)))
+    elif flaw == 1:  # G not monic
+        G[-1] = draw(st.sampled_from((0, 2, p + 1)))
+    elif flaw in (2, 3):  # G does not match the seeds
+        G[draw(st.integers(0, len(G) - 1))] += draw(st.integers(1, 3))
+    return G, seeds, p, draw(st.integers(1, 5))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ArithlineError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(factor_lifts())
+@example(([-1, 0, 1], [[-1, 1], [1, 1]], 5, 3))
+@example(([1, 0, 1], [[-2, 1], [2, 1]], 5, 2))
+@example(([1], [], 2, 3))
+@example(([1], [[1], [1], [1]], 2, 2))  # degree-0 seeds
+@example(([-6, 11, -6, 1], [[-1, 1], [-2, 1], [-3, 1]], 7, 4))
+@example(([2, 3, 1], [[1, 1], [2, 1], [3, 1]], 2, 2))  # T + 1 and T + 3 mod 2: factors 0 and 2
+@example(([1, 2, 1], [[1], [1, 1], [1, 1]], 5, 2))  # factors 1 and 2 share a root
+@example(([1, 2, 1], [[1, 1], [1, 1]], 5, 2))
+@example(([1, 0, 1], [[-2, 1], [2, 2]], 5, 2))  # a non-monic seed
+@example(([2, 0, 1], [[-2, 1], [2, 1]], 5, 2))  # G does not match
+def test_factor_lift_matches_the_recursive_lift(case):
+    G, seeds, p, N = case
+    assert _outcome(hensel_factor_lift, G, seeds, p, N) == _outcome(hensel_factor_lift_recursive, G, seeds, p, N)
+
+
+def test_factor_lift_takes_one_bezout_per_seed_and_no_recursion(monkeypatch):
+    calls = []
+
+    def counting(f, g, p):
+        calls.append((f, g))
+        return bezout(f, g, p)
+
+    bezout = polys._fp_bezout
+    monkeypatch.setattr(polys, "_fp_bezout", counting)
+    G = [-6, 11, -6, 1]
+    assert hensel_factor_lift(G, [[-1, 1], [-2, 1], [-3, 1]], 7, 4) == [(2400, 1), (2399, 1), (2398, 1)]
+    assert calls == [((6, 1), (6, 2, 1)), ((5, 1), (4, 1)), ((4, 1), (1,))]  # each seed against its suffix
+    calls.clear()
+    assert hensel_factor_lift([1], [[1]] * 1200, 2, 2) == [(1,)] * 1200  # past the recursion limit
+    assert len(calls) == 1200
 
 
 # -- the matrix product and the Cartan perturbations --------------------------------
