@@ -63,6 +63,7 @@ from .cousin_cartan import (
     split_series_arith,
 )
 from .covers_galois import (
+    STANDARD_GROUPS,
     CoverDescriptor,
     binomial_root_series,
     cyclic_cover_split,
@@ -71,7 +72,6 @@ from .covers_galois import (
     group_cover_data,
     mu_homomorphism,
     primitive_root_of_unity,
-    standard_group_tables,
 )
 from .errors import ArithlineError, BadInput
 from .normvalue import MIN_BITS, set_default_bits
@@ -255,10 +255,10 @@ def _read_table(text):
 def _load_table(table, name):
     if table != "standard":
         return _refusing(_read_table)(table)
-    tables = standard_group_tables()
-    if name not in tables:
+    build = STANDARD_GROUPS.get(name)
+    if build is None:
         raise BadInput(repr(name))
-    return tables[name]
+    return build()
 
 
 def cmd_group_data(table, name, i):

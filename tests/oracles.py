@@ -1091,6 +1091,47 @@ def quaternion_table_by_hand():
     return GroupTable([[index[mul(a, b)] for b in names] for a in names])
 
 
+# -- the group-table checks over every triple ----------------------------------
+
+
+def group_table_by_triples(table):
+    """Validate a Cayley table as GroupTable did before Light's test: the same
+    checks, in the same order and with the same texts, and associativity over
+    all n^3 triples.  Returns the parsed table and its identity."""
+    from arithline.errors import BadInput
+    from arithline.numbers import parse_int
+
+    table = tuple(tuple(parse_int(x) for x in row) for row in table)
+    n = len(table)
+    if any(len(row) != n for row in table):
+        raise BadInput("table must be square")
+    if any(not 1 <= x <= n for row in table for x in row):
+        raise BadInput("entries must lie in [1, n]")
+    r = range(n)
+    identity = next((e + 1 for e in r if all(table[e][j] == j + 1 == table[j][e] for j in r)), None)
+    if identity is None:
+        raise BadInput("no identity element")
+    for i in r:
+        if identity not in table[i]:
+            raise BadInput(f"element {i + 1} has no inverse")
+    if any(table[table[i][j] - 1][k] != table[i][table[j][k] - 1] for i in r for j in r for k in r):
+        raise BadInput("associativity fails")
+    return table, identity
+
+
+def mu_flags_pointwise(G):
+    """mu's two flags checked point by point: alpha_{gh}(j) = alpha_g(alpha_h(j))
+    for every g, h and j, and n distinct left translations."""
+    n = G.n
+    perms = {h: tuple(G.mul(h, j) for j in range(1, n + 1)) for h in range(1, n + 1)}
+    homomorphism = all(
+        perms[G.mul(h1, h2)] == tuple(perms[h1][perms[h2][j] - 1] for j in range(n))
+        for h1 in range(1, n + 1)
+        for h2 in range(1, n + 1)
+    )
+    return homomorphism, len(set(perms.values())) == n
+
+
 # -- the direct Euclid over F_p and the zero-start matrix product ---------------
 
 

@@ -49,7 +49,7 @@ from arithline.base_space import member_of_kv
 from arithline.numbers import is_prime, vp
 from arithline.series_ring import series_mul, series_sub
 
-from oracles import newton_sqrt_mod, schoolbook_divmod, series_quotient
+from oracles import mu_flags_pointwise, newton_sqrt_mod, schoolbook_divmod, series_quotient
 
 INF = math.inf
 MZ = BaseCompact.whole_space()
@@ -378,6 +378,7 @@ def test_10_covers():
         assert G.n <= 8
         rep = mu_homomorphism(G)
         assert rep.homomorphism and rep.injective, name
+        assert mu_flags_pointwise(G) == (True, True), name
     report(10, "covers", t0, 10)
 
 

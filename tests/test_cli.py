@@ -8,7 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arithline.cli import TABLE_BYTES, main
+from arithline.cli import TABLE_BYTES, _load_table, main
+from arithline.covers_galois import GroupTable, standard_group_tables
+
+from oracles import (
+    cyclic_table_by_hand,
+    dihedral_table_by_hand,
+    direct_product_table_by_hand,
+    quaternion_table_by_hand,
+    symmetric_table_by_hand,
+)
 
 
 def run(capsys, *argv):
@@ -153,6 +162,35 @@ def test_group_cli(capsys):
     assert out["injective"] and out["homomorphism"]
     _, out = run(capsys, "group-data", "--table", "standard", "--name", "Z4", "--i", "3")
     assert out["n_i"] == 2 and out["d_i"] == 2
+
+
+def test_a_standard_table_is_built_alone(capsys, monkeypatch):
+    """``--table standard`` builds the named table and no other."""
+    built = []
+    init = GroupTable.__init__
+
+    def counting_init(G, table):
+        built.append(len(table))
+        init(G, table)
+
+    monkeypatch.setattr(GroupTable, "__init__", counting_init)
+    _, out = run(capsys, "group-data", "--table", "standard", "--name", "Z4", "--i", "3")
+    assert out["n_i"] == 2 and built == [4]
+
+
+def test_standard_tables_are_the_tables_built_by_name():
+    Z2, Z4 = cyclic_table_by_hand(2), cyclic_table_by_hand(4)
+    by_hand = {
+        **{f"Z{n}": cyclic_table_by_hand(n) for n in range(1, 9)},
+        "Z2xZ2": direct_product_table_by_hand(Z2, Z2),
+        "Z2xZ4": direct_product_table_by_hand(Z2, Z4),
+        "S3": symmetric_table_by_hand(3),
+        "D4": dihedral_table_by_hand(4),
+        "Q8": quaternion_table_by_hand(),
+    }
+    assert list(standard_group_tables()) == list(by_hand)
+    assert standard_group_tables() == by_hand
+    assert {name: _load_table("standard", name) for name in by_hand} == by_hand
 
 
 def test_a_table_file_is_read_up_to_its_byte_bound(tmp_path, capsys):

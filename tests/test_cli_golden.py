@@ -85,6 +85,11 @@ where a case carries it, stderr) for:
   NegativePowersOnDisk) and with T^70000 at t = 3 (exit 0; CannotCertify
   under ``POW_BITS`` before, from a norm nothing read), recorded when the
   approximation step stopped taking the norms of f t.
+* ``group-mu`` on Z/6 with one 2x2 subsquare switched, a loop that is not
+  associative (exit 1), on the standard Q8, S3 and D4, ``group-data`` on the
+  standard D4 at i = 5, and ``group-data --table standard`` with no
+  ``--name`` (exit 1, "None"), recorded when associativity became Light's
+  test on a generating set and a standard table began to be built by name.
 
 Usage text is wrapped at COLUMNS=80.  ``replay_golden.py`` replays the same
 cases as subprocesses of an installed command.

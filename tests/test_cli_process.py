@@ -266,3 +266,38 @@ def test_an_endless_table_file_is_refused_under_a_memory_cap():
     assert (proc.returncode, proc.stdout) == (1, "")
     detail = f"table file longer than {cli.TABLE_BYTES} bytes"
     assert json.loads(proc.stderr) == {"v": 1, "error": "BadInput", "detail": detail}
+
+
+def test_group_mu_of_a_cyclic_table_of_order_470_answers_under_a_memory_cap(tmp_path):
+    """Light's associativity test costs O(n^2 log n) and mu reads the rows, so
+    Z/470, written compactly under TABLE_BYTES, answers: exit 0 inside a 2 GB
+    address space and a 10 s wall cap (over all n^3 triples, twice, it took
+    about 20 s)."""
+    n = 470
+    path = tmp_path / "z470.json"
+    path.write_text(json.dumps([[(i + j) % n + 1 for j in range(n)] for i in range(n)], separators=(",", ":")))
+    assert path.stat().st_size <= cli.TABLE_BYTES
+    proc = subprocess.run(
+        [sys.executable, "-m", "arithline.cli", "group-mu", "--table", str(path)],
+        capture_output=True, text=True, env=child_env(), timeout=10, preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    out = json.loads(proc.stdout)
+    assert out["injective"] and out["homomorphism"] and out["map"]["2"][-1] == 1
+
+
+def test_a_non_associative_loop_of_order_300_is_refused_under_a_memory_cap(tmp_path):
+    """Z/300 with the 2x2 subsquare on rows and columns 2 and 152 switched is
+    a Latin square with an identity, so only associativity refuses it: exit 1,
+    BadInput, inside a 2 GB address space and a 10 s wall cap."""
+    n, a, b = 300, 1, 151
+    t = [[(i + j) % n + 1 for j in range(n)] for i in range(n)]
+    t[a][a], t[a][b], t[b][a], t[b][b] = t[a][b], t[a][a], t[b][b], t[b][a]
+    path = tmp_path / "loop300.json"
+    path.write_text(json.dumps(t, separators=(",", ":")))
+    proc = subprocess.run(
+        [sys.executable, "-m", "arithline.cli", "group-mu", "--table", str(path)],
+        capture_output=True, text=True, env=child_env(), timeout=10, preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert json.loads(proc.stderr) == {"v": 1, "error": "BadInput", "detail": "associativity fails"}

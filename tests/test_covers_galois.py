@@ -20,18 +20,27 @@ from arithline import (
     standard_group_tables,
 )
 from arithline.covers_galois import (
+    GROUP_ORDER,
+    STANDARD_GROUPS,
     _is_root_of_one_plus_z,
     binomial_coefficient_series,
     cyclic_table,
+    direct_product_table,
     dihedral_table,
     quaternion_table,
     symmetric_table,
 )
 from arithline.series_ring import series_add, series_mul
-from arithline.errors import BadDescriptor, CannotCertify, CongruenceFails, NoneFound, NotLiftable, PDividesN
+from arithline.errors import BadDescriptor, BadInput, CannotCertify, CongruenceFails, NoneFound, NotLiftable, PDividesN
 from arithline.numbers import vp
 
-from oracles import binomial_series_fraction, cover_power_by_loop, series_pow_by_squaring
+from oracles import (
+    binomial_series_fraction,
+    cover_power_by_loop,
+    group_table_by_triples,
+    mu_flags_pointwise,
+    series_pow_by_squaring,
+)
 
 
 def test_find_prime_examples():
@@ -166,6 +175,134 @@ def test_group_table_validation():
     assert Z3.identity == 1 and Z3.order_of(2) == 3
 
 
+def test_group_order_budget_is_checked_before_any_entry():
+    with pytest.raises(CannotCertify, match=f"order {GROUP_ORDER + 1} exceeds the GROUP_ORDER budget"):
+        GroupTable([["x"]] * (GROUP_ORDER + 1))
+    with pytest.raises(BadInput, match="invalid literal"):
+        GroupTable([["x"]] * GROUP_ORDER)
+
+
+def _relabel(table, perm):
+    """The table of the same product on the labels perm[x - 1]."""
+    out = [[0] * len(table) for _ in table]
+    for x, row in enumerate(table):
+        for y, z in enumerate(row):
+            out[perm[x] - 1][perm[y] - 1] = perm[z - 1]
+    return out
+
+
+def _intercalate_loop(n):
+    """Z/n (n even, n >= 6) with one 2x2 subsquare off the identity switched:
+    a Latin square with an identity that is not associative."""
+    t = [list(row) for row in cyclic_table(n).table]
+    a, b = 1, 1 + n // 2
+    t[a][a], t[a][b] = t[a][b], t[a][a]
+    t[b][a], t[b][b] = t[b][b], t[b][a]
+    return t
+
+
+@st.composite
+def group_tables(draw):
+    """A standard table or a product of two, relabelled at random."""
+    names = sorted(STANDARD_GROUPS)
+    A = STANDARD_GROUPS[draw(st.sampled_from(names))]()
+    if draw(st.booleans()):
+        B = STANDARD_GROUPS[draw(st.sampled_from([k for k in names if STANDARD_GROUPS[k]().n <= 4]))]()
+        A = direct_product_table(A, B)
+    perm = draw(st.permutations(range(1, A.n + 1)))
+    return _relabel(A.table, perm)
+
+
+@st.composite
+def latin_loops(draw):
+    """A random Latin square of order <= 6, filled cell by cell with backtracking,
+    made a loop by its principal isotope x o y = L[R^-1 x][C^-1 y] through the
+    cell (a, b), then relabelled at random."""
+    n = draw(st.integers(1, 6))
+    rng = draw(st.randoms(use_true_random=False))
+    L = [[0] * n for _ in range(n)]
+
+    def fill(cell):
+        if cell == n * n:
+            return True
+        i, j = divmod(cell, n)
+        used = {L[i][k] for k in range(j)} | {L[k][j] for k in range(i)}
+        for z in rng.sample(range(n), n):
+            if z not in used:
+                L[i][j] = z
+                if fill(cell + 1):
+                    return True
+        return False
+
+    assert fill(0)
+    a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    row_of = {L[i][b]: i for i in range(n)}
+    col_of = {L[a][j]: j for j in range(n)}
+    loop = [[L[row_of[x]][col_of[y]] + 1 for y in range(n)] for x in range(n)]
+    return _relabel(loop, draw(st.permutations(range(1, n + 1))))
+
+
+@st.composite
+def group_times_loop(draw):
+    """A standard group A times a random loop L, numbered with the elements
+    (a, e) of A first or relabelled at random.  The elements (a, e) pass
+    Light's test, so a generating set that stopped early could miss the
+    failures of L."""
+    A = STANDARD_GROUPS[draw(st.sampled_from(sorted(STANDARD_GROUPS)))]()
+    L = draw(latin_loops())
+    m = len(L)
+    e = L.index(list(range(1, m + 1)))  # the identity's row
+    swap = list(range(1, m + 1))
+    swap[0], swap[e] = e + 1, 1
+    L = _relabel(L, swap)  # the identity is now 1
+    t = [[(L[k][l] - 1) * A.n + A.mul(a, b) for l in range(m) for b in range(1, A.n + 1)]
+         for k in range(m) for a in range(1, A.n + 1)]
+    if draw(st.booleans()):
+        t = _relabel(t, draw(st.permutations(range(1, A.n * m + 1))))
+    return t
+
+
+@st.composite
+def perturbed_groups(draw):
+    """A relabelled group table with one entry set to a value in [0, n + 1]."""
+    t = draw(group_tables())
+    n = len(t)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    t[i][j] = draw(st.integers(0, n + 1))
+    return t
+
+
+def _validated(table):
+    G = GroupTable(table)
+    return G.table, G.identity
+
+
+def _outcome(validate, table):
+    try:
+        return "accepted", validate(table)
+    except Exception as exc:  # the outcome compared is the class and the text
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(group_tables(), latin_loops(), group_times_loop(), perturbed_groups(),
+                 st.sampled_from([6, 8, 10]).map(_intercalate_loop)))
+def test_light_test_decides_as_the_triple_loop(table):
+    """Accept or refuse, the error class and its text are the triple loop's."""
+    got = _outcome(_validated, table)
+    assert got == _outcome(group_table_by_triples, table)
+    if got[0] == "accepted":
+        G = GroupTable(table)
+        rep = mu_homomorphism(G)
+        assert mu_flags_pointwise(G) == (rep.homomorphism, rep.injective) == (True, True)
+
+
+@pytest.mark.parametrize("n", [6, 8, 300])
+def test_an_intercalate_switch_of_a_cyclic_table_is_not_associative(n):
+    with pytest.raises(BadInput, match="^associativity fails$"):
+        GroupTable(_intercalate_loop(n))
+
+
 def test_group_cover_data_examples():
     Z4 = cyclic_table(4)
     # element at index 3 is g^2, the order-2 element
@@ -196,9 +333,11 @@ def test_mu_homomorphism():
     rep3 = mu_homomorphism(Z3)
     assert rep3.homomorphism and rep3.injective
     assert rep3.perms[2] == (2, 3, 1)  # the regular representation
-    for name, G in standard_group_tables().items():
+    for name, G in standard_group_tables().items():  # the tables of ``selftest --suite covers``
         r = mu_homomorphism(G)
         assert r.homomorphism and r.injective, name
+        assert mu_flags_pointwise(G) == (True, True), name
+        assert r.perms == {h: tuple(G.mul(h, j) for j in range(1, G.n + 1)) for h in range(1, G.n + 1)}, name
 
 
 def test_quaternion_and_dihedral_shapes():
