@@ -18,10 +18,13 @@ point a_p^e compiles to integers (p, a, k) with e = a/k in lowest terms.
 pairs, each the max of its endpoint terms by cross-multiplication, so the
 annulus norms, the pruning of series matrices, the disk seminorms and the
 division threshold build no Fraction per coefficient; it takes
-v_p(D) once per finite term and call, and hands ``pow_pairs`` the term
-p^x, x = a (v_p(D) - v_p(n_k)), at the int exponent x when k = 1.  On the
-trivial compact (the central point alone) every norm is 1 or 0, one shared
-pair each.  ``norm_bounds`` reads one such pair as Fractions.
+v_p(D) once per finite term and call, and forms the term p^x,
+x = a (v_p(D) - v_p(n_k)), as one integer pair when k = 1, charged to
+``POW_BITS`` as ``pow_pairs`` charges it; only a root goes through
+``pow_pairs``.  A compact none of whose terms takes a root gives exact
+pairs only, and ``_norm_endpoints`` records that.  On the trivial compact
+(the central point alone) every norm is 1 or 0, one shared pair each.
+``norm_bounds`` reads one such pair as Fractions.
 """
 
 from dataclasses import dataclass
@@ -31,7 +34,7 @@ from math import gcd
 from typing import Optional
 
 from .errors import BadInput, NonIntegralAtExtremePoint, NotInRingOfV, ZeroInput
-from .normvalue import NormValue, pair_max, pow_pairs
+from .normvalue import NormValue, _check_pow_budget, pair_max, pow_pairs
 from .numbers import TRIAL_BOUND, factor, is_prime, small_prime_factor, strip_primes, vp, vp_int
 
 INF = float("inf")
@@ -310,13 +313,16 @@ def _norm_endpoints(V):
     """Compile ``shilov_base(V)`` into the terms of ||.||_V and the pole test,
     for a compact V or a point, the one-point compact.
 
-    Returns (has_trivial, finite_terms, arch_terms, extreme_primes, pole):
-    a_0 sets has_trivial, a point a_p^e adds (p, a, k) to finite_terms for
-    e = a/k in lowest terms, a point a_inf^e adds e to arch_terms, an
-    extreme point its prime.  pole, the one pole test of K(V) and the one
-    reading of V's shape here, maps a denominator to 1 when it has no pole
-    at an extreme point of V, else to the prime of the segment or the point,
-    or to the star's uncut cofactor; it is None when V holds no extreme point.
+    Returns (has_trivial, finite_terms, arch_terms, extreme_primes, pole,
+    roots): a_0 sets has_trivial, a point a_p^e adds (p, a, k) to
+    finite_terms for e = a/k in lowest terms, a point a_inf^e adds e to
+    arch_terms, an extreme point its prime.  pole, the one pole test of K(V)
+    and the one reading of V's shape here, maps a denominator to 1 when it
+    has no pole at an extreme point of V, else to the prime of the segment or
+    the point, or to the star's uncut cofactor; it is None when V holds no
+    extreme point.  roots is True when some term takes a root, a finite
+    k > 1 or an archimedean e != 1; when it is False every pair of
+    ``norm_bounds_each`` is exact.
 
     Two terms of the sup over V are dominated and not compiled: 1 on a star
     with no cut at 0 (by the product formula some Shilov term of f != 0 in
@@ -343,7 +349,8 @@ def _norm_endpoints(V):
         pole = lambda d: p if d % p == 0 else 1
     else:
         pole = None
-    return has_trivial, tuple(finite_terms), tuple(arch_terms), tuple(extreme), pole
+    roots = any(k > 1 for _, _, k in finite_terms) or any(e != 1 for e in arch_terms)
+    return has_trivial, tuple(finite_terms), tuple(arch_terms), tuple(extreme), pole, roots
 
 
 def _refuse_poles(nums, den: int, pole) -> None:
@@ -372,17 +379,18 @@ def norm_bounds_each(nums, den: int, V) -> list:
     endpoints are compiled once, and ``_refuse_poles`` refuses a pole first.
 
     A finite term (p, a, k) reads p^x with x = a (v_p(den) - v_p(n)), v_p(den)
-    taken once per call, and ``pow_pairs`` gives p^(x/k): for k = 1 it takes
-    the int x itself, so no Fraction exponent is built, and returns one pair
-    (p^x, 1) or (1, p^-x) for lo and hi; for k > 1 it takes the root.
+    taken once per call.  For k = 1 the term is the one pair (p^x, 1) or
+    (1, p^-x) for lo and hi, with |x| bits(p) charged to ``POW_BITS`` as
+    ``pow_pairs`` charges it (x = 1 takes no power); for k > 1 ``pow_pairs``
+    takes the root p^(x/k).
     v_q(den) of an extreme point q is taken once too.  On the trivial
     compact every n != 0 gets one shared pair for 1 and every 0 one for 0,
     with no per-coefficient work."""
-    has_trivial, finite_terms, arch_terms, extreme, pole = _norm_endpoints(V)
+    has_trivial, finite_terms, arch_terms, extreme, pole, _ = _norm_endpoints(V)
     _refuse_poles(nums, den, pole)
     if not (finite_terms or arch_terms or extreme):  # a_0 alone: shilov_base lists a point
         return [_UNIT if n else _NIL for n in nums]
-    finite = [(p, a, k, a * vp_int(den, p)) for p, a, k in finite_terms]
+    finite = [(p, a, k, a * vp_int(den, p), p.bit_length()) for p, a, k in finite_terms]
     extreme = [(q, vp_int(den, q)) for q in extreme]
     start = _ONE if has_trivial else None
     out = []
@@ -391,9 +399,14 @@ def norm_bounds_each(nums, den: int, V) -> list:
             out.append(_NIL)
             continue
         lo = hi = start
-        for p, a, k, a_vd in finite:
+        for p, a, k, a_vd, bits in finite:
             x = a_vd - a * vp_int(n, p)
-            t_lo, t_hi = pow_pairs(p, 1, x if k == 1 else Fraction(x, k))
+            if k == 1:
+                if x != 1:
+                    _check_pow_budget(abs(x) * bits)
+                t_lo = t_hi = (p ** x, 1) if x >= 0 else (1, p ** -x)
+            else:
+                t_lo, t_hi = pow_pairs(p, 1, Fraction(x, k))
             lo, hi = (t_lo, t_hi) if lo is None else (pair_max(lo, t_lo), pair_max(hi, t_hi))
         for e in arch_terms:
             t_lo, t_hi = pow_pairs(abs(n), den, e)

@@ -24,6 +24,15 @@ with a power of p as denominator on K0^+, and integral on the archimedean
 K0^+ (its K0^- takes every rational).  Rational and series splits share one
 D-bound certificate, ``_split_cert``.
 
+A matrix's entries share one modulus.  Its product makes each entry one
+fused dot product (``series_ring.series_dot``): the row-by-column
+convolutions go into one dict over one denominator, made canonical once.
+The Neumann sum keeps one running integer sum per entry over a denominator
+that grows only when a term needs it, and builds its matrix once, at the
+end, so a sum of j terms costs the terms and not j copies of the sum.  I + x
+and x - I move only the diagonal, a prune keeps an entry it does not cut,
+and ``matrix_norm`` sums a row of annulus norms in one integer pass.
+
 A split reads the series' integer content n_k / D (``_split_series``; a
 rational is the one-term series).  At a finite place p, with q the p-part of
 D, a^+_k = t_k / q where t_k = -n_k (D/q)^-1 mod q is moved into
@@ -35,7 +44,7 @@ Then a^- = a + a^+.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from math import gcd
 from typing import Optional
 
 from .base_space import BaseCompact, Place, base_norm, member_of_kv, norm_bounds_each
@@ -47,21 +56,25 @@ from .errors import (
     NormTooLarge,
     ToleranceNotReached,
 )
-from .normvalue import NormValue, nv_max, nv_sum
+from .normvalue import NormValue, nv_max
 from .numbers import invmod, vp_int
 from .series_ring import (
     AnnulusSpec,
     LaurentPoly,
+    _annulus_pairs,
     _check_support,
+    _known_valuation,
+    check_series_order,
     norm_annulus,
     series_add,
-    series_mul,
+    series_dot,
     series_neg,
     series_scale,
     series_sub,
 )
 
 LATTICE_C = Fraction(1, 2)  # nearest-integer approximation constant for Z
+_ONE, _ZERO = LaurentPoly.one(), LaurentPoly.zero()
 
 
 @dataclass(frozen=True)
@@ -249,7 +262,13 @@ def _approx_in_z_inv_p(f: LaurentPoly, p: int, M: int) -> LaurentPoly:
 
 
 class SeriesMatrix:
-    """A rectangular matrix of Laurent polynomials with the row-sum norm."""
+    """A rectangular matrix of Laurent polynomials with the row-sum norm.
+
+    Its entries share one modulus: the public constructor checks the shape
+    and the entry types and moves every entry to the least modulus among
+    them; ``_of`` is the trusted constructor for entries built from
+    matrices, which share one already.
+    """
 
     __slots__ = ("rows", "cols", "entries")
 
@@ -273,13 +292,16 @@ class SeriesMatrix:
         self.cols = cols
 
     @classmethod
+    def _of(cls, entries: tuple) -> "SeriesMatrix":
+        """Trusted constructor: a nonempty tuple of equally long nonempty
+        tuples of LaurentPoly that share one modulus."""
+        obj = object.__new__(cls)
+        obj.entries, obj.rows, obj.cols = entries, len(entries), len(entries[0])
+        return obj
+
+    @classmethod
     def identity(cls, n: int) -> "SeriesMatrix":
-        return cls(
-            tuple(
-                tuple(LaurentPoly.one() if i == j else LaurentPoly.zero() for j in range(n))
-                for i in range(n)
-            )
-        )
+        return cls(tuple(tuple(_ONE if i == j else _ZERO for j in range(n)) for i in range(n)))
 
     def __eq__(self, other):
         return isinstance(other, SeriesMatrix) and self.entries == other.entries
@@ -287,11 +309,9 @@ class SeriesMatrix:
     def __repr__(self):
         return f"SeriesMatrix({self.rows}x{self.cols})"
 
-    def map(self, fn) -> "SeriesMatrix":
-        return SeriesMatrix(tuple(tuple(fn(e) for e in row) for row in self.entries))
-
     def _entrywise(self, other, op) -> "SeriesMatrix":
-        return SeriesMatrix(
+        # the sums of two matrices' entries all have the smaller of their moduli
+        return SeriesMatrix._of(
             tuple(
                 tuple(op(a, b) for a, b in zip(r1, r2))
                 for r1, r2 in zip(self.entries, other.entries)
@@ -305,14 +325,20 @@ class SeriesMatrix:
         return self._entrywise(other, series_sub)
 
     def mul(self, other) -> "SeriesMatrix":
+        """Each entry one ``series_dot`` of a row and a column, all known mod
+        the least modulus of the products a_ik b_kj: min(m_a + val b,
+        m_b + val a) over the entries, val an entry's ``_known_valuation``."""
         if self.cols != other.rows:
             raise BadInput("shape mismatch")
+        mods = []
+        if self.entries[0][0].trunc_mod is not None:
+            mods.append(self.entries[0][0].trunc_mod + min(map(_known_valuation, _flat(other))))
+        if other.entries[0][0].trunc_mod is not None:
+            mods.append(other.entries[0][0].trunc_mod + min(map(_known_valuation, _flat(self))))
+        mod = min(mods) if mods else None
         columns = tuple(zip(*other.entries))
-        return SeriesMatrix(
-            tuple(
-                tuple(reduce(series_add, map(series_mul, row, col)) for col in columns)
-                for row in self.entries
-            )
+        return SeriesMatrix._of(
+            tuple(tuple(series_dot(row, col, mod) for col in columns) for row in self.entries)
         )
 
     def is_zero(self) -> bool:
@@ -322,28 +348,66 @@ class SeriesMatrix:
         """Drop monomials whose certified norm contribution is below tol.
 
         The contribution of c T^k is ||c||_V.hi w_k with the integer pairs of
-        ``norm_bounds_each`` and ``AnnulusSpec.weights``; hi w_k > tol is
-        decided by cross-multiplication.
+        ``norm_bounds_each`` and ``AnnulusSpec.weights``, taken in that order
+        entry by entry; hi w_k > tol is decided by cross-multiplication.  A
+        zero entry, and an entry that loses no monomial, is kept as it is.
         """
         tol_n, tol_d = tol.numerator, tol.denominator
 
         def prune_entry(e: LaurentPoly) -> LaurentPoly:
+            if not e.num:
+                return e
             bounds = norm_bounds_each(e.num.values(), e.den, ctx.V)
             kept = {
                 k: c
                 for (k, c), (_, (hn, hd)), (wn, wd) in zip(e.num.items(), bounds, ctx.weights(e.num))
                 if hn * wn * tol_d > tol_n * hd * wd
             }
-            return LaurentPoly._content(kept, e.den, e.trunc_mod)
+            return e if len(kept) == len(e.num) else LaurentPoly._content(kept, e.den, e.trunc_mod)
 
-        return self.map(prune_entry)
+        return SeriesMatrix._of(tuple(tuple(prune_entry(e) for e in row) for row in self.entries))
+
+
+def _flat(mat: SeriesMatrix):
+    return (e for row in mat.entries for e in row)
+
+
+def _plus_identity(mat: SeriesMatrix, sign: int = 1) -> SeriesMatrix:
+    """I + mat (sign 1) or mat - I (sign -1), for I of mat's row count:
+    only the diagonal moves, as a sum with I's one; an off-diagonal sum with
+    I's zero is the same entry.  The shape is the common part of the two."""
+    n = mat.rows
+    return SeriesMatrix._of(
+        tuple(
+            tuple(
+                e if i != j else series_add(_ONE, e) if sign > 0 else series_sub(e, _ONE)
+                for j, e in enumerate(row[:n])
+            )
+            for i, row in enumerate(mat.entries)
+        )
+    )
 
 
 def matrix_norm(a: SeriesMatrix, ctx: AnnulusSpec) -> NormValue:
-    """max over rows of the sum of entry norms."""
-    return nv_max(
-        nv_sum(norm_annulus(e, ctx) for e in row) for row in a.entries
-    )
+    """max over rows of the sum of entry norms.
+
+    A row is summed in one integer pass over the pairs of ``_annulus_pairs``,
+    entry by entry in order, and read as one Fraction per bound: exact when
+    every entry's norm is, else the interval of the two sums.
+    """
+    return nv_max(_row_norm(row, ctx) for row in a.entries)
+
+
+def _row_norm(row, ctx: AnnulusSpec) -> NormValue:
+    lo_n, lo_d, hi_n, hi_d, exact = 0, 1, 0, 1, True
+    for e in row:
+        (ln, ld), hi = _annulus_pairs(e, ctx)
+        lo_n, lo_d = lo_n * ld + ln * lo_d, lo_d * ld
+        hn, hd = hi
+        hi_n, hi_d = hi_n * hd + hn * hi_d, hi_d * hd
+        exact = exact and (hn * ld == ln * hd)
+    lo = Fraction(lo_n, lo_d)
+    return NormValue(lo, lo, lo) if exact else NormValue(lo, Fraction(hi_n, hi_d))
 
 
 def neumann_inverse(a: SeriesMatrix, ctx: AnnulusSpec, m: int) -> SeriesMatrix:
@@ -353,7 +417,8 @@ def neumann_inverse(a: SeriesMatrix, ctx: AnnulusSpec, m: int) -> SeriesMatrix:
     positive or uniformly negative indices), nilpotent perturbations, and
     constant matrices; the Neumann bound ||a^-1|| <= 2 is re-certified.
     """
-    n = a.sub(SeriesMatrix.identity(a.rows))
+    check_series_order(m)
+    n = _plus_identity(a, -1)
     gap = matrix_norm(n, ctx)
     if not gap.le(Fraction(1, 2)):
         raise NormTooLarge(f"||a - I|| = {gap} not certified <= 1/2")
@@ -378,15 +443,57 @@ def _neumann(n: SeriesMatrix, stop, steps: int, keep):
     """(acc, stopped): the partial sum I - n + n^2 - ... of (I + n)^-1, each
     term keep(previous term times -n).  The sum ends before the first term
     that ``stop`` accepts (stopped is True), or after ``steps`` terms
-    (stopped is False)."""
-    minus_n = n.map(series_neg)
-    term = acc = SeriesMatrix.identity(n.rows)
+    (stopped is False).
+
+    Each entry of the sum is one running dict of integer numerators over a
+    denominator that grows only when a term's does not divide it, as the
+    quotient sum of ``weierstrass._divide_by_iteration``; the sum is known
+    mod the least modulus of its terms, and its matrix is built once, at
+    the end, with the shape of I + term.
+    """
+    minus_n = SeriesMatrix._of(tuple(tuple(series_neg(e) for e in row) for row in n.entries))
+    size = n.rows
+    term = SeriesMatrix.identity(size)
+    sums = [[({0: 1} if i == j else {}) for j in range(size)] for i in range(size)]
+    dens = [[1] * size for _ in range(size)]
+    cols, mod, stopped = size, None, False
     for _ in range(steps):
         term = keep(term.mul(minus_n))
         if stop(term):
-            return acc, True
-        acc = acc.add(term)
-    return acc, False
+            stopped = True
+            break
+        m = term.entries[0][0].trunc_mod
+        if m is not None:
+            mod = m if mod is None else min(mod, m)
+        cols = min(size, term.cols)
+        for i, row in enumerate(term.entries):
+            for j, e in enumerate(row[:size]):
+                if e.num:
+                    dens[i][j] = _accumulate(sums[i][j], dens[i][j], e)
+    return SeriesMatrix._of(
+        tuple(
+            tuple(
+                LaurentPoly._content({k: c for k, c in sums[i][j].items() if mod is None or k < mod},
+                                     dens[i][j], mod)
+                for j in range(cols)
+            )
+            for i in range(size)
+        )
+    ), stopped
+
+
+def _accumulate(total: dict, D: int, e: LaurentPoly) -> int:
+    """Add e's numerators into the running sum total / D in place and return
+    its denominator, D grown to lcm(D, e.den) when e.den does not divide it."""
+    if D % e.den:
+        grow = e.den // gcd(D, e.den)
+        for k in total:
+            total[k] *= grow
+        D *= grow
+    scale, get = D // e.den, total.get
+    for k, c in e.num.items():
+        total[k] = get(k, 0) + c * scale
+    return D
 
 
 def _indices(mat: SeriesMatrix) -> list:
@@ -395,7 +502,7 @@ def _indices(mat: SeriesMatrix) -> list:
 
 
 def _is_identity_in_window(prod: SeriesMatrix, m: int) -> bool:
-    diff = prod.sub(SeriesMatrix.identity(prod.rows))
+    diff = _plus_identity(prod, -1)
     return all(k >= m or k <= -m for k in _indices(diff))
 
 
@@ -428,7 +535,7 @@ def cartan_factorize(a: SeriesMatrix, sys: SplitSystem, max_iter: int, tol):
     ctx_minus = sys.annulus_on(sys.minus_compact())
     ctx_plus = sys.annulus_on(sys.plus_compact())
     ident = SeriesMatrix.identity(a.rows)
-    b0 = a.sub(ident)
+    b0 = _plus_identity(a, -1)
     norm_b0 = matrix_norm(b0, ctx)
     eps = norm_b0.hi
     beta = 4 * D * D * eps
@@ -455,19 +562,19 @@ def cartan_factorize(a: SeriesMatrix, sys: SplitSystem, max_iter: int, tol):
         if residual.hi <= tol:
             break
         b_m, b_p = _split_matrix(btilde, sys)
-        c_minus = c_minus.mul(ident.add(b_m)).prune(ctx_minus, prune_c)
-        c_plus = ident.add(b_p).mul(c_plus).prune(ctx_plus, prune_c)
+        c_minus = c_minus.mul(_plus_identity(b_m)).prune(ctx_minus, prune_c)
+        c_plus = _plus_identity(b_p).mul(c_plus).prune(ctx_plus, prune_c)
         inv_m = _approx_inverse(b_m, ctx, inv_target, prune_b)
         inv_p = _approx_inverse(b_p, ctx, inv_target, prune_b)
-        btilde = inv_m.mul(ident.add(btilde)).mul(inv_p).sub(ident).prune(ctx, prune_b)
+        btilde = _plus_identity(inv_m.mul(_plus_identity(btilde)).mul(inv_p), -1).prune(ctx, prune_b)
         norms.append(matrix_norm(btilde, ctx).hi)
         residual = matrix_norm(c_minus.mul(c_plus).sub(a), ctx)
         iterations = k
     if residual.hi > tol:
         raise ToleranceNotReached(f"residual {residual.hi} > {tol} after {iterations} iterations")
     bound = NormValue.of(4 * D) * norm_b0
-    gap_minus = matrix_norm(c_minus.sub(ident), ctx_minus)
-    gap_plus = matrix_norm(c_plus.sub(ident), ctx_plus)
+    gap_minus = matrix_norm(_plus_identity(c_minus, -1), ctx_minus)
+    gap_plus = matrix_norm(_plus_identity(c_plus, -1), ctx_plus)
     bound_ok = gap_minus.le(bound) and gap_plus.le(bound)
     sides_ok = _on_side(c_minus, ctx_minus.V) and _on_side(c_plus, ctx_plus.V)
     decay_ok = all(nk <= norms[0] * beta ** k for k, nk in enumerate(norms))
@@ -503,8 +610,8 @@ def _split_matrix(mat: SeriesMatrix, sys: SplitSystem):
     (``_split_series``; no certificate is built)."""
     split = [[_split_series(e, sys) for e in row] for row in mat.entries]
     return (
-        SeriesMatrix([[em for em, _ in row] for row in split]),
-        SeriesMatrix([[series_neg(ep) for _, ep in row] for row in split]),
+        SeriesMatrix._of(tuple(tuple(em for em, _ in row) for row in split)),
+        SeriesMatrix._of(tuple(tuple(series_neg(ep) for _, ep in row) for row in split)),
     )
 
 

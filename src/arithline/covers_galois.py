@@ -295,7 +295,8 @@ def eisenstein_witness(P, f0: LaurentPoly, m: int, places) -> EisensteinWitness:
     multiple of the coefficient denominators of the truncation, and each
     requested place receives a certified positive lower bound on the radius
     of convergence of the truncated data, namely min over i >= 1 of
-    |a_i|^(-1/i), rounded downward.
+    |a_i|^(-1/i), rounded downward.  The lift refuses an m above
+    ``SERIES_ORDER`` before any work.
     """
     try:
         root, _report = hensel_lift_root(P, f0, m)

@@ -36,6 +36,7 @@ from .numbers import iroot, rational_root
 DEFAULT_BITS = 128
 MIN_BITS = 8
 POW_BITS = 1 << 16  # most bits of work a power x ** e is allowed
+SERIES_ORDER = 1 << 12  # highest truncation order m a series pass is allowed
 RESULTANT_WORK = 1 << 30  # most N^3 ceil(N h / 64)^2 a Sylvester determinant is allowed: size N, h-bit entries
 DIVISION_WORK = 1 << 26  # most j (p + 1) ceil(H / 64) a pseudo-division is allowed: j steps by a degree-p divisor, entries of H bits
 

@@ -69,6 +69,7 @@ from .series_ring import (
     _charge_radius,
     _convolve,
     _invert_series,
+    check_series_order,
     norm_annulus,
     series_add,
     series_mul,
@@ -286,6 +287,8 @@ def divide_local_series(F: LaurentPoly, G: LaurentPoly, p: int, m: int, ctx: Ann
         raise ValuationUndefined(f"reduction has valuation {val}, expected {p}")
     F = F.with_mod(m)
     if G.min_index() >= p:
+        if F.num and max(F.num) >= p:  # else the fixed point is F itself, at any m
+            check_series_order(m)
         return _divide_by_iteration(F, G, p, m, ctx)
     if G.degree() == p:
         Q, R = _euclid(F, G)
@@ -367,8 +370,10 @@ def prepare(G: LaurentPoly, p: int, m: int, ctx: AnnulusSpec):
     """Weierstrass preparation: G = E * Omega mod T^m with Omega distinguished.
 
     Omega = T^p - R where R is the remainder of dividing T^p by G; E is the
-    inverse of the quotient.  Returns (E, Omega, cert).
+    inverse of the quotient.  Returns (E, Omega, cert).  The division runs
+    to the order m + p, which ``SERIES_ORDER`` bounds first.
     """
+    check_series_order(m + p)
     Tp = LaurentPoly.monomial(p, trunc_mod=m + p)
     Q, R, cert = divide_local_series(Tp, G.with_mod(m + p), p, m + p, ctx)
     Omega = series_sub(LaurentPoly.monomial(p), R)
@@ -402,6 +407,7 @@ def hensel_lift_root(P, f0, target: int):
     if isinstance(f0, PadicApprox):
         return _hensel_padic(P, f0, target)
     if isinstance(f0, LaurentPoly):
+        check_series_order(target)
         return _hensel_series(P, f0, target)
     raise TypeError("f0 must be a PadicApprox or a LaurentPoly")
 

@@ -227,7 +227,14 @@ def prune_per_coefficient(mat, ctx, tol):
                 kept[k] = c
         return LaurentPoly._raw(kept, e.trunc_mod)
 
-    return mat.map(prune_entry)
+    return matrix_map(mat, prune_entry)
+
+
+def matrix_map(mat, fn):
+    """fn on every entry, through the validating ``SeriesMatrix`` constructor."""
+    from arithline.cousin_cartan import SeriesMatrix
+
+    return SeriesMatrix(tuple(tuple(fn(e) for e in row) for row in mat.entries))
 
 
 def _nearest_int(q):
@@ -1177,7 +1184,7 @@ def neumann_sum(n, done, cap=10000):
     term = SeriesMatrix.identity(n.rows)
     acc = term
     for _ in range(cap):
-        term = term.mul(n).map(series_neg)
+        term = matrix_map(term.mul(n), series_neg)
         if done(term):
             break
         acc = acc.add(term)
@@ -1232,7 +1239,7 @@ def approx_inverse_by_loop(n, ctx, target, prune_tol):
     bound = nrm.hi
     running = bound
     for _ in range(500):
-        term = term.mul(n).map(series_neg).prune(ctx, prune_tol)
+        term = matrix_map(term.mul(n), series_neg).prune(ctx, prune_tol)
         if term.is_zero():
             break
         acc = acc.add(term)
@@ -1397,3 +1404,181 @@ def hensel_factor_lift_recursive(G, factors, p, N):
     if prod != fp_poly(Gint, p ** N):
         raise ProductMismatch("lifted product does not match G mod p^N")
     return lifted
+
+
+# -- the series product and the matrix layer before one integer kernel -------
+# Schoolbook convolution at every size, the matrix product as a reduce of
+# series_add over series_mul, the Neumann loop that copies its whole sum at
+# each step, a prune that rebuilds every entry, the row norm as a sum of
+# NormValues, I + x and x - I as sums with the whole identity, and the norm
+# term of a finite point read through ``pow_pairs``: the forms that
+# ``series_ring`` and ``cousin_cartan`` replaced with Kronecker products,
+# fused dot products, one running integer sum per entry, the integer row pass
+# and the diagonal-only identity.  ``old_matrix_layer`` puts them back in
+# place of the library's, so that a call of ``cartan_factorize`` or
+# ``neumann_inverse`` runs the old code.
+
+
+def convolve_schoolbook(f_items, g_sorted, mod, out=None, scale=1):
+    """``series_ring._convolve`` before Kronecker products: sum a_i b_j
+    T^(i+j) over the pairs with i + j < mod (all if mod is None), the inner
+    loop stopped at the first product past the modulus, then added scaled
+    into ``out``."""
+    prod = {}
+    if g_sorted:
+        if mod is None:
+            mod = max((i for i, _ in f_items), default=0) + g_sorted[-1][0] + 1
+        get = prod.get
+        for i, a in f_items:
+            top = mod - i
+            for j, b in g_sorted:
+                if j >= top:
+                    break
+                k = i + j
+                prev = get(k)
+                prod[k] = a * b if prev is None else prev + a * b
+    if out is None:
+        out = {}
+    for k, c in prod.items():
+        out[k] = out.get(k, 0) + c * scale
+    return out
+
+
+def _checked_entrywise(a, b, op):
+    from arithline.cousin_cartan import SeriesMatrix
+
+    return SeriesMatrix(tuple(tuple(op(x, y) for x, y in zip(r1, r2)) for r1, r2 in zip(a.entries, b.entries)))
+
+
+def matrix_mul_by_reduce(a, b):
+    """``SeriesMatrix.mul`` as reduce(series_add, map(series_mul, row, col))
+    per entry, moved to the least modulus by the validating constructor."""
+    from functools import reduce
+
+    from arithline.cousin_cartan import SeriesMatrix
+    from arithline.errors import BadInput
+    from arithline.series_ring import series_add, series_mul
+
+    if a.cols != b.rows:
+        raise BadInput("shape mismatch")
+    columns = tuple(zip(*b.entries))
+    return SeriesMatrix(
+        tuple(tuple(reduce(series_add, map(series_mul, row, col)) for col in columns) for row in a.entries)
+    )
+
+
+def neumann_by_copies(n, stop, steps, keep):
+    """``cousin_cartan._neumann`` with acc = acc.add(term) at each step."""
+    from arithline.cousin_cartan import SeriesMatrix
+    from arithline.series_ring import series_add, series_neg
+
+    minus_n = matrix_map(n, series_neg)
+    term = acc = SeriesMatrix.identity(n.rows)
+    for _ in range(steps):
+        term = keep(term.mul(minus_n))
+        if stop(term):
+            return acc, True
+        acc = _checked_entrywise(acc, term, series_add)
+    return acc, False
+
+
+def prune_every_entry(mat, ctx, tol):
+    """``SeriesMatrix.prune`` rebuilding every entry, zero or kept whole."""
+    from arithline.series_ring import LaurentPoly
+
+    tol_n, tol_d = tol.numerator, tol.denominator
+
+    def prune_entry(e):
+        import arithline.cousin_cartan as CC
+
+        bounds = CC.norm_bounds_each(e.num.values(), e.den, ctx.V)
+        kept = {
+            k: c
+            for (k, c), (_, (hn, hd)), (wn, wd) in zip(e.num.items(), bounds, ctx.weights(e.num))
+            if hn * wn * tol_d > tol_n * hd * wd
+        }
+        return LaurentPoly._content(kept, e.den, e.trunc_mod)
+
+    return matrix_map(mat, prune_entry)
+
+
+def matrix_norm_by_nv_sum(a, ctx):
+    """``cousin_cartan.matrix_norm`` as nv_max over rows of nv_sum of the
+    entries' ``norm_annulus``."""
+    from arithline.normvalue import nv_max, nv_sum
+    from arithline.series_ring import norm_annulus
+
+    return nv_max(nv_sum(norm_annulus(e, ctx) for e in row) for row in a.entries)
+
+
+def plus_identity_by_add(mat, sign=1):
+    """I + mat or mat - I with the whole identity, entry by entry."""
+    from arithline.cousin_cartan import SeriesMatrix
+    from arithline.series_ring import series_add, series_sub
+
+    ident = SeriesMatrix.identity(mat.rows)
+    return _checked_entrywise(ident, mat, series_add) if sign > 0 else _checked_entrywise(mat, ident, series_sub)
+
+
+def norm_bounds_each_by_pow_pairs(nums, den, V):
+    """``base_space.norm_bounds_each`` with every finite term read through
+    ``pow_pairs``, at the int exponent x when k = 1."""
+    from arithline.base_space import _NIL, _ONE, _UNIT, _ZERO, _norm_endpoints, _refuse_poles
+    from arithline.normvalue import pair_max, pow_pairs
+    from arithline.numbers import vp_int
+
+    has_trivial, finite_terms, arch_terms, extreme, pole = _norm_endpoints(V)[:5]
+    _refuse_poles(nums, den, pole)
+    if not (finite_terms or arch_terms or extreme):
+        return [_UNIT if n else _NIL for n in nums]
+    finite = [(p, a, k, a * vp_int(den, p)) for p, a, k in finite_terms]
+    extreme = [(q, vp_int(den, q)) for q in extreme]
+    start = _ONE if has_trivial else None
+    out = []
+    for n in nums:
+        if n == 0:
+            out.append(_NIL)
+            continue
+        lo = hi = start
+        for p, a, k, a_vd in finite:
+            x = a_vd - a * vp_int(n, p)
+            t_lo, t_hi = pow_pairs(p, 1, x if k == 1 else Fraction(x, k))
+            lo, hi = (t_lo, t_hi) if lo is None else (pair_max(lo, t_lo), pair_max(hi, t_hi))
+        for e in arch_terms:
+            t_lo, t_hi = pow_pairs(abs(n), den, e)
+            lo, hi = (t_lo, t_hi) if lo is None else (pair_max(lo, t_lo), pair_max(hi, t_hi))
+        for q, vd in extreme:
+            t = _ZERO if vp_int(n, q) > vd else _ONE
+            lo, hi = (t, t) if lo is None else (pair_max(lo, t), pair_max(hi, t))
+        if hi is not lo and hi[0] * lo[1] == lo[0] * hi[1]:
+            hi = lo
+        out.append((lo, hi))
+    return out
+
+
+def old_matrix_layer():
+    """A context in which the library runs the forms above in place of the
+    one integer kernel: schoolbook products, the reduce-based matrix
+    product, the copying Neumann loop, the rebuilding prune, the NormValue
+    row sums, the identity added whole and the ``pow_pairs`` norm term."""
+    from contextlib import ExitStack
+    from unittest import mock
+
+    import arithline.base_space as B
+    import arithline.cousin_cartan as CC
+    import arithline.series_ring as S
+
+    stack = ExitStack()
+    for target, name, value in (
+        (S, "_convolve", convolve_schoolbook),
+        (CC.SeriesMatrix, "mul", matrix_mul_by_reduce),
+        (CC.SeriesMatrix, "prune", prune_every_entry),
+        (CC, "_neumann", neumann_by_copies),
+        (CC, "matrix_norm", matrix_norm_by_nv_sum),
+        (CC, "_plus_identity", plus_identity_by_add),
+        (B, "norm_bounds_each", norm_bounds_each_by_pow_pairs),
+        (S, "norm_bounds_each", norm_bounds_each_by_pow_pairs),
+        (CC, "norm_bounds_each", norm_bounds_each_by_pow_pairs),
+    ):
+        stack.enter_context(mock.patch.object(target, name, value))
+    return stack

@@ -90,6 +90,11 @@ where a case carries it, stderr) for:
   standard D4 at i = 5, and ``group-data --table standard`` with no
   ``--name`` (exit 1, "None"), recorded when associativity became Light's
   test on a generating set and a standard table began to be built by name.
+* ``neumann``, series ``hensel``, ``invert-unit``, ``eisenstein``,
+  ``prepare`` and ``divide-local`` (F = T^2, which reaches T^p) at
+  m = 1000000007 (exit 2, CannotCertify under ``SERIES_ORDER``; the first
+  two still ran at 10 s before), recorded when the truncation order got its
+  budget.
 
 Usage text is wrapped at COLUMNS=80.  ``replay_golden.py`` replays the same
 cases as subprocesses of an installed command.

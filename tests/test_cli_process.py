@@ -301,3 +301,52 @@ def test_a_non_associative_loop_of_order_300_is_refused_under_a_memory_cap(tmp_p
     )
     assert (proc.returncode, proc.stdout) == (1, "")
     assert json.loads(proc.stderr) == {"v": 1, "error": "BadInput", "detail": "associativity fails"}
+
+
+SQRT_1_PLUS_T = ['[{"coeffs": {"0": "-1", "1": "-1"}, "mod": null}, {"coeffs": {}, "mod": null}, '
+                 '{"coeffs": {"0": "1"}, "mod": null}]', '{"coeffs": {"0": "1"}, "mod": null}']
+NEUMANN_16T = ['[[{"coeffs": {"0": "1", "1": "16"}, "mod": null}]]',
+               '{"V": {"kind": "segment", "place": 2, "u": "1", "v": "1"}, "s": "1/2", "t": "2"}']
+
+
+def _series_pass(command, m):
+    if command == "neumann":
+        argv = ["neumann", "--a", NEUMANN_16T[0], "--A", NEUMANN_16T[1], "--m", str(m)]
+    else:
+        argv = ["hensel", "--P", SQRT_1_PLUS_T[0], "--f0", SQRT_1_PLUS_T[1], "--m", str(m)]
+    return subprocess.run(
+        [sys.executable, "-m", "arithline.cli", *argv],
+        capture_output=True, text=True, env=child_env(), timeout=10, preexec_fn=_cap_address_space,
+    )
+
+
+def test_neumann_to_order_3000_answers_under_a_memory_cap():
+    """The Neumann sum of (1 + 16T)^-1 is one running integer sum per entry,
+    so m = 3000 answers: exit 0 and (-16)^k at every k < m, inside a 2 GB
+    address space and a 10 s wall cap (copying the sum at every term cost
+    time quadratic in m)."""
+    proc = _series_pass("neumann", 3000)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    coeffs = json.loads(proc.stdout)["inverse"]["entries"][0][0]["coeffs"]
+    assert len(coeffs) == 3000 and coeffs["2999"] == str((-16) ** 2999)
+
+
+def test_series_hensel_to_order_256_answers_under_a_memory_cap():
+    """sqrt(1 + T) to m = 256, its long products made by Kronecker
+    substitution: exit 0 inside a 2 GB address space and a 10 s wall cap."""
+    proc = _series_pass("hensel", 256)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    out = json.loads(proc.stdout)
+    assert out["gauges"][-1] == 256 and len(out["root"]["coeffs"]) == 256
+
+
+@pytest.mark.parametrize("command", ["neumann", "hensel"])
+def test_a_huge_truncation_order_is_refused_at_once_under_a_memory_cap(command):
+    """m above SERIES_ORDER is refused before the pass starts: CannotCertify,
+    exit 2, inside a 2 GB address space and a 10 s wall cap (at
+    m = 1000000007 both were still running at 10 s)."""
+    proc = _series_pass(command, 1000000007)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    out = json.loads(proc.stdout)
+    assert out == {"v": 1, "error": "CannotCertify",
+                   "detail": "a truncation order of 1000000007 exceeds the SERIES_ORDER budget of 4096"}

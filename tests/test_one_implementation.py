@@ -301,7 +301,7 @@ def test_every_compact_compiles_to_a_term(V):
     boundary, a/k in lowest terms."""
     points = shilov_base(V)
     assert points
-    has_trivial, finite_terms, arch_terms, extreme, _ = _norm_endpoints(V)
+    has_trivial, finite_terms, arch_terms, extreme, *_ = _norm_endpoints(V)
     assert has_trivial or finite_terms or arch_terms or extreme
     for p, a, k in finite_terms:
         assert k >= 1 and gcd(a, k) == 1
