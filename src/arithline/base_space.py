@@ -38,6 +38,7 @@ from .normvalue import NormValue, _check_pow_budget, pair_max, pow_pairs
 from .numbers import TRIAL_BOUND, factor, is_prime, small_prime_factor, strip_primes, vp, vp_int
 
 INF = float("inf")
+_NAMED_BITS = 2000  # 603 digits, below the least int-to-str limit Python allows (640)
 
 
 def is_inf(x) -> bool:
@@ -301,11 +302,22 @@ def _pole_detail(f: Fraction, r: int) -> str:
 
     Names the least prime factor of r when r is prime or that factor lies
     below TRIAL_BOUND; otherwise names r, so a refusal never factors a large r.
+    An integer past ``_NAMED_BITS`` bits is named by its bit length, and f
+    by its denominator's, so the text never meets the interpreter's limit on
+    int-to-str digits.
     """
     q = r if is_prime(r) else small_prime_factor(r, TRIAL_BOUND)
+    if max(f.numerator.bit_length(), f.denominator.bit_length()) > _NAMED_BITS:
+        name = f"a number with a {f.denominator.bit_length()}-bit denominator"
+    else:
+        name = str(f)
     if q is None:
-        return f"{f} has a pole at the extreme point of a prime factor of {r}"
-    return f"{f} has a pole at the extreme point of {q}"
+        return f"{name} has a pole at the extreme point of a prime factor of {_named(r, 'integer')}"
+    return f"{name} has a pole at the extreme point of {_named(q, 'prime')}"
+
+
+def _named(n: int, what: str) -> str:
+    return str(n) if n.bit_length() <= _NAMED_BITS else f"a {n.bit_length()}-bit {what}"
 
 
 @lru_cache(maxsize=512)

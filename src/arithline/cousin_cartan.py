@@ -92,6 +92,13 @@ class SplitSystem:
         if self.annulus is not None:
             s, t = self.annulus
             object.__setattr__(self, "annulus", (Fraction(s), Fraction(t)))
+        # not fields: the three compacts, built once, so that every norm the
+        # system asks for meets the same key object in the norm caches
+        object.__setattr__(self, "_compacts", (
+            BaseCompact.segment(self.place, self.u, self.place.branch_length()),
+            BaseCompact.star({self.place: self.u}),
+            BaseCompact.segment(self.place, self.u, self.u),
+        ))
 
     @property
     def C(self) -> Fraction:
@@ -102,13 +109,13 @@ class SplitSystem:
         return self.C + (1 if self.place.is_finite else 2)
 
     def minus_compact(self) -> BaseCompact:
-        return BaseCompact.segment(self.place, self.u, self.place.branch_length())
+        return self._compacts[0]
 
     def plus_compact(self) -> BaseCompact:
-        return BaseCompact.star({self.place: self.u})
+        return self._compacts[1]
 
     def overlap_compact(self) -> BaseCompact:
-        return BaseCompact.segment(self.place, self.u, self.u)
+        return self._compacts[2]
 
     def annulus_on(self, V: BaseCompact) -> AnnulusSpec:
         if self.annulus is None:

@@ -99,7 +99,17 @@ class LaurentPoly:
 
     @classmethod
     def from_poly(cls, coeffs, trunc_mod=None) -> "LaurentPoly":
-        return cls(dict(enumerate(coeffs)), trunc_mod)
+        """sum_k coeffs[k] T^k, as ``LaurentPoly(dict(enumerate(coeffs)),
+        trunc_mod)`` builds it, but as content directly, with no key to parse
+        or sort: each value is read as the constructor reads it, then indices
+        at or past the modulus and zeros are dropped."""
+        vals = [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in coeffs]
+        mod = None if trunc_mod is None else parse_int(trunc_mod)
+        if mod is not None:
+            del vals[max(mod, 0):]
+        pairs = [c.as_integer_ratio() for c in vals]
+        den = lcm_list(d for _, d in pairs)
+        return cls._content({k: n * (den // d) for k, (n, d) in enumerate(pairs) if n}, den, mod)
 
     @classmethod
     def monomial(cls, k: int, trunc_mod=None) -> "LaurentPoly":

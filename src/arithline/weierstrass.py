@@ -4,10 +4,20 @@ residual norms on finite covers, and the resultant interpolation bound.
 Global division follows the contraction scheme behind the explicit threshold
 condition  sum_k ||g_k|| v^(k-p) <= 1/2, which yields the quotient/remainder
 bounds ||Q|| <= 2 v^(-p) ||F|| and ||R|| <= 2 ||F||.  The threshold is the
-first radius on the 2^-16 grid that meets the condition, found by a search on
-the grid index with the condition cleared of denominators into an integer
-inequality (see ``global_threshold``), its ||g_k|| read from G's integer
-content as pairs.  Q and R come from ``_euclid``, which runs the one integer
+first radius v = i 2^-16 on the grid that meets the condition, its ||g_k||
+read from G's integer content as pairs.  Cleared of denominators the
+condition is an integer polynomial inequality in the grid index i, decided
+by one Horner pass, and the indices that meet it form a ray [i*, oo).  So
+the search may start anywhere: it starts at a float estimate of the root
+(Newton's method from the lower bound behind Fujiwara's root bound, on
+logarithms, so no coefficient is out of float range), steps away from it
+until the exact predicate changes, and bisects.  The estimate is usually i*
+itself, and then two passes prove it: i* certifies, i* - 1 does not.  The
+search answers when i* <= 2^299 and otherwise raises
+NoContractionRadiusFound (see ``global_threshold``).  Each ``divide`` and
+each ``QuotientRing`` runs the search again: a v handed in would need the
+same two passes before it could be trusted, so none is taken and nothing is
+cached.  Q and R come from ``_euclid``, which runs the one integer
 pseudo-division ``polys.pdivide`` on F's numerators and G's and turns the
 result back into content; it also serves the polynomial branch of local
 division, where G's leading coefficient is a unit.  Local division of
@@ -17,6 +27,7 @@ keeps alpha(phi) as one running integer sum and records its certificate.
 roots of unity of ``covers_galois`` among them).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -79,6 +90,7 @@ from .series_ring import (
 
 _GRID_BITS = 16
 GRID = Fraction(1, 1 << _GRID_BITS)  # dyadic search grid for certified thresholds
+_SEARCH_CAP = 1 << 299  # the largest grid index a threshold search answers with
 
 
 def _monic(G, refusal: str) -> LaurentPoly:
@@ -102,16 +114,20 @@ def global_threshold(G, V: BaseCompact) -> Fraction:
     and v = i GRID, multiplying the condition by 2 D i^p > 0 gives the
     integer inequality
 
-        sum_{k<p} 2 (D b_k) 2^(16(p-k)) i^k <= D i^p,
+        sum_{k<p} C_k i^k <= D i^p,   C_k = 2 (D b_k) 2^(16(p-k)),
 
     which holds at exactly the grid indices where the rational condition
-    holds, interval-valued norms included, so the result is the one a search
-    on the rational condition returns.  The left side of the condition falls
-    as v grows, so the certified indices form a ray.  The search doubles i
-    from 1 (at most 300 steps, then NoContractionRadiusFound) until i
-    certifies, then bisects keeping the invariant that lo fails (lo = 0
-    stands for "no index") and hi certifies; it returns hi GRID, the first
-    certified grid radius.
+    holds, interval-valued norms included; ``_certified`` decides it by one
+    Horner pass.  The left side of the condition falls as v grows, so the
+    certified indices form a ray [i*, oo), and any start index leads to the
+    same i*: the search keeps lo failing (lo = 0 stands for "no index") and
+    hi certifying, and every step is decided by the exact predicate.  It
+    starts at ``_threshold_start``'s float estimate of i*, clamped to
+    [1, 2^299], steps up or down from there by doubling strides until the
+    predicate changes, then bisects.  The estimate is usually i* itself, so
+    two predicate passes certify i* and refuse i* - 1.  The answer is hi GRID
+    when i* <= 2^299; otherwise NoContractionRadiusFound("threshold search
+    exhausted").
     """
     G = _monic(G, "threshold needs a monic divisor")
     p = G.degree()
@@ -119,31 +135,83 @@ def global_threshold(G, V: BaseCompact) -> Fraction:
         raise NotMonic("divisor must have positive degree")
     b = [hi for _, hi in norm_bounds_each([G.num.get(k, 0) for k in range(p)], G.den, V)]
     D = lcm_list(d for _, d in b)
-    # D i^p - sum_k 2 (D b_k) 2^(16(p-k)) i^k, highest coefficient first
-    coeffs = [D] + [-(b[k][0] * (D // b[k][1]) << (_GRID_BITS * (p - k) + 1))
-                    for k in reversed(range(p))]
-
-    def certified(i: int) -> bool:
-        acc = 0
-        for c in coeffs:
-            acc = acc * i + c
-        return acc >= 0
-
-    hi = 1
-    for _ in range(300):
-        if certified(hi):
-            break
-        hi *= 2
+    C = [(p - k, b[k][0] * (D // b[k][1]) << (_GRID_BITS * (p - k) + 1)) for k in range(p)]
+    coeffs = [D] + [-c for _, c in reversed(C)]  # D i^p - sum_k C_k i^k, highest first
+    start = min(max(_threshold_start(D, [(m, c) for m, c in C if c]), 1), _SEARCH_CAP)
+    if _certified(coeffs, start):
+        hi, stride = start, 1
+        while True:
+            lo = hi - stride
+            if lo < 1:
+                lo = 0
+                break
+            if not _certified(coeffs, lo):
+                break
+            hi, stride = lo, 2 * stride
     else:
-        raise NoContractionRadiusFound("threshold search exhausted")
-    lo = hi // 2
+        lo, stride = start, 1
+        while True:
+            if lo >= _SEARCH_CAP:
+                raise NoContractionRadiusFound("threshold search exhausted")
+            hi = min(lo + stride, _SEARCH_CAP)
+            if _certified(coeffs, hi):
+                break
+            lo, stride = hi, 2 * stride
     while lo + 1 < hi:
         mid = (lo + hi) // 2
-        if certified(mid):
+        if _certified(coeffs, mid):
             hi = mid
         else:
             lo = mid
     return hi * GRID
+
+
+def _certified(coeffs, i: int) -> bool:
+    """Does D i^p - sum_k C_k i^k >= 0 hold?  coeffs lists that polynomial's
+    coefficients highest first; one integer Horner pass decides it."""
+    acc = 0
+    for c in coeffs:
+        acc = acc * i + c
+    return acc >= 0
+
+
+def _threshold_start(D: int, terms) -> int:
+    """A float estimate of the least grid index i with D i^p >= sum_k C_k i^k.
+
+    terms holds the pairs (p - k, C_k) with C_k > 0; with none, the estimate
+    is 1.  With l_k = log2(C_k / D), taken from the ints by ``math.log2`` and
+    so in float range at any size, every root lies at or above 2^t0,
+    t0 = max_k l_k / (p - k), the lower bound behind Fujiwara's root bound;
+    past t0 = 300 the search cap is returned.  On x = i 2^-t0 the inequality
+    reads h(x) = 1 - sum_k a_k x^-(p-k) >= 0 with a_k = 2^(l_k - (p-k) t0)
+    <= 1, and a_k that underflows is a harmless 0.  h is increasing and
+    concave, so Newton's steps from x = 1, where h <= 0, rise towards the
+    root without passing it; while h < 0 some term exceeds 1/p, so h' > 0.
+    The estimate is never trusted: ``global_threshold`` checks every index
+    it visits exactly.
+    """
+    if not terms:
+        return 1
+    logD = math.log2(D)
+    logs = [(m, math.log2(c) - logD) for m, c in terms]
+    t0 = max(lk / m for m, lk in logs)
+    if t0 > 300:
+        return _SEARCH_CAP
+    scaled = [(m, 2.0 ** (lk - m * t0)) for m, lk in logs]
+    x = 1.0
+    for _ in range(64):
+        total = slope = 0.0  # 1 - h(x) and x h'(x)
+        for m, a in scaled:
+            t = a * x ** -m
+            total += t
+            slope += m * t
+        if total <= 1.0:
+            break
+        step = (total - 1.0) * x / slope
+        x += step
+        if step < x * 1e-15:
+            break
+    return math.ceil(2.0 ** (t0 + math.log2(x)))
 
 
 def _euclid(F: LaurentPoly, G: LaurentPoly, A: Optional[AnnulusSpec] = None):

@@ -16,6 +16,7 @@ from arithline import (
     ring_label,
     shilov_base,
 )
+from arithline.base_space import norm_bounds_each
 from arithline.errors import CannotFactor, NonIntegralAtExtremePoint, NotInRingOfV, ZeroInput
 from arithline.numbers import factor, prime_divisors
 
@@ -78,6 +79,25 @@ def test_a_point_is_its_one_point_compact():
             base_norm(Fraction(1, 5), V)
     for x in (BasePoint.central(), BasePoint.finite(3, Fraction(2, 5))):
         assert shilov_base(x) == [x] and base_norm(Fraction(18, 7), x) == eval_base_seminorm(Fraction(18, 7), x)
+
+
+@pytest.mark.parametrize("num, den, V, detail", [
+    (1, 2 ** 20000, BaseCompact.segment(Place.finite(2), 1, INF),
+     "a number with a 20001-bit denominator has a pole at the extreme point of 2"),
+    (1, 3 * 2 ** 20000, BaseCompact.star({Place.finite(2): 1}),
+     "a number with a 20002-bit denominator has a pole at the extreme point of 3"),
+    (2 ** 20000 + 1, 5, BaseCompact.whole_space(),
+     "a number with a 3-bit denominator has a pole at the extreme point of 5"),
+    (1, (2 ** 61 - 1) ** 40, BaseCompact.star({Place.finite(2): 1}),
+     "a number with a 2440-bit denominator has a pole at the extreme point of "
+     "a prime factor of a 2440-bit integer"),
+], ids=["segment", "star", "numerator", "unfactored-cofactor"])
+def test_a_pole_refusal_names_a_huge_number_by_its_bit_length(num, den, V, detail):
+    """Past the interpreter's int-to-str digit limit the decimal text of f
+    cannot be built, so the refusal says how long its denominator is."""
+    with pytest.raises(NotInRingOfV) as exc:
+        norm_bounds_each([num], den, V)
+    assert str(exc.value) == detail
 
 
 def test_product_formula_examples():

@@ -2,6 +2,7 @@
 precision, and a quiet exit when the reader of stdout goes away."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -350,3 +351,41 @@ def test_a_huge_truncation_order_is_refused_at_once_under_a_memory_cap(command):
     out = json.loads(proc.stdout)
     assert out == {"v": 1, "error": "CannotCertify",
                    "detail": "a truncation order of 1000000007 exceeds the SERIES_ORDER budget of 4096"}
+
+
+HUGE = str(2 ** 4000 + 1)  # a 4001-bit coefficient, far past float range
+F18 = json.dumps([0] * 18 + [1])
+
+
+@pytest.mark.parametrize(
+    "G, argv, code, digest",
+    [
+        ([HUGE, 0, 1], ["threshold"], 2, "019f2491409aed6007e3c95be6a97aede91395e4feb86b45a2611d012b8ee5b5"),
+        ([HUGE, 0, 1], ["divide", "--F", F18, "--w", str(2 ** 300)], 2,
+         "019f2491409aed6007e3c95be6a97aede91395e4feb86b45a2611d012b8ee5b5"),
+        ([HUGE] + [0] * 15 + [1], ["threshold"], 0, "4536780e1d99502976b27926b96ba2e885a34b0f22be787d10611963ab1fcc88"),
+        ([HUGE] + [0] * 15 + [1], ["divide", "--F", "[1,2,3]", "--w", "1"], 2,
+         "c1c250cd85f32709ba5fe89eea7837716d963059007c8431e37949dca2fa020d"),
+        ([HUGE] + [0] * 15 + [1], ["divide", "--F", F18, "--w", str(2 ** 300)], 0,
+         "9a3e34a11b29276a41f568a8456d5f259ebf82c63a830829c3a9466619c39f4e"),
+        (["-" + HUGE, 3] + [0] * 14 + [1], ["divide", "--F", F18, "--w", str(2 ** 300)], 0,
+         "c25986b6d1a2f757ebdc45afe02ed4020602fcb32ec543047b1d538652866d7e"),
+    ],
+    ids=["threshold-p2", "divide-p2", "threshold-p16", "divide-p16-below", "divide-p16", "divide-p16-neg"],
+)
+def test_threshold_and_divide_on_a_4000_bit_coefficient_in_bounded_time(G, argv, code, digest):
+    """The threshold search starts from a float estimate of the answer, read
+    from the coefficients' logarithms, so a coefficient past float range
+    neither overflows nor slows it: the search cap refuses T^2 + (2^4000 + 1)
+    (exit 2) and answers for T^16 + (2^4000 + 1), i* near 2^266 (exit 0).
+    Each call gives the same stdout, recorded here by its SHA-256, as the
+    search doubling from i = 1 gave, inside a 2 GB address space and a 10 s
+    wall cap."""
+    command, *rest = argv
+    G = json.dumps([str(c) for c in G])
+    proc = subprocess.run(
+        [sys.executable, "-m", "arithline.cli", command, "--G", G, *rest],
+        capture_output=True, text=True, env=child_env(), timeout=10, preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
