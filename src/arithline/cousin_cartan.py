@@ -61,9 +61,9 @@ from .numbers import invmod, vp_int
 from .series_ring import (
     AnnulusSpec,
     LaurentPoly,
-    _annulus_pairs,
     _check_support,
     _known_valuation,
+    _norm_pairs,
     check_series_order,
     norm_annulus,
     series_add,
@@ -398,7 +398,7 @@ def _plus_identity(mat: SeriesMatrix, sign: int = 1) -> SeriesMatrix:
 def matrix_norm(a: SeriesMatrix, ctx: AnnulusSpec) -> NormValue:
     """max over rows of the sum of entry norms.
 
-    A row is summed in one integer pass over the pairs of ``_annulus_pairs``,
+    A row is summed in one integer pass over the pairs of ``_norm_pairs``,
     entry by entry in order, and read as one Fraction per bound: exact when
     every entry's norm is, else the interval of the two sums.
     """
@@ -408,7 +408,7 @@ def matrix_norm(a: SeriesMatrix, ctx: AnnulusSpec) -> NormValue:
 def _row_norm(row, ctx: AnnulusSpec) -> NormValue:
     lo_n, lo_d, hi_n, hi_d, exact = 0, 1, 0, 1, True
     for e in row:
-        (ln, ld), hi = _annulus_pairs(e, ctx)
+        (ln, ld), hi = _norm_pairs(e, ctx)
         lo_n, lo_d = lo_n * ld + ln * lo_d, lo_d * ld
         hn, hd = hi
         hi_n, hi_d = hi_n * hd + hn * hi_d, hi_d * hd

@@ -8,7 +8,9 @@ Every product of series runs on one kernel, ``_convolve``: it adds a scaled
 convolution of two numerator lists into a dict it is handed.  ``series_mul``
 is its one-pair case, ``series_dot`` sums the pairs of a matrix row and
 column into one dict over the lcm of the den_f den_g, and the Newton inverse
-and the local fixed point call it directly.  Two factors of at least
+calls it directly.  (The local fixed point steps its residual window by
+slice-adds of its own, ``weierstrass._step``: a divisor tail of a few terms
+against one ascending run.)  Two factors of at least
 ``KRONECKER_TERMS`` terms at consecutive indices are multiplied by
 Kronecker substitution, one product of packed integers (von zur Gathen and
 Gerhard, Modern Computer Algebra, 8.4; D. Harvey, J. Symbolic Comput. 44,
@@ -17,17 +19,23 @@ cutover sits at 16 terms because there the packed product stops losing: on
 a 2-core Xeon it was 0.6-0.9 times as fast as schoolbook at 12 terms and
 1.1-1.4 times as fast at 16, for coefficients of 4 to 135 bits, and it is
 1.9-5 times as fast at 64.  So the short products of the benchmark's local
-division (a divisor tail of at most six terms, inverses to order 16) stay
-on schoolbook, and the series Hensel lift at order 64 and up, whose
-products are long and dense, moves to the packed product.
+division (inverses to order 16) stay on schoolbook, and the series Hensel
+lift at order 64 and up, whose products are long and dense, moves to the
+packed product.
 
 The weighted norm of sum a_k T^k on the annulus s <= |T| <= t over a compact
 V is sum ||a_k||_V * max(s^k, t^k); over an ultrametric V the uniform
 (spectral) norm replaces the sum by a max and is attained on the finite
 Shilov boundary.  The weight max(s^k, t^k) is t^k for k >= 0 and s^k for
-k < 0.  ``norm_annulus`` sums the coefficient bounds against these powers by
-one integer Horner pass over the sorted support, in t and in 1/s, and never
-forms a weight on its own.  The uniform norm and the pruning of
+k < 0.  ``_support_pairs`` is the one entry for this norm: it takes a
+support already in ascending order, as the local fixed point holds its
+residual, and ``norm_annulus`` calls it after one sort of its int keys.  It
+sums the coefficient bounds against these powers by one integer Horner pass
+over the support, in t and in 1/s, and never forms a weight on its own.  On
+the trivial compact (the central point alone: no finite, archimedean or
+extreme term) every nonzero coefficient has norm 1, so the norm is the
+support's weight sum  sum_k max(s^k, t^k),  summed with no bound pair per
+coefficient.  The uniform norm and the pruning of
 ``cousin_cartan.SeriesMatrix`` compare single terms, so they read the
 weights as integer pairs from ``AnnulusSpec.weights``.  Both charge the
 largest power of each radius to ``normvalue.POW_BITS`` before taking any.
@@ -38,19 +46,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd
-from operator import itemgetter
 from typing import Optional
 
 from .base_space import (
     BaseCompact,
     _norm_endpoints,
+    _refuse_poles,
     is_archimedean_compact,
     member_of_kv,
     norm_bounds_each,
     shilov_base,
 )
 from .affine_line import LinePoint
-from .errors import ArchimedeanBase, BadInput, CannotCertify, NegativePowersOnDisk, NotAUnit, OrderingViolated
+from .errors import (
+    ArchimedeanBase,
+    BadInput,
+    CannotCertify,
+    NegativePowersOnDisk,
+    NotAUnit,
+    NotInRingOfV,
+    OrderingViolated,
+)
 from .normvalue import SERIES_ORDER, NormValue, _check_pow_budget, pair_max
 from .numbers import lcm_list, parse_int, vp_int
 
@@ -498,50 +514,109 @@ def _radius_sum(terms, rn: int, rd: int, side: int):
 def norm_annulus(f: LaurentPoly, A: AnnulusSpec) -> NormValue:
     """The weighted norm  sum_k ||a_k||_V max(s^k, t^k).
 
-    The sums of ``_annulus_pairs``, read as one Fraction each, one in all
+    The sums of ``_support_pairs``, read as one Fraction each, one in all
     when they are exact.  The weights are not formed as pairs here; the
     uniform norm and ``SeriesMatrix.prune`` read them from
     ``AnnulusSpec.weights``.
     """
-    lo, hi = _annulus_pairs(f, A)
+    return _pairs_value(*_norm_pairs(f, A))
+
+
+def _pairs_value(lo, hi) -> NormValue:
+    """The NormValue of an enclosure (lo, hi) of integer pairs from
+    ``_support_pairs``."""
     q = Fraction(*lo)
     return NormValue(q, q, q) if hi is lo else NormValue.between(q, Fraction(*hi))
 
 
-def _annulus_pairs(f: LaurentPoly, A: AnnulusSpec):
-    """(lo, hi), the weighted norm's enclosure as integer pairs (n, d) with
-    d > 0; hi is lo when every bound is exact.
+def _norm_pairs(f: LaurentPoly, A: AnnulusSpec):
+    """``_support_pairs`` of f, its keys sorted once.  A pole refusal names
+    the first stored coefficient with a pole, as the bounds taken in stored
+    order named it, so a pole met on the sorted support is refused again in
+    stored order."""
+    ks = sorted(f.num)
+    try:
+        return _support_pairs(ks, list(map(f.num.__getitem__, ks)), f.den, A)
+    except NotInRingOfV:
+        _refuse_poles(f.num.values(), f.den, _norm_endpoints(A.V)[4])
+        raise
 
-    One pass over the sorted support: the bounds of ``norm_bounds_each`` are
+
+def _support_pairs(ks, nums, den: int, A: AnnulusSpec):
+    """(lo, hi), the enclosure of the weighted norm of sum_k (n_k / den) T^k
+    as integer pairs (n, d) with d > 0; hi is lo when every bound is exact.
+
+    The one norm entry: ks lists the support in ascending order and nums the
+    nonzero numerators in the same order.  The refusals come in a fixed
+    order: a negative index on a disk (s = 0), then a pole of some n_k / den
+    on A.V, the lowest index first, then the largest powers of t and 1/s,
+    charged to ``POW_BITS`` at the extreme indices of the support.
+
+    On the trivial compact (``_norm_endpoints`` lists no finite, archimedean
+    or extreme term) every nonzero coefficient has norm 1, so the norm is
+    the support's weight sum  sum_k max(s^k, t^k), which ``_weight_sum``
+    takes from ks alone.  Otherwise the bounds of ``norm_bounds_each`` are
     summed against t^k for k >= 0 and against (1/s)^-k for k < 0 by
-    ``_radius_sum``, the largest powers charged to ``POW_BITS`` first.  The
-    hi sum is taken only when some bound is an interval, which a compact
-    whose norm terms take no root (``_norm_endpoints``) never gives.
+    ``_radius_sum``; the hi sum is taken only when some bound is an
+    interval, which a compact whose norm terms take no root never gives.
     """
-    _check_support(f, A)
-    bounds = norm_bounds_each(f.num.values(), f.den, A.V)
-    index = itemgetter(0)
-    terms = sorted(zip(f.num, bounds), key=index)
-    cut = bisect_left(terms, 0, key=index)  # the negative indices come first
-    pos = terms[cut:]
-    neg = [(-k, b) for k, b in reversed(terms[:cut])]
+    cut = bisect_left(ks, 0)  # the negative indices come first
     tn, td, sn, sd = A.t.numerator, A.t.denominator, A.s.numerator, A.s.denominator
-    if pos:
-        _charge_radius(tn, td, pos[-1][0])
-    if neg:
-        _charge_radius(sd, sn, neg[-1][0])
-
-    def total(side):
-        num, den = _radius_sum(pos, tn, td, side)
-        if neg:
-            n2, d2 = _radius_sum(neg, sd, sn, side)
-            num, den = num * d2 + n2 * den, den * d2
-        return num, den
-
-    lo = total(0)
-    if not _norm_endpoints(A.V)[5] or all(b_hi is b_lo for b_lo, b_hi in bounds):
+    if cut and sn == 0:
+        _refuse_negative_powers()
+    _, finite, arch, extreme, pole, roots = _norm_endpoints(A.V)
+    trivial = not (finite or arch or extreme)
+    if trivial:
+        _refuse_poles(nums, den, pole)
+    else:
+        bounds = norm_bounds_each(nums, den, A.V)
+    if cut < len(ks):
+        _charge_radius(tn, td, ks[-1])
+    if cut:
+        _charge_radius(sd, sn, -ks[0])
+        neg = [-k for k in reversed(ks[:cut])]
+        ks = ks[cut:]
+    if trivial:
+        lo = _weight_sum(ks, tn, td)
+        if cut:
+            lo = _join(lo, _weight_sum(neg, sd, sn))
+        return lo, lo
+    if cut:
+        neg = list(zip(neg, reversed(bounds[:cut])))
+        pos = list(zip(ks, bounds[cut:]))
+    else:
+        pos = list(zip(ks, bounds))
+    lo = _radius_sum(pos, tn, td, 0)
+    if cut:
+        lo = _join(lo, _radius_sum(neg, sd, sn, 0))
+    if not roots or all(b_hi is b_lo for b_lo, b_hi in bounds):
         return lo, lo  # every bound exact: so is the sum
-    return lo, total(1)
+    hi = _radius_sum(pos, tn, td, 1)
+    if cut:
+        hi = _join(hi, _radius_sum(neg, sd, sn, 1))
+    return lo, hi
+
+
+def _join(pos, neg):
+    """The sum of two pairs (n, d)."""
+    return pos[0] * neg[1] + neg[0] * pos[1], pos[1] * neg[1]
+
+
+def _weight_sum(ks, rn: int, rd: int):
+    """sum_k (rn / rd)^k over the ascending ks >= 0 as (num, den): the Horner
+    sum of ``_radius_sum`` with every bound 1, so no pair is formed per
+    index.  After index j the sum is acc / rd^j."""
+    acc, j, ladder = 0, 0, 1
+    for k in ks:
+        g = k - j
+        if g:
+            if rd != 1:
+                acc *= rd if g == 1 else rd ** g
+            if rn != 1:
+                ladder *= rn if g == 1 else rn ** g
+            j = k
+        acc += ladder
+    return acc, rd ** j
 
 
 def uniform_norm_annulus(

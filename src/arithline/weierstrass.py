@@ -21,8 +21,16 @@ cached.  Q and R come from ``_euclid``, which runs the one integer
 pseudo-division ``polys.pdivide`` on F's numerators and G's and turns the
 result back into content; it also serves the polynomial branch of local
 division, where G's leading coefficient is a unit.  Local division of
-truncated series otherwise iterates the residual r <- -alpha(r) (G/u - T^p),
-keeps alpha(phi) as one running integer sum and records its certificate.
+truncated series otherwise iterates the residual r <- -alpha(r) B mod T^m,
+B = G/u - T^p formed once, keeps alpha(phi) as one running integer sum and
+records its certificate.  The residual is one ascending list of integer
+numerators over its window [lo, lo + len) below T^m, over one denominator:
+a step is one slice-add per term of B and one gcd, and the norm is read off
+the window's nonzero support, on the central point as its weight sum.  The
+window starts at the residual's lowest index, which rises every step, and
+ends at the highest index reached, so nothing is sized by m: F below T^p
+modulo T^(2^200) answers at once.  Past 2^50 the threshold estimate is
+refined by integer Newton steps before the exact search.
 ``hensel_lift_root`` is the one Hensel lift, for series and p-adic roots (the
 roots of unity of ``covers_galois`` among them).
 """
@@ -30,6 +38,9 @@ roots of unity of ``covers_galois`` among them).
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from math import gcd
+from operator import add, mul
 from typing import Optional
 
 from .base_space import (
@@ -78,8 +89,9 @@ from .series_ring import (
     AnnulusSpec,
     LaurentPoly,
     _charge_radius,
-    _convolve,
     _invert_series,
+    _pairs_value,
+    _support_pairs,
     check_series_order,
     norm_annulus,
     series_add,
@@ -91,6 +103,8 @@ from .series_ring import (
 _GRID_BITS = 16
 GRID = Fraction(1, 1 << _GRID_BITS)  # dyadic search grid for certified thresholds
 _SEARCH_CAP = 1 << 299  # the largest grid index a threshold search answers with
+_NEWTON_FROM = 1 << 50  # float estimates past this are refined by integer Newton steps
+_LEAD_BITS = 30  # one CPython digit: how far local division's D may run ahead of r.den
 
 
 def _monic(G, refusal: str) -> LaurentPoly:
@@ -187,8 +201,9 @@ def _threshold_start(D: int, terms) -> int:
     <= 1, and a_k that underflows is a harmless 0.  h is increasing and
     concave, so Newton's steps from x = 1, where h <= 0, rise towards the
     root without passing it; while h < 0 some term exceeds 1/p, so h' > 0.
-    The estimate is never trusted: ``global_threshold`` checks every index
-    it visits exactly.
+    Past 2^50 a float's error spans many indices, so the estimate is refined
+    by ``_newton``'s integer steps.  The estimate is never trusted:
+    ``global_threshold`` checks every index it visits exactly.
     """
     if not terms:
         return 1
@@ -211,7 +226,45 @@ def _threshold_start(D: int, terms) -> int:
         x += step
         if step < x * 1e-15:
             break
-    return math.ceil(2.0 ** (t0 + math.log2(x)))
+    estimate = math.ceil(2.0 ** (t0 + math.log2(x)))
+    return estimate if estimate <= _NEWTON_FROM else _newton(D, terms, estimate)
+
+
+def _newton(D: int, terms, i: int) -> int:
+    """Integer Newton steps i <- i - floor(P(i) / P'(i)) towards the root of
+    P(i) = D i^M - sum_k C_k i^(M - (p-k)), M the largest p - k: the
+    threshold condition times i^(M - p) > 0, so it holds where it does.
+
+    P has one sign change, so one positive root r, with P < 0 on (0, r), and
+    P is increasing and convex on [r, oo) (i P' and i^2 P'' there exceed
+    positive multiples of sum_k C_k i^k).  So from an i > r, where P > 0,
+    a step falls and stays at or above ceil(r) >= 1, and from below r, where
+    P < 0, a step rises: from a float estimate a few steps reach ceil(r) or
+    the index past it.  The steps stop at a zero step, at a slope <= 0 (far
+    below r) or after 16.
+    """
+    M = max(m for m, _ in terms)
+    coeffs = [D] + [0] * M  # highest first: the coefficient of i^(M - m) at m
+    for m, c in terms:
+        coeffs[m] = -c
+    for _ in range(16):
+        value, slope = _value_and_slope(coeffs, i)
+        if slope <= 0:
+            break
+        step = value // slope
+        if not step:
+            break
+        i -= step
+    return i
+
+
+def _value_and_slope(coeffs, i: int):
+    """(P(i), P'(i)) for P's coefficients highest first, by one Horner pass."""
+    value = slope = 0
+    for c in coeffs:
+        slope = slope * i + value
+        value = value * i + c
+    return value, slope
 
 
 def _euclid(F: LaurentPoly, G: LaurentPoly, A: Optional[AnnulusSpec] = None):
@@ -360,7 +413,7 @@ def divide_local_series(F: LaurentPoly, G: LaurentPoly, p: int, m: int, ctx: Ann
         return _divide_by_iteration(F, G, p, m, ctx)
     if G.degree() == p:
         Q, R = _euclid(F, G)
-        cert = _contraction_cert(G, p, ctx)
+        cert = _contraction_cert(_tail(G, p), p, ctx)
         return Q, R, cert
     raise ValuationUndefined(
         "G has nonvanishing low coefficients and degree > p; the quotient "
@@ -368,10 +421,14 @@ def divide_local_series(F: LaurentPoly, G: LaurentPoly, p: int, m: int, ctx: Ann
     )
 
 
-def _contraction_cert(G: LaurentPoly, p: int, ctx: AnnulusSpec) -> LocalDivisionCert:
-    """Search a dyadic radius where ||A - I|| <= ||G/u - T^p|| w^(-p) < 1."""
-    u = G.coeff(p)
-    B = series_sub(series_scale(1 / u, G), LaurentPoly.monomial(p))
+def _tail(G: LaurentPoly, p: int) -> LaurentPoly:
+    """B = G/u - T^p, u the coefficient of T^p in G, formed once per division."""
+    return series_sub(series_scale(1 / G.coeff(p), G), LaurentPoly.monomial(p))
+
+
+def _contraction_cert(B: LaurentPoly, p: int, ctx: AnnulusSpec) -> LocalDivisionCert:
+    """Search a dyadic radius where ||A - I|| <= ||B|| w^(-p) < 1, B = G/u - T^p
+    untruncated."""
     if not B:
         return LocalDivisionCert(Fraction(1), NormValue.of(0), ())
 
@@ -403,35 +460,84 @@ def _divide_by_iteration(F: LaurentPoly, G: LaurentPoly, p: int, m: int, ctx: An
 
     phi itself is never formed.  B, hence every r, lives above T^p, so
     R = F mod T^p, and Q = alpha(phi) / u with alpha(phi) = alpha(F) plus the
-    alpha(r) of each step: one running sum of integer numerators, keyed by
-    the indices reached, over one denominator D that grows only when r.den
-    does not divide it, made canonical once, at the end.
+    alpha(r) of each step, made canonical once, at the end.
+
+    r is one ascending list of integer numerators over its window
+    [lo, lo + len(r)), over one denominator d; alpha(F) enters as the first
+    such list, F's terms from its lowest index >= p up.  A step is one
+    slice-add of r times b_j per term b_j T^j of -B mod T^m, the window cut
+    at T^m, and one gcd over the window.  B's lowest index exceeds p, so lo
+    rises with every step; r[0] times B's lowest coefficient leads the next
+    window, so a window starts at a nonzero term and empties only when lo
+    reaches m.  The norm is read off the nonzero support by
+    ``_support_pairs``.  The running sum alpha(phi) is one list over the
+    indices reached, over one denominator D.  Nothing is sized by m: the
+    lists are as long as the indices the steps reach, so with F below T^p a
+    modulus of 2^200 costs nothing.  r_(n+k).den divides r_n.den Bd^k, so
+    when d does not divide D, D grows to lcm(D, d Bd^K) and the next K steps
+    need no rescale of the running sum.  K doubles at each growth while
+    Bd^K fits in ``_LEAD_BITS``: a scale D / d of one digit costs a step no
+    more than a small one, where a longer lead would multiply every term of
+    every long window by a long scale.  So the rescales number O(log steps)
+    up to that K, and one per K steps after.
     """
     u = G.coeff(p)
-    minus_B = series_sub(LaurentPoly.monomial(p, trunc_mod=m), series_scale(1 / u, G).with_mod(m))
-    cert_radius = _contraction_cert(G, p, ctx)
-    at_radius = AnnulusSpec(ctx.V, Fraction(0), cert_radius.radius)
+    B = _tail(G, p)
+    cert = _contraction_cert(B, p, ctx)
+    at_radius = AnnulusSpec(ctx.V, Fraction(0), cert.radius)
+    minus_B = LaurentPoly._content({j: -c for j, c in B.num.items() if j < m}, B.den)
     beta, Bd = sorted(minus_B.num.items()), minus_B.den
-    total, D = {k - p: c for k, c in F.num.items() if k >= p}, F.den  # alpha(phi) over D
-    r = LaurentPoly._content(_convolve(total.items(), beta, m), D * Bd, m)
+    high = [k for k in F.num if k >= p]
+    lo = min(high, default=m)
+    r, d = [F.num.get(k, 0) for k in range(lo, max(high, default=m - 1) + 1)], F.den
+    total, D, K = [], F.den, 1  # alpha(phi) over D, from index 0
+    top_K = max(1, _LEAD_BITS // Bd.bit_length())
     residuals = []
-    for _ in range(m + 2):
-        residuals.append(norm_annulus(r, at_radius))
+    while True:
+        if r:
+            if D % d:
+                grown = lcm_list((D, d * Bd ** K))
+                total, D, K = list(map(mul, total, repeat(grown // D))), grown, min(2 * K, top_K)
+            start = lo - p
+            end = start + len(r)
+            if len(total) < end:
+                total += [0] * (end - len(total))
+            total[start:end] = map(add, total[start:end], map(mul, r, repeat(D // d)))
+            r, lo, d = _step(r, lo - p, d, beta, Bd, m)
+        support = list(compress(range(lo, lo + len(r)), r))
+        residuals.append(_pairs_value(*_support_pairs(support, list(filter(None, r)), d, at_radius)))
         if not r:
             break
-        alpha = [(k - p, c) for k, c in r.num.items()]
-        if D % r.den:
-            grow = lcm_list((D, r.den)) // D
-            total, D = {j: c * grow for j, c in total.items()}, D * grow
-        scale, get = D // r.den, total.get
-        for j, c in alpha:
-            total[j] = get(j, 0) + c * scale
-        r = LaurentPoly._content(_convolve(alpha, beta, m), r.den * Bd, m)
-    else:
-        raise NoConvergence("fixed point not reached")  # pragma: no cover
-    Q = series_scale(1 / u, LaurentPoly._content(total, D, m - p))
+    Q = series_scale(1 / u, LaurentPoly._content({j: c for j, c in enumerate(total) if c}, D, m - p))
     R = LaurentPoly._content({k: c for k, c in F.num.items() if k < p}, F.den)
-    return Q, R, LocalDivisionCert(cert_radius.radius, cert_radius.epsilon, tuple(residuals))
+    return Q, R, LocalDivisionCert(cert.radius, cert.epsilon, tuple(residuals))
+
+
+def _step(r: list, at: int, d: int, beta, Bd: int, m: int):
+    """(numerators, lowest index, denominator) of sum_j b_j T^j times the
+    numerators r over d at the indices at, at + 1, ..., cut at T^m and
+    reduced by the gcd of the window: beta lists the (j, b_j) of a series
+    over Bd by ascending j.  One slice-add per term of beta."""
+    if not beta:
+        return [], m, 1
+    j0 = beta[0][0]
+    lo = at + j0
+    n = min(len(r) + beta[-1][0] - j0, m - lo)
+    if n <= 0:
+        return [], m, 1
+    out = list(map(mul, r, repeat(beta[0][1], n)))
+    out += [0] * (n - len(out))
+    for j, b in beta[1:]:
+        o = j - j0
+        count = min(len(r), n - o)
+        if count <= 0:
+            break
+        out[o:o + count] = map(add, out[o:o + count], map(mul, r, repeat(b, count)))
+    d *= Bd
+    g = gcd(d, *out)
+    if g > 1:
+        out, d = [c // g for c in out], d // g
+    return out, lo, d
 
 
 def prepare(G: LaurentPoly, p: int, m: int, ctx: AnnulusSpec):

@@ -1582,3 +1582,126 @@ def old_matrix_layer():
     ):
         stack.enter_context(mock.patch.object(target, name, value))
     return stack
+
+
+# The local division loop before the residual window, and the norm it read:
+# the residual r kept as a dict of integer numerators built by
+# ``series_ring._convolve`` and made canonical by ``LaurentPoly._content``
+# each step, its norm summed by ``annulus_pairs_by_sort`` (a sort of
+# (k, bound) tuples and one bound pair per coefficient, from
+# ``norm_bounds_each`` even on the trivial compact), the running sum a dict
+# rescaled to lcm(D, r.den) whenever r.den does not divide D, and -B mod T^m
+# rebuilt through ``series_scale``, ``with_mod`` and ``series_sub``.
+
+
+def annulus_pairs_by_sort(f, A):
+    """``series_ring``'s norm as integer pairs before its support entry:
+    (lo, hi) with hi lo when every bound is exact, the bounds of
+    ``norm_bounds_each`` taken in f's stored order (so a pole refusal names
+    the first stored coefficient with a pole), sorted with their indices and
+    summed by ``_radius_sum`` in t and in 1/s."""
+    from bisect import bisect_left
+    from operator import itemgetter
+
+    from arithline.base_space import _norm_endpoints, norm_bounds_each
+    from arithline.series_ring import _charge_radius, _check_support, _radius_sum
+
+    _check_support(f, A)
+    bounds = norm_bounds_each(f.num.values(), f.den, A.V)
+    index = itemgetter(0)
+    terms = sorted(zip(f.num, bounds), key=index)
+    cut = bisect_left(terms, 0, key=index)
+    pos = terms[cut:]
+    neg = [(-k, b) for k, b in reversed(terms[:cut])]
+    tn, td, sn, sd = A.t.numerator, A.t.denominator, A.s.numerator, A.s.denominator
+    if pos:
+        _charge_radius(tn, td, pos[-1][0])
+    if neg:
+        _charge_radius(sd, sn, neg[-1][0])
+
+    def total(side):
+        num, den = _radius_sum(pos, tn, td, side)
+        if neg:
+            n2, d2 = _radius_sum(neg, sd, sn, side)
+            num, den = num * d2 + n2 * den, den * d2
+        return num, den
+
+    lo = total(0)
+    if not _norm_endpoints(A.V)[5] or all(b_hi is b_lo for b_lo, b_hi in bounds):
+        return lo, lo
+    return lo, total(1)
+
+
+def norm_annulus_by_sort(f, A):
+    """``norm_annulus`` read from ``annulus_pairs_by_sort``."""
+    from arithline.normvalue import NormValue
+
+    lo, hi = annulus_pairs_by_sort(f, A)
+    q = Fraction(*lo)
+    return NormValue(q, q, q) if hi is lo else NormValue.between(q, Fraction(*hi))
+
+
+def contraction_cert_by_sort(G, p, ctx):
+    """``weierstrass._contraction_cert`` on G, forming B = G/u - T^p itself,
+    its norms by ``norm_annulus_by_sort``."""
+    from arithline.errors import NoContractionRadiusFound
+    from arithline.normvalue import NormValue
+    from arithline.series_ring import AnnulusSpec, LaurentPoly, series_scale, series_sub
+    from arithline.weierstrass import LocalDivisionCert
+
+    u = G.coeff(p)
+    B = series_sub(series_scale(1 / u, G), LaurentPoly.monomial(p))
+    if not B:
+        return LocalDivisionCert(Fraction(1), NormValue.of(0), ())
+    for j in range(600):
+        for w in {Fraction(2) ** j, Fraction(2) ** -j}:
+            eps = norm_annulus_by_sort(B, AnnulusSpec(ctx.V, Fraction(0), w)) * NormValue.of(w ** (-p))
+            if eps.lt(1):
+                return LocalDivisionCert(w, eps, ())
+    raise NoContractionRadiusFound("no dyadic radius certifies the contraction")
+
+
+def divide_by_dict_loop(F, G, p, m, ctx, rescales=None):
+    """``weierstrass._divide_by_iteration`` before the residual window: r a
+    dict over one denominator, stepped by ``_convolve`` and made canonical by
+    ``LaurentPoly._content``, its norm ``norm_annulus_by_sort``; alpha(phi)
+    one dict of numerators over D, rescaled to lcm(D, r.den) when r.den does
+    not divide D.  Each rescale appends one entry to ``rescales`` when a
+    list is given.
+
+    One difference from that loop: r's terms are stored by ascending index,
+    where the loop stored them in the order ``_convolve`` first reached
+    them.  Only a pole refusal reads that order (it names the first stored
+    coefficient with a pole), and the norm layer now names the lowest."""
+    from arithline.errors import NoConvergence
+    from arithline.numbers import lcm_list
+    from arithline.series_ring import AnnulusSpec, LaurentPoly, _convolve, series_scale, series_sub
+    from arithline.weierstrass import LocalDivisionCert
+
+    u = G.coeff(p)
+    minus_B = series_sub(LaurentPoly.monomial(p, trunc_mod=m), series_scale(1 / u, G).with_mod(m))
+    cert_radius = contraction_cert_by_sort(G, p, ctx)
+    at_radius = AnnulusSpec(ctx.V, Fraction(0), cert_radius.radius)
+    beta, Bd = sorted(minus_B.num.items()), minus_B.den
+    total, D = {k - p: c for k, c in F.num.items() if k >= p}, F.den
+    r = LaurentPoly._content(dict(sorted(_convolve(total.items(), beta, m).items())), D * Bd, m)
+    residuals = []
+    for _ in range(m + 2):
+        residuals.append(norm_annulus_by_sort(r, at_radius))
+        if not r:
+            break
+        alpha = [(k - p, c) for k, c in r.num.items()]
+        if D % r.den:
+            grow = lcm_list((D, r.den)) // D
+            total, D = {j: c * grow for j, c in total.items()}, D * grow
+            if rescales is not None:
+                rescales.append(D)
+        scale, get = D // r.den, total.get
+        for j, c in alpha:
+            total[j] = get(j, 0) + c * scale
+        r = LaurentPoly._content(dict(sorted(_convolve(alpha, beta, m).items())), r.den * Bd, m)
+    else:
+        raise NoConvergence("fixed point not reached")
+    Q = series_scale(1 / u, LaurentPoly._content(total, D, m - p))
+    R = LaurentPoly._content({k: c for k, c in F.num.items() if k < p}, F.den)
+    return Q, R, LocalDivisionCert(cert_radius.radius, cert_radius.epsilon, tuple(residuals))

@@ -241,6 +241,26 @@ def test_local_division_modulo_a_huge_power_answers_at_once_under_a_memory_cap()
     assert (proc.returncode, proc.stdout, proc.stderr) == (case["exit"], case["stdout"], case["stderr"])
 
 
+CENTRAL_HALF = '{"V": {"kind": "segment", "place": "inf", "u": "0", "v": "0"}, "s": "0", "t": "1/2"}'
+
+
+def test_local_division_to_order_2048_answers_under_a_memory_cap():
+    """F = 1 + 2T + 3T^2 + 4T^3 + 5T^4 divided by G = 3T + T^2 - 2T^3 + T^5
+    modulo T^2048 takes 2047 residual steps, each on one window of integer
+    numerators whose denominators grow by 3 a step: exit 0 inside a 2 GB
+    address space and a 10 s wall cap, and the same stdout, recorded here by
+    its SHA-256, as the loop that kept each residual as a dict printed."""
+    G = '{"coeffs": {"1": "3", "2": "1", "3": "-2", "5": "1"}, "mod": null}'
+    proc = subprocess.run(
+        [sys.executable, "-m", "arithline.cli", "divide-local", "--F", "[1,2,3,4,5]", "--G", G, "--p", "1",
+         "--m", "2048", "--A", CENTRAL_HALF],
+        capture_output=True, text=True, env=child_env(), timeout=10, preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "2904ac22653479a7476b4417850600e1f8d934c91dda342d982af6dea5b99cf5")
+
+
 def test_factor_lift_of_1200_seeds_answers_under_a_memory_cap():
     """The lift is one pass over the seeds, so 1200 seeds 1 answer: exit 0
     and the 1200 lifted factors, inside a 2 GB address space and a 10 s

@@ -242,6 +242,45 @@ def test_acceptance_04_searches_take_few_predicate_passes():
     assert passes.call_count / len(divisors) <= 4
 
 
+# thresholds far past 2^50, where a float's error spans many grid indices:
+# i* near 2^266, 2^200 and 2^117, and the first again with a T term
+FAR_THRESHOLDS = [
+    [(1 << 4000) + 1] + [0] * 15 + [1],
+    [1 << 1100] + [0] * 5 + [1],
+    [10 ** 30, 1],
+    [-(1 << 4000) - 1, 3] + [0] * 14 + [1],
+]
+
+
+@pytest.mark.parametrize("G", FAR_THRESHOLDS)
+def test_far_thresholds_take_a_dozen_passes_with_newton_steps(G):
+    """Past 2^50 the float estimate is refined by integer Newton steps, one
+    Horner pass each for P and P', before the exact search: at most a dozen
+    passes in all, where stepping and bisecting across the float's error
+    took 426, 292 and 138 predicate passes on the first three.  The answer
+    is the Fraction search's."""
+    with mock.patch.object(W, "_certified", wraps=W._certified) as passes, \
+            mock.patch.object(W, "_value_and_slope", wraps=W._value_and_slope) as newton:
+        assert_matches_fraction_search(G, "whole")
+    assert newton.call_count >= 1 and passes.call_count + newton.call_count <= 12
+
+
+def test_newton_steps_stop_at_a_zero_step_or_a_slope_at_most_zero():
+    """From above the root a step falls and stays at or above i*, from below
+    it rises; a step under 1 stops at i* or the index past it, and far
+    below the root, where P' <= 0, the steps stop.  The search then checks
+    every index it visits, so these only move where it starts."""
+    # P(i) = i - 5 from 2^60 steps straight to 5; P(i) = 7 i - 1 to 1
+    assert W._newton(1, [(1, 5)], 1 << 60) == 5
+    assert W._newton(7, [(1, 1)], 1 << 60) == 1
+    # P(i) = i^2 - 4, i* = 2: from 10 by 6, 4 and 3, where the step is 5 // 6 = 0;
+    # from 1 below it, up to 3
+    assert W._newton(1, [(2, 4)], 10) == 3
+    assert W._newton(1, [(2, 4)], 1) == 3
+    # P(i) = i^3 - 2^200 i^2 - 2^200: P'(2^60) < 0
+    assert W._newton(1, [(1, 1 << 200), (3, 1 << 200)], 1 << 60) == 1 << 60
+
+
 _values = st.one_of(
     st.just(0),
     st.just(Fraction(0)),
