@@ -14,9 +14,9 @@ COMMANDS is the one table of subcommands: name -> (callable, argument specs
 (flag, Kind), key).  The callable is the library function itself, or a
 `cmd_*` handler where the result is reshaped or an intermediate value is
 built.  A kind holds the argparse keywords of a flag and the converter
-(FRAC, POLY, LAURENT, COMPACT, ...) of the string argparse leaves; argparse
-itself converts only integers (`--bits` and ARITHLINE_BITS too), all by
-`numbers.parse_int`.  Each converter refuses a value it cannot read (bad
+(FRAC, POLY, LAURENT, COMPACT, ...) of the string the parse leaves; the
+parse itself converts only integers (`--bits` and ARITHLINE_BITS too), all
+by `numbers.parse_int`.  Each converter refuses a value it cannot read (bad
 JSON, a missing key, "1/0") as BadInput in the parser's own words.  `_run`
 converts the arguments in spec order, calls the callable and catches
 ArithlineError alone.  The key names the payload for `jsonio.dumps`: None
@@ -24,13 +24,23 @@ takes the result as it is (a dict, or one object that encodes to a dict), a
 string K gives {K: result}, and a tuple of names gives
 dict(zip(key, result)) for a tuple result.
 
-`build_parser` turns COMMANDS into a new argparse parser; `main` builds
-that parser once per process, on its first call (not at import), and reuses
-it.  When the reader of stdout goes away (`arithline ... | head`), `main`
-exits 1 with nothing on stderr.  Anything else raised below `main` (a
-library bug, MemoryError, RecursionError, a result with no JSON encoding)
-meets the one handler in `main`: exit 3, {"v": 1, "error": "InternalError",
-"detail": "<type>: <message>"} on stderr, nothing on stdout, no traceback.
+`_read` reads a plain argv straight from COMMANDS: an optional leading
+`--bits`, a command spelled as in the table, then each of its flags at most
+once and in full, as `--flag value` (a value not starting with "-"),
+`--flag=value` or a bare store_true flag, with the types, choices, defaults
+and required flags of `Kind.options` applied as argparse applies them.  It
+leaves everything else to argparse (help, abbreviations, repeated flags,
+values starting with "-", missing flags, failed conversions), so help and
+usage errors stay argparse's own text.  `build_parser` turns COMMANDS into
+a new argparse parser; `main` builds it once per process, on the first call
+left to it (not at import, and never for a plain call), and reuses it.
+Either way `_run` gets the same (command, bits, raw values).
+
+When the reader of stdout goes away (`arithline ... | head`), `main` exits
+1 with nothing on stderr.  Anything else raised below `main` (a library
+bug, MemoryError, RecursionError, a result with no JSON encoding) meets the
+one handler in `main`: exit 3, {"v": 1, "error": "InternalError", "detail":
+"<type>: <message>"} on stderr, nothing on stdout, no traceback.
 """
 
 import argparse
@@ -393,8 +403,76 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    # Built on the first call, not at import; parsing leaves it unchanged.
+    # Built on the first deferred call, not at import; parsing leaves it unchanged.
     return build_parser()
+
+
+def _parsed(argv):
+    """argparse's (command, bits, raw values in spec order); SystemExit on help
+    or on a usage error, after argparse has printed its text."""
+    args = _parser().parse_args(argv)
+    specs = COMMANDS[args.command][1]
+    return args.command, args.bits, [getattr(args, flag[2:].replace("-", "_")) for flag, _ in specs]
+
+
+def _read(argv):
+    """What ``_parsed`` returns for a call in the plain grammar, read straight
+    from COMMANDS, or None to leave argv to argparse.
+
+    The grammar: at most one leading ``--bits V`` or ``--bits=V``, a command
+    spelled as in COMMANDS, then for each spec flag at most once ``--flag
+    value`` (the flag in full, a value not starting with "-"), ``--flag=value``
+    (any value but "--", which argparse reads as no value) or, for a
+    store_true kind, a bare ``--flag``.  Types, choices, required flags and
+    defaults are taken from ``Kind.options`` as argparse takes them; anything
+    else (help, abbreviations, repeats, failed conversions) is None.
+    """
+    n, i, bits = len(argv), 0, None
+    try:
+        head = argv[0] if n else ""
+        if head == "--bits" and n > 1 and not argv[1].startswith("-"):
+            bits, i = _precision_bits(argv[1]), 2
+        elif head.startswith("--bits=") and head != "--bits=--":
+            bits, i = _precision_bits(head[7:]), 1
+        command = argv[i] if i < n else None
+        if command not in COMMANDS:
+            return None
+        specs = COMMANDS[command][1]
+        slot = {flag: j for j, (flag, _) in enumerate(specs)}
+        raw = [None] * len(specs)  # a value read is a string, or True for a store_true flag
+        i += 1
+        while i < n:
+            flag, eq, value = argv[i].partition("=")
+            j = slot.get(flag)
+            if j is None or raw[j] is not None:
+                return None
+            if "action" in specs[j][1].options:  # store_true
+                if eq:
+                    return None
+                value = True
+            elif not eq:
+                i += 1
+                if i == n or argv[i].startswith("-"):
+                    return None
+                value = argv[i]
+            elif value == "--":
+                return None
+            raw[j] = value
+            i += 1
+        for j, (_, kind) in enumerate(specs):
+            opts, value = kind.options, raw[j]
+            if value is None:
+                if opts.get("required"):
+                    return None
+                raw[j] = opts.get("default", False if "action" in opts else None)
+                continue
+            if "type" in opts:
+                value = raw[j] = opts["type"](value)
+            if "choices" in opts and value not in opts["choices"]:
+                return None
+    except (argparse.ArgumentTypeError, AttributeError, TypeError, ValueError):
+        return None
+    return command, bits, raw
 
 
 def main(argv=None) -> int:
@@ -415,22 +493,24 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
+    read = _read(argv)
+    if read is None:
+        try:
+            read = _parsed(argv)
+        except SystemExit as exc:
+            return 1 if exc.code not in (0, None) else 0
+    command, bits, raw = read
+    call, specs, key = COMMANDS[command]
+    selftest = command == "selftest"
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    call, specs, key = COMMANDS[args.command]
-    selftest = args.command == "selftest"
-    try:
-        bits, env_bits = args.bits, os.environ.get("ARITHLINE_BITS")
+        env_bits = os.environ.get("ARITHLINE_BITS")
         try:
             bits = _precision_bits(env_bits) if bits is None and env_bits else bits
         except argparse.ArgumentTypeError as exc:
             raise BadInput(f"ARITHLINE_BITS: {exc}") from None
         if bits is not None:
             set_default_bits(bits)
-        values = [kind.convert(getattr(args, flag[2:].replace("-", "_"))) for flag, kind in specs]
-        result = call(*values)
+        result = call(*[kind.convert(value) for (_, kind), value in zip(specs, raw)])
         if isinstance(key, tuple):
             result = dict(zip(key, result))
         elif key is not None:

@@ -49,19 +49,26 @@ def encode(obj):
 
 @encode.register(Fraction)
 def frac_str(q) -> str:
-    return str(Fraction(q))
+    return str(q) if isinstance(q, Fraction) else str(Fraction(q))
 
 
-_RATIONAL = re.compile("-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile("(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_frac(s) -> Fraction:
     """A Fraction, an int that is not a bool, or an ASCII string "p" or "p/q"
     (an optional "-" and digits, then "/" and digits); anything else, a float,
-    "1_0", " 1" or "1e9" among them, is refused in ``Fraction``'s words."""
+    "1_0", " 1" or "1e9" among them, is refused in ``Fraction``'s words.  The
+    string is parsed once, by the match; p/0 and a part past the int-to-str
+    digit limit raise as ``Fraction(s)`` would."""
     if isinstance(s, Fraction):
         return s
-    if isinstance(s, str) and _RATIONAL.fullmatch(s) or isinstance(s, int) and not isinstance(s, bool):
+    if isinstance(s, str):
+        match = _RATIONAL.fullmatch(s)
+        if match:
+            p, q = match.groups()
+            return Fraction(int(p), int(q)) if q else Fraction(int(p))
+    elif isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     raise BadInput(f"Invalid literal for Fraction: {str(s)!r:.200}")
 

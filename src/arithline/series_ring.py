@@ -605,17 +605,44 @@ def _join(pos, neg):
 def _weight_sum(ks, rn: int, rd: int):
     """sum_k (rn / rd)^k over the ascending ks >= 0 as (num, den): the Horner
     sum of ``_radius_sum`` with every bound 1, so no pair is formed per
-    index.  After index j the sum is acc / rd^j."""
-    acc, j, ladder = 0, 0, 1
-    for k in ks:
-        g = k - j
-        if g:
-            if rd != 1:
-                acc *= rd if g == 1 else rd ** g
+    index.  After index j the sum is acc / rd^j, and ladder is rn^j.
+
+    A run a..b of L consecutive indices is added in one step, as the
+    geometric sum  rn^a (rd^L - rn^L) / (rd - rn)  (rn^a L rd^(L-1) when
+    rn = rd) over rd^b, so a dense support costs a few big products, not
+    one product of the whole accumulator per index.  Since ks ascends,
+    ks[e] - e never falls, and a run is a block on which it is constant; its
+    end is found by galloping, then bisecting, so a run costs O(log L)."""
+    acc, j, ladder, i, n = 0, 0, 1, 0, len(ks)
+    while i < n:
+        a, d = ks[i], ks[i] - i
+        lo, hi, step = i, i + 1, 1  # ks[lo] is in the run; ks[hi] is not, or hi >= n
+        while hi < n and ks[hi] - hi == d:
+            lo, step = hi, 2 * step
+            hi = lo + step
+        hi = min(hi, n)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if ks[mid] - mid == d:
+                lo = mid
+            else:
+                hi = mid
+        b, i = ks[lo], lo + 1
+        if a != j and rn != 1:
+            ladder *= rn ** (a - j)
+        if b != j and rd != 1:
+            acc *= rd ** (b - j)
+        if a == b:
+            acc += ladder
+        else:
+            L = b - a + 1
+            if rn == rd:
+                acc += ladder * L * rd ** (L - 1)
+            else:
+                acc += ladder * ((rd ** L - rn ** L) // (rd - rn))
             if rn != 1:
-                ladder *= rn if g == 1 else rn ** g
-            j = k
-        acc += ladder
+                ladder *= rn ** (L - 1)
+        j = b
     return acc, rd ** j
 
 

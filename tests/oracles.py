@@ -1705,3 +1705,40 @@ def divide_by_dict_loop(F, G, p, m, ctx, rescales=None):
     Q = series_scale(1 / u, LaurentPoly._content(total, D, m - p))
     R = LaurentPoly._content({k: c for k, c in F.num.items() if k < p}, F.den)
     return Q, R, LocalDivisionCert(cert_radius.radius, cert_radius.epsilon, tuple(residuals))
+
+
+# -- the one-index Horner weight sum, and the rational read through Fraction --
+# ``series_ring._weight_sum`` before it added each run of consecutive indices
+# as one geometric sum, and ``jsonio.parse_frac`` / ``frac_str`` before the
+# match's two integers built the Fraction and a Fraction printed as itself.
+
+
+def weight_sum_by_horner(ks, rn, rd):
+    """sum_k (rn / rd)^k over the ascending ks >= 0 as (acc, rd^j), j the
+    last index: the accumulator multiplied by rd once per index."""
+    acc, j, ladder = 0, 0, 1
+    for k in ks:
+        g = k - j
+        if g:
+            acc *= rd ** g
+            ladder *= rn ** g
+            j = k
+        acc += ladder
+    return acc, rd ** j
+
+
+def parse_frac_by_fraction(s):
+    """The rational grammar checked by one regex, then parsed again by ``Fraction(s)``."""
+    import re
+
+    from arithline.errors import BadInput
+
+    if isinstance(s, Fraction):
+        return s
+    if isinstance(s, str) and re.fullmatch("-?[0-9]+(/[0-9]+)?", s) or isinstance(s, int) and not isinstance(s, bool):
+        return Fraction(s)
+    raise BadInput(f"Invalid literal for Fraction: {str(s)!r:.200}")
+
+
+def frac_str_by_copy(q):
+    return str(Fraction(q))

@@ -1,14 +1,17 @@
 import contextlib
 import io
 import json
+import shlex
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arithline.cli import TABLE_BYTES, _load_table, main
+from arithline import cli
+from arithline.cli import COMMANDS, TABLE_BYTES, _load_table, main
 from arithline.covers_galois import GroupTable, standard_group_tables
 
 from oracles import (
@@ -101,6 +104,100 @@ def test_no_flag_is_read_by_int():
     types = {kind.options.get("type") for _, specs, _ in COMMANDS.values() for _, kind in specs}
     assert int not in types and len(types - {None}) == 1
     assert all(a.type is not int for a in build_parser()._actions)
+
+
+# The values the reader must read as argparse does or leave to it: negative
+# numbers and dashes, "--" (argparse drops it from a value), integers that
+# parse_int refuses, spaces, JSON, and the --op choices.
+ARGV_VALUES = ("12", "-5", "-1/2", "-", "", "--", "1_0", "\u0663", " 3", "x y", "-x y", "[1,2]", "add", "div")
+
+
+@st.composite
+def argvs(draw):
+    """An argv over one COMMANDS entry: each flag dropped, given once or
+    twice, in full or abbreviated, as --flag value, --flag=value or bare, the
+    flags in any order; --bits or --bits= before or after the command, and
+    now and then -h."""
+    name = draw(st.sampled_from(list(COMMANDS)))
+    value = st.sampled_from(ARGV_VALUES + ("12",) * 14)  # mostly a value every kind reads
+    groups = []
+    for flag, kind in COMMANDS[name][1]:
+        for _ in range(draw(st.sampled_from((1,) * 16 + (0, 2)))):
+            spelled = draw(st.sampled_from((flag,) * 8 + (flag[:draw(st.integers(2, len(flag)))],)))
+            forms = ("bare",) * 8 if "action" in kind.options else ("separate",) * 4 + ("equals",) * 4
+            form = draw(st.sampled_from(forms + ("separate", "equals", "bare")))
+            if form == "separate":
+                groups.append([spelled, draw(value)])
+            else:
+                groups.append([f"{spelled}={draw(value)}" if form == "equals" else spelled])
+    argv = [name] + [token for group in draw(st.permutations(groups)) for token in group]
+    bits = draw(st.sampled_from((None,) * 4 + ("16", "8", "7")) | value)
+    if bits is not None:
+        tokens = draw(st.sampled_from((["--bits", bits], [f"--bits={bits}"])))
+        at = draw(st.sampled_from((0, 0, 1, len(argv))))
+        argv[at:at] = tokens
+    if draw(st.integers(0, 19)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), "-h")
+    return argv
+
+
+def argparse_reading(argv):
+    """argparse's (command, bits, values), or "exit" for help or a usage error."""
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return cli._parsed(argv)
+    except SystemExit:
+        return "exit"
+
+
+@settings(max_examples=2000, deadline=None)
+@given(argvs())
+@example(["divide", "--F", "[1]", "--G=--", "--w", "5"])
+@example(["--bits=--", "product-formula", "--f", "1"])
+@example(["unif-norm", "--f", "[1]", "--A", "{}", "--upper-bound"])
+@example(["series-arith", "--f", "[1]", "--g", "[1]", "--op=div"])
+@example(["cartan", "--a", "[]", "--place", "2", "--u", "1", "--s", "1/2", "--t", "2"])
+def test_the_argv_reader_answers_as_argparse_or_defers(argv):
+    """``cli._read`` gives argparse's (command, bits, values) or None, and
+    None wherever argparse prints help or a usage error."""
+    got = cli._read(argv)
+    assert got is None or got == argparse_reading(argv)
+
+
+def test_every_kind_uses_only_the_options_the_reader_takes():
+    for _, specs, _ in COMMANDS.values():
+        for _, kind in specs:
+            assert set(kind.options) <= {"required", "default", "type", "choices", "action"}
+            assert kind.options.get("action", "store_true") == "store_true"
+
+
+def readme_examples():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("```sh\narithline eval-base", 1)[1].split("```", 1)[0]
+    calls = ("arithline eval-base" + block).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in calls if line.startswith("arithline ")]
+
+
+def spelled_in_full(argv):
+    """Every flag of argv spelled in full, and no separate value starting with "-"."""
+    head = 2 if argv[0] == "--bits" else 1 if argv[0].startswith("--bits=") else 0
+    kinds = dict(COMMANDS[argv[head]][1]) if argv[head] in COMMANDS else {}
+    rest = argv[head + 1:]
+    separate = [b for a, b in zip(rest, rest[1:]) if a in kinds and "action" not in kinds[a].options]
+    return all(t.partition("=")[0] in kinds for t in rest if t.startswith("-")) and not any(
+        v.startswith("-") for v in separate)
+
+
+def test_the_reader_takes_the_readme_examples_and_the_plain_golden_calls():
+    """Every README example, and every exit-0 golden call spelled in full, is
+    read without argparse, so the plain path is the one a call takes."""
+    golden = json.loads((Path(__file__).parent / "cli_golden.json").read_text())
+    calls = readme_examples()
+    assert len(calls) == 5
+    calls += [case["argv"] for case in golden if case["exit"] == 0 and spelled_in_full(case["argv"])]
+    assert len(calls) > 90
+    for argv in calls:
+        assert cli._read(argv) == argparse_reading(argv), argv
 
 
 def test_eval_line_and_flow(capsys):

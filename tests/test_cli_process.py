@@ -36,6 +36,13 @@ MIXED = [
     ["selftest", "--suite", "bogus"],
     ["hensel", "--P", '["-2","0","1"]', "--prime", "7", "--seed", "3", "--N", "3"],
     ["eval-base", "--f", "12", "--point", '{"place": 2, "exp": "1"}'],
+    # left to argparse by ``_read``: an abbreviation, a repeat, a dash value, --bits after the command, "=--"
+    ["eval-base", "--f", "12", "--poi", '{"place": 2, "exp": "1"}'],
+    ["product-formula", "--f", "3", "--f", "12"],
+    ["product-formula", "--f", "-5"],
+    ["base-norm", "--f=-7", "--V", SEG, "--bits=16"],
+    ["divide", "--F", "[0,0,0,1]", "--G=--", "--w", "5"],
+    ["--bits=16", "base-norm", "--f=-7", "--V", SEG],
 ]
 
 
@@ -54,7 +61,7 @@ def test_shared_parser_answers_like_a_fresh_one(monkeypatch):
     fresh = [call(argv) for argv in MIXED]
     for argv, got, want in zip(MIXED, shared, fresh):
         assert got == want, argv
-    assert [code for code, _, _ in shared] == [0, 1, 0, 0, 1, 1, 2, 0, 0, 1, 0, 1, 0, 0]
+    assert [code for code, _, _ in shared] == [0, 1, 0, 0, 1, 1, 2, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1, 1, 0]
 
 
 def test_bits_hold_for_one_call(monkeypatch):
@@ -91,7 +98,10 @@ def child_env(unbuffered=False):
     return env
 
 
-def test_import_builds_no_parser_and_main_builds_one():
+def test_only_a_call_left_to_argparse_builds_the_parser():
+    """Import builds no parser, and neither does a call that ``_read``
+    takes; the first usage error builds the top parser and one per
+    subcommand, and the next one reuses them."""
     probe = (
         "import argparse, contextlib, io\n"
         "built = []\n"
@@ -102,9 +112,9 @@ def test_import_builds_no_parser_and_main_builds_one():
         "argparse.ArgumentParser.__init__ = counting\n"
         "import arithline.cli as cli\n"
         "counts = [len(built)]\n"
-        "for _ in range(2):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        cli.main(['product-formula', '--f', '12'])\n"
+        "for argv in (['product-formula', '--f', '12'], ['product-formula'], ['product-formula', '--g', '1']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        cli.main(argv)\n"
         "    counts.append(len(built))\n"
         "print(*counts)\n"
     )
@@ -112,9 +122,9 @@ def test_import_builds_no_parser_and_main_builds_one():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    at_import, first, second = map(int, proc.stdout.split())
-    assert at_import == 0
-    assert first == second == 1 + len(cli.COMMANDS)  # the top parser and one per subcommand
+    at_import, plain, first_error, second_error = map(int, proc.stdout.split())
+    assert at_import == plain == 0
+    assert first_error == second_error == 1 + len(cli.COMMANDS)  # the top parser and one per subcommand
 
 
 # Buffered, the failed write comes with the flush in `main`; unbuffered, it

@@ -4,7 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arithline import jsonio as io
@@ -20,6 +20,8 @@ from arithline import (
 )
 from arithline.covers_galois import cyclic_table
 from arithline.weierstrass import ResidualSandwich
+
+from oracles import frac_str_by_copy, parse_frac_by_fraction
 
 INF = math.inf
 
@@ -158,6 +160,47 @@ def test_one_rational_rule_for_json_and_the_cli():
         io.parse_frac("1/0")
     with pytest.raises(ValueError, match="'1_0'"):
         io.parse_base_point({"place": 2, "exp": "1_0"})
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the refusal itself is compared: its class and text
+        return "raise", type(exc).__name__, str(exc)
+
+
+DIGITS = "1" * 4301  # one digit past the default int-to-str limit
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(
+    st.from_regex(r"-?[0-9]{1,40}(/[0-9]{1,40})?", fullmatch=True),
+    st.text("-/0123456789 _e+.\u0663", max_size=12),
+    st.integers(), st.fractions(), st.floats(), st.booleans(), st.none(),
+))
+@example("1/0")
+@example("-0/0")
+@example("-5/00")
+@example(DIGITS)
+@example("-" + DIGITS + "/7")
+@example("7/" + DIGITS)
+def test_a_rational_is_parsed_once_as_fraction_parsed_it(s):
+    """``parse_frac`` builds the Fraction from the two integers of its match:
+    the value, or the refusal's class and text (``Fraction(1, 0)``, the
+    int-to-str digit limit, ``Invalid literal``), of the regex check followed
+    by ``Fraction(s)``."""
+    assert outcome(io.parse_frac, s) == outcome(parse_frac_by_fraction, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.fractions(), st.integers()), st.sampled_from((0, 4301, -4301)))
+def test_a_fraction_prints_as_its_copy(q, shift):
+    """``frac_str`` prints a Fraction as it is, an int through Fraction: the
+    text, or the digit limit's refusal, of ``str(Fraction(q))``; the shift by
+    10^4301 is applied here, since Hypothesis cannot print such an example."""
+    if shift:
+        q = q * Fraction(10) ** shift
+    assert outcome(io.frac_str, q) == outcome(frac_str_by_copy, q)
 
 
 def test_a_central_point_needs_exponent_zero():

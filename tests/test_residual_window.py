@@ -15,7 +15,9 @@ for the library's loop, it must give the same Q, R, radius, epsilon,
 residual trajectory (lo, hi and exactness) and refusal (class and text), on
 the central point, finite and archimedean segments, for units u of 1, -1,
 2 and 3/7, p = 1..4 and m from p + 1 to 96.  The trivial-compact norm is
-compared with ``oracles.naive_norm_annulus``.
+compared with ``oracles.naive_norm_annulus``, and the weight sum, which
+adds each run of consecutive indices as one geometric sum, with the
+one-index Horner sum ``oracles.weight_sum_by_horner``.
 """
 
 import contextvars
@@ -31,7 +33,7 @@ from arithline import weierstrass as W
 from arithline.errors import ArithlineError
 from arithline.normvalue import POW_BITS, set_default_bits
 
-from oracles import divide_by_dict_loop, naive_norm_annulus
+from oracles import divide_by_dict_loop, naive_norm_annulus, weight_sum_by_horner
 
 CENTRAL = BaseCompact.central_point()
 COMPACTS = {
@@ -216,6 +218,29 @@ def test_the_trivial_norm_is_the_weight_sum_of_the_support(case):
 
     got, want = contextvars.copy_context().run(both)
     assert got == want
+
+
+@st.composite
+def runs_of_indices(draw):
+    """Ascending indices >= 0 made of runs of consecutive ones, the gaps between
+    them of 0 (two runs merge) up to 40."""
+    ks, start = [], draw(st.integers(0, 3))
+    for gap, length in draw(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 70)), max_size=5)):
+        ks += range(start + gap, start + gap + length)
+        start += gap + length
+    return ks
+
+
+@settings(max_examples=400, deadline=None)
+@given(runs_of_indices(), st.integers(0, 12), st.integers(1, 12))
+@example([], 1, 2)
+@example(list(range(2049)), 1, 2)
+@example([0, 1, 2, 5, 6, 9], 3, 3)
+@example([0, 1, 2, 7, 8], 0, 5)
+def test_the_weight_sum_by_runs_is_the_horner_sum(ks, rn, rd):
+    """The same (acc, rd^j) pair, not only the same rational, for rn above,
+    below and equal to rd."""
+    assert S._weight_sum(ks, rn, rd) == weight_sum_by_horner(ks, rn, rd)
 
 
 def test_the_trivial_norm_charges_the_extreme_indices_first():
