@@ -409,10 +409,17 @@ def _parser() -> argparse.ArgumentParser:
 
 def _parsed(argv):
     """argparse's (command, bits, raw values in spec order); SystemExit on help
-    or on a usage error, after argparse has printed its text."""
-    args = _parser().parse_args(argv)
-    specs = COMMANDS[args.command][1]
-    return args.command, args.bits, [getattr(args, flag[2:].replace("-", "_")) for flag, _ in specs]
+    or on a usage error, after argparse has printed its text.  Python 3.10 to
+    3.12 read ``--flag=--`` as an empty list without calling its type; that
+    is refused here as the usage error it is."""
+    ap = _parser()
+    args = ap.parse_args(argv)
+    flags = ["--bits"] + [flag for flag, _ in COMMANDS[args.command][1]]
+    values = [getattr(args, flag[2:].replace("-", "_")) for flag in flags]
+    for flag, value in zip(flags, values):
+        if isinstance(value, list):
+            ap.error(f"argument {flag}: expected one argument")
+    return args.command, values[0], values[1:]
 
 
 def _read(argv):

@@ -62,8 +62,8 @@ from .series_ring import (
     AnnulusSpec,
     LaurentPoly,
     _check_support,
-    _known_valuation,
     _norm_pairs,
+    _product_mod,
     check_series_order,
     norm_annulus,
     series_add,
@@ -333,16 +333,11 @@ class SeriesMatrix:
 
     def mul(self, other) -> "SeriesMatrix":
         """Each entry one ``series_dot`` of a row and a column, all known mod
-        the least modulus of the products a_ik b_kj: min(m_a + val b,
-        m_b + val a) over the entries, val an entry's ``_known_valuation``."""
+        the least modulus of the products a_ik b_kj, ``_product_mod`` of the
+        two matrices' entries."""
         if self.cols != other.rows:
             raise BadInput("shape mismatch")
-        mods = []
-        if self.entries[0][0].trunc_mod is not None:
-            mods.append(self.entries[0][0].trunc_mod + min(map(_known_valuation, _flat(other))))
-        if other.entries[0][0].trunc_mod is not None:
-            mods.append(other.entries[0][0].trunc_mod + min(map(_known_valuation, _flat(self))))
-        mod = min(mods) if mods else None
+        mod = _product_mod(_flat(self), _flat(other))
         columns = tuple(zip(*other.entries))
         return SeriesMatrix._of(
             tuple(tuple(series_dot(row, col, mod) for col in columns) for row in self.entries)
@@ -375,8 +370,8 @@ class SeriesMatrix:
         return SeriesMatrix._of(tuple(tuple(prune_entry(e) for e in row) for row in self.entries))
 
 
-def _flat(mat: SeriesMatrix):
-    return (e for row in mat.entries for e in row)
+def _flat(mat: SeriesMatrix) -> tuple:
+    return tuple(e for row in mat.entries for e in row)
 
 
 def _plus_identity(mat: SeriesMatrix, sign: int = 1) -> SeriesMatrix:

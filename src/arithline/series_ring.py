@@ -363,15 +363,23 @@ def _known_valuation(f: LaurentPoly) -> int:
     return 0 if f.trunc_mod is None else f.trunc_mod
 
 
+def _product_mod(fs, gs):
+    """The modulus every product f g is known mod, f in fs and g in gs, each
+    sequence's entries sharing one modulus: min(m_f + val g, m_g + val f)
+    over the entries, val the ``_known_valuation``, or None if both are
+    exact.  A factor known mod T^m contributes uncertainty only from
+    T^(m + val) on."""
+    mods = []
+    if fs[0].trunc_mod is not None:
+        mods.append(fs[0].trunc_mod + min(map(_known_valuation, gs)))
+    if gs[0].trunc_mod is not None:
+        mods.append(gs[0].trunc_mod + min(map(_known_valuation, fs)))
+    return min(mods) if mods else None
+
+
 def series_mul(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     """f g: the one-pair case of ``series_dot``."""
-    # a factor known mod T^m contributes uncertainty only from T^(m + val) on
-    mods = []
-    if f.trunc_mod is not None:
-        mods.append(f.trunc_mod + _known_valuation(g))
-    if g.trunc_mod is not None:
-        mods.append(g.trunc_mod + _known_valuation(f))
-    return series_dot((f,), (g,), min(mods) if mods else None)
+    return series_dot((f,), (g,), _product_mod((f,), (g,)))
 
 
 def series_dot(fs, gs, mod) -> LaurentPoly:

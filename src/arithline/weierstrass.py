@@ -7,20 +7,19 @@ bounds ||Q|| <= 2 v^(-p) ||F|| and ||R|| <= 2 ||F||.  The threshold is the
 first radius v = i 2^-16 on the grid that meets the condition, its ||g_k||
 read from G's integer content as pairs.  Cleared of denominators the
 condition is an integer polynomial inequality in the grid index i, decided
-by one Horner pass, and the indices that meet it form a ray [i*, oo).  So
-the search may start anywhere: it starts at a float estimate of the root
-(Newton's method from the lower bound behind Fujiwara's root bound, on
-logarithms, so no coefficient is out of float range), steps away from it
-until the exact predicate changes, and bisects.  The estimate is usually i*
-itself, and then two passes prove it: i* certifies, i* - 1 does not.  The
-search answers when i* <= 2^299 and otherwise raises
-NoContractionRadiusFound (see ``global_threshold``).  Each ``divide`` and
-each ``QuotientRing`` runs the search again: a v handed in would need the
-same two passes before it could be trusted, so none is taken and nothing is
-cached.  Q and R come from ``_euclid``, which runs the one integer
-pseudo-division ``polys.pdivide`` on F's numerators and G's and turns the
-result back into content; it also serves the polynomial branch of local
-division, where G's leading coefficient is a unit.  Local division of
+by one Horner pass, and the indices that meet it form a ray [i*, oo).  The
+search walks up to i* by integer Newton steps from the lower bound behind
+Fujiwara's root bound; the condition is concave in i, so no step passes
+i*, and the walk stops at the first index whose exact value meets it: i*,
+the index before it failing.  No float is used.  The search answers when
+i* <= 2^299 and otherwise raises NoContractionRadiusFound (see
+``global_threshold``).  Each ``divide`` and each ``QuotientRing`` runs the
+search again: a v handed in would need two exact passes (v meets the
+condition, v - 2^-16 does not) before it could be trusted, so none is taken
+and nothing is cached.  Q and R come from ``_euclid``, which runs the one
+integer pseudo-division ``polys.pdivide`` on F's numerators and G's and
+turns the result back into content; it also serves the polynomial branch of
+local division, where G's leading coefficient is a unit.  Local division of
 truncated series otherwise iterates the residual r <- -alpha(r) B mod T^m,
 B = G/u - T^p formed once, keeps alpha(phi) as one running integer sum and
 records its certificate.  The residual is one ascending list of integer
@@ -29,13 +28,11 @@ a step is one slice-add per term of B and one gcd, and the norm is read off
 the window's nonzero support, on the central point as its weight sum.  The
 window starts at the residual's lowest index, which rises every step, and
 ends at the highest index reached, so nothing is sized by m: F below T^p
-modulo T^(2^200) answers at once.  Past 2^50 the threshold estimate is
-refined by integer Newton steps before the exact search.
+modulo T^(2^200) answers at once.
 ``hensel_lift_root`` is the one Hensel lift, for series and p-adic roots (the
 roots of unity of ``covers_galois`` among them).
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
@@ -69,7 +66,7 @@ from .errors import (
     ValuationUndefined,
 )
 from .normvalue import NormValue, nv_max, nv_sum
-from .numbers import invmod, is_prime, lcm_list, vp, vp_int
+from .numbers import invmod, iroot, is_prime, lcm_list, vp, vp_int
 from .padic import PadicApprox
 from .polys import (
     Gauss,
@@ -103,7 +100,6 @@ from .series_ring import (
 _GRID_BITS = 16
 GRID = Fraction(1, 1 << _GRID_BITS)  # dyadic search grid for certified thresholds
 _SEARCH_CAP = 1 << 299  # the largest grid index a threshold search answers with
-_NEWTON_FROM = 1 << 50  # float estimates past this are refined by integer Newton steps
 _LEAD_BITS = 30  # one CPython digit: how far local division's D may run ahead of r.den
 
 
@@ -128,19 +124,25 @@ def global_threshold(G, V: BaseCompact) -> Fraction:
     and v = i GRID, multiplying the condition by 2 D i^p > 0 gives the
     integer inequality
 
-        sum_{k<p} C_k i^k <= D i^p,   C_k = 2 (D b_k) 2^(16(p-k)),
+        P(i) = D i^p - sum_{k<p} C_k i^k >= 0,   C_k = 2 (D b_k) 2^(16(p-k)),
 
     which holds at exactly the grid indices where the rational condition
-    holds, interval-valued norms included; ``_certified`` decides it by one
-    Horner pass.  The left side of the condition falls as v grows, so the
-    certified indices form a ray [i*, oo), and any start index leads to the
-    same i*: the search keeps lo failing (lo = 0 stands for "no index") and
-    hi certifying, and every step is decided by the exact predicate.  It
-    starts at ``_threshold_start``'s float estimate of i*, clamped to
-    [1, 2^299], steps up or down from there by doubling strides until the
-    predicate changes, then bisects.  The estimate is usually i* itself, so
-    two predicate passes certify i* and refuse i* - 1.  The answer is hi GRID
-    when i* <= 2^299; otherwise NoContractionRadiusFound("threshold search
+    holds, interval-valued norms included.  P has one sign change, so the
+    indices i >= 1 where it holds form a ray [i*, oo).  The search walks up
+    to i* by Newton's method on h = P / (D i^p) = 1 - sum_k (C_k / D) i^(k-p),
+    which is increasing and concave: from an i with P(i) < 0 it steps by
+    floor(-h / h') = -P(i) i // (i P'(i) - p P(i)), at least 1, and never
+    past the root.  The divisor is sum_k (p - k) C_k i^k > 0.  The walk
+    starts at max(1, iroot(C_k // D, p - k) - 1) for the term with the
+    largest log2(C_k // D) / (p - k), the lower bound behind Fujiwara's root
+    bound, which lies below every root, and stops at the first index where
+    the exact value P(i) >= 0; it is i*, the index before it failing.
+    ``_value_and_slope`` gives P and P' by one Horner pass; every index the
+    answer depends on is decided by the exact value, and the slope only
+    chooses the index tried next.  Were the last failing index and the
+    first certifying one not adjacent, a bisection between them would find
+    i*.  The answer is i* GRID when i* <= 2^299; otherwise, the walk having
+    reached 2^299 with P < 0, NoContractionRadiusFound("threshold search
     exhausted").
     """
     G = _monic(G, "threshold needs a monic divisor")
@@ -149,113 +151,26 @@ def global_threshold(G, V: BaseCompact) -> Fraction:
         raise NotMonic("divisor must have positive degree")
     b = [hi for _, hi in norm_bounds_each([G.num.get(k, 0) for k in range(p)], G.den, V)]
     D = lcm_list(d for _, d in b)
-    C = [(p - k, b[k][0] * (D // b[k][1]) << (_GRID_BITS * (p - k) + 1)) for k in range(p)]
-    coeffs = [D] + [-c for _, c in reversed(C)]  # D i^p - sum_k C_k i^k, highest first
-    start = min(max(_threshold_start(D, [(m, c) for m, c in C if c]), 1), _SEARCH_CAP)
-    if _certified(coeffs, start):
-        hi, stride = start, 1
-        while True:
-            lo = hi - stride
-            if lo < 1:
-                lo = 0
-                break
-            if not _certified(coeffs, lo):
-                break
-            hi, stride = lo, 2 * stride
-    else:
-        lo, stride = start, 1
-        while True:
-            if lo >= _SEARCH_CAP:
-                raise NoContractionRadiusFound("threshold search exhausted")
-            hi = min(lo + stride, _SEARCH_CAP)
-            if _certified(coeffs, hi):
-                break
-            lo, stride = hi, 2 * stride
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if _certified(coeffs, mid):
-            hi = mid
+    C = [b[k][0] * (D // b[k][1]) << (_GRID_BITS * (p - k) + 1) for k in range(p)]
+    coeffs = [D] + [-c for c in reversed(C)]  # P's coefficients, highest first
+    q, m = 0, 1  # the term (C_k // D, p - k) with the largest log2(C_k // D) / (p - k)
+    for k, c in enumerate(C):
+        if ((c // D).bit_length() - 1) * m > (q.bit_length() - 1) * (p - k):
+            q, m = c // D, p - k
+    lo, i = 0, min(max(1, iroot(q, m) - 1), _SEARCH_CAP)
+    value, slope = _value_and_slope(coeffs, i)
+    while value < 0:
+        if i == _SEARCH_CAP:
+            raise NoContractionRadiusFound("threshold search exhausted")
+        lo, i = i, min(i + max(1, -value * i // (i * slope - p * value)), _SEARCH_CAP)
+        value, slope = _value_and_slope(coeffs, i)
+    while lo + 1 < i:
+        mid = (lo + i) // 2
+        if _value_and_slope(coeffs, mid)[0] >= 0:
+            i = mid
         else:
             lo = mid
-    return hi * GRID
-
-
-def _certified(coeffs, i: int) -> bool:
-    """Does D i^p - sum_k C_k i^k >= 0 hold?  coeffs lists that polynomial's
-    coefficients highest first; one integer Horner pass decides it."""
-    acc = 0
-    for c in coeffs:
-        acc = acc * i + c
-    return acc >= 0
-
-
-def _threshold_start(D: int, terms) -> int:
-    """A float estimate of the least grid index i with D i^p >= sum_k C_k i^k.
-
-    terms holds the pairs (p - k, C_k) with C_k > 0; with none, the estimate
-    is 1.  With l_k = log2(C_k / D), taken from the ints by ``math.log2`` and
-    so in float range at any size, every root lies at or above 2^t0,
-    t0 = max_k l_k / (p - k), the lower bound behind Fujiwara's root bound;
-    past t0 = 300 the search cap is returned.  On x = i 2^-t0 the inequality
-    reads h(x) = 1 - sum_k a_k x^-(p-k) >= 0 with a_k = 2^(l_k - (p-k) t0)
-    <= 1, and a_k that underflows is a harmless 0.  h is increasing and
-    concave, so Newton's steps from x = 1, where h <= 0, rise towards the
-    root without passing it; while h < 0 some term exceeds 1/p, so h' > 0.
-    Past 2^50 a float's error spans many indices, so the estimate is refined
-    by ``_newton``'s integer steps.  The estimate is never trusted:
-    ``global_threshold`` checks every index it visits exactly.
-    """
-    if not terms:
-        return 1
-    logD = math.log2(D)
-    logs = [(m, math.log2(c) - logD) for m, c in terms]
-    t0 = max(lk / m for m, lk in logs)
-    if t0 > 300:
-        return _SEARCH_CAP
-    scaled = [(m, 2.0 ** (lk - m * t0)) for m, lk in logs]
-    x = 1.0
-    for _ in range(64):
-        total = slope = 0.0  # 1 - h(x) and x h'(x)
-        for m, a in scaled:
-            t = a * x ** -m
-            total += t
-            slope += m * t
-        if total <= 1.0:
-            break
-        step = (total - 1.0) * x / slope
-        x += step
-        if step < x * 1e-15:
-            break
-    estimate = math.ceil(2.0 ** (t0 + math.log2(x)))
-    return estimate if estimate <= _NEWTON_FROM else _newton(D, terms, estimate)
-
-
-def _newton(D: int, terms, i: int) -> int:
-    """Integer Newton steps i <- i - floor(P(i) / P'(i)) towards the root of
-    P(i) = D i^M - sum_k C_k i^(M - (p-k)), M the largest p - k: the
-    threshold condition times i^(M - p) > 0, so it holds where it does.
-
-    P has one sign change, so one positive root r, with P < 0 on (0, r), and
-    P is increasing and convex on [r, oo) (i P' and i^2 P'' there exceed
-    positive multiples of sum_k C_k i^k).  So from an i > r, where P > 0,
-    a step falls and stays at or above ceil(r) >= 1, and from below r, where
-    P < 0, a step rises: from a float estimate a few steps reach ceil(r) or
-    the index past it.  The steps stop at a zero step, at a slope <= 0 (far
-    below r) or after 16.
-    """
-    M = max(m for m, _ in terms)
-    coeffs = [D] + [0] * M  # highest first: the coefficient of i^(M - m) at m
-    for m, c in terms:
-        coeffs[m] = -c
-    for _ in range(16):
-        value, slope = _value_and_slope(coeffs, i)
-        if slope <= 0:
-            break
-        step = value // slope
-        if not step:
-            break
-        i -= step
-    return i
+    return i * GRID
 
 
 def _value_and_slope(coeffs, i: int):

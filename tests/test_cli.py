@@ -164,6 +164,21 @@ def test_the_argv_reader_answers_as_argparse_or_defers(argv):
     assert got is None or got == argparse_reading(argv)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--bits=--", "product-formula", "--f", "1"],
+    ["divide", "--F", "[0,0,0,1]", "--G=--", "--w", "5"],
+])
+def test_a_value_of_dashes_given_with_equals_never_reaches_the_library(capsys, argv):
+    """Python 3.10 to 3.12 read ``--flag=--`` as an empty list without calling
+    the flag's type.  It is refused as a usage error (3.13 refuses it as
+    input), not passed on to fail as an InternalError or as a misleading
+    refusal of a list."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert "InternalError" not in err and "not list" not in err
+
+
 def test_every_kind_uses_only_the_options_the_reader_takes():
     for _, specs, _ in COMMANDS.values():
         for _, kind in specs:

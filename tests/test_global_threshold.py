@@ -5,10 +5,11 @@ denominators and searches on the grid index i (v = i 2^-16) with integer
 comparisons.  The oracle below is the direct form: doubling v from 2^-16
 300 times, then bisecting, with the condition evaluated in Fraction powers
 of v and one ``base_norm`` per coefficient.  Both must return the same v or
-raise the same exception.  The search under test starts at a float
-estimate of the threshold index instead; below, arbitrary start indices
-replace it, inputs sit on both sides of the 2^299 cap and past float range,
-and the predicate passes of a search are counted.
+raise the same exception.  The search under test walks up to the threshold
+index by integer Newton steps from a lower bound instead; below, arbitrary
+start indices and wrong slopes replace the walk's, inputs sit on both sides
+of the 2^299 cap and past float range, and the Horner passes of a search
+are counted.
 ``LaurentPoly.from_poly``, which reads G, is compared with the constructor
 it stands for.
 """
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from arithline import BaseCompact, LaurentPoly, Place, base_norm, global_threshold
 from arithline import weierstrass as W
 from arithline.errors import ArithlineError, NoContractionRadiusFound, NotMonic
+from arithline.numbers import iroot
 from arithline.polys import deg, is_monic, poly
 
 GRID = Fraction(1, 1 << 16)
@@ -201,7 +203,7 @@ _starts = st.one_of(
     st.sampled_from([1, 2, CAP - 1, CAP, CAP + 1, 1 << 400, 0, -5]).map(lambda i: ("at", i)),
     st.integers(1, 1 << 300).map(lambda i: ("at", i)),
     st.integers(1, 1 << 40).map(lambda i: ("at", i)),
-    st.integers(-8, 8).map(lambda k: ("estimate+", k)),
+    st.integers(-8, 8).map(lambda k: ("root+", k)),
 )
 _edge_inputs = st.sampled_from([case for case, _ in CAP_EDGES] + BEYOND_FLOATS)
 
@@ -211,39 +213,73 @@ _edge_inputs = st.sampled_from([case for case, _ in CAP_EDGES] + BEYOND_FLOATS)
 @example(([-10, 1], "whole"), ("at", 1 << 400))
 @example(([1 << 565, 0, 1], "whole"), ("at", 1))
 @example(([(1 << 565) + 1, 0, 1], "whole"), ("at", 1 << 400))
-@example(([2, 2, 1], "whole"), ("estimate+", -8))
+@example(([2, 2, 1], "whole"), ("root+", -8))
+@example(([2, 2, 1], "whole"), ("root+", 8))
 def test_any_start_index_gives_the_same_outcome(case, start):
-    """The certified indices form a ray and the exact predicate decides every
-    step, so the estimate only moves where the search starts: any start, in
-    range or not, gives the Fraction search's v or its exception."""
+    """The certified indices form a ray and the exact value decides every
+    index the answer depends on, so the start only moves where the walk
+    begins: any start, in range or not, below the root or above it (then
+    found by bisection), gives the Fraction search's v or its exception.
+    The walk starts one below ``iroot``'s value, which is replaced here."""
     G, name = case
     V = COMPACTS[name]
     how, k = start
-    estimate = W._threshold_start
     if how == "at":
-        replaced = lambda D, terms: k  # noqa: E731
+        replaced = lambda n, m: k  # noqa: E731
     else:
-        replaced = lambda D, terms: estimate(D, terms) + k  # noqa: E731
-    with mock.patch.object(W, "_threshold_start", replaced):
+        replaced = lambda n, m: iroot(n, m) + k  # noqa: E731
+    with mock.patch.object(W, "iroot", replaced):
+        got = outcome(global_threshold, G, V)
+    assert got == outcome(fraction_threshold, G, V)
+
+
+@st.composite
+def small_threshold_inputs(draw):
+    """Divisors on the 5-adic segment whose threshold index is at most a few
+    thousand: g_k divisible by 5^(j (p-k)), j >= 4, so ||g_k|| <= 5^(-j (p-k))."""
+    coeff = st.builds(Fraction, st.integers(-100, 100), st.sampled_from(ALLOWED["seg5"]))
+    p = draw(st.integers(1, 6))
+    j = draw(st.integers(4, 8))
+    return [draw(coeff) * 5 ** (j * (p - k)) for k in range(p)] + [1], "seg5"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.tuples(st.one_of(threshold_inputs(), _edge_inputs), st.just(1)),
+    st.tuples(small_threshold_inputs(), st.just(1 << 4000)),
+))
+@example((([1 << 565, 0, 1], "whole"), 1))
+@example((([-7, 2, 1], "arch"), 1))
+@example((([Fraction(3, 2) * 5 ** 8, 1], "seg5"), 1 << 4000))
+def test_a_wrong_slope_gives_the_same_outcome(case_and_slope):
+    """The slope only chooses the index tried next.  A slope of 1 makes the
+    steps too long, so the walk overshoots the root and the bisection finds
+    i*; a huge slope makes every step 1, so on small thresholds the walk
+    climbs index by index.  Either way the outcome is the Fraction search's."""
+    (G, name), wrong = case_and_slope
+    V = COMPACTS[name]
+    true = W._value_and_slope
+    with mock.patch.object(W, "_value_and_slope", lambda coeffs, i: (true(coeffs, i)[0], wrong)):
         got = outcome(global_threshold, G, V)
     assert got == outcome(fraction_threshold, G, V)
 
 
 def test_acceptance_04_searches_take_few_predicate_passes():
     """On the acceptance-04 shape (deg G <= 6, |coeffs| <= 100, the whole
-    space) the estimate lands on the threshold or next to it: 2.1 passes a
-    search on these divisors, where doubling i from 1 and bisecting took
-    45.6."""
+    space) the walk takes 4.03 exact Horner passes a search on these
+    divisors and no bisection, where the float estimate it replaced took a
+    float Newton loop and then 2.11 predicate passes, and doubling i from 1
+    and bisecting took 45.6."""
     rng = random.Random(4)
     divisors = [[rng.randint(-100, 100) for _ in range(rng.randint(1, 6))] + [1] for _ in range(300)]
-    with mock.patch.object(W, "_certified", wraps=W._certified) as passes:
+    with mock.patch.object(W, "_value_and_slope", wraps=W._value_and_slope) as passes:
         for G in divisors:
             global_threshold(G, WHOLE)
-    assert passes.call_count / len(divisors) <= 4
+    assert passes.call_count / len(divisors) <= 5
 
 
-# thresholds far past 2^50, where a float's error spans many grid indices:
-# i* near 2^266, 2^200 and 2^117, and the first again with a T term
+# thresholds far past 2^50, where a float's error would span many grid
+# indices: i* near 2^266, 2^200 and 2^117, and the first again with a T term
 FAR_THRESHOLDS = [
     [(1 << 4000) + 1] + [0] * 15 + [1],
     [1 << 1100] + [0] * 5 + [1],
@@ -254,31 +290,26 @@ FAR_THRESHOLDS = [
 
 @pytest.mark.parametrize("G", FAR_THRESHOLDS)
 def test_far_thresholds_take_a_dozen_passes_with_newton_steps(G):
-    """Past 2^50 the float estimate is refined by integer Newton steps, one
-    Horner pass each for P and P', before the exact search: at most a dozen
-    passes in all, where stepping and bisecting across the float's error
-    took 426, 292 and 138 predicate passes on the first three.  The answer
-    is the Fraction search's."""
-    with mock.patch.object(W, "_certified", wraps=W._certified) as passes, \
-            mock.patch.object(W, "_value_and_slope", wraps=W._value_and_slope) as newton:
+    """Far from 1 the walk still takes few Horner passes, one for P and P'
+    at each index it visits: at most a dozen (2 or 3 on these), where a
+    float estimate refined by stepping and bisecting across its error took
+    426, 292 and 138 predicate passes on the first three.  The answer is
+    the Fraction search's."""
+    with mock.patch.object(W, "_value_and_slope", wraps=W._value_and_slope) as passes:
         assert_matches_fraction_search(G, "whole")
-    assert newton.call_count >= 1 and passes.call_count + newton.call_count <= 12
+    assert passes.call_count <= 12
 
 
-def test_newton_steps_stop_at_a_zero_step_or_a_slope_at_most_zero():
-    """From above the root a step falls and stays at or above i*, from below
-    it rises; a step under 1 stops at i* or the index past it, and far
-    below the root, where P' <= 0, the steps stop.  The search then checks
-    every index it visits, so these only move where it starts."""
-    # P(i) = i - 5 from 2^60 steps straight to 5; P(i) = 7 i - 1 to 1
-    assert W._newton(1, [(1, 5)], 1 << 60) == 5
-    assert W._newton(7, [(1, 1)], 1 << 60) == 1
-    # P(i) = i^2 - 4, i* = 2: from 10 by 6, 4 and 3, where the step is 5 // 6 = 0;
-    # from 1 below it, up to 3
-    assert W._newton(1, [(2, 4)], 10) == 3
-    assert W._newton(1, [(2, 4)], 1) == 3
-    # P(i) = i^3 - 2^200 i^2 - 2^200: P'(2^60) < 0
-    assert W._newton(1, [(1, 1 << 200), (3, 1 << 200)], 1 << 60) == 1 << 60
+def test_a_degree_64_threshold_with_every_term_alike_takes_at_most_20_passes():
+    """G = T^64 + sum_k 2^(183 (64-k)) T^k: at i* near 2^200 all 64 terms of
+    the condition are of one size, so the lower bound the walk starts from
+    is furthest below i*; the walk still takes at most 20 passes (10 here).
+    The answer is the Fraction search's."""
+    G = [1 << (183 * (64 - k)) for k in range(64)] + [1]
+    with mock.patch.object(W, "_value_and_slope", wraps=W._value_and_slope) as passes:
+        got = assert_matches_fraction_search(G, "whole")
+    assert passes.call_count <= 20
+    assert (got / GRID).numerator.bit_length() == 201
 
 
 _values = st.one_of(
