@@ -39,6 +39,7 @@ from .numbers import TRIAL_BOUND, factor, is_prime, small_prime_factor, strip_pr
 
 INF = float("inf")
 _NAMED_BITS = 2000  # 603 digits, below the least int-to-str limit Python allows (640)
+_LONG_TRIAL_BOUND = 1 << 10  # trial division of a cofactor past _NAMED_BITS bits stops here
 
 
 def is_inf(x) -> bool:
@@ -304,9 +305,13 @@ def _pole_detail(f: Fraction, r: int) -> str:
     below TRIAL_BOUND; otherwise names r, so a refusal never factors a large r.
     An integer past ``_NAMED_BITS`` bits is named by its bit length, and f
     by its denominator's, so the text never meets the interpreter's limit on
-    int-to-str digits.
+    int-to-str digits.  Such an r gets no primality test, and trial division
+    only below ``_LONG_TRIAL_BOUND``: their cost grows with its length.
     """
-    q = r if is_prime(r) else small_prime_factor(r, TRIAL_BOUND)
+    if r.bit_length() > _NAMED_BITS:
+        q = small_prime_factor(r, _LONG_TRIAL_BOUND)
+    else:
+        q = r if is_prime(r) else small_prime_factor(r, TRIAL_BOUND)
     if max(f.numerator.bit_length(), f.denominator.bit_length()) > _NAMED_BITS:
         name = f"a number with a {f.denominator.bit_length()}-bit denominator"
     else:

@@ -319,18 +319,18 @@ def hensel_multi_lift(f, seeds, p, N):
     that lifts seeds[i] against rest[i + 1], whose lift is the next f.  The
     product is checked mod p before the lift and mod p^N after it."""
     rest = list(accumulate(reversed(seeds), lambda a, g: fp_mul(g, a, p), initial=(1,)))[::-1]
-    pairs = []
+    ts = []
     for i, g in enumerate(seeds):
-        one, s, t = _fp_bezout(g, rest[i + 1], p)
+        one, _, t = _fp_bezout(g, rest[i + 1], p)
         if one != (1,):
             j = next(j for j in range(i + 1, len(seeds)) if fp_gcd(g, seeds[j], p) != (1,))
             raise NotCoprime(f"factors {i} and {j} share a root mod p")
-        pairs.append((s, t))
+        ts.append(t)
     if rest[0] != fp_poly(f, p):
         raise ProductMismatch("seed factors do not multiply to G mod p")
     lifted, cofactor = [], f
-    for g, h, (s, t) in zip(seeds, rest[1:], pairs):
-        lift, cofactor = _pair_lift(cofactor, g, h, s, t, p, N)
+    for g, h, t in zip(seeds, rest[1:], ts):
+        lift, cofactor = _pair_lift(cofactor, g, h, t, p, N)
         lifted.append(lift)
     modN = p ** N
     if reduce(lambda a, b: fp_mul(a, b, modN), lifted, (1,)) != fp_poly(f, modN):
@@ -338,11 +338,13 @@ def hensel_multi_lift(f, seeds, p, N):
     return lifted
 
 
-def _pair_lift(f, g, h, s, t, p, N):
+def _pair_lift(f, g, h, t, p, N):
     """Lift f = g h mod p, g and h monic with s g + t h = 1 mod p, to the monic
-    pair with f = g h mod p^N: the step to p^(k+1) adds p^k (e t mod g) and
-    p^k (e s mod h), e = (f - g h) / p^k mod p.  The lifts stay g and h mod p,
-    so the remainders are taken by g and h themselves."""
+    pair with f = g h mod p^N: the step to p^(k+1) adds p^k dg and p^k dh,
+    e = (f - g h) / p^k mod p, dg = e t mod g and dh = (e - dg h) / g, an
+    exact division by the monic g (dg h + dh g = e mod p with deg dh < deg h
+    fixes dh; it is e s mod h).  The lifts stay g and h mod p, so g and h
+    themselves divide."""
     g_cur, h_cur = g, h
     for k in range(1, N):
         pk = p ** k
@@ -354,7 +356,7 @@ def _pair_lift(f, g, h, s, t, p, N):
         assert all(c % pk == 0 for c in diff), "lift invariant broken"
         e = fp_poly([c // pk for c in diff], p)
         dg = fp_divmod(fp_mul(e, t, p), g, p)[1]
-        dh = fp_divmod(fp_mul(e, s, p), h, p)[1]
+        dh = fp_divmod(fp_sub(e, fp_mul(dg, h, p), p), g, p)[0]
         g_cur = tuple((a + pk * b) % mod for a, b in zip_longest(g_cur, dg, fillvalue=0))
         h_cur = tuple((a + pk * b) % mod for a, b in zip_longest(h_cur, dh, fillvalue=0))
     modN = p ** N

@@ -20,8 +20,8 @@ a 2-core Xeon it was 0.6-0.9 times as fast as schoolbook at 12 terms and
 1.1-1.4 times as fast at 16, for coefficients of 4 to 135 bits, and it is
 1.9-5 times as fast at 64.  So the short products of the benchmark's local
 division (inverses to order 16) stay on schoolbook, and the series Hensel
-lift at order 64 and up, whose products are long and dense, moves to the
-packed product.
+lift, whose Newton steps at doubling precision end in a few long dense
+products at the final order, makes those on the packed product.
 
 The weighted norm of sum a_k T^k on the annulus s <= |T| <= t over a compact
 V is sum ||a_k||_V * max(s^k, t^k); over an ultrametric V the uniform

@@ -30,7 +30,12 @@ window starts at the residual's lowest index, which rises every step, and
 ends at the highest index reached, so nothing is sized by m: F below T^p
 modulo T^(2^200) answers at once.
 ``hensel_lift_root`` is the one Hensel lift, for series and p-adic roots (the
-roots of unity of ``covers_galois`` among them).
+roots of unity of ``covers_galois`` among them).  A series lift prints the
+gauges v_k = v(P(x_k) mod T^m) = min(m, v(x_k - r)) of its Newton steps
+(P'(r) is a unit).  A step's error is e^2 (a_2 + O(e)) / P'(r + e), so once
+w = v(P''(r)/2) < v_k, read off P''/2 at x_k mod T^(v_k), every later gauge
+is min(m, 2 v + w) and the root is finished by Newton at doubling
+precision; before that (or for a linear P) steps run at full precision.
 """
 
 from dataclasses import dataclass
@@ -574,8 +579,10 @@ def _series_poly(P) -> list:
 
 
 def _series_poly_eval(P, x: LaurentPoly, m: int) -> LaurentPoly:
-    acc = LaurentPoly.zero(m)
-    for c in reversed(P):
+    if not P:
+        return LaurentPoly.zero(m)
+    acc = P[-1].with_mod(m)
+    for c in reversed(P[:-1]):
         acc = series_add(series_mul(acc, x), c.with_mod(m))
     return acc
 
@@ -591,40 +598,67 @@ def _series_gauge(f: LaurentPoly, m: int) -> int:
 
 
 def _hensel_series(P, f0: LaurentPoly, m: int):
-    """Newton steps x <- x - P(x)/P'(x) mod T^m from a simple root mod T.
+    """The root r = f0 mod T of P, mod T^m and stored ascending, and the gauges
+    g_k = v(P(x_k) mod T^m) = min(m, v(x_k - r)) of the Newton steps
+    x <- x - P(x)/P'(x) mod T^m from x = f0.
 
-    Each step works at the precision it needs.  If v is the gauge (T-adic
-    valuation) of P(x), the correction P(x)/P'(x) mod T^m has its terms at
-    indices >= v, so it reads P'(x)^-1, and hence P'(x), only below
-    T^(m - v): both are taken mod T^(m - v), which leaves the correction
-    unchanged mod T^m.  The P(x) that gives a step's gauge is the next
-    step's P(x); it is evaluated once.
+    A step maps e = x - r to e^2 h(e) / P'(r + e), h(e) = sum_{j>=2} (j-1)
+    a_j e^(j-2) with a_j = P^(j)(r)/j!, so v(e) at least doubles, and once
+    w = v(a_2) < g_k every term of h past a_2 lies above T^w: g_(k+1) =
+    min(m, 2 g_k + w), and w < g_(k+1) keeps the rule.  As x_k = r mod
+    T^(g_k), P''/2 at x_k mod T^(g_k) decides it; then x_k mod T^(g_k) is
+    finished by ``_newton_doubling``.  Until then (v(a_2) >= g_k, or P
+    linear) the step is exact: P(x) mod T^m times P'(x)^-1 mod T^(m - g_k),
+    all the correction reads, and that P(x) gives the gauge.
     """
     P = _series_poly(P)
     dP = _series_poly_deriv(P)
+    half = [series_scale(k * (k - 1) // 2, c) for k, c in enumerate(P)][2:]  # P''/2
     if f0.has_negative_support():
         raise BadInput("series roots must have nonnegative support")
     x = f0.with_mod(m)
     fx = _series_poly_eval(P, x, m)
-    d0 = _series_poly_eval(dP, x, m)
     v_f = _series_gauge(fx, m)
-    if d0.coeff(0) == 0:
+    if _series_poly_eval(dP, x, min(m, 1)).coeff(0) == 0:
         raise NotSimpleRoot("P'(f0) is not a unit at T = 0")
     if v_f < 1:
         raise NotSimpleRoot("P(f0) must vanish at T = 0")
     gauges = [v_f]
-    for _ in range(m.bit_length() + 8):
-        if gauges[-1] >= m:
+    while gauges[-1] < m:
+        v = gauges[-1]
+        w = _series_gauge(_series_poly_eval(half, x.with_mod(v), v), v)
+        if w < v:
+            while gauges[-1] < m:
+                gauges.append(min(m, 2 * gauges[-1] + w))
+            x = _newton_doubling(P, dP, x.with_mod(v), v, m)
             break
-        prec = m - gauges[-1]
-        dfx = d0 if len(gauges) == 1 else _series_poly_eval(dP, x, prec)
-        inv = _invert_series(dfx, prec)
+        inv = _invert_series(_series_poly_eval(dP, x, m - v), m - v)
         x = series_sub(x, series_mul(fx, inv))
         fx = _series_poly_eval(P, x, m)
         gauges.append(_series_gauge(fx, m))
-    if gauges[-1] < m:
-        raise NoConvergence("residual order did not reach the target")
-    return x, HenselReport(tuple(gauges))
+    return LaurentPoly._content(dict(sorted(x.num.items())), x.den, m), HenselReport(tuple(gauges))
+
+
+def _newton_doubling(P, dP, x: LaurentPoly, n: int, m: int) -> LaurentPoly:
+    """r mod T^m from x = r mod T^n, n < m, by Newton at doubling precision up
+    the ladder m, ceil(m/2), ... (von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 9): a step n -> n2 <= 2n takes P(x) mod T^(n2), zero below T^n,
+    times s = P'(x)^-1 mod T^n.  s is carried: the last step's s inverts
+    P'(x) mod T^(n_prev), and s <- s + s (1 - P'(x) s) brings it to T^n.
+    """
+    ladder = [m]
+    while ladder[-1] > 2 * n:
+        ladder.append((ladder[-1] + 1) // 2)
+    s = _invert_series(_series_poly_eval(dP, x, n), n)
+    for n2 in reversed(ladder):
+        x = x.with_mod(n2)
+        if s.trunc_mod < n:
+            s = s.with_mod(n)
+            e = series_sub(LaurentPoly.one(), series_mul(_series_poly_eval(dP, x, n), s))
+            s = series_add(s, series_mul(s, e))
+        x = series_sub(x, series_mul(_series_poly_eval(P, x, n2), s))
+        n = n2
+    return x
 
 
 def hensel_factor_lift(G, factors, p: int, N: int):

@@ -1351,6 +1351,31 @@ def hensel_pair_lift_refreshing(f, g, h, p, N):
     return fp_poly(g_cur, p ** N), fp_poly(h_cur, p ** N)
 
 
+def pair_lift_by_bezout(f, g, h, s, t, p, N):
+    """``polys._pair_lift`` as it was written: each step adds p^k (e t mod g)
+    and p^k (e s mod h), e = (f - g h) / p^k mod p, for s g + t h = 1 mod p."""
+    from itertools import zip_longest
+
+    from arithline.polys import fp_divmod, fp_mul, fp_poly
+
+    g_cur, h_cur = g, h
+    for k in range(1, N):
+        pk = p ** k
+        mod = pk * p
+        gh = fp_mul(g_cur, h_cur, mod)
+        diff = [(a - b) % mod for a, b in zip_longest(f, gh, fillvalue=0)]
+        if not any(diff):
+            continue
+        assert all(c % pk == 0 for c in diff), "lift invariant broken"
+        e = fp_poly([c // pk for c in diff], p)
+        dg = fp_divmod(fp_mul(e, t, p), g, p)[1]
+        dh = fp_divmod(fp_mul(e, s, p), h, p)[1]
+        g_cur = tuple((a + pk * b) % mod for a, b in zip_longest(g_cur, dg, fillvalue=0))
+        h_cur = tuple((a + pk * b) % mod for a, b in zip_longest(h_cur, dh, fillvalue=0))
+    modN = p ** N
+    return fp_poly(g_cur, modN), fp_poly(h_cur, modN)
+
+
 def hensel_multi_lift_recursive(f, factors, p, N):
     """The first factor lifted against the product of the rest, then the
     rest lifted by recursion; the product mod p checked at every level."""

@@ -16,6 +16,7 @@ from arithline import (
     ring_label,
     shilov_base,
 )
+from arithline import base_space
 from arithline.base_space import norm_bounds_each
 from arithline.errors import CannotFactor, NonIntegralAtExtremePoint, NotInRingOfV, ZeroInput
 from arithline.numbers import factor, prime_divisors
@@ -91,13 +92,43 @@ def test_a_point_is_its_one_point_compact():
     (1, (2 ** 61 - 1) ** 40, BaseCompact.star({Place.finite(2): 1}),
      "a number with a 2440-bit denominator has a pole at the extreme point of "
      "a prime factor of a 2440-bit integer"),
-], ids=["segment", "star", "numerator", "unfactored-cofactor"])
+    (1, (2 ** 3217 - 1) ** 2, BaseCompact.whole_space(),
+     "a number with a 6434-bit denominator has a pole at the extreme point of "
+     "a prime factor of a 6434-bit integer"),
+], ids=["segment", "star", "numerator", "unfactored-cofactor", "mersenne-square"])
 def test_a_pole_refusal_names_a_huge_number_by_its_bit_length(num, den, V, detail):
     """Past the interpreter's int-to-str digit limit the decimal text of f
     cannot be built, so the refusal says how long its denominator is."""
     with pytest.raises(NotInRingOfV) as exc:
         norm_bounds_each([num], den, V)
     assert str(exc.value) == detail
+
+
+def test_a_cofactor_past_the_named_bits_is_trial_divided_only_below_2_to_the_10(monkeypatch):
+    """A primality test and trial division to TRIAL_BOUND cost time that grows
+    with the cofactor's length (about 1 s on a 6434-bit one); past
+    _NAMED_BITS bits the refusal names a small factor if it has one below
+    2^10 and otherwise the cofactor by its bit length."""
+    bounds = []
+
+    def refuse(n):
+        raise AssertionError("a cofactor past _NAMED_BITS was tested for primality")
+
+    def trial(n, bound):
+        bounds.append(bound)
+        return small_prime_factor(n, bound)
+
+    small_prime_factor = base_space.small_prime_factor
+    monkeypatch.setattr(base_space, "is_prime", refuse)
+    monkeypatch.setattr(base_space, "small_prime_factor", trial)
+    q = 2 ** 3217 - 1
+    with pytest.raises(NotInRingOfV, match="of a prime factor of a 6434-bit integer$"):
+        norm_bounds_each([1], q * q, BaseCompact.whole_space())
+    with pytest.raises(NotInRingOfV, match="at the extreme point of 1021$"):
+        norm_bounds_each([1], 1021 * q, BaseCompact.whole_space())
+    with pytest.raises(NotInRingOfV, match="at the extreme point of 2$"):
+        norm_bounds_each([1], 2 ** 20000, BaseCompact.whole_space())
+    assert bounds == [1 << 10] * 3
 
 
 def test_product_formula_examples():

@@ -1,9 +1,11 @@
 """Series inverse, Hensel, Cartan prune/split and membership against references.
 
 ``series_ring._invert_series`` is Newton iteration on integer content; the
-reference is the triangular Fraction recurrence.  ``_hensel_series`` inverts
-P'(x) only to the precision the correction reads; the reference takes every
-evaluation and inverse mod T^m.  ``SeriesMatrix.prune`` weighs each entry with
+reference is the triangular Fraction recurrence.  ``_hensel_series`` predicts
+the gauges by the rule v' = 2 v + v(P''(r)/2) and finds the root by Newton at
+doubling precision; the reference takes every step, evaluation and inverse
+mod T^m, and stores its root in the order its steps reached each index, where
+the lift stores it ascending.  ``SeriesMatrix.prune`` weighs each entry with
 integer pairs; the reference multiplies one norm by one Fraction weight per
 coefficient.  ``_split_matrix`` splits through ``_split_series``, the split
 rule on integer content; the reference is the rule written out per Fraction.
@@ -11,6 +13,7 @@ Outputs must agree exactly: coefficients (in stored order for series
 results), moduli, gauges and exceptions.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -20,10 +23,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arithline import AnnulusSpec, BaseCompact, LaurentPoly, Place, SeriesMatrix, SplitSystem
+from arithline import AnnulusSpec, BaseCompact, LaurentPoly, Place, SeriesMatrix, SplitSystem, cli, jsonio, weierstrass
 from arithline.base_space import member_of_kv, norm_bounds
 from arithline.cousin_cartan import _split_matrix, _split_series, split_rational
-from arithline.covers_galois import binomial_coefficient_series
+from arithline.covers_galois import _radius_witness, binomial_coefficient_series
 from arithline.errors import ArithlineError, NotInRingOfV
 from arithline.numbers import small_prime_factor, strip_primes
 from arithline.series_ring import _invert_series, invert_unit, series_add, series_mul
@@ -58,6 +61,7 @@ def outcome(fn, *args):
 
 fracs = st.builds(F, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
 small_fracs = st.builds(F, st.integers(-999, 999), st.integers(1, 60))
+tiny_fracs = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
 nonzero_fracs = fracs.filter(bool)
 
 
@@ -152,40 +156,111 @@ def test_invert_unit_matches_triangular_recursion(inp):
 SQRT_P = [LaurentPoly({0: -1, 1: -1}), LaurentPoly.zero(), LaurentPoly.one()]
 
 
+def root_layout(f):
+    """The root's coefficients in ascending order, and the modulus: the lift
+    stores its root so, and the full-precision loop stores its iterate in the
+    order its steps first reached each index."""
+    return sorted(f.coeffs.items()), f.trunc_mod
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 17, 33, 63, 64, 65])
 def test_hensel_acceptance_06_matches_full_precision_loop(m):
     root, rep = _hensel_series(SQRT_P, LaurentPoly({0: 1}), m)
     want_root, want_rep = hensel_series_full_precision(SQRT_P, LaurentPoly({0: 1}), m)
-    assert layout(root) == layout(want_root)
+    assert layout(root) == layout(want_root) == root_layout(want_root)
     assert rep.gauges == want_rep.gauges
+
+
+def test_hensel_acceptance_06_takes_no_full_precision_step(monkeypatch):
+    """P''/2 = 1 for P = S^2 - 1 - T decides the gauge rule at the first gauge,
+    so the root comes from the doubling Newton alone: P'(x) is inverted once,
+    mod T^1, and never mod T^(m - v) as an exact step inverts it."""
+    precisions = []
+
+    def spy(f, prec):
+        precisions.append(prec)
+        return invert(f, prec)
+
+    invert = weierstrass._invert_series
+    monkeypatch.setattr(weierstrass, "_invert_series", spy)
+    root, rep = _hensel_series(SQRT_P, LaurentPoly({0: 1}), 64)
+    assert precisions == [1]
+    assert rep.gauges == (1, 2, 4, 8, 16, 32, 64)
 
 
 @st.composite
 def hensel_inputs(draw):
-    """P = sum c_i S^i with P(a) = 0 mod T; simple when P'(a) is a unit at 0."""
-    a = draw(small_fracs)
-    deg = draw(st.integers(1, 3))
-    P = [LaurentPoly({k: draw(small_fracs) for k in range(draw(st.integers(0, 4)))})
-         for _ in range(deg + 1)]
+    """P = sum c_i S^i with P(a) = 0 mod T; simple when P'(a) is a unit at 0.
+    Coefficients and seeds come from ``tiny_fracs`` at degree 1 to 4 and m up
+    to 64, or from ``small_fracs`` (tall numerators, denominators up to 60)
+    at degree 1 to 3 and m up to 40.  With ``lift`` set, the c_i of degree
+    i >= 2 are multiplied by T^lift, so P''(f0)/2 has valuation at least lift
+    and exact steps run until the gauge passes it; c_1(0) is then drawn
+    nonzero, as P'(f0) = c_1(0) mod T.  Without it c_1 may be empty or zero,
+    so P'(f0) is a unit only through the higher terms, or not at all.
+    Sparse c_i and seeds with high terms make gauges jump past doubling."""
+    coeffs = draw(st.sampled_from((tiny_fracs, small_fracs)))
+    tall = coeffs is small_fracs
+    a = draw(coeffs)
+    deg = draw(st.integers(1, 3 if tall else 4))
+    lift = draw(st.sampled_from((0, 0, 1, 2, 5)))
+    width = draw(st.sampled_from((3, 8)))
+
+    def series():
+        ks = draw(st.lists(st.integers(0, width), max_size=4, unique=True))
+        return {k: draw(coeffs) for k in ks}
+
+    P = [series() for _ in range(deg + 1)]
+    if lift:
+        P[1][0] = draw(coeffs.filter(bool))
+    P[2:] = [{k + lift: c for k, c in c_i.items()} for c_i in P[2:]]
+    P = [LaurentPoly(c_i) for c_i in P]
     low = -sum((P[i].coeff(0) * a ** i for i in range(1, deg + 1)), F(0))
     P[0] = LaurentPoly({**P[0].coeffs, 0: low})
-    f0 = LaurentPoly({0: a, **{k: draw(small_fracs) for k in range(1, draw(st.integers(1, 3)))}})
-    return P, f0, draw(st.integers(1, 40))
+    f0 = LaurentPoly({0: a, **{k: draw(coeffs) for k in draw(st.lists(st.integers(1, 9), max_size=3))}})
+    return P, f0, draw(st.integers(1, 40 if tall else 64))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(hensel_inputs())
+@example(([LaurentPoly({1: -1}), LaurentPoly.one(), LaurentPoly({3: 1})], LaurentPoly.zero(), 64))  # w = 3
+@example(([LaurentPoly({1: -1}), LaurentPoly.one(), LaurentPoly({9: 1})], LaurentPoly.zero(), 40))  # w = 9
+@example(([LaurentPoly({0: -1, 1: -1}), LaurentPoly({0: 2})], LaurentPoly({0: F(1, 2)}), 64))  # linear
+@example(([LaurentPoly({1: 1}), LaurentPoly.one(), LaurentPoly.zero(), LaurentPoly({0: 1})],
+          LaurentPoly.zero(), 64))  # P''(0)/2 = 0 but P''(r)/2 = 3 r has w = 1
+@example(([LaurentPoly({0: -1, 1: -1}), LaurentPoly.zero(), LaurentPoly.one()], LaurentPoly({0: 1}), 0))  # m = 0
+@example(([LaurentPoly({0: -1, 1: -1}), LaurentPoly.zero(), LaurentPoly.one()], LaurentPoly({0: 2}), 8))  # P(f0) = 3 at 0
+@example(([LaurentPoly({1: -1}), LaurentPoly.zero(), LaurentPoly.one()], LaurentPoly.zero(), 8))  # P'(0) = 0
 def test_hensel_matches_full_precision_loop(inp):
     P, f0, m = inp
     got = outcome(_hensel_series, P, f0, m)
     want = outcome(hensel_series_full_precision, P, f0, m)
     assert got[0] == want[0]
     if got[0] == "ok":
-        assert layout(got[1][0]) == layout(want[1][0])
+        assert layout(got[1][0]) == root_layout(want[1][0])
         assert got[1][1].gauges == want[1][1].gauges
     else:
         assert got[1] == want[1]
 
+
+
+@pytest.mark.parametrize("m", [8, 33])
+def test_hensel_root_key_order_reaches_no_output(m):
+    """The lift stores its root ascending; the full-precision loop stores it in
+    the order its steps first reached each index, here 0, 3, 1, 2, ... from a
+    seed with a T^3 term.  The ``hensel`` and ``eisenstein`` answers read no
+    key order: their JSON and the eisenstein radii come out the same from
+    either root."""
+    P, f0 = SQRT_P, LaurentPoly({0: 1, 3: 5})
+    places = [Place.infinite(), Place.finite(2), Place.finite(3)]
+    root, rep = _hensel_series(P, f0, m)
+    want_root, want_rep = hensel_series_full_precision(P, f0, m)
+    assert root == want_root and list(root.coeffs) != list(want_root.coeffs)
+    got = cli.cmd_hensel(json.dumps(P, default=jsonio.encode), None, None, None, json.dumps(jsonio.encode(f0)), m)
+    assert jsonio.dumps(got) == jsonio.dumps({"root": want_root, "gauges": want_rep.gauges})
+    got = cli.cmd_eisenstein(P, f0, m, places)
+    radii = {"inf" if not pl.is_finite else str(pl.prime): _radius_witness(want_root, pl) for pl in places}
+    assert jsonio.dumps(got) == jsonio.dumps({"root": want_root, "N": want_root.den, "radii": radii})
 
 @settings(max_examples=100, deadline=None)
 @given(hensel_inputs())

@@ -10,6 +10,7 @@ import pathlib
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -369,6 +370,22 @@ def test_series_hensel_to_order_256_answers_under_a_memory_cap():
     assert (proc.returncode, proc.stderr) == (0, "")
     out = json.loads(proc.stdout)
     assert out["gauges"][-1] == 256 and len(out["root"]["coeffs"]) == 256
+
+
+def test_series_hensel_to_order_1024_answers_under_a_memory_cap():
+    """sqrt(1 + T) to m = 1024 by Newton at doubling precision, the gauges
+    read off the rule v' = 2 v + v(P''(r)/2): exit 0 inside a 2 GB address
+    space and a 10 s wall cap (every step at full precision took about 15 s
+    of CPU), the gauges 1, 2, 4, ..., 1024 and coefficient 1023 the binomial
+    C(1/2, 1023)."""
+    proc = _series_pass("hensel", 1024)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    out = json.loads(proc.stdout)
+    assert out["gauges"] == [2 ** k for k in range(11)]
+    c = Fraction(1)
+    for i in range(1023):
+        c = c * (Fraction(1, 2) - i) / (i + 1)
+    assert Fraction(out["root"]["coeffs"]["1023"]) == c
 
 
 @pytest.mark.parametrize("command", ["neumann", "hensel"])

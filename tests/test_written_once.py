@@ -5,7 +5,8 @@ is an element list and a product, Q_8 the Hamilton product on the unit
 quaternions.  ``polys.fp_gcd`` is the monic gcd read from the one Euclid over
 F_p, ``_fp_bezout``, and ``hensel_multi_lift`` lifts each seed against the
 product of the seeds after it with one ``_fp_bezout`` per seed, in a loop
-where a recursion and a pairwise gcd check were.  ``SeriesMatrix.mul`` sums
+where a recursion and a pairwise gcd check were; ``_pair_lift`` takes the
+cofactor's correction as (e - dg h) / g, where e s mod h was.  ``SeriesMatrix.mul`` sums
 each row-by-column product list from its first term, and the Cartan loop
 inverts I + b^- and I + b^+ from the split perturbations themselves.  ``cousin_cartan._neumann`` is the
 one Neumann loop behind ``neumann_inverse`` and ``_approx_inverse``, and the
@@ -49,6 +50,7 @@ from oracles import (
     hensel_factor_lift_recursive,
     matrix_mul_zero_start,
     neumann_inverse_by_sum,
+    pair_lift_by_bezout,
     quaternion_table_by_hand,
     symmetric_table_by_hand,
 )
@@ -166,6 +168,33 @@ def _outcome(fn, *args):
 def test_factor_lift_matches_the_recursive_lift(case):
     G, seeds, p, N = case
     assert _outcome(hensel_factor_lift, G, seeds, p, N) == _outcome(hensel_factor_lift_recursive, G, seeds, p, N)
+
+
+@st.composite
+def pair_lifts(draw):
+    """f, g, h, p, N: coprime monic g and h mod p of degree 0-4 and a monic f
+    in Z[T] with f = g h mod p, its higher p-adic digits drawn."""
+    p = draw(st.sampled_from((2, 3, 5, 7, 10007)))
+    digit = st.integers(0, p - 1)
+    g = fp_poly(draw(st.lists(digit, max_size=4)) + [1], p)
+    h = fp_poly(draw(st.lists(digit, max_size=4)) + [1], p)
+    gh = _mul(g, h)
+    higher = draw(st.lists(st.integers(-p ** 4, p ** 4), min_size=len(gh) - 1, max_size=len(gh) - 1))
+    f = tuple(c + p * d for c, d in zip(gh, higher + [0]))
+    return f, g, h, p, draw(st.integers(1, 6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_lifts())
+@example(((-6, 11, -6, 1), (6, 1), (6, 2, 1), 7, 4))
+@example(((1, 0, 1), (3, 1), (2, 1), 5, 8))
+@example(((5, 1), (1,), (0, 1), 5, 3))  # a degree-0 g
+def test_pair_lift_matches_the_bezout_step(case):
+    f, g, h, p, N = case
+    one, s, t = _fp_bezout(g, h, p)
+    if one != (1,):
+        return
+    assert polys._pair_lift(f, g, h, t, p, N) == pair_lift_by_bezout(f, g, h, s, t, p, N)
 
 
 def test_factor_lift_takes_one_bezout_per_seed_and_no_recursion(monkeypatch):
